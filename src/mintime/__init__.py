@@ -39,7 +39,6 @@ from .manifold import (
     up_intervals,
 )
 from .model import (
-    Control,
     DomainError,
     HorizonExceeded,
     InsideTarget,

@@ -11,8 +11,8 @@ follows from H = 0 evaluated at the final time.  On the circle
     a = 1 / (alpha*|sin th| - l*sin th*cos th),
 
 which is positive exactly on the usable part.  On the square the same
-evaluation gives (-1/s, 0) on the left and right sides, (0, -+1/alpha) on the
-bottom and top, and normalized cone normals at the corners A and C.
+evaluation gives (-1/s, 0) on the left side, (0, -1/alpha) on the bottom, and
+normalized cone normals at the corner A.
 
 Propagation runs in retrograde time tau (measured backward from termination):
 
@@ -25,6 +25,12 @@ x1 = -u*x2^2/(2*alpha) + const in the phase plane.  lambda2 crosses zero at
 most once, at tau_s = -lambda2(0)/lambda1; the control flips there and
 nowhere else.  At a lambda2 = 0 instant the control sign is taken from the
 interior of the current leg, never from sign(0).
+
+Both targets are centrally symmetric, so the characteristic from an anchor b
+in the lower half of the usable part (circle angles in [pi, 2*pi), sides CD
+and AD, corner C) is the mirror image of the one from antipode(b): its states
+and costates are negated.  Terminal costates and closed forms are written out
+for the other half only.
 
 Closed forms are implemented for alpha = 1; numeric_retro covers general
 alpha with a fixed-step 4th-order scheme whose steps never straddle the
@@ -45,6 +51,7 @@ from .manifold import (
     Square,
     SquareCorner,
     SquareSide,
+    antipode,
     boundary_state,
     sample_up,
 )
@@ -141,16 +148,15 @@ def terminal_costate(m: Manifold, b: BoundaryPoint, params: Params) -> Costate:
         return Costate(a * ct, a * st)
     if not isinstance(m, Square):
         raise DomainError(f"boundary point {b!r} does not belong to {m!r}")
+    if _lower_half(b):
+        c = terminal_costate(m, antipode(m, b), params)
+        return Costate(0.0 - c.lambda1, 0.0 - c.lambda2)  # negated, zeros kept +0.0
     if isinstance(b, SquareSide):
         if b.side == "AB":
             return Costate(-1.0 / b.s, 0.0)
-        if b.side == "BC":
-            return Costate(0.0, -1.0 / alpha)
-        if b.side == "CD":
-            return Costate(-1.0 / b.s, 0.0)
-        return Costate(0.0, 1.0 / alpha)  # AD
+        return Costate(0.0, -1.0 / alpha)  # BC
     st, ct = math.sin(b.theta), math.cos(b.theta)
-    denom = alpha * st - ct if b.corner == "A" else ct - alpha * st
+    denom = alpha * st - ct  # corner A
     if denom <= 0.0:
         raise DomainError(f"corner cone angle {b.theta!r} yields no positive scale")
     a = 1.0 / denom
@@ -212,59 +218,51 @@ def closed_form_state(m: Manifold, b: BoundaryPoint, params: Params, tau: float)
     if tau < 0.0:
         raise DomainError(f"retrograde time must be >= 0, got {tau!r}")
     terminal_costate(m, b, params)  # validates the anchor
+    return _closed_form(m, b, tau)
+
+
+def _lower_half(b: BoundaryPoint) -> bool:
+    """Anchor in the half of the usable part that antipode maps onto the written one."""
+    if isinstance(b, CircleTheta):
+        return b.theta >= math.pi
+    if isinstance(b, SquareSide):
+        return b.side in ("CD", "AD")
+    return b.corner == "C"
+
+
+def _closed_form(m: Manifold, b: BoundaryPoint, tau: float) -> State:
+    if _lower_half(b):
+        return -_closed_form(m, antipode(m, b), tau)
     if isinstance(b, CircleTheta):
         return _circle_state(m.l, b.theta, tau)
     if isinstance(b, SquareSide):
         s = b.s
         if b.side == "AB":
             return State(-1.0 - s * tau + 0.5 * tau * tau, s - tau)
-        if b.side == "BC":
-            return State(s + tau + 0.5 * tau * tau, -1.0 - tau)
-        if b.side == "CD":
-            return State(1.0 - s * tau - 0.5 * tau * tau, s + tau)
-        return State(s - tau - 0.5 * tau * tau, 1.0 + tau)  # AD
-    return _corner_state(b, tau)
+        return State(s + tau + 0.5 * tau * tau, -1.0 - tau)  # BC
+    return _corner_state(b.theta, tau)
 
 
 def _circle_state(l: float, theta: float, tau: float) -> State:
+    # upper anchors: the near leg has u = -1; anchors past pi/2 switch at -tan(theta)
     st, ct = math.sin(theta), math.cos(theta)
-    if theta < math.pi:
-        # upper anchors: near leg has u = -1
-        ts = switch_tau(CircleTheta(theta))
-        if ts is None or tau <= ts:
-            return State(l * (ct - tau * st) - 0.5 * tau * tau, l * st + tau)
-        tt = math.tan(theta)
-        return State(
-            l * (ct - tau * st) + tt * tt + 0.5 * tau * tau + 2.0 * tau * tt,
-            l * st - 2.0 * tt - tau,
-        )
-    # lower anchors: near leg has u = +1
-    ts = switch_tau(CircleTheta(theta))
-    if ts is None or tau <= ts:
-        return State(l * ct - tau * l * st + 0.5 * tau * tau, l * st - tau)
+    if theta <= _HALF_PI or tau <= -math.tan(theta):
+        return State(l * (ct - tau * st) - 0.5 * tau * tau, l * st + tau)
     tt = math.tan(theta)
     return State(
-        l * ct - tt * tt - 0.5 * tau * tau - (l * st + 2.0 * tt) * tau,
-        l * st + 2.0 * tt + tau,
+        l * (ct - tau * st) + tt * tt + 0.5 * tau * tau + 2.0 * tau * tt,
+        l * st - 2.0 * tt - tau,
     )
 
 
-def _corner_state(b: SquareCorner, tau: float) -> State:
-    ts = switch_tau(b)
-    if b.corner == "A":
-        if ts is None or tau <= ts:
-            return State(-1.0 - tau - 0.5 * tau * tau, 1.0 + tau)
-        tt = math.tan(b.theta)
-        return State(
-            -1.0 - tau + 2.0 * tau * tt + 0.5 * tau * tau + tt * tt,
-            1.0 - 2.0 * tt - tau,
-        )
-    if ts is None or tau <= ts:
-        return State(1.0 + tau + 0.5 * tau * tau, -1.0 - tau)
-    tt = math.tan(b.theta)
+def _corner_state(theta: float, tau: float) -> State:
+    # corner A: cone angles past pi/2 switch at -tan(theta)
+    if theta <= _HALF_PI or tau <= -math.tan(theta):
+        return State(-1.0 - tau - 0.5 * tau * tau, 1.0 + tau)
+    tt = math.tan(theta)
     return State(
-        1.0 + tau - 2.0 * tau * tt - 0.5 * tau * tau - tt * tt,
-        -1.0 + 2.0 * tt + tau,
+        -1.0 - tau + 2.0 * tau * tt + 0.5 * tau * tau + tt * tt,
+        1.0 - 2.0 * tt - tau,
     )
 
 

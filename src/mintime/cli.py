@@ -115,6 +115,8 @@ def _cmd_costate(args) -> int:
 
 def _cmd_flow(args) -> int:
     params, m = _scenario(args)
+    if not args.tau_step > 0.0:
+        raise DomainError(f"--tau-step must be > 0, got {args.tau_step!r}")
     n_steps = max(1, int(round(args.tau_max / args.tau_step)))
     taus = [k * args.tau_max / n_steps for k in range(n_steps + 1)]
     rows = characteristics.flow_rows(m, params, args.samples, taus)

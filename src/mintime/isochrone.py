@@ -2,18 +2,19 @@
 
 The tau = 0 isochrone is the usable part itself.  For the circle with
 l/alpha <= 1 the section of the tau-level set between the two switching
-curves has a six-branch closed form: the anchor range splits at
-phibar = arctan(tau), because anchors whose switch time -tan(theta) is below
-tau have already switched by retrograde time tau.  Per branch (phibar > 0):
+curves is the closed-form characteristic fan at retrograde time tau.  The
+anchor range splits at phibar = arctan(tau), because anchors whose switch
+time -tan(theta) is below tau have already switched by then.  On the upper
+half (phibar > 0):
 
     theta in (0, pi/2]           x1 = l(cos - tau sin) - tau^2/2, x2 = l sin + tau
     (pi/2, pi - phibar)          same (pre-switch)
     [pi - phibar, pi)            x1 = l(cos - tau sin) + tau^2/2 + tan^2 + 2 tau tan
                                  x2 = l sin - 2 tan - tau
-    (pi, 3pi/2]                  x1 = l(cos - tau sin) + tau^2/2, x2 = l sin - tau
-    (3pi/2, 2pi - phibar)        same (pre-switch)
-    [2pi - phibar, 2pi)          x1 = l(cos - tau sin) - tau^2/2 - tan^2 - 2 tau tan
-                                 x2 = l sin + 2 tan + tau
+
+and the branches (pi, 3pi/2], (3pi/2, 2pi - phibar), [2pi - phibar, 2pi) are
+their central mirror images: the point at theta is minus the point at
+theta - pi.
 
 For the square target, any l, and the region beyond the switching curves, the
 generic construction propagates every usable-part anchor (corner cones
@@ -26,8 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .characteristics import anchor_kind, anchor_param, numeric_retro
-from .manifold import BoundaryPoint, Manifold, Square, SquareSide, sample_up
+from .characteristics import anchor_kind, anchor_param, closed_form_state, numeric_retro
+from .manifold import BoundaryPoint, Circle, CircleTheta, Manifold, Square, SquareSide, sample_up
 from .model import DomainError, Params
 
 _TWO_PI = 2.0 * math.pi
@@ -49,31 +50,9 @@ class Isochrone:
 
 
 def isocost_point_circle(params: Params, tau: float, theta: float) -> tuple[float, float]:
-    """One six-branch closed-form point; theta must be a usable-part angle."""
+    """One closed-form isochrone point; theta must be a usable-part angle."""
     _require_small_circle(params)
-    if tau < 0.0:
-        raise DomainError(f"tau must be >= 0, got {tau!r}")
-    l = params.l
-    st, ct = math.sin(theta), math.cos(theta)
-    phibar = math.atan(tau)
-    base1 = l * (ct - tau * st)
-    if theta <= 0.0 or theta >= _TWO_PI or abs(theta - math.pi) < 1e-15:
-        raise DomainError(f"theta {theta!r} is not in the usable part")
-    if theta < math.pi:
-        if theta < math.pi - phibar or tau == 0.0:
-            return (base1 - 0.5 * tau * tau, l * st + tau)
-        tt = math.tan(theta)
-        return (
-            base1 + 0.5 * tau * tau + tt * tt + 2.0 * tau * tt,
-            l * st - 2.0 * tt - tau,
-        )
-    if theta < _TWO_PI - phibar or tau == 0.0:
-        return (base1 + 0.5 * tau * tau, l * st - tau)
-    tt = math.tan(theta)
-    return (
-        base1 - 0.5 * tau * tau - tt * tt - 2.0 * tau * tt,
-        l * st + 2.0 * tt + tau,
-    )
+    return closed_form_state(Circle(params.l), CircleTheta(theta), params, tau).as_tuple()
 
 
 def isochrone_circle(params: Params, tau: float, n_samples: int) -> Isochrone:

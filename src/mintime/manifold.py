@@ -29,7 +29,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .model import DomainError, Params, State
+from .model import DomainError, InsideTarget, Params, State
 
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
@@ -37,6 +37,8 @@ _HALF_PI = 0.5 * math.pi
 # Inner products within this band of zero classify as BUP; exact zeros occur
 # only at analytic angles, so floating point needs a tolerance.
 BUP_TOL = 1e-12
+
+_INTERIOR_TOL = 1e-12  # states this deep inside the target are rejected
 
 
 # ── Manifolds ──────────────────────────────────────────────────────────────────
@@ -286,6 +288,12 @@ def signed_distance(m: Manifold, s: State) -> float:
     return max(abs(s.x1), abs(s.x2)) - 1.0
 
 
+def _reject_interior(m: Manifold, s: State) -> None:
+    """Raise InsideTarget for a state strictly inside the target set."""
+    if signed_distance(m, s) < -_INTERIOR_TOL:
+        raise InsideTarget(f"{s!r} is inside the target: already terminated")
+
+
 # ── Sampling helpers ───────────────────────────────────────────────────────────
 
 
@@ -370,6 +378,8 @@ def antipode(m: Manifold, b: BoundaryPoint) -> BoundaryPoint:
     """Boundary point of the centrally mirrored state -x."""
     _check_kind(m, b)
     if isinstance(b, CircleTheta):
+        if b.theta >= math.pi:
+            return CircleTheta(b.theta - math.pi)  # exact for theta in [pi, 2*pi)
         return CircleTheta((b.theta + math.pi) % _TWO_PI)
     if isinstance(b, SquareSide):
         pair = {"AB": "CD", "CD": "AB", "BC": "AD", "AD": "BC"}

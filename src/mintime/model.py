@@ -10,12 +10,6 @@ with a single dimensionless authority parameter
 
     alpha = L * F_max / (m * V**2).
 
-The terminal-set weight beta trades terminal position error against terminal
-velocity error; it is pinned to 1 here (circular target in the scaled phase
-plane) because every closed form downstream assumes it.  Constructing Params
-with any other beta is rejected rather than silently producing a wrong
-synthesis.
-
 All types are immutable values and all operations are pure.
 """
 
@@ -76,24 +70,17 @@ class PhysicalParams:
 class Params:
     """Non-dimensional problem constants.
 
-    alpha: control authority; l: radius of the circular target; beta: fixed
-    at 1 (see module docstring).
+    alpha: control authority; l: radius of the circular target.
     """
 
     alpha: float = 1.0
     l: float = 1.0
-    beta: float = 1.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise DomainError(f"alpha must be finite and > 0, got {self.alpha!r}")
         if not (math.isfinite(self.l) and self.l > 0.0):
             raise DomainError(f"l must be finite and > 0, got {self.l!r}")
-        if self.beta != 1.0:
-            raise DomainError(
-                f"beta is fixed at 1 (got {self.beta!r}); the closed-form "
-                "synthesis is only valid for the circular scaled target"
-            )
 
 
 @dataclass(frozen=True)
@@ -114,12 +101,6 @@ class State:
         return (self.x1, self.x2)
 
 
-# Control values are plain floats in [-1, 1]; state derivatives are plain
-# (dx1/dt, dx2/dt) pairs.
-Control = float
-StateDerivative = tuple[float, float]
-
-
 # ── Operations ─────────────────────────────────────────────────────────────────
 
 
@@ -130,7 +111,7 @@ def nondimensionalize(p: PhysicalParams, l: float = 1.0) -> Params:
     plant, so the caller supplies it (default 1).
     """
     alpha = p.length * p.f_max / (p.mass * p.velocity * p.velocity)
-    return Params(alpha=alpha, l=l, beta=1.0)
+    return Params(alpha=alpha, l=l)
 
 
 def validate_control(u: float) -> float:
@@ -139,7 +120,7 @@ def validate_control(u: float) -> float:
     return u
 
 
-def dynamics(s: State, u: Control, params: Params) -> StateDerivative:
+def dynamics(s: State, u: float, params: Params) -> tuple[float, float]:
     """Right-hand side of the plant: (dx1/dt, dx2/dt) = (x2, alpha*u)."""
     validate_control(u)
     return (s.x2, params.alpha * u)

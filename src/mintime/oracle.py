@@ -27,17 +27,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .manifold import Circle, Manifold, contains
-from .model import DomainError, HorizonExceeded, InsideTarget, Params, State
+from .manifold import Circle, Manifold, _reject_interior, contains
+from .model import DomainError, HorizonExceeded, Params, State
 from .synthesis import _cubic_real_roots, locus_distance
 
 DEFAULT_GRID = 1e-2
 DEFAULT_HORIZON = 20.0
 DEFAULT_REFINE_TOL = 1e-4
 
-_INTERIOR_TOL = 1e-12
 _LOCUS_BAND = 0.05  # half-width of the exclusion band around value-jump loci
 
 
@@ -253,15 +250,6 @@ def _two_switch_min(m: Manifold, params: Params, s0: State, t_best: float, grid:
     return best
 
 
-def _reject_interior(m: Manifold, s: State) -> None:
-    if isinstance(m, Circle):
-        inside = math.hypot(s.x1, s.x2) < m.l - _INTERIOR_TOL
-    else:
-        inside = max(abs(s.x1), abs(s.x2)) < 1.0 - _INTERIOR_TOL
-    if inside:
-        raise InsideTarget(f"{s!r} is inside the target: nothing to search")
-
-
 # ── Grid report ────────────────────────────────────────────────────────────────
 
 
@@ -277,9 +265,17 @@ class GridReport:
 
 
 def acceptance_grid(span: float = 5.0, n: int = 41) -> list[State]:
-    """The n x n comparison grid on [-span, span]^2."""
-    pts = np.linspace(-span, span, n)
-    return [State(float(x1), float(x2)) for x1 in pts for x2 in pts]
+    """The n x n comparison grid on [-span, span]^2 (n evenly spaced values per axis)."""
+    if n < 0:
+        raise DomainError(f"need n >= 0 grid points, got {n}")
+    span = float(span)
+    if n < 2:
+        pts = [-span] * n
+    else:
+        step = 2.0 * span / (n - 1)
+        pts = [-span + i * step for i in range(n)]
+        pts[-1] = span
+    return [State(x1, x2) for x1 in pts for x2 in pts]
 
 
 def oracle_grid_report(

@@ -26,6 +26,7 @@ from .manifold import (
     Manifold,
     SquareCorner,
     SquareSide,
+    antipode,
     signed_distance,
 )
 from .model import DomainError, InsideTarget, Params, State
@@ -88,30 +89,28 @@ def _rk4_forward(s: State, accel: float, h: float) -> State:
 
 
 def boundary_point_of_state(m: Manifold, s: State) -> BoundaryPoint:
-    """Boundary point of a state on (or within event tolerance of) the manifold."""
+    """Boundary point of a state on (or within event tolerance of) the manifold.
+
+    On the square, states on the right side or top (corners C and D included)
+    are the central mirror images of states on the left side or bottom.
+    """
     if isinstance(m, Circle):
         theta = math.atan2(s.x2, s.x1) % (2.0 * math.pi)
         return CircleTheta(theta)
     near_x1 = abs(abs(s.x1) - 1.0)
     near_x2 = abs(abs(s.x2) - 1.0)
-    if near_x1 < _CORNER_TOL and near_x2 < _CORNER_TOL:
-        if s.x1 < 0.0 and s.x2 > 0.0:
-            return SquareCorner("A", 0.75 * math.pi)
-        if s.x1 > 0.0 and s.x2 < 0.0:
-            return SquareCorner("C", 1.75 * math.pi)
-        # B and D carry no boundary point; report the adjoining usable side.
-        if s.x2 < 0.0:
-            return SquareSide("BC", -1.0 + _PARAM_EPS)
-        return SquareSide("AD", 1.0 - _PARAM_EPS)
-    if near_x1 <= near_x2:
-        side = "AB" if s.x1 < 0.0 else "CD"
-        if side == "AB":
+    corner = near_x1 < _CORNER_TOL and near_x2 < _CORNER_TOL
+    vertical = corner or near_x1 <= near_x2
+    if (s.x1 > 0.0) if vertical else (s.x2 > 0.0):
+        return antipode(m, boundary_point_of_state(m, -s))
+    if not corner:
+        if vertical:
             return SquareSide("AB", min(max(s.x2, _PARAM_EPS), 1.0))
-        return SquareSide("CD", min(max(s.x2, -1.0), -_PARAM_EPS))
-    side = "BC" if s.x2 < 0.0 else "AD"
-    if side == "BC":
         return SquareSide("BC", min(max(s.x1, -1.0 + _PARAM_EPS), 1.0))
-    return SquareSide("AD", min(max(s.x1, -1.0), 1.0 - _PARAM_EPS))
+    if s.x2 > 0.0:
+        return SquareCorner("A", 0.75 * math.pi)
+    # B carries no boundary point; report the adjoining usable side.
+    return SquareSide("BC", -1.0 + _PARAM_EPS)
 
 
 def simulate(m: Manifold, params: Params, s0: State, dt: float, t_max: float) -> Trajectory:

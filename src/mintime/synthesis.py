@@ -8,32 +8,37 @@ arc obeys x1 = u*x2^2/2 + const (alpha = 1), so the inversions reduce to
 quadratics in cos(theta) or the side parameters, plus one monotone scalar
 solve for the post-switch circle families.
 
+Central symmetry
+----------------
+Both targets are centrally symmetric, so the whole synthesis is: V(-x) = V(x)
+and u(-x) = -u(x).  Every family, curve and locus below therefore has a twin
+through x -> -x (upper/lower circle families, sides AB/CD and BC/AD, corners
+A/C), and only one member of each pair is written out.  The twin's answer at
+s is the first member's answer at -s, mapped back by negating states and
+controls and taking manifold.antipode of boundary points.
+
 Switching curves
 ----------------
 Circle: the switch points of the upper family trace
 
     x1 = l/cos th - tan^2 th / 2,   x2 = l sin th - tan th,   th in (pi/2, pi],
 
-anchored at (-l, 0); the lower branch mirrors it, anchored at (l, 0).  In
-explicit form the upper branch is
+anchored at (-l, 0).  In explicit form
 
     x2(x1) = sqrt(2) * sqrt(l^2+1-2x1) / (sqrt(l^2+1-2x1) - l)
              * sqrt(l^2 - x1 - l*sqrt(l^2+1-2x1)),    x1 <= -l.
 
-Square: the corner families ride the parabolas
-
-    x1 = -x2^2/2 - 1/2 (x2 >= 1, into A),   x1 = x2^2/2 + 1/2 (x2 <= -1, into C).
+Square: the corner-A family rides the parabola x1 = -x2^2/2 - 1/2, x2 >= 1.
 
 Value-jump loci
 ---------------
-The time-to-go degenerates across two centrally symmetric half-parabolas
-where the short direct-entry family abuts the long go-around family:
+The time-to-go degenerates across a half-parabola (and its mirror) where the
+short direct-entry family abuts the long go-around family:
 
-    circle, l <= 1:  x1 = -x2^2/2 + l,            x2 >= 0, and its mirror;
-    circle, l >  1:  x1 = -x2^2/2 + (l^2+1)/2,    x2 >= sqrt(l^2-1), and mirror
+    circle, l <= 1:  x1 = -x2^2/2 + l,            x2 >= 0;
+    circle, l >  1:  x1 = -x2^2/2 + (l^2+1)/2,    x2 >= sqrt(l^2-1)
                      (the parabola grazing the manifold at thbar);
-    square:          x1 = -x2^2/2 + 3/2,          x2 >= 1 (through D), and the
-                     mirror through B.
+    square:          x1 = -x2^2/2 + 3/2,          x2 >= 1 (through D).
 
 For the square and for l/alpha > 1 the value genuinely jumps there: the long
 side must detour around a corner or the non-usable arc.  For the circle with
@@ -54,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .manifold import (
     BoundaryPoint,
@@ -63,9 +69,11 @@ from .manifold import (
     Square,
     SquareCorner,
     SquareSide,
+    _reject_interior,
+    antipode,
     contains,
 )
-from .model import DomainError, InsideTarget, Params, State
+from .model import DomainError, Params, State
 
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
@@ -77,7 +85,6 @@ _TAU_TOL = 1e-9       # slack on time-to-go feasibility checks
 _TIE_TOL = 1e-9       # relative width of a time-to-go tie between families
 _ONCURVE_TOL = 1e-9   # membership band for riding a square switching curve
 _LOCUS_FLAG_TOL = 1e-9  # distance band reported as "on a value-jump locus"
-_INTERIOR_TOL = 1e-12   # states this deep inside the target are rejected
 
 
 # ── Result types ───────────────────────────────────────────────────────────────
@@ -101,14 +108,22 @@ class SynthesisResult:
     discontinuity_flag: bool
 
 
-@dataclass(frozen=True)
-class _Candidate:
+class _Candidate(NamedTuple):
+    """One feasible inversion of a written family, kept as plain numbers.
+
+    param is the terminal circle angle, side parameter or corner-A cone
+    angle; switch is the upcoming switch state as (x1, x2).  mirrored marks
+    an inversion computed at -s: it stands for the twin family at s, and its
+    control, switch state and terminal point are mapped back only if it wins.
+    """
+
     tau: float
-    u: float
-    terminal: BoundaryPoint
-    switch_state: State | None
-    switch_ahead: bool
     family: str
+    u: float
+    param: float
+    switch: tuple[float, float] | None
+    switch_ahead: bool
+    mirrored: bool
 
 
 # ── Switching curves ───────────────────────────────────────────────────────────
@@ -119,7 +134,8 @@ class SwitchingCurve:
     """Locus where the closed-loop control flips sign.
 
     Circle branches ("upper", "lower") are parameterized by the anchor angle;
-    square branches ("A", "C") are explicit parabolas in x2.
+    square branches ("A", "C") are explicit parabolas in x2.  "lower" and "C"
+    are the central mirror images of "upper" and "A".
     """
 
     target: str
@@ -134,31 +150,22 @@ class SwitchingCurve:
         if self.branch == "upper":
             if not _HALF_PI < theta <= math.pi:
                 raise DomainError(f"upper branch needs theta in (pi/2, pi], got {theta!r}")
-        elif not 1.5 * math.pi < theta <= _TWO_PI:
+            return _upper_switch_point(self.l, theta)
+        if not 1.5 * math.pi < theta <= _TWO_PI:
             raise DomainError(f"lower branch needs theta in (3*pi/2, 2*pi], got {theta!r}")
-        tt = math.tan(theta)
-        sign = -1.0 if self.branch == "upper" else 1.0
-        return State(
-            self.l / math.cos(theta) + sign * 0.5 * tt * tt,
-            self.l * math.sin(theta) + sign * tt,
-        )
+        return -_upper_switch_point(self.l, theta - math.pi)
 
     def x2_of_x1(self, x1: float) -> float:
         """Circle branches in explicit form; defined for |x1| >= l on the branch side."""
         if self.target != "circle":
             raise DomainError("x2_of_x1 applies to circle branches")
-        l = self.l
         if self.branch == "upper":
-            if x1 > -l:
+            if x1 > -self.l:
                 raise DomainError(f"upper branch needs x1 <= -l, got {x1!r}")
-            root = math.sqrt(l * l + 1.0 - 2.0 * x1)
-            inner = max(0.0, l * l - x1 - l * root)
-            return math.sqrt(2.0) * root / (root - l) * math.sqrt(inner)
-        if x1 < l:
+            return _upper_switch_x2(self.l, x1)
+        if x1 < self.l:
             raise DomainError(f"lower branch needs x1 >= l, got {x1!r}")
-        root = math.sqrt(l * l + 1.0 + 2.0 * x1)
-        inner = max(0.0, l * l + x1 - l * root)
-        return -math.sqrt(2.0) * root / (root - l) * math.sqrt(inner)
+        return -_upper_switch_x2(self.l, -x1)
 
     def x1_of_x2(self, x2: float) -> float:
         """Square branches: x1 = -+(x2^2 + 1)/2 with the stated x2 domain."""
@@ -167,51 +174,57 @@ class SwitchingCurve:
         if self.branch == "A":
             if x2 < 1.0:
                 raise DomainError(f"branch A needs x2 >= 1, got {x2!r}")
-            return -0.5 * (x2 * x2 + 1.0)
+            return _corner_a_x1(x2)
         if x2 > -1.0:
             raise DomainError(f"branch C needs x2 <= -1, got {x2!r}")
-        return 0.5 * (x2 * x2 + 1.0)
+        return -_corner_a_x1(-x2)
 
     def sample(self, n: int, x2_max: float = 5.0) -> list[State]:
         """n curve points at uniform |x2| from the anchor outward."""
         if n < 2:
             raise DomainError(f"need n >= 2 sample points, got {n}")
-        out = []
         if self.target == "square":
             sgn = 1.0 if self.branch == "A" else -1.0
+            out = []
             for j in range(n):
                 x2 = sgn * (1.0 + j * (x2_max - 1.0) / (n - 1))
                 out.append(State(self.x1_of_x2(x2), x2))
             return out
-        sgn = 1.0 if self.branch == "upper" else -1.0
-        for j in range(n):
-            x2 = sgn * j * x2_max / (n - 1)
-            out.append(self.point(self._theta_of_x2(x2)))
-        return out
+        upper = [
+            _upper_switch_point(self.l, _upper_theta_of_x2(self.l, j * x2_max / (n - 1)))
+            for j in range(n)
+        ]
+        return upper if self.branch == "upper" else [-p for p in upper]
 
-    def _theta_of_x2(self, x2: float) -> float:
-        # |x2| is monotone along each branch from 0 at the anchor; bisect.
-        if self.branch == "upper":
-            lo, hi = _HALF_PI + 1e-9, math.pi  # x2: huge .. 0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if self.point(mid).x2 > x2:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo < 1e-14:
-                    break
-            return hi
-        lo, hi = 1.5 * math.pi + 1e-9, _TWO_PI  # x2: -huge .. 0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.point(mid).x2 < x2:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-14:
-                break
-        return hi
+
+def _upper_switch_point(l: float, theta: float) -> State:
+    tt = math.tan(theta)
+    return State(l / math.cos(theta) - 0.5 * tt * tt, l * math.sin(theta) - tt)
+
+
+def _upper_switch_x2(l: float, x1: float) -> float:
+    root = math.sqrt(l * l + 1.0 - 2.0 * x1)
+    inner = max(0.0, l * l - x1 - l * root)
+    return math.sqrt(2.0) * root / (root - l) * math.sqrt(inner)
+
+
+def _corner_a_x1(x2: float) -> float:
+    return -0.5 * (x2 * x2 + 1.0)
+
+
+def _upper_theta_of_x2(l: float, x2: float) -> float:
+    # x2 is monotone along the upper branch, from huge near pi/2 to 0 at the
+    # anchor theta = pi; bisect.
+    lo, hi = _HALF_PI + 1e-9, math.pi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _upper_switch_point(l, mid).x2 > x2:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-14:
+            break
+    return hi
 
 
 def switching_curve_circle(params: Params, branch: str) -> SwitchingCurve:
@@ -260,34 +273,26 @@ def touch_and_go_curves(m: Manifold, params: Params) -> list[TouchAndGoCurve]:
     Square: the parabolas through B and D, the theta = pi (resp. 2*pi) members
     of the corner families, terminating at A (resp. C).  Circle with
     l/alpha > 1: the characteristics grazing the manifold at the BUP angles
-    thbar and pi + thbar.
+    thbar and pi + thbar.  The second curve is the mirror image of the first.
     """
     if params.alpha != 1.0:
         raise DomainError("touch-and-go curves are available in closed form for alpha = 1")
     if isinstance(m, Square):
-        return [
-            TouchAndGoCurve(State(-1.0, -1.0), 1.0, -1.5, SquareCorner("A", math.pi), State(-1.0, 1.0)),
-            TouchAndGoCurve(State(1.0, 1.0), -1.0, 1.5, SquareCorner("C", _TWO_PI), State(1.0, -1.0)),
-        ]
-    l = m.l
-    if l <= 1.0:
-        return []
-    theta_bar = math.acos(1.0 / l)
-    graze_hi = State(l * math.cos(theta_bar), l * math.sin(theta_bar))
-    c_star = 0.5 * (l * l + 1.0)
-    t = _solve_far_constant(l, c_star)
-    h = math.sqrt(1.0 + t * t)
-    theta_star = _TWO_PI + math.atan(t)
-    switch_hi = State(l * h + 0.5 * t * t, l * t / h + t)
-    upper = TouchAndGoCurve(graze_hi, -1.0, c_star, CircleTheta(theta_star), switch_hi)
-    lower = TouchAndGoCurve(
-        -graze_hi,
-        1.0,
-        -c_star,
-        CircleTheta(theta_star - math.pi),
-        -switch_hi,
-    )
-    return [upper, lower]
+        tg = TouchAndGoCurve(State(-1.0, -1.0), 1.0, -1.5, SquareCorner("A", math.pi), State(-1.0, 1.0))
+    else:
+        l = m.l
+        if l <= 1.0:
+            return []
+        theta_bar = math.acos(1.0 / l)
+        graze = State(l * math.cos(theta_bar), l * math.sin(theta_bar))
+        c_star = 0.5 * (l * l + 1.0)
+        t = _solve_far_constant(l, c_star)
+        h = math.sqrt(1.0 + t * t)
+        switch = State(l * h + 0.5 * t * t, l * t / h + t)
+        tg = TouchAndGoCurve(graze, -1.0, c_star, CircleTheta(_TWO_PI + math.atan(t)), switch)
+    mirror = TouchAndGoCurve(-tg.graze_state, -tg.control, -tg.c,
+                             antipode(m, tg.terminal_point), -tg.switch_state)
+    return [tg, mirror]
 
 
 # ── Circle family inversion ────────────────────────────────────────────────────
@@ -296,8 +301,8 @@ def touch_and_go_curves(m: Manifold, params: Params) -> list[TouchAndGoCurve]:
 def _far_constant(l: float, t: float) -> float:
     """Parabola constant of the post-switch circle families, by t = tan(theta).
 
-    Strictly increasing in |t| from l at t = 0; shared by the upper family
-    (where it enters with a minus sign) and the lower family.
+    Strictly increasing in |t| from l at t = 0; the pre-switch u = +1
+    parabola of the far family has constant -_far_constant(l, t).
     """
     t2 = t * t
     h = math.sqrt(1.0 + t2)
@@ -325,149 +330,77 @@ def _solve_far_constant(l: float, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _circle_candidates(params: Params, s: State) -> list[_Candidate]:
-    l = params.l
-    x1, x2 = s.x1, s.x2
-    q_max = min(1.0, params.alpha / l)  # cos(thbar); 1 when the NUP is empty
-    c_minus = x1 + 0.5 * x2 * x2  # constant of the u = -1 parabola through s
-    c_plus = x1 - 0.5 * x2 * x2   # constant of the u = +1 parabola through s
+def _circle_half(l: float, x1: float, x2: float, mirrored: bool) -> list[_Candidate]:
+    """Inversions of the upper circle families, which end with a u = -1 leg."""
+    q_max = min(1.0, 1.0 / l)  # cos(thbar) at alpha = 1; 1 when the NUP is empty
     out: list[_Candidate] = []
 
-    # Near families: one constant-control leg into the manifold.
-    disc = 1.0 + l * l - 2.0 * c_minus
+    # Near family: one constant-control leg into the manifold, its cos(theta)
+    # a root of a quadratic.
+    disc = 1.0 + l * l - 2.0 * (x1 + 0.5 * x2 * x2)
     if disc >= 0.0:
         root = math.sqrt(disc)
         for q in ((1.0 - root) / l, (1.0 + root) / l):
-            cand = _near_circle(l, q, q_max, x2, upper=True)
-            if cand is not None:
-                out.append(cand)
-    disc = 1.0 + l * l + 2.0 * c_plus
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        for q in ((-1.0 + root) / l, (-1.0 - root) / l):
-            cand = _near_circle(l, q, q_max, x2, upper=False)
-            if cand is not None:
-                out.append(cand)
+            if q > q_max + _Q_TOL or q < -1.0 - _Q_TOL:
+                continue
+            q = min(max(q, -1.0), q_max)
+            stheta = math.sqrt(max(0.0, 1.0 - q * q))
+            tau = x2 - l * stheta
+            if tau < -_TAU_TOL:
+                continue
+            tau = max(tau, 0.0)
+            if q < 0.0:  # the anchor switches at tau_s; the near leg must end first
+                tau_s = stheta / -q
+                if tau > tau_s + _TAU_TOL * (1.0 + tau_s):
+                    continue
+            out.append(_Candidate(tau, "near_upper", -1.0, math.acos(q), None, False, mirrored))
 
-    # Far families: pre-switch leg, then the near leg after crossing the
+    # Far family: pre-switch u = +1 leg, then the near leg after crossing the
     # switching curve.
+    c_plus = x1 - 0.5 * x2 * x2  # constant of the u = +1 parabola through s
     if -c_plus > l:
         t = _solve_far_constant(l, -c_plus)
         h = math.sqrt(1.0 + t * t)
         tau = -t * (l / h + 2.0) - x2
         tau_s = -t
         if tau >= tau_s - _TAU_TOL * (1.0 + tau_s):
-            theta = math.pi + math.atan(t)
-            sw = State(-l * h - 0.5 * t * t, -l * t / h - t)
-            out.append(
-                _Candidate(max(tau, tau_s), 1.0, CircleTheta(theta), sw,
-                           tau > tau_s + _TIE_TOL * (1.0 + tau), "far_upper")
-            )
-    if c_minus > l:
-        t = _solve_far_constant(l, c_minus)
-        h = math.sqrt(1.0 + t * t)
-        tau = x2 - l * t / h - 2.0 * t
-        tau_s = -t
-        if tau >= tau_s - _TAU_TOL * (1.0 + tau_s):
-            theta = _TWO_PI + math.atan(t)
-            sw = State(l * h + 0.5 * t * t, l * t / h + t)
-            out.append(
-                _Candidate(max(tau, tau_s), -1.0, CircleTheta(theta), sw,
-                           tau > tau_s + _TIE_TOL * (1.0 + tau), "far_lower")
-            )
+            out.append(_Candidate(max(tau, tau_s), "far_upper", 1.0, math.pi + math.atan(t),
+                                  (-l * h - 0.5 * t * t, -l * t / h - t),
+                                  tau > tau_s + _TIE_TOL * (1.0 + tau), mirrored))
     return out
-
-
-def _near_circle(l: float, q: float, q_max: float, x2: float, upper: bool) -> _Candidate | None:
-    """Near-family candidate from a cos(theta) root, or None if infeasible."""
-    if upper:
-        if q > q_max + _Q_TOL or q < -1.0 - _Q_TOL:
-            return None
-        q = min(max(q, -1.0), q_max)
-        theta = math.acos(q)
-        stheta = math.sqrt(max(0.0, 1.0 - q * q))
-        tau = x2 - l * stheta
-        u = -1.0
-    else:
-        if q < -q_max - _Q_TOL or q > 1.0 + _Q_TOL:
-            return None
-        q = min(max(q, -q_max), 1.0)
-        theta = _TWO_PI - math.acos(q)
-        stheta = -math.sqrt(max(0.0, 1.0 - q * q))
-        tau = l * stheta - x2
-        u = 1.0
-    if tau < -_TAU_TOL:
-        return None
-    tau = max(tau, 0.0)
-    switching = q < 0.0 if upper else q > 0.0
-    if switching:
-        tau_s = math.sqrt(max(0.0, 1.0 - q * q)) / abs(q)
-        if tau > tau_s + _TAU_TOL * (1.0 + tau_s):
-            return None
-    theta = theta % _TWO_PI
-    name = "near_upper" if upper else "near_lower"
-    return _Candidate(tau, u, CircleTheta(theta), None, False, name)
 
 
 # ── Square family inversion ────────────────────────────────────────────────────
 
 
-def _clamp_side(side: str, s: float) -> float:
-    if side == "AB":
-        return min(max(s, _PARAM_EPS), 1.0)
-    if side == "BC":
-        return min(max(s, -1.0 + _PARAM_EPS), 1.0)
-    if side == "CD":
-        return min(max(s, -1.0), -_PARAM_EPS)
-    return min(max(s, -1.0), 1.0 - _PARAM_EPS)  # AD
-
-
-def _square_candidates(s: State) -> list[_Candidate]:
-    x1, x2 = s.x1, s.x2
+def _square_half(x1: float, x2: float, mirrored: bool) -> list[_Candidate]:
+    """Inversions of the families into side AB, side BC and corner A."""
     out: list[_Candidate] = []
 
-    # Side families: one constant-control leg into a side.
+    # Side families: one u = +1 leg into a side.
     rad = x2 * x2 - 2.0 * x1 - 2.0
     if rad >= 0.0:
         p = math.sqrt(rad)  # arrival x2 on the left side
         tau = p - x2
         if p <= 1.0 + _PARAM_TOL and tau >= -_TAU_TOL:
-            out.append(_Candidate(max(tau, 0.0), 1.0,
-                                  SquareSide("AB", _clamp_side("AB", p)), None, False, "AB"))
+            out.append(_Candidate(max(tau, 0.0), "AB", 1.0,
+                                  min(max(p, _PARAM_EPS), 1.0), None, False, mirrored))
     p = x1 - 0.5 * (x2 * x2 - 1.0)  # arrival x1 on the bottom side
     if -1.0 - _PARAM_TOL <= p <= 1.0 + _PARAM_TOL:
         tau = -1.0 - x2
         if tau >= -_TAU_TOL:
-            out.append(_Candidate(max(tau, 0.0), 1.0,
-                                  SquareSide("BC", _clamp_side("BC", p)), None, False, "BC"))
-    rad = 2.0 * x1 + x2 * x2 - 2.0
-    if rad >= 0.0:
-        p = -math.sqrt(rad)  # arrival x2 on the right side
-        tau = x2 - p
-        if p >= -1.0 - _PARAM_TOL and tau >= -_TAU_TOL:
-            out.append(_Candidate(max(tau, 0.0), -1.0,
-                                  SquareSide("CD", _clamp_side("CD", p)), None, False, "CD"))
-    p = x1 + 0.5 * (x2 * x2 - 1.0)  # arrival x1 on the top side
-    if -1.0 - _PARAM_TOL <= p <= 1.0 + _PARAM_TOL:
-        tau = x2 - 1.0
-        if tau >= -_TAU_TOL:
-            out.append(_Candidate(max(tau, 0.0), -1.0,
-                                  SquareSide("AD", _clamp_side("AD", p)), None, False, "AD"))
+            out.append(_Candidate(max(tau, 0.0), "BC", 1.0,
+                                  min(max(p, -1.0 + _PARAM_EPS), 1.0), None, False, mirrored))
 
-    # Riding a switching curve into a corner (the pre-switch corner arcs).
+    # Riding the switching curve into corner A (the pre-switch corner arc).
     # The band is absolute: the constant-control flow preserves the vertical
     # offset to the curve exactly, so a state captured within the band stays
     # inside it for the whole ride and the closed loop cannot chatter.
     if x2 >= 1.0 - _PARAM_TOL and abs(x1 + 0.5 * (x2 * x2 + 1.0)) <= _ONCURVE_TOL:
         theta1 = min(max(math.pi + math.atan(1.0 - x2), _HALF_PI), math.pi)
-        out.append(_Candidate(max(x2 - 1.0, 0.0), -1.0,
-                              SquareCorner("A", theta1), s, False, "A_near"))
-    if x2 <= -1.0 + _PARAM_TOL and abs(x1 - 0.5 * (x2 * x2 + 1.0)) <= _ONCURVE_TOL:
-        theta2 = min(max(_TWO_PI + math.atan(x2 + 1.0), 1.5 * math.pi), _TWO_PI - _PARAM_EPS)
-        out.append(_Candidate(max(-1.0 - x2, 0.0), 1.0,
-                              SquareCorner("C", theta2), s, False, "C_near"))
+        out.append(_Candidate(max(x2 - 1.0, 0.0), "A_near", -1.0, theta1, (x1, x2), False, mirrored))
 
-    # Corner families beyond the switch: approach, cross the switching curve,
+    # Corner family beyond the switch: approach, cross the switching curve,
     # ride it into the corner.
     disc = 0.5 * (x2 * x2 - 2.0 * x1 - 1.0)
     if disc >= 0.0:
@@ -479,43 +412,26 @@ def _square_candidates(s: State) -> list[_Candidate]:
             if tau >= tau_s - _TAU_TOL * (1.0 + tau_s):
                 theta1 = min(max(math.pi + math.atan(t), _HALF_PI), math.pi)
                 x2_sw = 1.0 - t
-                sw = State(-0.5 * (x2_sw * x2_sw + 1.0), x2_sw)
-                out.append(_Candidate(max(tau, tau_s), 1.0, SquareCorner("A", theta1), sw,
-                                      tau > tau_s + _TIE_TOL * (1.0 + tau), "A_far"))
-    disc = 0.5 * (x2 * x2 + 2.0 * x1 - 1.0)
-    if disc >= 0.0:
-        t = 1.0 - math.sqrt(disc)
-        if t <= _PARAM_TOL:
-            t = min(t, 0.0)
-            tau = x2 + 1.0 - 2.0 * t
-            tau_s = -t
-            if tau >= tau_s - _TAU_TOL * (1.0 + tau_s):
-                theta2 = min(max(_TWO_PI + math.atan(t), 1.5 * math.pi), _TWO_PI - _PARAM_EPS)
-                x2_sw = -1.0 + t
-                sw = State(0.5 * (x2_sw * x2_sw + 1.0), x2_sw)
-                out.append(_Candidate(max(tau, tau_s), -1.0, SquareCorner("C", theta2), sw,
-                                      tau > tau_s + _TIE_TOL * (1.0 + tau), "C_far"))
+                out.append(_Candidate(max(tau, tau_s), "A_far", 1.0, theta1,
+                                      (_corner_a_x1(x2_sw), x2_sw),
+                                      tau > tau_s + _TIE_TOL * (1.0 + tau), mirrored))
     return out
 
 
 # ── Value-jump loci ────────────────────────────────────────────────────────────
 
 
-def _locus_halves(m: Manifold, params: Params) -> list[tuple[float, float, float, float]]:
-    """The two jump half-parabolas as (sigma, c, w_edge, direction).
+def _locus_half(m: Manifold, params: Params) -> tuple[float, float]:
+    """(c, w_edge) of the jump half-parabola {x1 = c - w^2/2 : w >= w_edge}.
 
-    Each locus is {x1 = sigma*w^2 + c : direction*(w - w_edge) >= 0} with w
-    the x2 coordinate and sigma = -+1/2.
+    w is the x2 coordinate; the other locus is its central mirror image.
     """
     if isinstance(m, Circle):
         l = m.l
         if l / params.alpha <= 1.0:
-            c_star, w_edge = l, 0.0
-        else:
-            c_star = 0.5 * (l * l + 1.0)
-            w_edge = math.sqrt(l * l - 1.0)
-        return [(-0.5, c_star, w_edge, 1.0), (0.5, -c_star, -w_edge, -1.0)]
-    return [(-0.5, 1.5, 1.0, 1.0), (0.5, -1.5, -1.0, -1.0)]
+            return l, 0.0
+        return 0.5 * (l * l + 1.0), math.sqrt(l * l - 1.0)
+    return 1.5, 1.0
 
 
 def _cubic_real_roots(a: float, b: float, c: float, d: float) -> list[float]:
@@ -542,23 +458,18 @@ def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-def _parabola_distance(x1: float, x2: float, sigma: float, c: float,
-                       w_edge: float, direction: float) -> float:
-    """Distance from (x1, x2) to {x1 = sigma*w^2 + c : direction*(w-w_edge) >= 0}.
+def _parabola_distance(x1: float, x2: float, c: float, w_edge: float) -> float:
+    """Distance from (x1, x2) to {x1 = c - w^2/2 : w >= w_edge}.
 
-    sigma here is the half-coefficient (+-0.5).  The squared distance is
-    quartic in w; its stationary points solve a cubic.
+    The squared distance is quartic in w; its stationary points solve a cubic.
     """
-    # d/dw [(w - x2)^2 + (sigma*w^2 + c - x1)^2] / 2 =
-    #   2*sigma^2*w^3 + (1 + 2*sigma*(c - x1))*w - x2
-    roots = _cubic_real_roots(2.0 * sigma * sigma, 0.0, 1.0 + 2.0 * sigma * (c - x1), -x2)
-    cands = [w_edge]
-    for w in roots:
-        if direction * (w - w_edge) >= 0.0:
-            cands.append(w)
+    # d/dw [(w - x2)^2 + (c - w^2/2 - x1)^2] / 2 = w^3/2 + (1 - (c - x1))*w - x2
+    roots = _cubic_real_roots(0.5, 0.0, 1.0 - (c - x1), -x2)
     best = math.inf
-    for w in cands:
-        dx = sigma * w * w + c - x1
+    for w in (w_edge, *roots):
+        if w < w_edge:
+            continue
+        dx = c - 0.5 * w * w - x1
         dw = w - x2
         best = min(best, dw * dw + dx * dx)
     return math.sqrt(best)
@@ -566,10 +477,9 @@ def _parabola_distance(x1: float, x2: float, sigma: float, c: float,
 
 def locus_distance(m: Manifold, params: Params, s: State) -> float:
     """Distance from s to the nearest value-jump locus."""
-    best = math.inf
-    for sigma, c, w_edge, direction in _locus_halves(m, params):
-        best = min(best, _parabola_distance(s.x1, s.x2, sigma, c, w_edge, direction))
-    return best
+    c, w_edge = _locus_half(m, params)
+    return min(_parabola_distance(s.x1, s.x2, c, w_edge),
+               _parabola_distance(-s.x1, -s.x2, c, w_edge))
 
 
 def discontinuity_loci(
@@ -587,6 +497,10 @@ def discontinuity_loci(
     cusp.  Returns [locus_a, locus_b] with locus_a holding the positive-x2
     samples; the two are centrally symmetric images of each other.
     """
+    if n_levels < 2:
+        raise DomainError(f"need n_levels >= 2 scan levels, got {n_levels}")
+    if not scan_step > 0.0:
+        raise DomainError(f"scan_step must be > 0, got {scan_step!r}")
     upper: list[State] = []
     lower: list[State] = []
     for i in range(n_levels):
@@ -665,49 +579,62 @@ _FAMILY_ORDER = {
     )
 }
 
+# Each family written out above, and its twin through x -> -x.
+_TWIN = {"near_upper": "near_lower", "far_upper": "far_lower", "AB": "CD", "BC": "AD",
+         "A_near": "C_near", "A_far": "C_far"}
+
+
+def _order(c: _Candidate) -> tuple[float, int]:
+    """Time-to-go, then the tie-break rank of the family the candidate stands for."""
+    return c.tau, _FAMILY_ORDER[_TWIN[c.family] if c.mirrored else c.family]
+
 
 def feedback(m: Manifold, params: Params, s: State) -> SynthesisResult:
     """Optimal feedback at s by characteristic inversion (alpha = 1 closed form).
 
-    Enumerates the admissible families, keeps feasible inversions, and returns
-    the minimal-time one.  On a switching curve the reported control matches
-    the post-switch arc so the closed loop does not chatter.  For alpha != 1
-    the answer comes from the numeric minimum-time search instead.
+    Enumerates the admissible families at s and, for their mirror twins, at
+    -s; keeps feasible inversions and returns the minimal-time one.  On a
+    switching curve the reported control matches the post-switch arc so the
+    closed loop does not chatter.  For alpha != 1 the answer comes from the
+    numeric minimum-time search instead.
     """
+    if isinstance(m, Circle) and m.l != params.l:
+        raise DomainError(f"circle radius {m.l!r} disagrees with params.l = {params.l!r}")
     _reject_interior(m, s)
     if params.alpha != 1.0:
         return _numeric_feedback(m, params, s)
     if isinstance(m, Circle):
-        cands = _circle_candidates(params, s)
+        cands = _circle_half(m.l, s.x1, s.x2, False) + _circle_half(m.l, -s.x1, -s.x2, True)
     else:
-        cands = _square_candidates(s)
+        cands = _square_half(s.x1, s.x2, False) + _square_half(-s.x1, -s.x2, True)
     if not cands:
         raise DomainError(f"no admissible characteristic reaches {s!r}")
-    cands.sort(key=lambda c: (c.tau, _FAMILY_ORDER[c.family]))
+    cands.sort(key=_order)
     best = cands[0]
     ties = [c for c in cands if c.tau <= best.tau + _TIE_TOL * (1.0 + best.tau)]
     chosen = next((c for c in ties if not c.switch_ahead), ties[0])
-    switch_state = chosen.switch_state
-    if switch_state is None:
-        for c in ties:
-            if c.switch_state is not None:
-                switch_state = c.switch_state
-                break
+    switch_state = None
+    for c in (chosen, *ties):
+        if c.switch is not None:
+            g = -1.0 if c.mirrored else 1.0
+            switch_state = State(g * c.switch[0], g * c.switch[1])
+            break
+    if isinstance(m, Circle):
+        terminal: BoundaryPoint = CircleTheta(chosen.param)
+    elif chosen.family in ("AB", "BC"):
+        terminal = SquareSide(chosen.family, chosen.param)
+    else:
+        terminal = SquareCorner("A", chosen.param)
+    u = chosen.u
+    if chosen.mirrored:
+        terminal, u = antipode(m, terminal), -u
     flag = locus_distance(m, params, s) <= _LOCUS_FLAG_TOL
-    return SynthesisResult(chosen.u, chosen.tau, chosen.terminal, switch_state, flag)
+    return SynthesisResult(u, chosen.tau, terminal, switch_state, flag)
 
 
 def value(m: Manifold, params: Params, s: State) -> float:
     """Minimum time-to-go from s to the usable part."""
     return feedback(m, params, s).time_to_go
-
-
-def _reject_interior(m: Manifold, s: State) -> None:
-    if isinstance(m, Circle):
-        if math.hypot(s.x1, s.x2) < m.l - _INTERIOR_TOL:
-            raise InsideTarget(f"{s!r} is inside the target: already terminated")
-    elif max(abs(s.x1), abs(s.x2)) < 1.0 - _INTERIOR_TOL:
-        raise InsideTarget(f"{s!r} is inside the target: already terminated")
 
 
 def _numeric_feedback(m: Manifold, params: Params, s: State) -> SynthesisResult:

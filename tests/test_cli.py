@@ -126,6 +126,23 @@ def test_domain_error_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--grid", "-1"),
+        ("loci", "--levels", "1"),
+        ("loci", "--scan-step", "0"),
+        ("flow", "--tau-step", "0"),
+    ],
+)
+def test_out_of_range_numbers_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_scenario_merge_flags_win(tmp_path, capsys):
     scenario = tmp_path / "scn.json"
     scenario.write_text('{"alpha": 1.0, "l": 2.0, "target": "circle"}')

@@ -18,7 +18,6 @@ from mintime import (
 def test_nondimensionalize_all_ones_identity():
     p = nondimensionalize(PhysicalParams(mass=1.0, f_max=1.0, length=1.0, velocity=1.0))
     assert p.alpha == 1.0
-    assert p.beta == 1.0
 
 
 def test_nondimensionalize_direct_substitution():
@@ -72,8 +71,6 @@ def test_params_validation():
         Params(alpha=0.0)
     with pytest.raises(DomainError):
         Params(l=-1.0)
-    with pytest.raises(DomainError):
-        Params(beta=2.0)
     with pytest.raises(DomainError):
         State(math.nan, 0.0)
 

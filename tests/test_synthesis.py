@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mintime import (
     Circle,
@@ -17,6 +19,8 @@ from mintime import (
     State,
     boundary_state,
     classify,
+    closed_form_state,
+    contains,
     discontinuity_loci,
     feedback,
     locus_distance,
@@ -28,6 +32,7 @@ from mintime import (
     touch_and_go_curves,
     value,
 )
+from mintime.manifold import antipode
 
 P1 = Params(alpha=1.0, l=1.0)
 P2 = Params(alpha=1.0, l=2.0)
@@ -214,12 +219,51 @@ def test_feedback_value_central_symmetry_exact():
         State(-3.0, 1.0), State(2.2, 0.3), State(-0.4, 2.0), State(4.9, -4.9),
         State(1.3, 3.7), State(-2.6, -1.9),
     ]
-    for m, p in ((C1, P1), (SQ, P1), (C2, P2)):
+    targets = [(C1, P1), (SQ, P1), (C2, P2)]
+    targets += [(Circle(l), Params(alpha=1.0, l=l)) for l in (0.05, 3.0)]
+    for m, p in targets:
         for s in pts:
+            if contains(m, s):
+                continue
             r = feedback(m, p, s)
             rm = feedback(m, p, -s)
             assert rm.u == -r.u
-            assert rm.time_to_go == pytest.approx(r.time_to_go, abs=1e-12)
+            assert rm.time_to_go == r.time_to_go
+            # One of the pair is computed directly and the other is its
+            # antipode; theta + pi rounds, so compare in that direction.
+            assert (rm.terminal_point == antipode(m, r.terminal_point)
+                    or r.terminal_point == antipode(m, rm.terminal_point))
+            if r.switch_state is None:
+                assert rm.switch_state is None
+            else:
+                assert rm.switch_state == -r.switch_state
+
+
+def test_feedback_rejects_circle_radius_unlike_params():
+    with pytest.raises(DomainError):
+        feedback(C2, P1, State(3.0, 0.5))
+    with pytest.raises(DomainError):
+        value(C1, P2, State(3.0, 0.5))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    l=st.one_of(st.none(), st.floats(1e-3, 10.0)),
+    x1=st.floats(-50.0, 50.0),
+    x2=st.floats(-50.0, 50.0),
+)
+def test_feedback_round_trip_through_closed_form(l, x1, x2):
+    """Propagating the answer's terminal point back by its time-to-go returns the query."""
+    m = SQ if l is None else Circle(l)
+    p = Params(alpha=1.0, l=1.0 if l is None else l)
+    s = State(x1, x2)
+    assume(not contains(m, s))
+    assume(locus_distance(m, p, s) > 1e-6)
+    r = feedback(m, p, s)
+    back = closed_form_state(m, r.terminal_point, p, r.time_to_go)
+    tol = 1e-9 * (1.0 + abs(x1) + abs(x2))
+    assert abs(back.x1 - x1) <= tol
+    assert abs(back.x2 - x2) <= tol
 
 
 # ── Value-jump loci ───────────────────────────────────────────────────────────
