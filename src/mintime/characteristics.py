@@ -32,10 +32,11 @@ and AD, corner C) is the mirror image of the one from antipode(b): its states
 and costates are negated.  Terminal costates and closed forms are written out
 for the other half only.
 
-Closed forms are implemented for alpha = 1; numeric_retro covers general
-alpha with a fixed-step 4th-order scheme whose steps never straddle the
-switch instant.  The right-hand side is piecewise polynomial of low degree,
-so the scheme reproduces the closed forms to roundoff.
+Closed forms are solved at y = x/alpha, where the authority is 1
+(manifold._unit_size).  numeric_retro integrates the original system with a
+fixed-step 4th-order scheme whose steps never straddle the switch instant.
+The right-hand side is piecewise polynomial of low degree, so the scheme
+reproduces the closed forms to roundoff and serves as their independent check.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .manifold import (
     Square,
     SquareCorner,
     SquareSide,
+    _unit_size,
     antipode,
     boundary_state,
     sample_up,
@@ -204,21 +206,17 @@ def _leg_sign(c0: Costate, lo: float, hi: float) -> float:
     return 1.0 if c0.lambda1 >= 0.0 else -1.0
 
 
-# ── Closed-form state propagation (alpha = 1) ──────────────────────────────────
+# ── Closed-form state propagation ──────────────────────────────────────────────
 
 
 def closed_form_state(m: Manifold, b: BoundaryPoint, params: Params, tau: float) -> State:
-    """Phase point at retrograde time tau along the characteristic from b.
-
-    Only available for alpha = 1 (the families below are derived under that
-    normalization); use numeric_retro otherwise.
-    """
-    if params.alpha != 1.0:
-        raise DomainError("closed form unavailable for alpha != 1, use numeric_retro")
+    """Phase point at retrograde time tau along the characteristic from b."""
     if tau < 0.0:
         raise DomainError(f"retrograde time must be >= 0, got {tau!r}")
     terminal_costate(m, b, params)  # validates the anchor
-    return _closed_form(m, b, tau)
+    a = params.alpha
+    y = _closed_form(m, b, _unit_size(m, params), a, tau)
+    return State(a * y.x1, a * y.x2)
 
 
 def _lower_half(b: BoundaryPoint) -> bool:
@@ -230,17 +228,18 @@ def _lower_half(b: BoundaryPoint) -> bool:
     return b.corner == "C"
 
 
-def _closed_form(m: Manifold, b: BoundaryPoint, tau: float) -> State:
+def _closed_form(m: Manifold, b: BoundaryPoint, size: float, alpha: float, tau: float) -> State:
+    """Unit-authority state at tau from b; size is the radius or half-side there."""
     if _lower_half(b):
-        return -_closed_form(m, antipode(m, b), tau)
+        return -_closed_form(m, antipode(m, b), size, alpha, tau)
     if isinstance(b, CircleTheta):
-        return _circle_state(m.l, b.theta, tau)
+        return _circle_state(size, b.theta, tau)
     if isinstance(b, SquareSide):
-        s = b.s
+        s = b.s / alpha
         if b.side == "AB":
-            return State(-1.0 - s * tau + 0.5 * tau * tau, s - tau)
-        return State(s + tau + 0.5 * tau * tau, -1.0 - tau)  # BC
-    return _corner_state(b.theta, tau)
+            return State(-size - s * tau + 0.5 * tau * tau, s - tau)
+        return State(s + size * tau + 0.5 * tau * tau, -size - tau)  # BC
+    return _corner_state(size, b.theta, tau)
 
 
 def _circle_state(l: float, theta: float, tau: float) -> State:
@@ -255,14 +254,14 @@ def _circle_state(l: float, theta: float, tau: float) -> State:
     )
 
 
-def _corner_state(theta: float, tau: float) -> State:
-    # corner A: cone angles past pi/2 switch at -tan(theta)
+def _corner_state(h: float, theta: float, tau: float) -> State:
+    # corner A = (-h, h): cone angles past pi/2 switch at -tan(theta)
     if theta <= _HALF_PI or tau <= -math.tan(theta):
-        return State(-1.0 - tau - 0.5 * tau * tau, 1.0 + tau)
+        return State(-h - h * tau - 0.5 * tau * tau, h + tau)
     tt = math.tan(theta)
     return State(
-        -1.0 - tau + 2.0 * tau * tt + 0.5 * tau * tau + tt * tt,
-        1.0 - 2.0 * tt - tau,
+        -h - h * tau + 2.0 * tau * tt + 0.5 * tau * tau + tt * tt,
+        h - 2.0 * tt - tau,
     )
 
 
@@ -367,10 +366,7 @@ def build_characteristic(
         u = -_leg_sign(c0, 0.0, tau_max)
         arc = CharacteristicArc(b, u, 0.0, tau_max, boundary_state(m, b))
         return Characteristic((arc,), None)
-    if params.alpha == 1.0:
-        switch_state = closed_form_state(m, b, params, eff)
-    else:
-        switch_state, _ = numeric_retro(m, b, params, eff, 1e-3)
+    switch_state = closed_form_state(m, b, params, eff)
     near = CharacteristicArc(b, -_leg_sign(c0, 0.0, eff), 0.0, eff, boundary_state(m, b))
     far = CharacteristicArc(b, -_leg_sign(c0, eff, tau_max), eff, tau_max, switch_state)
     return Characteristic((near, far), eff)
@@ -393,20 +389,14 @@ def anchor_param(b: BoundaryPoint) -> float:
 
 
 def flow_rows(
-    m: Manifold, params: Params, n_anchors: int, taus: list[float], step: float = 1e-3
+    m: Manifold, params: Params, n_anchors: int, taus: list[float]
 ) -> list[tuple]:
     """Rows (anchor_kind, anchor_param, tau, x1, x2, lambda1, lambda2, u) over a
     fan of UP anchors, for phase-portrait export."""
     rows: list[tuple] = []
     for b in sample_up(m, params, n_anchors):
-        if params.alpha == 1.0:
-            samples = [
-                (closed_form_state(m, b, params, t), costate_retro(m, b, params, t))
-                for t in taus
-            ]
-        else:
-            samples = numeric_retro_dense(m, b, params, taus, step)
-        for t, (s, _c) in zip(taus, samples):
+        for t in taus:
+            s = closed_form_state(m, b, params, t)
             u = forward_control(m, b, params, t)
             c = costate_retro(m, b, params, t)
             rows.append(

@@ -135,7 +135,7 @@ def _cmd_switch_curves(args) -> int:
     if isinstance(m, Circle):
         curves = [synthesis.switching_curve_circle(params, b) for b in ("upper", "lower")]
     else:
-        curves = [synthesis.switching_curve_square(b) for b in ("A", "C")]
+        curves = [synthesis.switching_curve_square(b, params) for b in ("A", "C")]
     for curve in curves:
         for p in curve.sample(args.points, args.x2_max):
             rows.append((curve.branch, p.x1, p.x2))
@@ -160,7 +160,7 @@ def _cmd_isochrone(args) -> int:
     params, m = _scenario(args)
     rows = []
     for tau in _taus(args.tau):
-        if isinstance(m, Circle) and params.alpha == 1.0 and params.l <= params.alpha:
+        if isinstance(m, Circle) and params.l <= params.alpha:
             iso = isochrone.isochrone_circle(params, tau, args.samples)
         else:
             iso = isochrone.isochrone_generic(m, params, tau, args.samples)

@@ -1,16 +1,16 @@
 """Isocost (isochrone) curves: level sets of the time-to-go value function.
 
 The tau = 0 isochrone is the usable part itself.  For the circle with
-l/alpha <= 1 the section of the tau-level set between the two switching
+l <= alpha the section of the tau-level set between the two switching
 curves is the closed-form characteristic fan at retrograde time tau.  The
 anchor range splits at phibar = arctan(tau), because anchors whose switch
 time -tan(theta) is below tau have already switched by then.  On the upper
-half (phibar > 0):
+half (phibar > 0), with r = l/alpha and x = alpha*y:
 
-    theta in (0, pi/2]           x1 = l(cos - tau sin) - tau^2/2, x2 = l sin + tau
+    theta in (0, pi/2]           y1 = r(cos - tau sin) - tau^2/2, y2 = r sin + tau
     (pi/2, pi - phibar)          same (pre-switch)
-    [pi - phibar, pi)            x1 = l(cos - tau sin) + tau^2/2 + tan^2 + 2 tau tan
-                                 x2 = l sin - 2 tan - tau
+    [pi - phibar, pi)            y1 = r(cos - tau sin) + tau^2/2 + tan^2 + 2 tau tan
+                                 y2 = r sin - 2 tan - tau
 
 and the branches (pi, 3pi/2], (3pi/2, 2pi - phibar), [2pi - phibar, 2pi) are
 their central mirror images: the point at theta is minus the point at
@@ -56,7 +56,7 @@ def isocost_point_circle(params: Params, tau: float, theta: float) -> tuple[floa
 
 
 def isochrone_circle(params: Params, tau: float, n_samples: int) -> Isochrone:
-    """Closed-form circle isochrone between the switching curves (l/alpha <= 1).
+    """Closed-form circle isochrone between the switching curves (l <= alpha).
 
     Samples sit at branch midpoints, never on branch edges, so none touches a
     value-jump locus exactly.
@@ -125,8 +125,6 @@ def _shadow_limit(m: Manifold, b: BoundaryPoint, params: Params) -> float | None
 
 
 def _require_small_circle(params: Params) -> None:
-    if params.alpha != 1.0:
-        raise DomainError("closed-form isochrones need alpha = 1")
     if params.l > params.alpha:
         raise DomainError(
             "the six-branch closed form sweeps the whole circle and is only "

@@ -294,6 +294,16 @@ def _reject_interior(m: Manifold, s: State) -> None:
         raise InsideTarget(f"{s!r} is inside the target: already terminated")
 
 
+def _unit_size(m: Manifold, params: Params) -> float:
+    """Radius l/alpha or half-side 1/alpha of the target seen at y = x/alpha,
+    where the plant is y1' = y2, y2' = u in unchanged time."""
+    if isinstance(m, Circle):
+        if m.l != params.l:
+            raise DomainError(f"circle radius {m.l!r} disagrees with params.l = {params.l!r}")
+        return m.l / params.alpha
+    return 1.0 / params.alpha
+
+
 # ── Sampling helpers ───────────────────────────────────────────────────────────
 
 

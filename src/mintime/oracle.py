@@ -29,10 +29,9 @@ from dataclasses import dataclass
 
 from .manifold import Circle, Manifold, _reject_interior, contains
 from .model import DomainError, HorizonExceeded, Params, State
-from .synthesis import _cubic_real_roots, locus_distance
+from .synthesis import _cubic_real_roots, locus_distance, value
 
 DEFAULT_GRID = 1e-2
-DEFAULT_HORIZON = 20.0
 DEFAULT_REFINE_TOL = 1e-4
 
 _LOCUS_BAND = 0.05  # half-width of the exclusion band around value-jump loci
@@ -170,7 +169,7 @@ def oracle_policy(
     params: Params,
     s0: State,
     grid: float = DEFAULT_GRID,
-    horizon: float = DEFAULT_HORIZON,
+    horizon: float | None = None,
     refine_tol: float = DEFAULT_REFINE_TOL,
 ) -> PolicyCandidate:
     """Best bang-bang policy: grid ascent on t_final plus bisection refinement.
@@ -178,11 +177,13 @@ def oracle_policy(
     Because the switch time is tested exactly at each t_final, feasibility in
     t_final is an interval [t*, ...) near the optimum, and bisection between
     the last infeasible and first feasible grid lines converges to t* within
-    refine_tol/4.
+    refine_tol/4.  The search stops at `horizon`, by default one grid line
+    past the minimum time to the origin, which both targets contain.
     """
     _reject_interior(m, s0)
     if contains(m, s0):
         return PolicyCandidate(1.0, 0.0, 0.0)
+    horizon = _origin_time(params.alpha, s0) + grid if horizon is None else horizon
     n = int(round(horizon / grid))
     for k in range(n + 1):
         t_f = k * grid
@@ -202,12 +203,19 @@ def oracle_policy(
     )
 
 
+def _origin_time(alpha: float, s0: State) -> float:
+    """Minimum time from s0 to the origin: brake onto x1 = -x2*|x2|/(2*alpha) and ride it."""
+    sigma = 1.0 if s0.x1 > -s0.x2 * abs(s0.x2) / (2.0 * alpha) else -1.0
+    rest = max(0.0, sigma * alpha * s0.x1 + 0.5 * s0.x2 * s0.x2)
+    return (sigma * s0.x2 + 2.0 * math.sqrt(rest)) / alpha
+
+
 def oracle_min_time(
     m: Manifold,
     params: Params,
     s0: State,
     grid: float = DEFAULT_GRID,
-    horizon: float = DEFAULT_HORIZON,
+    horizon: float | None = None,
     refine_tol: float = DEFAULT_REFINE_TOL,
     two_switch_probe: bool = False,
 ) -> float:
@@ -283,7 +291,7 @@ def oracle_grid_report(
     params: Params,
     states: list[State],
     grid: float = DEFAULT_GRID,
-    horizon: float = DEFAULT_HORIZON,
+    horizon: float | None = None,
     refine_tol: float = DEFAULT_REFINE_TOL,
     band: float = _LOCUS_BAND,
 ) -> GridReport:
@@ -293,8 +301,6 @@ def oracle_grid_report(
     time only on the usable part), as are states within `band` of a value-jump
     locus, where tangent target entries defeat both routes' tolerances.
     """
-    from .synthesis import value  # late import: synthesis validates against us
-
     rows = []
     n_target = n_band = 0
     errs = []

@@ -3,10 +3,14 @@
 The characteristic families fill the exterior of the target, so feedback is
 synthesized by inversion: given a query state, solve each family's parabola
 relations for its boundary parameter and retrograde time, keep the feasible
-solutions, and return the one with minimal time-to-go.  Each constant-control
-arc obeys x1 = u*x2^2/2 + const (alpha = 1), so the inversions reduce to
-quadratics in cos(theta) or the side parameters, plus one monotone scalar
-solve for the post-switch circle families.
+solutions, and return the one with minimal time-to-go.
+
+Everything is solved at y = x/alpha, where the plant has unit authority and
+the target is the circle of radius r = l/alpha or the square of half-side
+h = 1/alpha (manifold._unit_size).  Each constant-control arc obeys
+y1 = u*y2^2/2 + const, so the inversions reduce to quadratics in cos(theta)
+or the side parameters, plus one monotone scalar solve for the post-switch
+circle families.
 
 Central symmetry
 ----------------
@@ -21,29 +25,30 @@ Switching curves
 ----------------
 Circle: the switch points of the upper family trace
 
-    x1 = l/cos th - tan^2 th / 2,   x2 = l sin th - tan th,   th in (pi/2, pi],
+    y1 = r/cos th - tan^2 th / 2,   y2 = r sin th - tan th,   th in (pi/2, pi],
 
-anchored at (-l, 0).  In explicit form
+anchored at (-r, 0).  In explicit form
 
-    x2(x1) = sqrt(2) * sqrt(l^2+1-2x1) / (sqrt(l^2+1-2x1) - l)
-             * sqrt(l^2 - x1 - l*sqrt(l^2+1-2x1)),    x1 <= -l.
+    y2(y1) = sqrt(2) * sqrt(r^2+1-2y1) / (sqrt(r^2+1-2y1) - r)
+             * sqrt(r^2 - y1 - r*sqrt(r^2+1-2y1)),    y1 <= -r.
 
-Square: the corner-A family rides the parabola x1 = -x2^2/2 - 1/2, x2 >= 1.
+Square: the corner-A family rides the parabola y1 = -(y2^2 + h*(2-h))/2,
+y2 >= h, through the corner (-h, h).
 
 Value-jump loci
 ---------------
 The time-to-go degenerates across a half-parabola (and its mirror) where the
 short direct-entry family abuts the long go-around family:
 
-    circle, l <= 1:  x1 = -x2^2/2 + l,            x2 >= 0;
-    circle, l >  1:  x1 = -x2^2/2 + (l^2+1)/2,    x2 >= sqrt(l^2-1)
+    circle, r <= 1:  y1 = -y2^2/2 + r,            y2 >= 0;
+    circle, r >  1:  y1 = -y2^2/2 + (r^2+1)/2,    y2 >= sqrt(r^2-1)
                      (the parabola grazing the manifold at thbar);
-    square:          x1 = -x2^2/2 + 3/2,          x2 >= 1 (through D).
+    square:          y1 = -y2^2/2 + h + h^2/2,    y2 >= h (through D).
 
-For the square and for l/alpha > 1 the value genuinely jumps there: the long
+For the square and for r > 1 the value genuinely jumps there: the long
 side must detour around a corner or the non-usable arc.  For the circle with
-l/alpha <= 1 both adjoining families approach the same grazing trajectory
-through the boundary point (l, 0), so the value is continuous across the
+r <= 1 both adjoining families approach the same grazing trajectory
+through the boundary point (r, 0), so the value is continuous across the
 curve but its gradient blows up (a root-type cusp); the curve is still where
 the synthesis ceases to be smooth, and finite-offset differences across it
 remain large.  These closed forms are the limiting characteristics of the
@@ -70,6 +75,7 @@ from .manifold import (
     SquareCorner,
     SquareSide,
     _reject_interior,
+    _unit_size,
     antipode,
     contains,
 )
@@ -109,11 +115,11 @@ class SynthesisResult:
 
 
 class _Candidate(NamedTuple):
-    """One feasible inversion of a written family, kept as plain numbers.
+    """One feasible inversion of a written family at y, kept as plain numbers.
 
     param is the terminal circle angle, side parameter or corner-A cone
-    angle; switch is the upcoming switch state as (x1, x2).  mirrored marks
-    an inversion computed at -s: it stands for the twin family at s, and its
+    angle; switch is the upcoming switch state as (y1, y2).  mirrored marks
+    an inversion computed at -y: it stands for the twin family at y, and its
     control, switch state and terminal point are mapped back only if it wins.
     """
 
@@ -135,13 +141,15 @@ class SwitchingCurve:
 
     Circle branches ("upper", "lower") are parameterized by the anchor angle;
     square branches ("A", "C") are explicit parabolas in x2.  "lower" and "C"
-    are the central mirror images of "upper" and "A".
+    are the central mirror images of "upper" and "A".  size is the radius or
+    half-side of the unit-authority problem; methods answer in x = alpha*y.
     """
 
     target: str
     branch: str
     anchor_state: State
-    l: float = 1.0
+    size: float = 1.0
+    alpha: float = 1.0
 
     def point(self, theta: float) -> State:
         """Circle branch point at anchor angle theta (closed at the anchor end)."""
@@ -150,34 +158,34 @@ class SwitchingCurve:
         if self.branch == "upper":
             if not _HALF_PI < theta <= math.pi:
                 raise DomainError(f"upper branch needs theta in (pi/2, pi], got {theta!r}")
-            return _upper_switch_point(self.l, theta)
+            return _upper_switch_point(self.size, self.alpha, theta)
         if not 1.5 * math.pi < theta <= _TWO_PI:
             raise DomainError(f"lower branch needs theta in (3*pi/2, 2*pi], got {theta!r}")
-        return -_upper_switch_point(self.l, theta - math.pi)
+        return -_upper_switch_point(self.size, self.alpha, theta - math.pi)
 
     def x2_of_x1(self, x1: float) -> float:
         """Circle branches in explicit form; defined for |x1| >= l on the branch side."""
         if self.target != "circle":
             raise DomainError("x2_of_x1 applies to circle branches")
         if self.branch == "upper":
-            if x1 > -self.l:
+            if x1 > self.anchor_state.x1:
                 raise DomainError(f"upper branch needs x1 <= -l, got {x1!r}")
-            return _upper_switch_x2(self.l, x1)
-        if x1 < self.l:
+            return _upper_switch_x2(self.size, self.alpha, x1)
+        if x1 < self.anchor_state.x1:
             raise DomainError(f"lower branch needs x1 >= l, got {x1!r}")
-        return -_upper_switch_x2(self.l, -x1)
+        return -_upper_switch_x2(self.size, self.alpha, -x1)
 
     def x1_of_x2(self, x2: float) -> float:
-        """Square branches: x1 = -+(x2^2 + 1)/2 with the stated x2 domain."""
+        """Square branches: x1 = -+(x2^2/alpha + 2 - 1/alpha)/2 with the stated x2 domain."""
         if self.target != "square":
             raise DomainError("x1_of_x2 applies to square branches")
         if self.branch == "A":
             if x2 < 1.0:
                 raise DomainError(f"branch A needs x2 >= 1, got {x2!r}")
-            return _corner_a_x1(x2)
+            return self.alpha * _corner_a_x1(self.size, x2 / self.alpha)
         if x2 > -1.0:
             raise DomainError(f"branch C needs x2 <= -1, got {x2!r}")
-        return -_corner_a_x1(-x2)
+        return -self.alpha * _corner_a_x1(self.size, -x2 / self.alpha)
 
     def sample(self, n: int, x2_max: float = 5.0) -> list[State]:
         """n curve points at uniform |x2| from the anchor outward."""
@@ -191,34 +199,38 @@ class SwitchingCurve:
                 out.append(State(self.x1_of_x2(x2), x2))
             return out
         upper = [
-            _upper_switch_point(self.l, _upper_theta_of_x2(self.l, j * x2_max / (n - 1)))
+            _upper_switch_point(self.size, self.alpha,
+                                _upper_theta_of_x2(self.size, self.alpha, j * x2_max / (n - 1)))
             for j in range(n)
         ]
         return upper if self.branch == "upper" else [-p for p in upper]
 
 
-def _upper_switch_point(l: float, theta: float) -> State:
+# The upper circle branch at unit-authority radius l, mapped back to x = a*y.
+def _upper_switch_point(l: float, a: float, theta: float) -> State:
     tt = math.tan(theta)
-    return State(l / math.cos(theta) - 0.5 * tt * tt, l * math.sin(theta) - tt)
+    return State(a * (l / math.cos(theta) - 0.5 * tt * tt), a * (l * math.sin(theta) - tt))
 
 
-def _upper_switch_x2(l: float, x1: float) -> float:
-    root = math.sqrt(l * l + 1.0 - 2.0 * x1)
-    inner = max(0.0, l * l - x1 - l * root)
-    return math.sqrt(2.0) * root / (root - l) * math.sqrt(inner)
+def _upper_switch_x2(l: float, a: float, x1: float) -> float:
+    y1 = x1 / a
+    root = math.sqrt(l * l + 1.0 - 2.0 * y1)
+    inner = max(0.0, l * l - y1 - l * root)
+    return a * math.sqrt(2.0) * root / (root - l) * math.sqrt(inner)
 
 
-def _corner_a_x1(x2: float) -> float:
-    return -0.5 * (x2 * x2 + 1.0)
+def _corner_a_x1(h: float, x2: float) -> float:
+    """The corner-A switching parabola through (-h, h), at unit authority."""
+    return -0.5 * (x2 * x2 + h * (2.0 - h))
 
 
-def _upper_theta_of_x2(l: float, x2: float) -> float:
+def _upper_theta_of_x2(l: float, a: float, x2: float) -> float:
     # x2 is monotone along the upper branch, from huge near pi/2 to 0 at the
     # anchor theta = pi; bisect.
     lo, hi = _HALF_PI + 1e-9, math.pi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _upper_switch_point(l, mid).x2 > x2:
+        if _upper_switch_point(l, a, mid).x2 > x2:
             lo = mid
         else:
             hi = mid
@@ -229,20 +241,19 @@ def _upper_theta_of_x2(l: float, x2: float) -> float:
 
 def switching_curve_circle(params: Params, branch: str) -> SwitchingCurve:
     """Circle switching curve, branch "upper" (anchored at (-l, 0)) or "lower"."""
-    if params.alpha != 1.0:
-        raise DomainError("switching curves are available in closed form for alpha = 1")
     if branch not in ("upper", "lower"):
         raise DomainError(f'circle branch must be "upper" or "lower", got {branch!r}')
     anchor = State(-params.l, 0.0) if branch == "upper" else State(params.l, 0.0)
-    return SwitchingCurve("circle", branch, anchor, params.l)
+    return SwitchingCurve("circle", branch, anchor, _unit_size(Circle(params.l), params),
+                          params.alpha)
 
 
-def switching_curve_square(branch: str) -> SwitchingCurve:
+def switching_curve_square(branch: str, params: Params = Params()) -> SwitchingCurve:
     """Square switching curve into corner A or C."""
     if branch not in ("A", "C"):
         raise DomainError(f'square branch must be "A" or "C", got {branch!r}')
     anchor = State(-1.0, 1.0) if branch == "A" else State(1.0, -1.0)
-    return SwitchingCurve("square", branch, anchor)
+    return SwitchingCurve("square", branch, anchor, _unit_size(Square(), params), params.alpha)
 
 
 # ── Touch-and-go curves ────────────────────────────────────────────────────────
@@ -252,9 +263,9 @@ def switching_curve_square(branch: str) -> SwitchingCurve:
 class TouchAndGoCurve:
     """Optimal trajectory grazing the manifold without terminating there.
 
-    The grazing arc is the parabola x1 = control*x2^2/2 + c; the trajectory
-    continues past graze_state, switches at switch_state (if any), and
-    terminates at terminal_point on the usable part.
+    The grazing arc is the parabola x1 = control*x2^2/(2*alpha) + c; the
+    trajectory continues past graze_state, switches at switch_state (if any),
+    and terminates at terminal_point on the usable part.
     """
 
     graze_state: State
@@ -262,9 +273,10 @@ class TouchAndGoCurve:
     c: float
     terminal_point: BoundaryPoint
     switch_state: State | None
+    alpha: float = 1.0
 
     def x1_of_x2(self, x2: float) -> float:
-        return self.control * 0.5 * x2 * x2 + self.c
+        return self.control * 0.5 * x2 * x2 / self.alpha + self.c
 
 
 def touch_and_go_curves(m: Manifold, params: Params) -> list[TouchAndGoCurve]:
@@ -275,23 +287,26 @@ def touch_and_go_curves(m: Manifold, params: Params) -> list[TouchAndGoCurve]:
     l/alpha > 1: the characteristics grazing the manifold at the BUP angles
     thbar and pi + thbar.  The second curve is the mirror image of the first.
     """
-    if params.alpha != 1.0:
-        raise DomainError("touch-and-go curves are available in closed form for alpha = 1")
-    if isinstance(m, Square):
-        tg = TouchAndGoCurve(State(-1.0, -1.0), 1.0, -1.5, SquareCorner("A", math.pi), State(-1.0, 1.0))
+    size = _unit_size(m, params)
+    a = params.alpha
+    if isinstance(m, Square):  # through B, switching at A
+        graze, switch = State(-size, -size), State(-size, size)
+        control, c = 1.0, -size - 0.5 * size * size
+        terminal: BoundaryPoint = SquareCorner("A", math.pi)
     else:
-        l = m.l
-        if l <= 1.0:
+        if size <= 1.0:
             return []
-        theta_bar = math.acos(1.0 / l)
-        graze = State(l * math.cos(theta_bar), l * math.sin(theta_bar))
-        c_star = 0.5 * (l * l + 1.0)
-        t = _solve_far_constant(l, c_star)
+        theta_bar = math.acos(1.0 / size)
+        graze = State(size * math.cos(theta_bar), size * math.sin(theta_bar))
+        control, c = -1.0, 0.5 * (size * size + 1.0)
+        t = _solve_far_constant(size, c)
         h = math.sqrt(1.0 + t * t)
-        switch = State(l * h + 0.5 * t * t, l * t / h + t)
-        tg = TouchAndGoCurve(graze, -1.0, c_star, CircleTheta(_TWO_PI + math.atan(t)), switch)
+        switch = State(size * h + 0.5 * t * t, size * t / h + t)
+        terminal = CircleTheta(_TWO_PI + math.atan(t))
+    tg = TouchAndGoCurve(State(a * graze.x1, a * graze.x2), control, a * c, terminal,
+                         State(a * switch.x1, a * switch.x2), a)
     mirror = TouchAndGoCurve(-tg.graze_state, -tg.control, -tg.c,
-                             antipode(m, tg.terminal_point), -tg.switch_state)
+                             antipode(m, tg.terminal_point), -tg.switch_state, a)
     return [tg, mirror]
 
 
@@ -331,8 +346,8 @@ def _solve_far_constant(l: float, target: float) -> float:
 
 
 def _circle_half(l: float, x1: float, x2: float, mirrored: bool) -> list[_Candidate]:
-    """Inversions of the upper circle families, which end with a u = -1 leg."""
-    q_max = min(1.0, 1.0 / l)  # cos(thbar) at alpha = 1; 1 when the NUP is empty
+    """Inversions of the upper circle families, which end with a u = -1 leg (at y)."""
+    q_max = min(1.0, 1.0 / l)  # cos(thbar); 1 when the NUP is empty
     out: list[_Candidate] = []
 
     # Near family: one constant-control leg into the manifold, its cos(theta)
@@ -373,47 +388,45 @@ def _circle_half(l: float, x1: float, x2: float, mirrored: bool) -> list[_Candid
 # ── Square family inversion ────────────────────────────────────────────────────
 
 
-def _square_half(x1: float, x2: float, mirrored: bool) -> list[_Candidate]:
-    """Inversions of the families into side AB, side BC and corner A."""
+def _square_half(h: float, x1: float, x2: float, mirrored: bool) -> list[_Candidate]:
+    """Inversions of the families into side AB, side BC and corner A (at y, unclamped)."""
     out: list[_Candidate] = []
 
     # Side families: one u = +1 leg into a side.
-    rad = x2 * x2 - 2.0 * x1 - 2.0
+    rad = x2 * x2 - 2.0 * x1 - 2.0 * h
     if rad >= 0.0:
         p = math.sqrt(rad)  # arrival x2 on the left side
         tau = p - x2
-        if p <= 1.0 + _PARAM_TOL and tau >= -_TAU_TOL:
-            out.append(_Candidate(max(tau, 0.0), "AB", 1.0,
-                                  min(max(p, _PARAM_EPS), 1.0), None, False, mirrored))
-    p = x1 - 0.5 * (x2 * x2 - 1.0)  # arrival x1 on the bottom side
-    if -1.0 - _PARAM_TOL <= p <= 1.0 + _PARAM_TOL:
-        tau = -1.0 - x2
+        if p <= h + _PARAM_TOL and tau >= -_TAU_TOL:
+            out.append(_Candidate(max(tau, 0.0), "AB", 1.0, p, None, False, mirrored))
+    p = x1 - 0.5 * (x2 * x2 - h * h)  # arrival x1 on the bottom side
+    if -h - _PARAM_TOL <= p <= h + _PARAM_TOL:
+        tau = -h - x2
         if tau >= -_TAU_TOL:
-            out.append(_Candidate(max(tau, 0.0), "BC", 1.0,
-                                  min(max(p, -1.0 + _PARAM_EPS), 1.0), None, False, mirrored))
+            out.append(_Candidate(max(tau, 0.0), "BC", 1.0, p, None, False, mirrored))
 
     # Riding the switching curve into corner A (the pre-switch corner arc).
     # The band is absolute: the constant-control flow preserves the vertical
     # offset to the curve exactly, so a state captured within the band stays
     # inside it for the whole ride and the closed loop cannot chatter.
-    if x2 >= 1.0 - _PARAM_TOL and abs(x1 + 0.5 * (x2 * x2 + 1.0)) <= _ONCURVE_TOL:
-        theta1 = min(max(math.pi + math.atan(1.0 - x2), _HALF_PI), math.pi)
-        out.append(_Candidate(max(x2 - 1.0, 0.0), "A_near", -1.0, theta1, (x1, x2), False, mirrored))
+    if x2 >= h - _PARAM_TOL and abs(x1 - _corner_a_x1(h, x2)) <= _ONCURVE_TOL:
+        theta1 = min(max(math.pi + math.atan(h - x2), _HALF_PI), math.pi)
+        out.append(_Candidate(max(x2 - h, 0.0), "A_near", -1.0, theta1, (x1, x2), False, mirrored))
 
     # Corner family beyond the switch: approach, cross the switching curve,
     # ride it into the corner.
-    disc = 0.5 * (x2 * x2 - 2.0 * x1 - 1.0)
+    disc = 0.5 * (x2 * x2 - 2.0 * x1 - h * (2.0 - h))
     if disc >= 0.0:
-        t = 1.0 - math.sqrt(disc)
+        t = h - math.sqrt(disc)
         if t <= _PARAM_TOL:
             t = min(t, 0.0)
-            tau = 1.0 - 2.0 * t - x2
+            tau = h - 2.0 * t - x2
             tau_s = -t
             if tau >= tau_s - _TAU_TOL * (1.0 + tau_s):
                 theta1 = min(max(math.pi + math.atan(t), _HALF_PI), math.pi)
-                x2_sw = 1.0 - t
+                x2_sw = h - t
                 out.append(_Candidate(max(tau, tau_s), "A_far", 1.0, theta1,
-                                      (_corner_a_x1(x2_sw), x2_sw),
+                                      (_corner_a_x1(h, x2_sw), x2_sw),
                                       tau > tau_s + _TIE_TOL * (1.0 + tau), mirrored))
     return out
 
@@ -421,17 +434,17 @@ def _square_half(x1: float, x2: float, mirrored: bool) -> list[_Candidate]:
 # ── Value-jump loci ────────────────────────────────────────────────────────────
 
 
-def _locus_half(m: Manifold, params: Params) -> tuple[float, float]:
-    """(c, w_edge) of the jump half-parabola {x1 = c - w^2/2 : w >= w_edge}.
+def _locus_half(m: Manifold, size: float) -> tuple[float, float]:
+    """(c, w_edge) of the jump half-parabola {y1 = c - w^2/2 : w >= w_edge}.
 
-    w is the x2 coordinate; the other locus is its central mirror image.
+    Unit authority with radius or half-side size; w is the y2 coordinate and
+    the other locus is the central mirror image.
     """
     if isinstance(m, Circle):
-        l = m.l
-        if l / params.alpha <= 1.0:
-            return l, 0.0
-        return 0.5 * (l * l + 1.0), math.sqrt(l * l - 1.0)
-    return 1.5, 1.0
+        if size <= 1.0:
+            return size, 0.0
+        return 0.5 * (size * size + 1.0), math.sqrt(size * size - 1.0)
+    return size + 0.5 * size * size, size
 
 
 def _cubic_real_roots(a: float, b: float, c: float, d: float) -> list[float]:
@@ -477,9 +490,10 @@ def _parabola_distance(x1: float, x2: float, c: float, w_edge: float) -> float:
 
 def locus_distance(m: Manifold, params: Params, s: State) -> float:
     """Distance from s to the nearest value-jump locus."""
-    c, w_edge = _locus_half(m, params)
-    return min(_parabola_distance(s.x1, s.x2, c, w_edge),
-               _parabola_distance(-s.x1, -s.x2, c, w_edge))
+    a = params.alpha
+    c, w_edge = _locus_half(m, _unit_size(m, params))
+    return a * min(_parabola_distance(s.x1 / a, s.x2 / a, c, w_edge),
+                   _parabola_distance(-s.x1 / a, -s.x2 / a, c, w_edge))
 
 
 def discontinuity_loci(
@@ -590,23 +604,20 @@ def _order(c: _Candidate) -> tuple[float, int]:
 
 
 def feedback(m: Manifold, params: Params, s: State) -> SynthesisResult:
-    """Optimal feedback at s by characteristic inversion (alpha = 1 closed form).
+    """Optimal feedback at s by characteristic inversion.
 
-    Enumerates the admissible families at s and, for their mirror twins, at
-    -s; keeps feasible inversions and returns the minimal-time one.  On a
+    Solves the unit-authority problem at y = s/alpha: enumerates the
+    admissible families at y and, for their mirror twins, at -y; keeps
+    feasible inversions and returns the minimal-time one, mapped back.  On a
     switching curve the reported control matches the post-switch arc so the
-    closed loop does not chatter.  For alpha != 1 the answer comes from the
-    numeric minimum-time search instead.
+    closed loop does not chatter.
     """
-    if isinstance(m, Circle) and m.l != params.l:
-        raise DomainError(f"circle radius {m.l!r} disagrees with params.l = {params.l!r}")
+    size = _unit_size(m, params)
     _reject_interior(m, s)
-    if params.alpha != 1.0:
-        return _numeric_feedback(m, params, s)
-    if isinstance(m, Circle):
-        cands = _circle_half(m.l, s.x1, s.x2, False) + _circle_half(m.l, -s.x1, -s.x2, True)
-    else:
-        cands = _square_half(s.x1, s.x2, False) + _square_half(-s.x1, -s.x2, True)
+    a = params.alpha
+    y1, y2 = s.x1 / a, s.x2 / a
+    half = _circle_half if isinstance(m, Circle) else _square_half
+    cands = half(size, y1, y2, False) + half(size, -y1, -y2, True)
     if not cands:
         raise DomainError(f"no admissible characteristic reaches {s!r}")
     cands.sort(key=_order)
@@ -616,13 +627,14 @@ def feedback(m: Manifold, params: Params, s: State) -> SynthesisResult:
     switch_state = None
     for c in (chosen, *ties):
         if c.switch is not None:
-            g = -1.0 if c.mirrored else 1.0
+            g = -a if c.mirrored else a
             switch_state = State(g * c.switch[0], g * c.switch[1])
             break
     if isinstance(m, Circle):
         terminal: BoundaryPoint = CircleTheta(chosen.param)
     elif chosen.family in ("AB", "BC"):
-        terminal = SquareSide(chosen.family, chosen.param)
+        lo = _PARAM_EPS if chosen.family == "AB" else -1.0 + _PARAM_EPS
+        terminal = SquareSide(chosen.family, min(max(a * chosen.param, lo), 1.0))
     else:
         terminal = SquareCorner("A", chosen.param)
     u = chosen.u
@@ -635,25 +647,6 @@ def feedback(m: Manifold, params: Params, s: State) -> SynthesisResult:
 def value(m: Manifold, params: Params, s: State) -> float:
     """Minimum time-to-go from s to the usable part."""
     return feedback(m, params, s).time_to_go
-
-
-def _numeric_feedback(m: Manifold, params: Params, s: State) -> SynthesisResult:
-    # Lazy import: the oracle also serves as the general-alpha fallback law.
-    from . import oracle as _oracle
-    from . import simulator as _simulator
-
-    pol = _oracle.oracle_policy(m, params, s)
-    u_now = pol.u0 if pol.t_switch > 1e-9 else -pol.u0
-    switch_state = None
-    if 1e-9 < pol.t_switch < pol.t_final:
-        a = params.alpha * pol.u0
-        switch_state = State(
-            s.x1 + s.x2 * pol.t_switch + 0.5 * a * pol.t_switch * pol.t_switch,
-            s.x2 + a * pol.t_switch,
-        )
-    end = _oracle.policy_endpoint(s, pol, params.alpha)
-    terminal = _simulator.boundary_point_of_state(m, end)
-    return SynthesisResult(u_now, pol.t_final, terminal, switch_state, False)
 
 
 # ── Classical point-target reference law ───────────────────────────────────────

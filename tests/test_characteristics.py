@@ -150,9 +150,17 @@ def test_closed_form_square_side_and_corner():
     assert s.x2 == pytest.approx(-2.0, abs=1e-12)
 
 
-def test_closed_form_requires_unit_alpha():
-    with pytest.raises(DomainError):
-        closed_form_state(C1, CircleTheta(math.pi / 2), Params(alpha=2.0), 1.0)
+def test_closed_form_matches_numeric_at_general_alpha():
+    """The closed form solved at x/alpha agrees with RK4 on the original system."""
+    targets = [(Circle(l), l) for l in (0.5, 1.0, 2.0)] + [(SQ, 1.0)]
+    for alpha in (0.5, 2.0):
+        for m, l in targets:
+            p = Params(alpha=alpha, l=l)
+            for b in sample_up(m, p, 24):
+                for tau in (0.5, 1.0, 3.0):
+                    s = closed_form_state(m, b, p, tau)
+                    sn, _ = numeric_retro(m, b, p, tau, 1e-3)
+                    assert abs(s.x1 - sn.x1) <= 1e-6 and abs(s.x2 - sn.x2) <= 1e-6, (alpha, m, b, tau)
 
 
 def test_closed_form_continuous_at_switch():

@@ -49,10 +49,12 @@ def test_branch_partition_at_arctan_tau():
 
 
 def test_isochrone_rejects_large_target_and_alpha():
+    """l > alpha is refused; l <= alpha is served at any alpha, on its level."""
     with pytest.raises(DomainError):
         isochrone_circle(Params(alpha=1.0, l=2.0), 1.0, 8)
-    with pytest.raises(DomainError):
-        isochrone_circle(Params(alpha=2.0, l=1.0), 1.0, 8)
+    p = Params(alpha=2.0, l=1.0)
+    for q in isochrone_circle(p, 1.0, 8).points:
+        assert value(C1, p, State(q.x1, q.x2)) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_level_set_property_closed_form():

@@ -244,18 +244,26 @@ def test_feedback_rejects_circle_radius_unlike_params():
         feedback(C2, P1, State(3.0, 0.5))
     with pytest.raises(DomainError):
         value(C1, P2, State(3.0, 0.5))
+    with pytest.raises(DomainError):
+        locus_distance(C2, P1, State(3.0, 0.5))
+    with pytest.raises(DomainError):
+        touch_and_go_curves(C2, P1)
+    with pytest.raises(DomainError):
+        discontinuity_loci(C2, P1, n_levels=3)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     l=st.one_of(st.none(), st.floats(1e-3, 10.0)),
+    alpha=st.floats(0.25, 4.0),
     x1=st.floats(-50.0, 50.0),
     x2=st.floats(-50.0, 50.0),
 )
-def test_feedback_round_trip_through_closed_form(l, x1, x2):
-    """Propagating the answer's terminal point back by its time-to-go returns the query."""
+def test_feedback_round_trip_through_closed_form(l, alpha, x1, x2):
+    """Propagating the answer's terminal point back by its time-to-go returns the
+    query, and the mirrored query gets the same time and the opposite control."""
     m = SQ if l is None else Circle(l)
-    p = Params(alpha=1.0, l=1.0 if l is None else l)
+    p = Params(alpha=alpha, l=1.0 if l is None else l)
     s = State(x1, x2)
     assume(not contains(m, s))
     assume(locus_distance(m, p, s) > 1e-6)
@@ -264,6 +272,68 @@ def test_feedback_round_trip_through_closed_form(l, x1, x2):
     tol = 1e-9 * (1.0 + abs(x1) + abs(x2))
     assert abs(back.x1 - x1) <= tol
     assert abs(back.x2 - x2) <= tol
+    rm = feedback(m, p, -s)
+    assert rm.time_to_go == r.time_to_go
+    assert rm.u == -r.u
+
+
+# ── General authority ─────────────────────────────────────────────────────────
+
+
+def test_curves_at_general_alpha_are_scaled_unit_authority_curves():
+    """At alpha, each circle curve is alpha times the alpha = 1 curve of radius l/alpha."""
+    for alpha in (0.5, 2.0):
+        for l in (1.0, 2.5):
+            p, p1 = Params(alpha=alpha, l=l), Params(alpha=1.0, l=l / alpha)
+            for branch, thetas in (("upper", (2.0, 2.8)), ("lower", (5.0, 6.0))):
+                curve = switching_curve_circle(p, branch)
+                unit = switching_curve_circle(p1, branch)
+                for th in thetas:
+                    pt, q = curve.point(th), unit.point(th)
+                    assert pt.x1 == pytest.approx(alpha * q.x1, rel=1e-12)
+                    assert pt.x2 == pytest.approx(alpha * q.x2, rel=1e-12)
+                    assert curve.x2_of_x1(pt.x1) == pytest.approx(pt.x2, rel=1e-9)
+                for pt, q in zip(curve.sample(9), unit.sample(9, 5.0 / alpha)):
+                    assert pt.x1 == pytest.approx(alpha * q.x1, rel=1e-12)
+                    assert pt.x2 == pytest.approx(alpha * q.x2, rel=1e-12)
+            tgs, units = touch_and_go_curves(Circle(l), p), touch_and_go_curves(Circle(l / alpha), p1)
+            assert len(tgs) == len(units) == (2 if l > alpha else 0)
+            for tg, unit in zip(tgs, units):
+                assert tg.terminal_point == unit.terminal_point
+                for a, b in ((tg.graze_state, unit.graze_state), (tg.switch_state, unit.switch_state)):
+                    assert (a.x1, a.x2) == pytest.approx((alpha * b.x1, alpha * b.x2), rel=1e-12)
+                for w in (-3.0, 0.5, 4.0):
+                    assert tg.x1_of_x2(w) == pytest.approx(alpha * unit.x1_of_x2(w / alpha), rel=1e-12)
+
+
+def test_square_curves_at_general_alpha():
+    """Half-side h = 1/alpha: the A-curve is x1 = -(x2^2 + 2*alpha - 1)/(2*alpha)."""
+    assert switching_curve_square("A", Params(alpha=2.0)).x1_of_x2(3.0) == -3.0
+    for alpha in (0.5, 2.0):
+        p = Params(alpha=alpha)
+        a, c = switching_curve_square("A", p), switching_curve_square("C", p)
+        for x2 in (1.5, 2.0, 4.5):
+            assert a.x1_of_x2(x2) == pytest.approx(-(x2 * x2 + 2.0 * alpha - 1.0) / (2.0 * alpha), rel=1e-12)
+            assert c.x1_of_x2(-x2) == -a.x1_of_x2(x2)
+            # the corner family rides the curve: feedback brakes on it
+            res = feedback(SQ, p, State(a.x1_of_x2(x2), x2))
+            assert res.u == -1.0
+            assert res.time_to_go == pytest.approx((x2 - 1.0) / alpha, abs=1e-9)
+        through_b, through_d = touch_and_go_curves(SQ, p)
+        assert through_b.graze_state == State(-1.0, -1.0)
+        assert through_b.switch_state == State(-1.0, 1.0)
+        assert through_b.x1_of_x2(-1.0) == pytest.approx(-1.0, abs=1e-12)
+        assert through_d.x1_of_x2(1.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_square_locus_at_alpha_2_where_the_oracle_jumps():
+    """At alpha = 2 and x2 = 3 the square's value jumps at x1 = -1, not at the alpha = 1 place."""
+    p = Params(alpha=2.0)
+    assert locus_distance(SQ, p, State(-1.0, 3.0)) <= 1e-12
+    assert locus_distance(SQ, p, State(-3.0, 3.0)) > 0.5
+    left = oracle_min_time(SQ, p, State(-1.05, 3.0))
+    right = oracle_min_time(SQ, p, State(-0.95, 3.0))
+    assert right - left > 0.5
 
 
 # ── Value-jump loci ───────────────────────────────────────────────────────────
