@@ -17,6 +17,7 @@ from mintime import (
     signed_distance,
     value,
 )
+from mintime.synthesis import _closed_form_feedback
 
 P1 = Params(alpha=1.0, l=1.0)
 C1 = Circle(1.0)
@@ -54,7 +55,7 @@ def test_isochrone_rejects_large_target_and_alpha():
         isochrone_circle(Params(alpha=1.0, l=2.0), 1.0, 8)
     p = Params(alpha=2.0, l=1.0)
     for q in isochrone_circle(p, 1.0, 8).points:
-        assert value(C1, p, State(q.x1, q.x2)) == pytest.approx(1.0, abs=1e-6)
+        assert _closed_form_feedback(C1, p, State(q.x1, q.x2)).time_to_go == pytest.approx(1.0, abs=1e-6)
 
 
 def test_level_set_property_closed_form():

@@ -107,5 +107,5 @@ def test_oracle_general_alpha():
     o = oracle_min_time(C1, p, s)
     # stronger authority reaches the target faster than alpha = 1
     assert o < oracle_min_time(C1, P1, s)
-    # and the independent search agrees with the rescaled closed form
-    assert o == pytest.approx(value(C1, p, s), abs=1e-3)
+    # and the oracle agrees with the numeric feedback fallback it powers
+    assert o == pytest.approx(value(C1, p, s), abs=1e-9)

@@ -51,7 +51,7 @@ def test_near_corner_square_states():
 
 
 def test_general_alpha_rollout_reaches_target():
-    """At alpha != 1 the loop runs on the closed-form law solved at x/alpha."""
+    """At alpha != 1 the loop runs on the numeric fallback law."""
     p = Params(alpha=2.0, l=1.0)
     m = Circle(1.0)
     s0 = State(-1.6, 1.2)

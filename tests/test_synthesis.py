@@ -33,6 +33,7 @@ from mintime import (
     value,
 )
 from mintime.manifold import antipode
+from mintime.synthesis import _closed_form_feedback
 
 P1 = Params(alpha=1.0, l=1.0)
 P2 = Params(alpha=1.0, l=2.0)
@@ -261,18 +262,21 @@ def test_feedback_rejects_circle_radius_unlike_params():
 )
 def test_feedback_round_trip_through_closed_form(l, alpha, x1, x2):
     """Propagating the answer's terminal point back by its time-to-go returns the
-    query, and the mirrored query gets the same time and the opposite control."""
+    query, and the mirrored query gets the same time and the opposite control.
+
+    The closed-form law is called directly: at alpha != 1 `feedback` still
+    answers from the oracle search."""
     m = SQ if l is None else Circle(l)
     p = Params(alpha=alpha, l=1.0 if l is None else l)
     s = State(x1, x2)
     assume(not contains(m, s))
     assume(locus_distance(m, p, s) > 1e-6)
-    r = feedback(m, p, s)
+    r = _closed_form_feedback(m, p, s)
     back = closed_form_state(m, r.terminal_point, p, r.time_to_go)
     tol = 1e-9 * (1.0 + abs(x1) + abs(x2))
     assert abs(back.x1 - x1) <= tol
     assert abs(back.x2 - x2) <= tol
-    rm = feedback(m, p, -s)
+    rm = _closed_form_feedback(m, p, -s)
     assert rm.time_to_go == r.time_to_go
     assert rm.u == -r.u
 
@@ -315,8 +319,8 @@ def test_square_curves_at_general_alpha():
         for x2 in (1.5, 2.0, 4.5):
             assert a.x1_of_x2(x2) == pytest.approx(-(x2 * x2 + 2.0 * alpha - 1.0) / (2.0 * alpha), rel=1e-12)
             assert c.x1_of_x2(-x2) == -a.x1_of_x2(x2)
-            # the corner family rides the curve: feedback brakes on it
-            res = feedback(SQ, p, State(a.x1_of_x2(x2), x2))
+            # the corner family rides the curve: the closed-form law brakes on it
+            res = _closed_form_feedback(SQ, p, State(a.x1_of_x2(x2), x2))
             assert res.u == -1.0
             assert res.time_to_go == pytest.approx((x2 - 1.0) / alpha, abs=1e-9)
         through_b, through_d = touch_and_go_curves(SQ, p)
