@@ -17,6 +17,18 @@ switch test is exact, feasibility in t_final is an interval near the optimum,
 and a shrinking-interval bisection between the last infeasible and first
 feasible grid lines refines the minimum to refine_tol/4.
 
+Two exact shortcuts leave every answer unchanged.  The ascent starts one grid
+line below a proven lower bound on the minimum time: every target lies in the
+box |x1|, |x2| <= R (R = l for the circle, 1 for the square), and no control
+brings x2 or x1 into [-R, R] sooner than full braking does, so every skipped
+line is infeasible.  And a circle grid line whose endpoints cannot enter that
+box for any t_switch (x2f is linear and x1f monotone in t_switch) is rejected
+before the cubic stationarity solve; the box test is widened by a relative
+slack so it only ever passes lines the disk test then decides as before.
+
+The oracle shares no code with the synthesis: it has its own cubic solver, and
+only the grid report imports the synthesis, to compare against it.
+
 A two-switch probe (off by default) extends the family with a third arc; it
 exists to falsify the single-switch assumption and is expected never to
 improve the optimum beyond the refinement tolerance.
@@ -29,7 +41,7 @@ from dataclasses import dataclass
 
 from .manifold import Circle, Manifold, _reject_interior, contains
 from .model import DomainError, HorizonExceeded, Params, State
-from .synthesis import _cubic_real_roots, locus_distance, value
+from .synthesis import locus_distance, value  # for the grid report's comparison only
 
 DEFAULT_GRID = 1e-2
 DEFAULT_REFINE_TOL = 1e-4
@@ -112,20 +124,70 @@ def _quad_band(A0: float, A1: float, A2: float, lo: float, hi: float) -> list[tu
     return out
 
 
+def _cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
+    """Real roots of a*t^3 + b*t^2 + c*t + d with a != 0 (Cardano / trigonometric)."""
+    b, c, d = b / a, c / a, d / a
+    shift = b / 3.0
+    p = c - b * b / 3.0
+    q = 2.0 * b * b * b / 27.0 - b * c / 3.0 + d
+    disc = 0.25 * q * q + p * p * p / 27.0
+    if disc > 0.0:
+        root = math.sqrt(disc)
+        return [_cube_root(-0.5 * q + root) + _cube_root(-0.5 * q - root) - shift]
+    if p == 0.0 and q == 0.0:
+        return [-shift]
+    r = math.sqrt(max(0.0, -p * p * p / 27.0))
+    phi = math.acos(min(1.0, max(-1.0, -0.5 * q / r))) if r > 0.0 else 0.0
+    m2 = 2.0 * math.sqrt(max(0.0, -p / 3.0))
+    return [m2 * math.cos((phi + 2.0 * math.pi * k) / 3.0) - shift for k in range(3)]
+
+
+def _cube_root(x: float) -> float:
+    return math.copysign(abs(x) ** (1.0 / 3.0), x)
+
+
+def _misses_box(A0: float, A1: float, A2: float, B0: float, B1: float, t_f: float, l: float) -> bool:
+    """True when no t_switch in [0, t_f] puts the endpoint in the box |x1f|, |x2f| <= l.
+
+    Both tests are widened by a relative slack far above rounding, so a
+    t_switch the disk test would accept is never rejected here.
+    """
+    l2 = l + 1e-9 * (1.0 + l + abs(B0) + abs(B1) * t_f)
+    lo = (-l2 - B0) / B1
+    hi = (l2 - B0) / B1
+    if lo > hi:
+        lo, hi = hi, lo
+    if lo < 0.0:
+        lo = 0.0
+    if hi > t_f:
+        hi = t_f
+    if lo > hi:
+        return True
+    # dx1f/dt_switch = 2*a*(t_f - t_switch) keeps one sign on [0, t_f], so the
+    # range of x1f on [lo, hi] is spanned by its values at the window's ends.
+    l1 = l + 1e-9 * (1.0 + l + abs(A0) + abs(A1) * t_f + abs(A2) * t_f * t_f)
+    x_lo = A0 + A1 * lo + A2 * lo * lo
+    x_hi = A0 + A1 * hi + A2 * hi * hi
+    return (x_lo > l1 and x_hi > l1) or (x_lo < -l1 and x_hi < -l1)
+
+
 def _circle_switch(s0: State, a: float, t_f: float, l: float) -> list[float]:
     """t_switch values in [0, t_f] whose endpoint lies in the disk.
 
     The endpoint radius defect p(t) = x1f^2 + x2f^2 - l^2 is a quartic with
     positive leading coefficient; every feasible window contains one of its
     stationary points or an interval endpoint, so those suffice as seeds.
+    A line whose endpoints miss the disk's bounding box skips the cubic.
     """
     A0, A1, A2, B0, B1 = _endpoint_coeffs(s0, a, t_f)
+    if _misses_box(A0, A1, A2, B0, B1, t_f, l):
+        return []
     c3 = 2.0 * A2 * A2
     c2 = 3.0 * A1 * A2
     c1 = A1 * A1 + 2.0 * A0 * A2 + B1 * B1
     c0 = A0 * A1 + B0 * B1
     cands = [0.0, t_f]
-    for r in _cubic_real_roots(c3, c2, c1, c0):
+    for r in _cubic_roots(c3, c2, c1, c0):
         if 0.0 < r < t_f:
             cands.append(r)
     out = []
@@ -177,15 +239,19 @@ def oracle_policy(
     Because the switch time is tested exactly at each t_final, feasibility in
     t_final is an interval [t*, ...) near the optimum, and bisection between
     the last infeasible and first feasible grid lines converges to t* within
-    refine_tol/4.  The search stops at `horizon`, by default one grid line
-    past the minimum time to the origin, which both targets contain.
+    refine_tol/4.  The ascent starts one grid line below `_box_entry_time`, a
+    lower bound on t*, so it skips only lines that are infeasible and finds
+    the same first feasible line and bracket as an ascent from 0.  The search
+    stops at `horizon`, by default one grid line past the minimum time to the
+    origin, which both targets contain.
     """
     _reject_interior(m, s0)
     if contains(m, s0):
         return PolicyCandidate(1.0, 0.0, 0.0)
     horizon = _origin_time(params.alpha, s0) + grid if horizon is None else horizon
     n = int(round(horizon / grid))
-    for k in range(n + 1):
+    k0 = max(0, int(_box_entry_time(m, params.alpha, s0) / grid) - 1)
+    for k in range(k0, n + 1):
         t_f = k * grid
         if _feasible(m, params, s0, t_f) is not None:
             lo = max(0.0, (k - 1) * grid)
@@ -201,6 +267,22 @@ def oracle_policy(
     raise HorizonExceeded(
         f"no candidate policy reaches the target from {s0!r} within t = {horizon}"
     )
+
+
+def _box_entry_time(m: Manifold, alpha: float, s0: State) -> float:
+    """A lower bound on the time to reach the target from s0 under any control.
+
+    The target lies in the box |x1|, |x2| <= R.  x2 moves at most alpha per
+    unit time, and x1(t) >= x1 + x2*t - alpha*t^2/2 (mirrored for x1 < -R), so
+    neither coordinate enters [-R, R] before the times computed here.
+    """
+    R = m.l if isinstance(m, Circle) else 1.0
+    x1, x2 = s0.x1, s0.x2
+    if x1 < 0.0:
+        x1, x2 = -x1, -x2
+    t2 = (abs(x2) - R) / alpha
+    t1 = (x2 + math.sqrt(x2 * x2 + 2.0 * alpha * (x1 - R))) / alpha if x1 > R else 0.0
+    return max(0.0, t1, t2)
 
 
 def _origin_time(alpha: float, s0: State) -> float:
@@ -238,7 +320,9 @@ def _two_switch_min(m: Manifold, params: Params, s0: State, t_best: float, grid:
     step = max(grid, t_best / 200.0)
     best = math.inf
     n = int(math.ceil(t_best / step)) + 1
-    for k in range(n + 1):
+    # The box entry bound holds for every control, three-arc ones included.
+    k0 = max(0, int(_box_entry_time(m, params.alpha, s0) / step) - 1)
+    for k in range(k0, n + 1):
         t_f = k * step
         if t_f >= best:
             break

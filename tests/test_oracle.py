@@ -1,6 +1,11 @@
 """Brute-force minimum-time search and the oracle-vs-synthesis report."""
 
+import math
+import random
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mintime import (
     Circle,
@@ -12,12 +17,15 @@ from mintime import (
     Square,
     State,
     boundary_state,
+    contains,
     oracle_grid_report,
     oracle_min_time,
     oracle_policy,
     value,
 )
-from mintime.oracle import policy_endpoint
+from mintime import oracle
+from mintime.oracle import _box_entry_time, _circle_switch, _endpoint_coeffs, _feasible, policy_endpoint
+from mintime.synthesis import _closed_form_feedback
 
 P1 = Params(alpha=1.0, l=1.0)
 C1 = Circle(1.0)
@@ -109,3 +117,87 @@ def test_oracle_general_alpha():
     assert o < oracle_min_time(C1, P1, s)
     # and the oracle agrees with the numeric feedback fallback it powers
     assert o == pytest.approx(value(C1, p, s), abs=1e-9)
+
+
+# ── Exactness of the search shortcuts ─────────────────────────────────────────
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    l=st.one_of(st.none(), st.floats(1e-3, 10.0)),
+    alpha=st.floats(0.1, 10.0),
+    x1=st.floats(-50.0, 50.0),
+    x2=st.floats(-50.0, 50.0),
+)
+def test_box_entry_time_is_a_lower_bound(l, alpha, x1, x2):
+    """The ascent's start bound never exceeds the closed-form value or the oracle."""
+    m = SQ if l is None else Circle(l)
+    p = Params(alpha=alpha, l=1.0 if l is None else l)
+    s = State(x1, x2)
+    assume(not contains(m, s))
+    bound = _box_entry_time(m, alpha, s)
+    assert bound <= _closed_form_feedback(m, p, s).time_to_go * (1.0 + 1e-12)
+    try:
+        t_oracle = oracle_min_time(m, p, s)
+    except HorizonExceeded:
+        # Tiny l/alpha: the grid ascent can step over a feasibility window
+        # narrower than the grid.  A known defect, not this bound's.
+        return
+    assert bound <= t_oracle
+
+
+def test_lines_below_the_start_are_infeasible(monkeypatch):
+    """Every grid line the ascent skips is infeasible by the exact switch test
+    alone, with the circle's box pre-test switched off."""
+    monkeypatch.setattr(oracle, "_misses_box", lambda *args: False)
+    rng = random.Random(10)
+    targets = [(Circle(l), l) for l in (0.05, 0.5, 1.0, 2.0, 3.0)] + [(SQ, 1.0)]
+    grid = oracle.DEFAULT_GRID
+    checked = 0
+    for i in range(90):
+        m, l = targets[i % len(targets)]
+        alpha = (0.5, 1.0, 2.0)[i // len(targets) % 3]
+        span = (5.0, 20.0)[i // (3 * len(targets)) % 2]
+        s = State(rng.uniform(-span, span), rng.uniform(-span, span))
+        if contains(m, s):
+            continue
+        p = Params(alpha=alpha, l=l)
+        k0 = max(0, int(_box_entry_time(m, alpha, s) / grid) - 1)
+        for k in range(k0):
+            assert _feasible(m, p, s, k * grid) is None
+        checked += k0
+    assert checked > 10_000
+
+
+_SWEEP = 2000
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    l=st.floats(1e-3, 10.0),
+    alpha=st.floats(0.1, 10.0),
+    u0=st.sampled_from((-1.0, 1.0)),
+    t_f=st.floats(0.0, 20.0),
+    i_sw=st.integers(0, _SWEEP),
+    rho=st.one_of(st.floats(0.0, 1.5), st.just(1.0 - 1e-5)),
+    phi=st.one_of(st.floats(0.0, 2.0 * math.pi), st.sampled_from((0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi))),
+)
+def test_circle_switch_finds_every_swept_entry(l, alpha, u0, t_f, i_sw, rho, phi):
+    """If a dense sweep of t_switch puts the endpoint in the disk, the exact test
+    (box pre-test plus stationary points) returns a switch time too."""
+    a = alpha * u0
+    # Run a policy backward from an endpoint at radius rho*l, switching on a
+    # sweep line, so the sweep often lands inside, also at the box's edges.
+    t_sw = t_f * i_sw / _SWEEP
+    d = t_f - t_sw
+    x2s = rho * l * math.sin(phi) + a * d
+    x1s = rho * l * math.cos(phi) - x2s * d + 0.5 * a * d * d
+    x2 = x2s - a * t_sw
+    s0 = State(x1s - x2 * t_sw - 0.5 * a * t_sw * t_sw, x2)
+    A0, A1, A2, B0, B1 = _endpoint_coeffs(s0, a, t_f)
+    swept = any(
+        (A0 + A1 * t + A2 * t * t) ** 2 + (B0 + B1 * t) ** 2 <= l * l * (1.0 - 1e-6)
+        for t in (t_f * i / _SWEEP for i in range(_SWEEP + 1))
+    )
+    if swept:
+        assert _circle_switch(s0, a, t_f, l)
