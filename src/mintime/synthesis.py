@@ -9,8 +9,11 @@ Everything is solved at y = x/alpha, where the plant has unit authority and
 the target is the circle of radius r = l/alpha or the square of half-side
 h = 1/alpha (manifold._unit_size).  Each constant-control arc obeys
 y1 = u*y2^2/2 + const, so the inversions reduce to quadratics in cos(theta)
-or the side parameters, plus one monotone scalar solve for the post-switch
-circle families.
+or the side parameters, plus one scalar solve for the post-switch circle
+families: Newton in u = tan^2(theta), where the parabola constant less r is
+u*g(u), increasing and concave (_far_constant).  On a concave increasing
+function every tangent step lands at or left of the root and the iterates
+then climb to it monotonically, so the solve converges from any start.
 
 Central symmetry
 ----------------
@@ -313,36 +316,53 @@ def touch_and_go_curves(m: Manifold, params: Params) -> list[TouchAndGoCurve]:
 # ── Circle family inversion ────────────────────────────────────────────────────
 
 
-def _far_constant(l: float, t: float) -> float:
-    """Parabola constant of the post-switch circle families, by t = tan(theta).
+def _far_constant(l: float, u: float) -> tuple[float, float]:
+    """Post-switch parabola constant of the circle families, as (c - l, dc/du).
 
-    Strictly increasing in |t| from l at t = 0; the pre-switch u = +1
-    parabola of the far family has constant -_far_constant(l, t).
+    The anchor at theta = pi + atan(t), t < 0, puts the post-switch u = -1
+    parabola at the constant c = l*(1 + 2t^2)/h + t^2 + l^2*t^2/(2*(1 + t^2)),
+    h = sqrt(1 + t^2); the pre-switch u = +1 parabola of the far family has
+    constant -c.  In u = t^2, since 1 - h = -u/(1 + h),
+
+        c - l = u*g(u),   g(u) = l*(2 - 1/(1 + h))/h + 1 + l^2/(2*(1 + u)),
+
+    which has no cancellation as u -> 0.  c - l is increasing and concave in u.
     """
-    t2 = t * t
-    h = math.sqrt(1.0 + t2)
-    return l * (1.0 + 2.0 * t2) / h + t2 + 0.5 * l * l * t2 / (1.0 + t2)
+    w = 1.0 + u
+    h = math.sqrt(w)
+    excess = u * (l * (2.0 - 1.0 / (1.0 + h)) / h + 1.0 + 0.5 * l * l / w)
+    slope = l * (1.0 + 0.5 / w) / h + 1.0 + 0.5 * l * l / (w * w)
+    return excess, slope
+
+
+_NEWTON_MAX = 60  # iteration cap of the anchor solve; it converges in under 10
 
 
 def _solve_far_constant(l: float, target: float) -> float:
-    """The t < 0 with _far_constant(l, t) = target; requires target > l."""
+    """The t < 0 whose post-switch constant is target; requires target > l.
+
+    Newton on u*g(u) = target - l in u = t^2 (see _far_constant).  The left
+    side is increasing and concave, so every tangent step lands at or left of
+    the root (clamped at u = 0, where u*g(u) = 0), and from the left the
+    iterates climb to the root monotonically.  The solve stops when a step
+    from the left no longer moves u, and returns t = -sqrt(u).
+    """
     if target <= l:
         raise DomainError("no post-switch anchor: constant must exceed l")
-    lo = -1.0
-    while _far_constant(l, lo) < target:
-        lo *= 2.0
-        if lo < -1e12:
-            raise DomainError("post-switch anchor solve failed to bracket")
-    hi = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _far_constant(l, mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, -lo):
-            break
-    return 0.5 * (lo + hi)
+    if not math.isfinite(target):
+        raise DomainError("post-switch anchor: the parabola constant overflows "
+                          "(the state's x2^2 is beyond float range)")
+    d = target - l
+    u = (math.sqrt(d + 1.5 * l * l) - l) ** 2
+    excess, slope = _far_constant(l, u)
+    u = max(0.0, u + (d - excess) / slope)
+    for _ in range(_NEWTON_MAX):
+        excess, slope = _far_constant(l, u)
+        nxt = u + (d - excess) / slope
+        if not nxt > u:
+            return -math.sqrt(u)
+        u = nxt
+    raise DomainError("post-switch anchor solve did not converge")
 
 
 def _circle_half(l: float, x1: float, x2: float, mirrored: bool) -> list[_Candidate]:
@@ -656,8 +676,27 @@ def _closed_form_feedback(m: Manifold, params: Params, s: State) -> SynthesisRes
     u = chosen.u
     if chosen.mirrored:
         terminal, u = antipode(m, terminal), -u
-    flag = locus_distance(m, params, s) <= _LOCUS_FLAG_TOL
-    return SynthesisResult(u, chosen.tau, terminal, switch_state, flag)
+    return SynthesisResult(u, chosen.tau, terminal, switch_state, _near_locus(m, size, a, y1, y2))
+
+
+def _near_locus(m: Manifold, size: float, a: float, y1: float, y2: float) -> bool:
+    """locus_distance(m, params, alpha*y) <= _LOCUS_FLAG_TOL, computing few distances.
+
+    A point within tol of the half-parabola y1 = c - w^2/2 has vertical offset
+    |y1 - c + y2^2/2| <= tol*(1 + |y2| + tol/2).  A half whose offset exceeds
+    tol*(1 + |y2| + tol), plus a rounding slack, cannot be within tol, so
+    only the halves that pass get the cubic of _parabola_distance.
+    """
+    c, w_edge = _locus_half(m, size)
+    tol = _LOCUS_FLAG_TOL / a
+    offset = 0.5 * y2 * y2 - c
+    band = tol * (1.0 + abs(y2) + tol) + 1e-15 * (abs(y1) + abs(c) + y2 * y2)
+    d = math.inf
+    if abs(y1 + offset) <= band:
+        d = _parabola_distance(y1, y2, c, w_edge)
+    if abs(offset - y1) <= band:
+        d = min(d, _parabola_distance(-y1, -y2, c, w_edge))
+    return a * d <= _LOCUS_FLAG_TOL
 
 
 def value(m: Manifold, params: Params, s: State) -> float:

@@ -1,6 +1,8 @@
 """Switching curves, touch-and-go curves, loci, and feedback inversion."""
 
 import math
+import random
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import assume, given, settings
@@ -32,8 +34,9 @@ from mintime import (
     touch_and_go_curves,
     value,
 )
-from mintime.manifold import antipode
-from mintime.synthesis import _closed_form_feedback
+from mintime.manifold import _unit_size, antipode
+from mintime.oracle import _origin_time
+from mintime.synthesis import _closed_form_feedback, _locus_half, _solve_far_constant
 
 P1 = Params(alpha=1.0, l=1.0)
 P2 = Params(alpha=1.0, l=2.0)
@@ -379,6 +382,83 @@ def test_feedback_discontinuity_flag():
     # the smaller-time side is reported: direct bottom entry, not the detour
     assert res.time_to_go == pytest.approx(1.0, abs=1e-9)
     assert not feedback(SQ, P1, State(0.3, -2.0)).discontinuity_flag
+
+
+def _locus_offsets(m, p):
+    """States on both jump loci and offset along the normal by a fraction of the flag band."""
+    a = p.alpha
+    c, w_edge = _locus_half(m, _unit_size(m, p))
+    for w in (w_edge + dw for dw in (0.0, 1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0)):
+        norm = math.hypot(1.0, w)
+        for k in (0.0, 0.5, -0.5, 0.99, -0.99, 1.01, -1.01, 2.0, -2.0):
+            d = k * 1e-9
+            on = State(a * (c - 0.5 * w * w) + d / norm, a * w + d * w / norm)
+            for s in (on, -on):
+                if not contains(m, s):
+                    yield s
+
+
+_FLAG_CASES = [(Circle(l), l) for l in (0.05, 0.5, 1.0, 2.0, 3.0)] + [(SQ, 1.0)]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("m,l", _FLAG_CASES)
+def test_discontinuity_flag_is_the_locus_distance_test(m, l, alpha):
+    """The flag's vertical-offset prefilter decides exactly as the full distance would,
+    at and around the flag band on both loci, and at random exterior states."""
+    p = Params(alpha=alpha, l=l)
+    rng = random.Random(1234)
+    randoms = (State(rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0)) for _ in range(2000))
+    n_flagged = 0
+    for s in (*_locus_offsets(m, p), *randoms):
+        if contains(m, s):
+            continue
+        flag = _closed_form_feedback(m, p, s).discontinuity_flag
+        assert flag == (locus_distance(m, p, s) <= 1e-9), s
+        n_flagged += flag
+    assert n_flagged >= 40
+
+
+def test_huge_states_get_answers_near_the_point_target_time():
+    """Far from a circle of radius l the minimum time is the point-target time T0 less O(l)."""
+    for l in (0.05, 1.0, 3.0):
+        m, p = Circle(l), Params(l=l)
+        for s in (State(0.0, 1e13), State(0.0, -1e13), State(0.0, 1e11), State(-3e12, 1e6)):
+            t0 = _origin_time(1.0, s)
+            assert 0.0 <= t0 - value(m, p, s) <= 1.5 * l + 1e-15 * t0
+    with pytest.raises(DomainError, match="overflow"):
+        feedback(C1, P1, State(5.0, 1e160))
+
+
+def _far_constant_reference(r: Decimal, t: Decimal) -> Decimal:
+    """The post-switch parabola constant in its original form, in decimal arithmetic."""
+    t2 = t * t
+    return r * (1 + 2 * t2) / (1 + t2).sqrt() + t2 + r * r * t2 / (2 * (1 + t2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(log_r=st.floats(-4.0, 2.0), log_gap=st.floats(-12.0, 12.0))
+def test_far_constant_solve_matches_a_decimal_bisection(log_r, log_gap):
+    r = 10.0 ** log_r
+    c = r + 10.0 ** log_gap
+    t = _solve_far_constant(r, c)
+    with localcontext() as ctx:
+        ctx.prec = 45
+        rd, cd = Decimal(r), Decimal(c)
+        lo, hi = Decimal(-1), Decimal(0)
+        while _far_constant_reference(rd, lo) < cd:
+            lo *= 2
+        while hi - lo > -lo * Decimal("1e-30"):
+            mid = (lo + hi) / 2
+            if _far_constant_reference(rd, mid) >= cd:
+                lo = mid
+            else:
+                hi = mid
+        ref = float((lo + hi) / 2)
+    assert abs(t - ref) <= 1e-14 * abs(ref)
+    for below in (r, 0.5 * r, 0.0):
+        with pytest.raises(DomainError):
+            _solve_far_constant(r, below)
 
 
 # ── Point-target reference law ────────────────────────────────────────────────
