@@ -145,9 +145,7 @@ def _cmd_switch_curves(args) -> int:
 
 def _cmd_loci(args) -> int:
     params, m = _scenario(args)
-    loci = synthesis.discontinuity_loci(
-        m, params, span=args.span, n_levels=args.levels, scan_step=args.scan_step
-    )
+    loci = synthesis.discontinuity_loci(m, params, span=args.span, n_levels=args.levels)
     rows = []
     for curve_id, pts in zip(("a", "b"), loci):
         for p in pts:
@@ -270,11 +268,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--x2-max", type=float, default=5.0)
     p.set_defaults(fn=_cmd_switch_curves)
 
-    p = sub.add_parser("loci", help="value-jump loci by scan and bisection")
+    p = sub.add_parser("loci", help="value-jump loci sampled from their closed form")
     common(p)
     p.add_argument("--span", type=float, default=5.0)
     p.add_argument("--levels", type=int, default=33)
-    p.add_argument("--scan-step", type=float, default=0.05)
     p.set_defaults(fn=_cmd_loci)
 
     p = sub.add_parser("isochrone", help="isocost level curves")

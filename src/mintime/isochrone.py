@@ -17,9 +17,10 @@ their central mirror images: the point at theta is minus the point at
 theta - pi.
 
 For the square target, any l, and the region beyond the switching curves, the
-generic construction propagates every usable-part anchor (corner cones
-included) backward to retrograde time tau; each sample keeps its anchor so
-plots can be segmented at family boundaries.
+generic construction takes every usable-part anchor (corner cones included)
+to retrograde time tau along its closed-form characteristic
+(characteristics.closed_form_state); each sample keeps its anchor so plots
+can be segmented at family boundaries.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .characteristics import anchor_kind, anchor_param, closed_form_state, numeric_retro
+from .characteristics import anchor_kind, anchor_param, closed_form_state
 from .manifold import BoundaryPoint, Circle, CircleTheta, Manifold, Square, SquareSide, sample_up
 from .model import DomainError, Params
 
@@ -89,10 +90,12 @@ def isochrone_circle(params: Params, tau: float, n_samples: int) -> Isochrone:
     return Isochrone(tau, tuple(points))
 
 
-def isochrone_generic(
-    m: Manifold, params: Params, tau: float, n_samples: int, step: float = 1e-3
-) -> Isochrone:
-    """Level set by backward propagation from a dense fan of usable-part anchors.
+def isochrone_generic(m: Manifold, params: Params, tau: float, n_samples: int) -> Isochrone:
+    """Level set from a dense fan of usable-part anchors, each taken back to tau.
+
+    Every anchor's characteristic is evaluated in closed form at retrograde
+    time tau (closed_form_state); characteristics.numeric_retro integrates
+    the same fan by RK4 and is the tests' independent check.
 
     Anchors whose backward extension re-enters the target before tau are
     pruned: past the re-entry their continuation is shadowed by a direct
@@ -107,7 +110,7 @@ def isochrone_generic(
         limit = _shadow_limit(m, b, params)
         if limit is not None and tau >= limit:
             continue
-        state, _ = numeric_retro(m, b, params, tau, step)
+        state = closed_form_state(m, b, params, tau)
         points.append(IsoPoint(anchor_param(b), state.x1, state.x2, anchor_kind(b)))
     return Isochrone(tau, tuple(points))
 

@@ -55,9 +55,9 @@ through the boundary point (r, 0), so the value is continuous across the
 curve but its gradient blows up (a root-type cusp); the curve is still where
 the synthesis ceases to be smooth, and finite-offset differences across it
 remain large.  These closed forms are the limiting characteristics of the
-adjoining families; discontinuity_loci() locates the same curves
-independently by scanning the value function and bisecting on jump/cusp
-spikes, and the two constructions are cross-checked in the tests.
+adjoining families; discontinuity_loci() samples them at horizontal levels,
+and the tests check each sample against the oracle's minimum time on both
+sides.
 
 Queries strictly inside the target are rejected rather than assigned zero
 time: the value function is zero only on the usable part.
@@ -80,7 +80,6 @@ from .manifold import (
     _reject_interior,
     _unit_size,
     antipode,
-    contains,
 )
 from .model import DomainError, Params, State
 
@@ -228,18 +227,27 @@ def _corner_a_x1(h: float, x2: float) -> float:
 
 
 def _upper_theta_of_x2(l: float, a: float, x2: float) -> float:
-    # x2 is monotone along the upper branch, from huge near pi/2 to 0 at the
-    # anchor theta = pi; bisect.
-    lo, hi = _HALF_PI + 1e-9, math.pi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _upper_switch_point(l, a, mid).x2 > x2:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14:
-            break
-    return hi
+    """Anchor angle of the upper-branch point at height x2 (radius l at unit authority)."""
+    return math.pi - math.atan(_upper_slope_of_y2(l, x2 / a))
+
+
+def _upper_slope_of_y2(l: float, y2: float) -> float:
+    """v = -tan(theta) >= 0 of the upper-branch point at unit-authority height y2.
+
+    Along the branch y2 = v*(1 + l/sqrt(1 + v^2)), increasing and concave in
+    v, so Newton from v = y2/(1 + l), at or left of the root, climbs to it
+    monotonically (as in _solve_far_constant).  The solve stops when a step
+    no longer moves v.  A height y2 <= 0 answers the anchor, v = 0.
+    """
+    v = max(0.0, y2 / (1.0 + l))
+    for _ in range(_NEWTON_MAX):
+        w = 1.0 + v * v
+        h = math.sqrt(w)
+        nxt = v + (y2 - v * (1.0 + l / h)) / (1.0 + l / (w * h))
+        if not nxt > v:
+            return v
+        v = nxt
+    raise DomainError("switching-curve anchor solve did not converge")
 
 
 def switching_curve_circle(params: Params, branch: str) -> SwitchingCurve:
@@ -335,7 +343,7 @@ def _far_constant(l: float, u: float) -> tuple[float, float]:
     return excess, slope
 
 
-_NEWTON_MAX = 60  # iteration cap of the anchor solve; it converges in under 10
+_NEWTON_MAX = 60  # iteration cap of the Newton solves; each converges in under 10
 
 
 def _solve_far_constant(l: float, target: float) -> float:
@@ -521,86 +529,27 @@ def discontinuity_loci(
     params: Params,
     span: float = 5.0,
     n_levels: int = 33,
-    scan_step: float = 0.05,
 ) -> list[list[State]]:
     """Sampled loci where the value function jumps or loses smoothness.
 
-    For each horizontal level x2, the value function is scanned along x1;
-    cells whose increment spikes above the locally estimated Lipschitz trend
-    are bisected to 1e-8 and kept when the bracket still carries a jump or
-    cusp.  Returns [locus_a, locus_b] with locus_a holding the positive-x2
-    samples; the two are centrally symmetric images of each other.
+    The closed-form locus (_locus_half) is sampled at the horizontal levels
+    x2 = -span + i*2*span/(n_levels - 1): at each level x2 > 0 it holds the
+    point x1 = alpha*(c - w^2/2), w = x2/alpha, when w >= w_edge and
+    |x1| <= span.  Returns [locus_a, locus_b], each sorted by x2; locus_a
+    holds the positive-x2 samples and locus_b is its central mirror image.
     """
     if n_levels < 2:
-        raise DomainError(f"need n_levels >= 2 scan levels, got {n_levels}")
-    if not scan_step > 0.0:
-        raise DomainError(f"scan_step must be > 0, got {scan_step!r}")
+        raise DomainError(f"need n_levels >= 2 levels, got {n_levels}")
+    a = params.alpha
+    c, w_edge = _locus_half(m, _unit_size(m, params))
     upper: list[State] = []
-    lower: list[State] = []
     for i in range(n_levels):
         x2 = -span + i * (2.0 * span) / (n_levels - 1)
-        if abs(x2) < 1e-9:
-            continue
-        for x1_jump in _scan_level(m, params, x2, span, scan_step):
-            (upper if x2 > 0.0 else lower).append(State(x1_jump, x2))
-    upper.sort(key=lambda p: p.x2)
-    lower.sort(key=lambda p: p.x2)
-    return [upper, lower]
-
-
-def _scan_level(m: Manifold, params: Params, x2: float, span: float, h: float) -> list[float]:
-    # Candidate cells must beat both a unit-Lipschitz floor (10*h) and 2.5x
-    # the neighboring increments.  The value function approaches each locus
-    # with a root-type cusp, so neighbor increments grow like fractional
-    # powers of the distance but their cell-to-cell ratio stays below 2,
-    # while a jump (or the cusp apex itself) dominates its neighbors.
-    # Bisection then checks the spike survives at bracket width 1e-8, which
-    # keeps jumps and unbounded-slope cusps but drops merely steep cells.
-    n = int(round(2.0 * span / h))
-    segments: list[tuple[list[float], list[float]]] = [([], [])]
-    for j in range(n + 1):
-        x1 = -span + j * h
-        st = State(x1, x2)
-        if contains(m, st):
-            if segments[-1][0]:
-                segments.append(([], []))
-            continue
-        segments[-1][0].append(x1)
-        segments[-1][1].append(value(m, params, st))
-    jumps: list[float] = []
-    for xs, vs in segments:
-        if len(xs) < 4:
-            continue
-        diffs = [abs(vs[k + 1] - vs[k]) for k in range(len(vs) - 1)]
-        for k in range(1, len(diffs) - 1):
-            neighbor = max(diffs[k - 1], diffs[k + 1], 1e-12)
-            if diffs[k] > 10.0 * h and diffs[k] > 2.5 * neighbor:
-                loc = _bisect_jump(m, params, x2, xs[k], xs[k + 1])
-                if loc is not None:
-                    jumps.append(loc)
-    return jumps
-
-
-# Confirmation floor for the value variation across a 1e-8-wide bracket.  A
-# genuine jump keeps its full gap; a root-type cusp still varies by a
-# fractional power of the width (>= ~1e-4 for the cases here); a regular slope
-# contributes only ~slope * 1e-8.
-_SPIKE_FLOOR = 1e-5
-
-
-def _bisect_jump(m: Manifold, params: Params, x2: float, lo: float, hi: float) -> float | None:
-    v_lo = value(m, params, State(lo, x2))
-    v_hi = value(m, params, State(hi, x2))
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        v_mid = value(m, params, State(mid, x2))
-        if abs(v_mid - v_lo) >= abs(v_hi - v_mid):
-            hi, v_hi = mid, v_mid
-        else:
-            lo, v_lo = mid, v_mid
-    if abs(v_hi - v_lo) < _SPIKE_FLOOR:
-        return None
-    return 0.5 * (lo + hi)
+        w = x2 / a
+        x1 = a * (c - 0.5 * w * w)
+        if x2 >= 1e-9 and w >= w_edge and abs(x1) <= span:
+            upper.append(State(x1, x2))
+    return [upper, [-p for p in reversed(upper)]]
 
 
 # ── Feedback and value ─────────────────────────────────────────────────────────

@@ -89,6 +89,19 @@ def test_loci_csv(capsys):
     assert ids == {"a", "b"}
 
 
+def test_loci_at_alpha_2_samples_every_level(capsys):
+    """Circle l = 1 at alpha = 2: the locus crosses 15 of the 16 positive levels
+    inside the span, and the mirror locus holds their 15 images."""
+    code, out, _ = run(capsys, "loci", "--target", "circle", "--l", "1", "--alpha", "2")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 30
+    assert [r[0] for r in rows].count("a") == 15
+    a = [(float(r[1]), float(r[2])) for r in rows if r[0] == "a"]
+    b = [(float(r[1]), float(r[2])) for r in rows if r[0] == "b"]
+    assert b == [(-x1, -x2) for x1, x2 in reversed(a)]
+
+
 def test_costate_and_flow_headers(capsys):
     code, out, _ = run(capsys, "costate", "--target", "square", "--samples", "12")
     assert code == 0
@@ -131,7 +144,6 @@ def test_domain_error_exits_2(capsys):
     [
         ("verify", "--grid", "-1"),
         ("loci", "--levels", "1"),
-        ("loci", "--scan-step", "0"),
         ("flow", "--tau-step", "0"),
     ],
 )

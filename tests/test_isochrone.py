@@ -14,9 +14,12 @@ from mintime import (
     isochrone_generic,
     isocost_point_circle,
     locus_distance,
+    numeric_retro,
+    sample_up,
     signed_distance,
     value,
 )
+from mintime.characteristics import anchor_kind, anchor_param
 from mintime.synthesis import _closed_form_feedback
 
 P1 = Params(alpha=1.0, l=1.0)
@@ -95,12 +98,21 @@ def test_generic_square_contains_top_side_example():
     assert best < 0.05  # the anchor fan brackets the AD-family point (-1, 2)
 
 
-def test_generic_matches_closed_form_on_circle():
-    iso = isochrone_generic(C1, P1, 1.0, 64)
-    for pt in iso.points:
-        x1, x2 = isocost_point_circle(P1, 1.0, pt.param)
-        assert pt.x1 == pytest.approx(x1, abs=1e-9)
-        assert pt.x2 == pytest.approx(x2, abs=1e-9)
+def test_generic_matches_rk4_propagation():
+    """Every anchor of the closed-form fan lands where RK4 integration of the
+    original system puts it (characteristics.numeric_retro, the independent check)."""
+    for m, l in ((Circle(0.5), 0.5), (C1, 1.0), (Circle(2.0), 2.0), (SQ, 1.0)):
+        for alpha in (0.5, 1.0, 2.0):
+            p = Params(alpha=alpha, l=l)
+            anchors = {(anchor_kind(b), anchor_param(b)): b for b in sample_up(m, p, 32)}
+            for tau in (0.5, 1.75, 3.0):
+                iso = isochrone_generic(m, p, tau, 32)
+                if isinstance(m, Circle):  # no circle anchor re-enters its target
+                    assert len(iso.points) == len(anchors)
+                for pt in iso.points:
+                    s, _ = numeric_retro(m, anchors[(pt.family, pt.param)], p, tau, 1e-3)
+                    assert abs(pt.x1 - s.x1) <= 1e-9 * (1.0 + abs(s.x1))
+                    assert abs(pt.x2 - s.x2) <= 1e-9 * (1.0 + abs(s.x2))
 
 
 def test_nesting_of_level_sets():

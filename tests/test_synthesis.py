@@ -36,7 +36,13 @@ from mintime import (
 )
 from mintime.manifold import _unit_size, antipode
 from mintime.oracle import _origin_time
-from mintime.synthesis import _closed_form_feedback, _locus_half, _solve_far_constant
+from mintime.synthesis import (
+    _closed_form_feedback,
+    _locus_half,
+    _solve_far_constant,
+    _upper_slope_of_y2,
+    _upper_theta_of_x2,
+)
 
 P1 = Params(alpha=1.0, l=1.0)
 P2 = Params(alpha=1.0, l=2.0)
@@ -349,30 +355,36 @@ def test_square_locus_at_alpha_2_where_the_oracle_jumps():
 def test_loci_nonempty_and_symmetric():
     for m, p in ((C1, P1), (C2, P2), (SQ, P1)):
         locus_a, locus_b = discontinuity_loci(m, p, n_levels=17)
-        assert locus_a and locus_b
-        for pa in locus_a:
-            best = min(math.hypot(pa.x1 + pb.x1, pa.x2 + pb.x2) for pb in locus_b)
-            assert best < 1e-6
+        assert locus_a
+        assert locus_b == [-pa for pa in reversed(locus_a)]
+        assert [pa.x2 for pa in locus_a] == sorted(pa.x2 for pa in locus_a)
 
 
-def test_loci_match_limiting_characteristics():
-    """The scanned loci coincide with the limiting-parabola closed forms."""
-    for m, p in ((C1, P1), (C2, P2), (SQ, P1)):
-        locus_a, locus_b = discontinuity_loci(m, p, n_levels=17)
-        for pt in locus_a + locus_b:
-            assert locus_distance(m, p, pt) < 1e-6
+_LOCI_CASES = [(Circle(l), l) for l in (0.5, 1.0, 2.0)] + [(SQ, 1.0)]
 
 
 def test_loci_two_sided_oracle_gap():
-    """Crossing a locus changes the oracle's minimum time by a finite amount."""
-    for m, p in ((C1, P1), (C2, P2), (SQ, P1)):
-        locus_a, _ = discontinuity_loci(m, p, n_levels=9)
-        probes = [pt for pt in locus_a if abs(pt.x2) > 1.5][:2]
-        assert probes
-        for pt in probes:
-            left = oracle_min_time(m, p, State(pt.x1 - 0.05, pt.x2))
-            right = oracle_min_time(m, p, State(pt.x1 + 0.05, pt.x2))
-            assert right - left > 0.1
+    """Crossing a locus changes the oracle's minimum time by a finite amount, at
+    every sampled point of both loci.
+
+    The oracle shares no code with the closed-form loci; on the far side of a
+    locus (x1 + 0.05 on locus_a, x1 - 0.05 on its mirror) the trajectory must
+    go around, so the time is larger there."""
+    for m, l in _LOCI_CASES:
+        for alpha in (0.5, 1.0, 2.0):
+            p = Params(alpha=alpha, l=l)
+            locus_a, locus_b = discontinuity_loci(m, p)
+            assert locus_a
+            n_probed = 0
+            for sign, locus in ((1.0, locus_a), (-1.0, locus_b)):
+                for pt in locus:
+                    near, far = State(pt.x1 - sign * 0.05, pt.x2), State(pt.x1 + sign * 0.05, pt.x2)
+                    if contains(m, near) or contains(m, far):
+                        continue
+                    gap = oracle_min_time(m, p, far) - oracle_min_time(m, p, near)
+                    assert gap > 0.1, (l, alpha, pt)
+                    n_probed += 1
+            assert n_probed >= len(locus_a)
 
 
 def test_feedback_discontinuity_flag():
@@ -459,6 +471,38 @@ def test_far_constant_solve_matches_a_decimal_bisection(log_r, log_gap):
     for below in (r, 0.5 * r, 0.0):
         with pytest.raises(DomainError):
             _solve_far_constant(r, below)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    log_r=st.floats(-4.0, 2.0),
+    log_y2=st.one_of(st.none(), st.floats(-8.0, 6.0)),
+)
+def test_switching_curve_inverse_matches_a_decimal_bisection(log_r, log_y2):
+    """The upper branch height y2 = v*(1 + r/sqrt(1 + v^2)), v = -tan(theta), solved
+    for v, against a 45-digit bisection; y2 = 0 is the anchor theta = pi exactly.
+
+    v is checked before the arctangent: -tan of the returned angle carries that
+    angle's rounding times 1 + v^2 and cannot hold 1e-13 once v is large."""
+    r = 10.0 ** log_r
+    if log_y2 is None:
+        assert _upper_theta_of_x2(r, 1.0, 0.0) == math.pi
+        return
+    y2 = 10.0 ** log_y2
+    v = _upper_slope_of_y2(r, y2)
+    with localcontext() as ctx:
+        ctx.prec = 45
+        rd, yd = Decimal(r), Decimal(y2)
+        lo, hi = yd / (1 + rd), yd
+        while hi - lo > hi * Decimal("1e-30"):
+            mid = (lo + hi) / 2
+            if mid * (1 + rd / (1 + mid * mid).sqrt()) < yd:
+                lo = mid
+            else:
+                hi = mid
+        ref = float((lo + hi) / 2)
+    assert abs(v - ref) <= 1e-13 * ref
+    assert _upper_theta_of_x2(r, 1.0, y2) == math.pi - math.atan(v)
 
 
 # ── Point-target reference law ────────────────────────────────────────────────
