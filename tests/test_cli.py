@@ -144,6 +144,7 @@ def test_domain_error_exits_2(capsys):
     [
         ("verify", "--grid", "-1"),
         ("loci", "--levels", "1"),
+        ("flow", "--tau-max", "-1"),
         ("flow", "--tau-step", "0"),
     ],
 )
