@@ -49,9 +49,8 @@ from .manifold import (
     Circle,
     CircleTheta,
     Manifold,
-    Square,
-    SquareCorner,
     SquareSide,
+    _region,
     _unit_size,
     antipode,
     boundary_state,
@@ -135,34 +134,33 @@ def terminal_costate(m: Manifold, b: BoundaryPoint, params: Params) -> Costate:
     Raises DomainError for anchors outside the usable part (including the
     circle BUP angles), where no terminating characteristic exists.
     """
+    return Costate(*_terminal_pair(m, b, params))
+
+
+def _terminal_pair(m: Manifold, b: BoundaryPoint, params: Params) -> tuple[float, float]:
+    """(lambda1, lambda2) of terminal_costate without building a Costate."""
+    if isinstance(b, CircleTheta) != isinstance(m, Circle):
+        raise DomainError(f"boundary point {b!r} does not belong to {m!r}")
     alpha = params.alpha
     if isinstance(b, CircleTheta):
-        if not isinstance(m, Circle):
-            raise DomainError(f"boundary point {b!r} does not belong to {m!r}")
         st, ct = math.sin(b.theta), math.cos(b.theta)
-        denom = alpha * abs(st) - m.l * st * ct
-        if denom <= 1e-12:
+        if _region(m, params, m.l * st, ct, st) != "UP":
             raise DomainError(
                 f"no terminating characteristic at theta={b.theta!r}: "
                 "the anchor is not in the usable part"
             )
-        a = 1.0 / denom
-        return Costate(a * ct, a * st)
-    if not isinstance(m, Square):
-        raise DomainError(f"boundary point {b!r} does not belong to {m!r}")
+        a = 1.0 / (alpha * abs(st) - m.l * st * ct)
+        return a * ct, a * st
     if _lower_half(b):
-        c = terminal_costate(m, antipode(m, b), params)
-        return Costate(0.0 - c.lambda1, 0.0 - c.lambda2)  # negated, zeros kept +0.0
+        l1, l2 = _terminal_pair(m, antipode(m, b), params)
+        return 0.0 - l1, 0.0 - l2  # negated, zeros kept +0.0
     if isinstance(b, SquareSide):
         if b.side == "AB":
-            return Costate(-1.0 / b.s, 0.0)
-        return Costate(0.0, -1.0 / alpha)  # BC
+            return -1.0 / b.s, 0.0
+        return 0.0, -1.0 / alpha  # BC
     st, ct = math.sin(b.theta), math.cos(b.theta)
-    denom = alpha * st - ct  # corner A
-    if denom <= 0.0:
-        raise DomainError(f"corner cone angle {b.theta!r} yields no positive scale")
-    a = 1.0 / denom
-    return Costate(a * ct, a * st)
+    a = 1.0 / (alpha * st - ct)  # corner A: positive on the whole cone [pi/2, pi]
+    return a * ct, a * st
 
 
 def switch_tau(b: BoundaryPoint) -> float | None:
@@ -188,10 +186,14 @@ def switch_tau(b: BoundaryPoint) -> float | None:
 
 def costate_retro(m: Manifold, b: BoundaryPoint, params: Params, tau: float) -> Costate:
     """Costate at retrograde time tau: lambda1 constant, lambda2 linear."""
-    if tau < 0.0:
-        raise DomainError(f"retrograde time must be >= 0, got {tau!r}")
-    c0 = terminal_costate(m, b, params)
-    return Costate(c0.lambda1, c0.lambda2 + c0.lambda1 * tau)
+    _check_tau(tau)
+    l1, l2 = _terminal_pair(m, b, params)
+    return Costate(l1, l2 + l1 * tau)
+
+
+def _check_tau(tau: float) -> None:
+    if not 0.0 <= tau < math.inf:  # also rejects NaN
+        raise DomainError(f"retrograde time must be finite and >= 0, got {tau!r}")
 
 
 def _leg_sign(c0: Costate, lo: float, hi: float) -> float:
@@ -211,9 +213,8 @@ def _leg_sign(c0: Costate, lo: float, hi: float) -> float:
 
 def closed_form_state(m: Manifold, b: BoundaryPoint, params: Params, tau: float) -> State:
     """Phase point at retrograde time tau along the characteristic from b."""
-    if tau < 0.0:
-        raise DomainError(f"retrograde time must be >= 0, got {tau!r}")
-    terminal_costate(m, b, params)  # validates the anchor
+    _check_tau(tau)
+    _terminal_pair(m, b, params)  # validates the anchor
     a = params.alpha
     y = _closed_form(m, b, _unit_size(m, params), a, tau)
     return State(a * y.x1, a * y.x2)
@@ -290,13 +291,13 @@ def numeric_retro_dense(
 ) -> list[tuple[State, Costate]]:
     """States and costates at each requested tau, in one integration pass.
 
-    taus must be non-decreasing and non-negative.
+    taus must be finite, non-decreasing and non-negative.
     """
-    if step <= 0.0:
+    if not step > 0.0:
         raise DomainError(f"integration step must be > 0, got {step!r}")
     for i, t in enumerate(taus):
-        if t < 0.0 or (i > 0 and t < taus[i - 1]):
-            raise DomainError("taus must be non-decreasing and >= 0")
+        if not 0.0 <= t < math.inf or (i > 0 and t < taus[i - 1]):
+            raise DomainError("taus must be finite, non-decreasing and >= 0")
     c0 = terminal_costate(m, b, params)
     s0 = boundary_state(m, b)
     ts = switch_tau(b)
@@ -355,7 +356,7 @@ def build_characteristic(
     m: Manifold, b: BoundaryPoint, params: Params, tau_max: float
 ) -> Characteristic:
     """Arc decomposition of the characteristic from b up to retrograde tau_max."""
-    if tau_max <= 0.0:
+    if not tau_max > 0.0:  # also rejects NaN
         raise DomainError(f"tau_max must be > 0, got {tau_max!r}")
     c0 = terminal_costate(m, b, params)
     ts = switch_tau(b)

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import characteristics, isochrone, oracle, simulator, synthesis
-from .manifold import Circle, Manifold, Square, boundary_rows, sample_up
-from .model import DomainError, Params, parse_scenario
+from .manifold import Circle, Manifold, Square, _nup_empty, boundary_rows, sample_up
+from .model import DomainError, Params, State, parse_scenario
 
 _USAGE_EXIT = 64
 _DOMAIN_EXIT = 2
@@ -117,6 +118,7 @@ def _cmd_flow(args) -> int:
     params, m = _scenario(args)
     if not args.tau_step > 0.0:
         raise DomainError(f"--tau-step must be > 0, got {args.tau_step!r}")
+    characteristics._check_tau(args.tau_max)
     n_steps = max(1, int(round(args.tau_max / args.tau_step)))
     taus = [k * args.tau_max / n_steps for k in range(n_steps + 1)]
     rows = characteristics.flow_rows(m, params, args.samples, taus)
@@ -158,7 +160,7 @@ def _cmd_isochrone(args) -> int:
     params, m = _scenario(args)
     rows = []
     for tau in _taus(args.tau):
-        if isinstance(m, Circle) and params.l <= params.alpha:
+        if isinstance(m, Circle) and _nup_empty(m, params):
             iso = isochrone.isochrone_circle(params, tau, args.samples)
         else:
             iso = isochrone.isochrone_generic(m, params, tau, args.samples)
@@ -173,8 +175,6 @@ def _terminal_json(bp) -> dict:
 
 
 def _cmd_feedback(args) -> int:
-    from .model import State
-
     params, m = _scenario(args)
     res = synthesis.feedback(m, params, State(args.x1, args.x2))
     payload = {
@@ -191,16 +191,12 @@ def _cmd_feedback(args) -> int:
 
 
 def _cmd_value(args) -> int:
-    from .model import State
-
     params, m = _scenario(args)
     sys.stdout.write(_fmt(synthesis.value(m, params, State(args.x1, args.x2))) + "\n")
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    from .model import State
-
     params, m = _scenario(args)
     traj = simulator.simulate(m, params, State(args.x1, args.x2), args.dt, args.tmax)
     rows = [(s.t, s.x1, s.x2, s.u) for s in traj.samples]
@@ -215,6 +211,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     params, m = _scenario(args)
+    if not 0.0 <= args.tol < math.inf:
+        raise DomainError(f"--tol must be finite and >= 0, got {args.tol!r}")
     states = oracle.acceptance_grid(span=args.span, n=args.grid)
     report = oracle.oracle_grid_report(m, params, states)
     rows = list(report.rows)

@@ -28,8 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .characteristics import anchor_kind, anchor_param, closed_form_state
-from .manifold import BoundaryPoint, Circle, CircleTheta, Manifold, Square, SquareSide, sample_up
+from .characteristics import _check_tau, anchor_kind, anchor_param, closed_form_state
+from .manifold import BoundaryPoint, Circle, CircleTheta, Manifold, Square, SquareSide, _nup_empty, sample_up
 from .model import DomainError, Params
 
 _TWO_PI = 2.0 * math.pi
@@ -52,8 +52,7 @@ class Isochrone:
 
 def isocost_point_circle(params: Params, tau: float, theta: float) -> tuple[float, float]:
     """One closed-form isochrone point; theta must be a usable-part angle."""
-    _require_small_circle(params)
-    return closed_form_state(Circle(params.l), CircleTheta(theta), params, tau).as_tuple()
+    return closed_form_state(_small_circle(params), CircleTheta(theta), params, tau).as_tuple()
 
 
 def isochrone_circle(params: Params, tau: float, n_samples: int) -> Isochrone:
@@ -62,9 +61,8 @@ def isochrone_circle(params: Params, tau: float, n_samples: int) -> Isochrone:
     Samples sit at branch midpoints, never on branch edges, so none touches a
     value-jump locus exactly.
     """
-    _require_small_circle(params)
-    if tau < 0.0:
-        raise DomainError(f"tau must be >= 0, got {tau!r}")
+    m = _small_circle(params)
+    _check_tau(tau)
     if n_samples < 2:
         raise DomainError(f"need n_samples >= 2, got {n_samples}")
     phibar = math.atan(tau)
@@ -85,8 +83,8 @@ def isochrone_circle(params: Params, tau: float, n_samples: int) -> Isochrone:
         k = max(1, round(n_samples * width / total))
         for j in range(k):
             theta = lo + (j + 0.5) * width / k
-            x1, x2 = isocost_point_circle(params, tau, theta)
-            points.append(IsoPoint(theta, x1, x2, name))
+            state = closed_form_state(m, CircleTheta(theta), params, tau)
+            points.append(IsoPoint(theta, state.x1, state.x2, name))
     return Isochrone(tau, tuple(points))
 
 
@@ -103,8 +101,7 @@ def isochrone_generic(m: Manifold, params: Params, tau: float, n_samples: int) -
     Only the square's left and right side families re-enter (through the
     non-usable half of their own side, at tau = 2*|s|).
     """
-    if tau < 0.0:
-        raise DomainError(f"tau must be >= 0, got {tau!r}")
+    _check_tau(tau)
     points: list[IsoPoint] = []
     for b in sample_up(m, params, n_samples):
         limit = _shadow_limit(m, b, params)
@@ -127,10 +124,10 @@ def _shadow_limit(m: Manifold, b: BoundaryPoint, params: Params) -> float | None
     return None
 
 
-def _require_small_circle(params: Params) -> None:
-    if params.l > params.alpha:
-        raise DomainError(
-            "the six-branch closed form sweeps the whole circle and is only "
-            "valid when the non-usable part is empty (l <= alpha); use "
-            "isochrone_generic for larger targets"
-        )
+def _small_circle(params: Params) -> Circle:
+    """The circle of params, which the six-branch closed form requires to have no NUP."""
+    m = Circle(params.l)
+    if not _nup_empty(m, params):
+        raise DomainError("the six-branch closed form sweeps the whole circle and needs an empty "
+                          "non-usable part (l <= alpha); use isochrone_generic for larger targets")
+    return m

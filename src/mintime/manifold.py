@@ -7,13 +7,15 @@ penetrate the manifold there:
 
 with n the outward unit normal and f = (x2, alpha*u).  A zero minimum marks
 the boundary of the usable part (BUP); a positive minimum the non-usable part
-(NUP), which no optimal trajectory can reach from outside.
+(NUP), which no optimal trajectory can reach from outside.  _region makes
+this decision for classify, boundary_rows and terminal_costate.
 
 Circle of radius l, x = (l cos th, l sin th), n = (cos th, sin th): the
-minimum equals l sin th cos th - alpha |sin th|.  For l/alpha <= 1 the UP is
-the whole circle except th = 0 and th = pi.  For l/alpha > 1 the arcs
-(0, thbar) and (pi, pi + thbar) with thbar = arccos(alpha/l) drop out as NUP,
-and th in {0, thbar, pi, pi + thbar} is the BUP.
+minimum is |sin th| * (l cos th sgn(sin th) - alpha), each factor decided
+against its own relative bound.  For l/alpha <= 1 the UP is the whole
+circle except th = 0 and th = pi.  For l/alpha > 1 the arcs (0, thbar) and
+(pi, pi + thbar) with thbar = arccos(alpha/l) drop out as NUP, and
+th in {0, thbar, pi, pi + thbar} is the BUP.
 
 Square {|x1| <= 1, |x2| <= 1} with vertices A(-1,1), B(-1,-1), C(1,-1),
 D(1,1).  Sides are named AB (left), BC (bottom), CD (right), AD (top).  The
@@ -34,9 +36,10 @@ from .model import DomainError, InsideTarget, Params, State
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
 
-# Inner products within this band of zero classify as BUP; exact zeros occur
-# only at analytic angles, so floating point needs a tolerance.
-BUP_TOL = 1e-12
+# BUP bound on each circle factor relative to its terms, and on the square's
+# minimum (half-side 1).  At l = alpha the factor is ~ -l*th^2/2, so usable
+# angles below ~2*sqrt(BUP_TOL) (~6e-7 rad) read BUP.
+BUP_TOL = 1e-13
 
 _INTERIOR_TOL = 1e-12  # states this deep inside the target are rejected
 
@@ -185,10 +188,8 @@ def boundary_state(m: Manifold, b: BoundaryPoint) -> State:
     if isinstance(b, CircleTheta):
         return State(m.l * math.cos(b.theta), m.l * math.sin(b.theta))
     if isinstance(b, SquareSide):
-        x1, x2 = _side_state(b.side, b.s)
-        return State(x1, x2)
-    x1, x2 = _CORNER_STATES[b.corner]
-    return State(x1, x2)
+        return State(*_side_state(b.side, b.s))
+    return State(*_CORNER_STATES[b.corner])
 
 
 def _side_state(side: str, s: float) -> tuple[float, float]:
@@ -212,27 +213,41 @@ _SIDE_NORMALS = {
 def outward_normal(m: Manifold, b: BoundaryPoint) -> Normal:
     """Outward unit normal; at a corner, the cone normal selected by b.theta."""
     _check_kind(m, b)
-    if isinstance(b, CircleTheta):
-        return Normal(math.cos(b.theta), math.sin(b.theta))
     if isinstance(b, SquareSide):
-        n1, n2 = _SIDE_NORMALS[b.side]
-        return Normal(n1, n2)
+        return Normal(*_SIDE_NORMALS[b.side])
     return Normal(math.cos(b.theta), math.sin(b.theta))
-
-
-def _penetration(x2: float, n1: float, n2: float, alpha: float) -> float:
-    # min over |u| <= 1 of <n, (x2, alpha*u)>
-    return n1 * x2 - alpha * abs(n2)
 
 
 def classify(m: Manifold, b: BoundaryPoint, params: Params) -> RegionClass:
     """UP / BUP / NUP by the sign of min_u <n, f> at the boundary state."""
-    s = boundary_state(m, b)
-    n = outward_normal(m, b)
-    v = _penetration(s.x2, n.n1, n.n2, params.alpha)
-    if abs(v) <= BUP_TOL:
-        return RegionClass.BUP
-    return RegionClass.UP if v < 0.0 else RegionClass.NUP
+    s, n = boundary_state(m, b), outward_normal(m, b)
+    return RegionClass(_region(m, params, s.x2, n.n1, n.n2))
+
+
+def _region(m: Manifold, params: Params, x2: float, n1: float, n2: float) -> str:
+    """RegionClass value of the boundary point at height x2 with outward normal n.
+
+    Circle: the factors |n2| and r*n1*sgn(n2) - 1 (r = l/alpha) of
+    min_u <n, f> / alpha are decided apart, and x2 is not read.
+    """
+    if isinstance(m, Circle):
+        r = _unit_size(m, params)
+        v = r * (n1 if n2 > 0.0 else -n1) - 1.0
+        bup = abs(n2) <= BUP_TOL or abs(v) <= BUP_TOL * (r + 1.0)
+    else:
+        v = n1 * x2 - params.alpha * abs(n2)  # min over |u| <= 1 of <n, (x2, alpha*u)>
+        bup = abs(v) <= BUP_TOL
+    return "BUP" if bup else "UP" if v < 0.0 else "NUP"
+
+
+def _nup_empty(m: Circle, params: Params) -> bool:
+    """The circle's non-usable part is empty: l/alpha <= 1."""
+    return _unit_size(m, params) <= 1.0
+
+
+def _theta_bar(m: Circle, params: Params) -> float:
+    """thbar = arccos(alpha/l), where the NUP arc (0, thbar) ends; 0.0 when the NUP is empty."""
+    return 0.0 if _nup_empty(m, params) else math.acos(params.alpha / m.l)
 
 
 def up_intervals(m: Manifold, params: Params) -> list[ParamInterval]:
@@ -244,12 +259,7 @@ def up_intervals(m: Manifold, params: Params) -> list[ParamInterval]:
     point types.
     """
     if isinstance(m, Circle):
-        if m.l / params.alpha <= 1.0:
-            return [
-                ParamInterval("theta", 0.0, math.pi),
-                ParamInterval("theta", math.pi, _TWO_PI),
-            ]
-        theta_bar = math.acos(params.alpha / m.l)
+        theta_bar = _theta_bar(m, params)
         return [
             ParamInterval("theta", theta_bar, math.pi),
             ParamInterval("theta", math.pi + theta_bar, _TWO_PI),
@@ -268,10 +278,8 @@ def bup_params(m: Manifold, params: Params) -> list[float]:
     """Circle BUP angles: {0, pi} plus {thbar, pi + thbar} when l/alpha > 1."""
     if not isinstance(m, Circle):
         raise DomainError("bup_params is defined for the circle parameterization")
-    if m.l / params.alpha <= 1.0:
-        return [0.0, math.pi]
-    theta_bar = math.acos(params.alpha / m.l)
-    return [0.0, theta_bar, math.pi, math.pi + theta_bar]
+    theta_bar = _theta_bar(m, params)
+    return [0.0, math.pi] if _nup_empty(m, params) else [0.0, theta_bar, math.pi, math.pi + theta_bar]
 
 
 def contains(m: Manifold, s: State) -> bool:
@@ -344,21 +352,18 @@ def _up_point(kind: str, p: float) -> BoundaryPoint:
 def boundary_rows(m: Manifold, params: Params, n: int) -> list[tuple]:
     """Rows (kind, param, x1, x2, n1, n2, class) sweeping the whole boundary.
 
-    The sweep always includes the exact BUP parameters and the UP interval
-    endpoints, so region transitions appear in the output regardless of n.
+    The sweep always includes the exact BUP parameters, which are also the UP
+    interval endpoints, so region transitions appear in the output regardless
+    of n.
     """
     rows: list[tuple] = []
     if isinstance(m, Circle):
         thetas = {k * _TWO_PI / n for k in range(n)}
         thetas.update(bup_params(m, params))
-        for iv in up_intervals(m, params):
-            thetas.add(iv.lo)
-            thetas.add(iv.hi % _TWO_PI)
         for th in sorted(thetas):
-            x1 = m.l * math.cos(th)
-            x2 = m.l * math.sin(th)
             n1, n2 = math.cos(th), math.sin(th)
-            rows.append(("theta", th, x1, x2, n1, n2, _raw_class(x2, n1, n2, params)))
+            x2 = m.l * n2
+            rows.append(("theta", th, m.l * n1, x2, n1, n2, _region(m, params, x2, n1, n2)))
         return rows
     per_side = max(2, n // 4)
     for side in ("AB", "BC", "CD", "AD"):
@@ -367,21 +372,14 @@ def boundary_rows(m: Manifold, params: Params, n: int) -> list[tuple]:
         for j in range(per_side + 1):
             s = lo + j * (hi - lo) / per_side
             x1, x2 = _side_state(side, s)
-            rows.append((side, s, x1, x2, n1, n2, _raw_class(x2, n1, n2, params)))
+            rows.append((side, s, x1, x2, n1, n2, _region(m, params, x2, n1, n2)))
     for corner in ("A", "C"):
         lo, hi = _CORNER_RANGES[corner]
         mid = 0.5 * (lo + hi)
         x1, x2 = _CORNER_STATES[corner]
         n1, n2 = math.cos(mid), math.sin(mid)
-        rows.append((f"corner_{corner}", mid, x1, x2, n1, n2, _raw_class(x2, n1, n2, params)))
+        rows.append((f"corner_{corner}", mid, x1, x2, n1, n2, _region(m, params, x2, n1, n2)))
     return rows
-
-
-def _raw_class(x2: float, n1: float, n2: float, params: Params) -> str:
-    v = _penetration(x2, n1, n2, params.alpha)
-    if abs(v) <= BUP_TOL:
-        return RegionClass.BUP.value
-    return RegionClass.UP.value if v < 0.0 else RegionClass.NUP.value
 
 
 def antipode(m: Manifold, b: BoundaryPoint) -> BoundaryPoint:

@@ -115,10 +115,10 @@ def boundary_point_of_state(m: Manifold, s: State) -> BoundaryPoint:
 
 def simulate(m: Manifold, params: Params, s0: State, dt: float, t_max: float) -> Trajectory:
     """Roll the closed loop forward from s0 until the manifold is reached."""
-    if dt <= 0.0:
-        raise DomainError(f"dt must be > 0, got {dt!r}")
-    if t_max <= 0.0:
-        raise DomainError(f"t_max must be > 0, got {t_max!r}")
+    if not 0.0 < dt < math.inf:
+        raise DomainError(f"dt must be finite and > 0, got {dt!r}")
+    if not 0.0 < t_max < math.inf:
+        raise DomainError(f"t_max must be finite and > 0, got {t_max!r}")
     d0 = signed_distance(m, s0)
     if d0 < -_ON_MANIFOLD_TOL:
         raise InsideTarget(f"{s0!r} starts inside the target")

@@ -77,7 +77,9 @@ from .manifold import (
     Square,
     SquareCorner,
     SquareSide,
+    _nup_empty,
     _reject_interior,
+    _theta_bar,
     _unit_size,
     antipode,
 )
@@ -193,6 +195,8 @@ class SwitchingCurve:
         """n curve points at uniform |x2| from the anchor outward."""
         if n < 2:
             raise DomainError(f"need n >= 2 sample points, got {n}")
+        if not abs(self.anchor_state.x2) < x2_max < math.inf:
+            raise DomainError(f"x2_max must be finite and beyond the anchor's |x2|, got {x2_max!r}")
         if self.target == "square":
             sgn = 1.0 if self.branch == "A" else -1.0
             out = []
@@ -305,9 +309,9 @@ def touch_and_go_curves(m: Manifold, params: Params) -> list[TouchAndGoCurve]:
         control, c = 1.0, -size - 0.5 * size * size
         terminal: BoundaryPoint = SquareCorner("A", math.pi)
     else:
-        if size <= 1.0:
+        if _nup_empty(m, params):
             return []
-        theta_bar = math.acos(1.0 / size)
+        theta_bar = _theta_bar(m, params)
         graze = State(size * math.cos(theta_bar), size * math.sin(theta_bar))
         control, c = -1.0, 0.5 * (size * size + 1.0)
         t = _solve_far_constant(size, c)
@@ -540,6 +544,8 @@ def discontinuity_loci(
     """
     if n_levels < 2:
         raise DomainError(f"need n_levels >= 2 levels, got {n_levels}")
+    if not 0.0 < span < math.inf:
+        raise DomainError(f"span must be finite and > 0, got {span!r}")
     a = params.alpha
     c, w_edge = _locus_half(m, _unit_size(m, params))
     upper: list[State] = []

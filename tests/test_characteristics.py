@@ -234,8 +234,11 @@ def test_numeric_zero_tau_exact():
 
 
 def test_numeric_rejects_bad_step():
-    with pytest.raises(DomainError):
-        numeric_retro(C1, CircleTheta(1.0), P1, 1.0, 0.0)
+    """A step that is not > 0, or a tau that is not finite and >= 0, raises
+    DomainError (NaN used to pass both checks)."""
+    for tau, step in ((1.0, 0.0), (1.0, math.nan), (math.nan, 1e-3), (math.inf, 1e-3)):
+        with pytest.raises(DomainError):
+            numeric_retro(C1, CircleTheta(1.0), P1, tau, step)
 
 
 def test_numeric_dense_single_pass_consistent():
@@ -279,3 +282,6 @@ def test_build_characteristic_single_arc():
     assert ch.switch_tau is None
     assert len(ch.arcs) == 1
     assert ch.arcs[0].control == 1.0  # bottom-side entries accelerate upward
+    for tau_max in (0.0, math.nan):
+        with pytest.raises(DomainError, match="tau_max"):
+            build_characteristic(SQ, SquareSide("BC", 0.5), P1, tau_max)

@@ -146,6 +146,18 @@ def test_domain_error_exits_2(capsys):
         ("loci", "--levels", "1"),
         ("flow", "--tau-max", "-1"),
         ("flow", "--tau-step", "0"),
+        ("isochrone", "--tau", "nan"),
+        ("isochrone", "--target", "square", "--tau", "inf"),
+        ("flow", "--tau-max", "nan"),
+        ("flow", "--tau-max", "inf"),
+        ("verify", "--tol", "nan"),
+        ("verify", "--tol", "-1"),
+        ("simulate", "--x1", "3", "--x2", "1", "--tmax", "nan"),
+        ("loci", "--span", "nan"),
+        ("loci", "--span", "inf"),
+        ("loci", "--span", "-1"),
+        ("switch-curves", "--x2-max", "nan"),
+        ("switch-curves", "--x2-max", "-1"),
     ],
 )
 def test_out_of_range_numbers_exit_2(capsys, argv):

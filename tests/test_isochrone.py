@@ -71,6 +71,18 @@ def test_level_set_property_closed_form():
             assert value(C1, P1, s) == pytest.approx(tau, abs=1e-6)
 
 
+def test_dense_circle_isochrone_reaches_the_cusp():
+    """25,000 samples put anchors within ~1.3e-4 rad of theta = 0, where the
+    usable-part factor l*cos(theta) - alpha is ~ -theta^2/2.  Every point off
+    the loci lies on its level; the points at the cusp lie on a locus."""
+    iso = isochrone_circle(P1, 1.0, 25000)
+    assert len(iso.points) == 25000
+    for pt in iso.points:
+        s = State(pt.x1, pt.x2)
+        if locus_distance(C1, P1, s) > 1e-3:
+            assert value(C1, P1, s) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_level_set_property_generic_square():
     for tau in (0.5, 1.0, 2.0):
         iso = isochrone_generic(SQ, P1, tau, 36)

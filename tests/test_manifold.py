@@ -20,9 +20,10 @@ from mintime import (
     contains,
     outward_normal,
     sample_up,
+    terminal_costate,
     up_intervals,
 )
-from mintime.manifold import antipode
+from mintime.manifold import antipode, boundary_rows
 
 P1 = Params(alpha=1.0, l=1.0)
 P2 = Params(alpha=1.0, l=2.0)
@@ -161,6 +162,51 @@ def test_nup_empty_when_target_small():
         for k in range(720):
             th = 2.0 * math.pi * (k + 0.5) / 720
             assert classify(m, CircleTheta(th), p) is not RegionClass.NUP
+
+
+def test_near_bup_sweep_matches_exact_arithmetic():
+    """Every BUP angle classifies BUP, and angles 1e-6 rad either side classify
+    as they do in exact arithmetic, where the NUP is the arcs (0, thbar) and
+    (pi, pi + thbar), thbar = pi/3 at l/alpha = 2 and empty at l/alpha <= 1.
+    terminal_costate accepts exactly the angles classify calls UP."""
+    theta_bar = {0.5: 0.0, 1.0: 0.0, 2.0: math.pi / 3}
+    for ratio, tb in theta_bar.items():
+        for alpha in (0.5, 1.0, 2.0):
+            m = Circle(ratio * alpha)
+            p = Params(alpha=alpha, l=ratio * alpha)
+            bups = bup_params(m, p)
+            assert len(bups) == (4 if tb else 2)
+            for th in bups:
+                assert classify(m, CircleTheta(th), p) is RegionClass.BUP, (ratio, alpha, th)
+                for th_off in ((th - 1e-6) % (2.0 * math.pi), th + 1e-6):
+                    b = CircleTheta(th_off)
+                    nup = 0.0 < th_off < tb or math.pi < th_off < math.pi + tb
+                    want = RegionClass.NUP if nup else RegionClass.UP
+                    assert classify(m, b, p) is want, (ratio, alpha, th_off)
+                    if want is RegionClass.UP:
+                        terminal_costate(m, b, p)
+                    else:
+                        with pytest.raises(DomainError):
+                            terminal_costate(m, b, p)
+    assert classify(Circle(1.0), CircleTheta(1e-5), P1) is RegionClass.UP
+    terminal_costate(Circle(1.0), CircleTheta(1e-5), P1)
+
+
+def test_usable_part_functions_reject_circle_radius_unlike_params():
+    """A Circle whose radius differs from params.l is rejected, not answered
+    from one of the two radii."""
+    m, b = Circle(2.0), CircleTheta(math.pi / 6)
+    calls = [
+        lambda: classify(m, b, P1),
+        lambda: up_intervals(m, P1),
+        lambda: bup_params(m, P1),
+        lambda: sample_up(m, P1, 8),
+        lambda: boundary_rows(m, P1, 8),
+        lambda: terminal_costate(m, CircleTheta(2.0), P1),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="disagrees with params.l"):
+            call()
 
 
 def test_classify_central_antisymmetry():
