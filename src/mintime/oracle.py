@@ -15,7 +15,8 @@ dominates gridding t_switch: every candidate a t_switch grid would accept is
 accepted, and tangent entries cannot slip between grid lines.  Because the
 switch test is exact, feasibility in t_final is an interval near the optimum,
 and a shrinking-interval bisection between the last infeasible and first
-feasible grid lines refines the minimum to refine_tol/4.
+feasible grid lines (DEFAULT_GRID apart) refines the minimum to
+DEFAULT_REFINE_TOL/4.
 
 Two exact shortcuts leave every answer unchanged.  The ascent starts one grid
 line below a proven lower bound on the minimum time: every target lies in the
@@ -27,7 +28,10 @@ before the cubic stationarity solve; the box test is widened by a relative
 slack so it only ever passes lines the disk test then decides as before.
 
 The oracle shares no code with the synthesis: it has its own cubic solver, and
-only the grid report imports the synthesis, to compare against it.
+only the grid report imports the synthesis, to compare against it.  Like every
+entry point, it checks the target against params with the shared model code
+(manifold._unit_size), which rejects a Circle whose radius differs from
+params.l.
 
 A two-switch probe (off by default) extends the family with a third arc; it
 exists to falsify the single-switch assumption and is expected never to
@@ -39,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .manifold import Circle, Manifold, _reject_interior, contains
+from .manifold import Circle, Manifold, _reject_interior, _unit_size, contains
 from .model import DomainError, HorizonExceeded, Params, State
 from .synthesis import locus_distance, value  # for the grid report's comparison only
 
@@ -226,28 +230,24 @@ def _feasible(m: Manifold, params: Params, s0: State, t_f: float) -> tuple[float
     return best
 
 
-def oracle_policy(
-    m: Manifold,
-    params: Params,
-    s0: State,
-    grid: float = DEFAULT_GRID,
-    horizon: float | None = None,
-    refine_tol: float = DEFAULT_REFINE_TOL,
-) -> PolicyCandidate:
+def oracle_policy(m: Manifold, params: Params, s0: State,
+                  horizon: float | None = None) -> PolicyCandidate:
     """Best bang-bang policy: grid ascent on t_final plus bisection refinement.
 
     Because the switch time is tested exactly at each t_final, feasibility in
     t_final is an interval [t*, ...) near the optimum, and bisection between
     the last infeasible and first feasible grid lines converges to t* within
-    refine_tol/4.  The ascent starts one grid line below `_box_entry_time`, a
-    lower bound on t*, so it skips only lines that are infeasible and finds
-    the same first feasible line and bracket as an ascent from 0.  The search
-    stops at `horizon`, by default one grid line past the minimum time to the
-    origin, which both targets contain.
+    DEFAULT_REFINE_TOL/4.  The ascent starts one grid line below
+    `_box_entry_time`, a lower bound on t*, so it skips only lines that are
+    infeasible and finds the same first feasible line and bracket as an
+    ascent from 0.  The search stops at `horizon`, by default one grid line
+    past the minimum time to the origin, which both targets contain.
     """
+    _unit_size(m, params)
     _reject_interior(m, s0)
     if contains(m, s0):
         return PolicyCandidate(1.0, 0.0, 0.0)
+    grid = DEFAULT_GRID
     horizon = _origin_time(params.alpha, s0) + grid if horizon is None else horizon
     n = int(round(horizon / grid))
     k0 = max(0, int(_box_entry_time(m, params.alpha, s0) / grid) - 1)
@@ -256,7 +256,7 @@ def oracle_policy(
         if _feasible(m, params, s0, t_f) is not None:
             lo = max(0.0, (k - 1) * grid)
             hi = t_f
-            while hi - lo > 0.25 * refine_tol:
+            while hi - lo > 0.25 * DEFAULT_REFINE_TOL:
                 mid = 0.5 * (lo + hi)
                 if _feasible(m, params, s0, mid) is not None:
                     hi = mid
@@ -296,9 +296,7 @@ def oracle_min_time(
     m: Manifold,
     params: Params,
     s0: State,
-    grid: float = DEFAULT_GRID,
     horizon: float | None = None,
-    refine_tol: float = DEFAULT_REFINE_TOL,
     two_switch_probe: bool = False,
 ) -> float:
     """Minimum time to the target over the bang-bang candidate family.
@@ -307,17 +305,17 @@ def oracle_min_time(
     improves the single-switch optimum beyond the tolerance, which is asserted
     by the test suite rather than assumed here.
     """
-    pol = oracle_policy(m, params, s0, grid, horizon, refine_tol)
+    pol = oracle_policy(m, params, s0, horizon)
     best = pol.t_final
     if two_switch_probe and best > 0.0:
-        probe = _two_switch_min(m, params, s0, best, grid)
+        probe = _two_switch_min(m, params, s0, best)
         best = min(best, probe)
     return best
 
 
-def _two_switch_min(m: Manifold, params: Params, s0: State, t_best: float, grid: float) -> float:
+def _two_switch_min(m: Manifold, params: Params, s0: State, t_best: float) -> float:
     """Coarse three-arc search: u0 to t1, -u0 to t2, u0 to t_final."""
-    step = max(grid, t_best / 200.0)
+    step = max(DEFAULT_GRID, t_best / 200.0)
     best = math.inf
     n = int(math.ceil(t_best / step)) + 1
     # The box entry bound holds for every control, three-arc ones included.
@@ -374,9 +372,6 @@ def oracle_grid_report(
     m: Manifold,
     params: Params,
     states: list[State],
-    grid: float = DEFAULT_GRID,
-    horizon: float | None = None,
-    refine_tol: float = DEFAULT_REFINE_TOL,
     band: float = _LOCUS_BAND,
 ) -> GridReport:
     """Rows (x1, x2, oracle, synthesis, abs_err) over the given states.
@@ -395,7 +390,7 @@ def oracle_grid_report(
         if locus_distance(m, params, s) < band:
             n_band += 1
             continue
-        t_oracle = oracle_min_time(m, params, s, grid, horizon, refine_tol)
+        t_oracle = oracle_min_time(m, params, s)
         t_synth = value(m, params, s)
         err = abs(t_oracle - t_synth)
         rows.append((s.x1, s.x2, t_oracle, t_synth, err))

@@ -1,14 +1,16 @@
 """Closed-loop rollout: plant plus synthesized feedback, with event-accurate stops.
 
 The loop is sampled-data: the feedback law is re-evaluated every step and held
-constant across it, integrated with fixed-step RK4.  Two kinds of events are
-localized by bisection inside a step rather than left to the grid:
+constant across it, integrated with fixed-step RK4.  Two kinds of events land
+inside a step rather than on the grid:
 
-  * target crossings, on the signed distance (circle: |x| - l; square:
-    max(|x1|, |x2|) - 1), to |distance| <= 1e-10, so the realized final time
-    is bit-stable for the acceptance checks;
-  * switching-curve crossings, on the feedback sign, so the control flips at
-    the crossing instead of mid-step.
+  * target crossings, bisected on the signed distance (circle: |x| - l;
+    square: max(|x1|, |x2|) - 1) to |distance| <= 1e-10, so the realized
+    final time is bit-stable for the acceptance checks;
+  * switches, taken from the law itself: when the next sample's control
+    flips, the rollout steps exactly to the law's switch_state if that lies
+    inside the step and the law flips there; otherwise the control flips at
+    the sample.
 
 A tangential graze of the manifold produces no sign change of the distance,
 so touch-and-go passes correctly do not terminate the rollout.
@@ -129,9 +131,10 @@ def simulate(m: Manifold, params: Params, s0: State, dt: float, t_max: float) ->
 
     t = 0.0
     s = s0
-    u = feedback(m, params, s).u
-    samples = [TrajectorySample(0.0, s.x1, s.x2, u)]
+    law = feedback(m, params, s)
+    samples = [TrajectorySample(0.0, s.x1, s.x2, law.u)]
     while t < t_max:
+        u = law.u
         accel = params.alpha * u
         trial = _rk4_forward(s, accel, dt)
         if signed_distance(m, trial) <= 0.0:
@@ -142,17 +145,18 @@ def simulate(m: Manifold, params: Params, s0: State, dt: float, t_max: float) ->
             return Trajectory(
                 tuple(samples), Termination("reached", boundary_point_of_state(m, final), t), dt
             )
-        u_next = feedback(m, params, trial).u
-        if u_next != u:
-            h = _bisect_switch(m, params, s, accel, dt, u)
-            s = _rk4_forward(s, accel, h)
-            t += h
-            u = feedback(m, params, s).u
-            samples.append(TrajectorySample(t, s.x1, s.x2, u))
-            continue
-        s = trial
-        t += dt
-        samples.append(TrajectorySample(t, s.x1, s.x2, u))
+        nxt = feedback(m, params, trial)
+        sw = law.switch_state
+        if nxt.u != u and sw is not None and 0.0 < (h := (sw.x2 - s.x2) / accel) < dt:
+            # x2 is linear under constant control, so h reaches the law's own
+            # switch state; it is taken only if the law flips there too.
+            at_switch = feedback(m, params, sw)
+            if at_switch.u != u:
+                s, t, law = sw, t + h, at_switch
+                samples.append(TrajectorySample(t, s.x1, s.x2, law.u))
+                continue
+        s, t, law = trial, t + dt, nxt
+        samples.append(TrajectorySample(t, s.x1, s.x2, law.u))
     return Trajectory(tuple(samples), Termination("max_time", None, None), dt)
 
 
@@ -164,17 +168,6 @@ def _bisect_event(m: Manifold, s: State, accel: float, dt: float) -> float:
         if abs(d) <= _EVENT_TOL:
             return mid
         if d > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def _bisect_switch(m: Manifold, params: Params, s: State, accel: float, dt: float, u: float) -> float:
-    lo, hi = 0.0, dt
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if feedback(m, params, _rk4_forward(s, accel, mid)).u == u:
             lo = mid
         else:
             hi = mid

@@ -104,11 +104,12 @@ _LOCUS_FLAG_TOL = 1e-9  # distance band reported as "on a value-jump locus"
 class SynthesisResult:
     """Feedback answer at one state.
 
-    u: current optimal control; time_to_go: minimal time to the usable part;
-    terminal_point: where the optimal trajectory terminates; switch_state:
-    the upcoming switching-curve crossing, if any; discontinuity_flag: the
-    query sits within a hair of a value-jump locus, and the smaller-time side
-    is reported.
+    u: current optimal control; within the tie band of a switching curve
+    (_TIE_TOL) it is the post-switch control; time_to_go: minimal time to the
+    usable part; terminal_point: where the optimal trajectory terminates;
+    switch_state: the upcoming switching-curve crossing, if any;
+    discontinuity_flag: the query sits within a hair of a value-jump locus,
+    and the smaller-time side is reported.
     """
 
     u: float
@@ -122,7 +123,7 @@ class _Candidate(NamedTuple):
     """One feasible inversion of a written family at y, kept as plain numbers.
 
     param is the terminal circle angle, side parameter or corner-A cone
-    angle; switch is the upcoming switch state as (y1, y2).  mirrored marks
+    angle; switch is the switch state as (y1, y2).  mirrored marks
     an inversion computed at -y: it stands for the twin family at y, and its
     control, switch state and terminal point are mapped back only if it wins.
     """
@@ -132,7 +133,6 @@ class _Candidate(NamedTuple):
     u: float
     param: float
     switch: tuple[float, float] | None
-    switch_ahead: bool
     mirrored: bool
 
 
@@ -328,6 +328,16 @@ def touch_and_go_curves(m: Manifold, params: Params) -> list[TouchAndGoCurve]:
 # ── Circle family inversion ────────────────────────────────────────────────────
 
 
+def _far_u(tau: float, tau_s: float) -> float:
+    """Control of a far-family candidate (u = +1 leg, switch at tau_s, then u = -1).
+
+    The switch is ahead while tau exceeds tau_s by more than the tie band;
+    within the band the state is on the switching curve, and the control is
+    the post-switch one.
+    """
+    return 1.0 if tau > tau_s + _TIE_TOL * (1.0 + tau) else -1.0
+
+
 def _far_constant(l: float, u: float) -> tuple[float, float]:
     """Post-switch parabola constant of the circle families, as (c - l, dc/du).
 
@@ -400,7 +410,7 @@ def _circle_half(l: float, x1: float, x2: float, mirrored: bool) -> list[_Candid
                 tau_s = stheta / -q
                 if tau > tau_s + _TAU_TOL * (1.0 + tau_s):
                     continue
-            out.append(_Candidate(tau, "near_upper", -1.0, math.acos(q), None, False, mirrored))
+            out.append(_Candidate(tau, "near_upper", -1.0, math.acos(q), None, mirrored))
 
     # Far family: pre-switch u = +1 leg, then the near leg after crossing the
     # switching curve.
@@ -411,9 +421,9 @@ def _circle_half(l: float, x1: float, x2: float, mirrored: bool) -> list[_Candid
         tau = -t * (l / h + 2.0) - x2
         tau_s = -t
         if tau >= tau_s - _TAU_TOL * (1.0 + tau_s):
-            out.append(_Candidate(max(tau, tau_s), "far_upper", 1.0, math.pi + math.atan(t),
-                                  (-l * h - 0.5 * t * t, -l * t / h - t),
-                                  tau > tau_s + _TIE_TOL * (1.0 + tau), mirrored))
+            out.append(_Candidate(max(tau, tau_s), "far_upper", _far_u(tau, tau_s),
+                                  math.pi + math.atan(t), (-l * h - 0.5 * t * t, -l * t / h - t),
+                                  mirrored))
     return out
 
 
@@ -430,12 +440,12 @@ def _square_half(h: float, x1: float, x2: float, mirrored: bool) -> list[_Candid
         p = math.sqrt(rad)  # arrival x2 on the left side
         tau = p - x2
         if p <= h + _PARAM_TOL and tau >= -_TAU_TOL:
-            out.append(_Candidate(max(tau, 0.0), "AB", 1.0, p, None, False, mirrored))
+            out.append(_Candidate(max(tau, 0.0), "AB", 1.0, p, None, mirrored))
     p = x1 - 0.5 * (x2 * x2 - h * h)  # arrival x1 on the bottom side
     if -h - _PARAM_TOL <= p <= h + _PARAM_TOL:
         tau = -h - x2
         if tau >= -_TAU_TOL:
-            out.append(_Candidate(max(tau, 0.0), "BC", 1.0, p, None, False, mirrored))
+            out.append(_Candidate(max(tau, 0.0), "BC", 1.0, p, None, mirrored))
 
     # Riding the switching curve into corner A (the pre-switch corner arc).
     # The band is absolute: the constant-control flow preserves the vertical
@@ -443,7 +453,7 @@ def _square_half(h: float, x1: float, x2: float, mirrored: bool) -> list[_Candid
     # inside it for the whole ride and the closed loop cannot chatter.
     if x2 >= h - _PARAM_TOL and abs(x1 - _corner_a_x1(h, x2)) <= _ONCURVE_TOL:
         theta1 = min(max(math.pi + math.atan(h - x2), _HALF_PI), math.pi)
-        out.append(_Candidate(max(x2 - h, 0.0), "A_near", -1.0, theta1, (x1, x2), False, mirrored))
+        out.append(_Candidate(max(x2 - h, 0.0), "A_near", -1.0, theta1, (x1, x2), mirrored))
 
     # Corner family beyond the switch: approach, cross the switching curve,
     # ride it into the corner.
@@ -457,9 +467,8 @@ def _square_half(h: float, x1: float, x2: float, mirrored: bool) -> list[_Candid
             if tau >= tau_s - _TAU_TOL * (1.0 + tau_s):
                 theta1 = min(max(math.pi + math.atan(t), _HALF_PI), math.pi)
                 x2_sw = h - t
-                out.append(_Candidate(max(tau, tau_s), "A_far", 1.0, theta1,
-                                      (_corner_a_x1(h, x2_sw), x2_sw),
-                                      tau > tau_s + _TIE_TOL * (1.0 + tau), mirrored))
+                out.append(_Candidate(max(tau, tau_s), "A_far", _far_u(tau, tau_s), theta1,
+                                      (_corner_a_x1(h, x2_sw), x2_sw), mirrored))
     return out
 
 
@@ -600,8 +609,8 @@ def _closed_form_feedback(m: Manifold, params: Params, s: State) -> SynthesisRes
     Solves the unit-authority problem at y = s/alpha: enumerates the
     admissible families at y and, for their mirror twins, at -y; keeps
     feasible inversions and returns the minimal-time one, mapped back.  On a
-    switching curve the reported control matches the post-switch arc so the
-    closed loop does not chatter.
+    switching curve the reported control matches the post-switch arc (_far_u)
+    so the closed loop does not chatter.
     """
     size = _unit_size(m, params)
     _reject_interior(m, s)
@@ -614,24 +623,23 @@ def _closed_form_feedback(m: Manifold, params: Params, s: State) -> SynthesisRes
     cands.sort(key=_order)
     best = cands[0]
     ties = [c for c in cands if c.tau <= best.tau + _TIE_TOL * (1.0 + best.tau)]
-    chosen = next((c for c in ties if not c.switch_ahead), ties[0])
     switch_state = None
-    for c in (chosen, *ties):
+    for c in ties:
         if c.switch is not None:
             g = -a if c.mirrored else a
             switch_state = State(g * c.switch[0], g * c.switch[1])
             break
     if isinstance(m, Circle):
-        terminal: BoundaryPoint = CircleTheta(chosen.param)
-    elif chosen.family in ("AB", "BC"):
-        lo = _PARAM_EPS if chosen.family == "AB" else -1.0 + _PARAM_EPS
-        terminal = SquareSide(chosen.family, min(max(a * chosen.param, lo), 1.0))
+        terminal: BoundaryPoint = CircleTheta(best.param)
+    elif best.family in ("AB", "BC"):
+        lo = _PARAM_EPS if best.family == "AB" else -1.0 + _PARAM_EPS
+        terminal = SquareSide(best.family, min(max(a * best.param, lo), 1.0))
     else:
-        terminal = SquareCorner("A", chosen.param)
-    u = chosen.u
-    if chosen.mirrored:
+        terminal = SquareCorner("A", best.param)
+    u = best.u
+    if best.mirrored:
         terminal, u = antipode(m, terminal), -u
-    return SynthesisResult(u, chosen.tau, terminal, switch_state, _near_locus(m, size, a, y1, y2))
+    return SynthesisResult(u, best.tau, terminal, switch_state, _near_locus(m, size, a, y1, y2))
 
 
 def _near_locus(m: Manifold, size: float, a: float, y1: float, y2: float) -> bool:

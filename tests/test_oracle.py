@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mintime import (
     Circle,
     CircleTheta,
+    DomainError,
     HorizonExceeded,
     InsideTarget,
     Params,
@@ -51,6 +52,14 @@ def test_oracle_rejects_interior_and_short_horizon():
         oracle_min_time(C1, P1, State(0.2, 0.1))
     with pytest.raises(HorizonExceeded):
         oracle_min_time(C1, P1, State(-5.0, -5.0), horizon=0.5)
+
+
+def test_oracle_rejects_circle_radius_unlike_params():
+    """The l = 2 circle is not answered for params with l = 1."""
+    with pytest.raises(DomainError, match="disagrees with params.l"):
+        oracle_min_time(Circle(2.0), P1, State(3.0, 0.5))
+    with pytest.raises(DomainError, match="disagrees with params.l"):
+        oracle_policy(Circle(2.0), P1, State(3.0, 0.5))
 
 
 def test_oracle_policy_is_feasible():

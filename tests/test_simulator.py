@@ -13,12 +13,14 @@ from mintime import (
     RegionClass,
     Square,
     State,
+    SynthesisResult,
     boundary_state,
     classify,
     simulate,
     value,
     verify_rollout,
 )
+from mintime import simulator
 from mintime.simulator import Termination, Trajectory, TrajectorySample
 
 P1 = Params(alpha=1.0, l=1.0)
@@ -48,7 +50,28 @@ def test_square_rollout_switches_once_on_the_curve():
     sw = flips[0]
     assert sw.x1 == pytest.approx(-2.0, abs=1e-3)
     assert sw.x2 == pytest.approx(math.sqrt(3.0), abs=1e-3)
-    assert traj.termination.t_f == pytest.approx(value(SQ, P1, State(-3.0, 1.0)), abs=2e-3)
+    assert abs(sw.x1 + 0.5 * (sw.x2 * sw.x2 + 1.0)) <= 1e-12  # the switch sample is on the A-curve
+    assert abs(traj.termination.t_f - value(SQ, P1, State(-3.0, 1.0))) <= 1e-9
+
+
+def test_rollout_advances_when_the_law_flips_on_every_call(monkeypatch):
+    """A law whose control flips on every call and whose switch state is the
+    query state gives no step inside a sampling interval: the control flips
+    at each sample and the rollout still advances by dt."""
+    calls = []
+
+    def flipping_law(m, params, s):
+        calls.append(s)
+        if len(calls) > 1000:
+            raise RuntimeError("the rollout stopped advancing")
+        u = 1.0 if len(calls) % 2 else -1.0
+        return SynthesisResult(u, 1.0, CircleTheta(0.0), s, False)
+
+    monkeypatch.setattr(simulator, "feedback", flipping_law)
+    dt, t_max = 1e-3, 0.05
+    traj = simulate(C1, P1, State(-5.0, -5.0), dt, t_max)
+    assert traj.termination.status == "max_time"
+    assert len(traj.samples) <= math.ceil(t_max / dt) + 1
 
 
 def test_rollout_terminates_on_usable_part():

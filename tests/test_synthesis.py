@@ -204,6 +204,16 @@ def test_feedback_on_switching_curve_reports_imminent_switch():
     assert math.hypot(res.switch_state.x1 - s.x1, res.switch_state.x2 - s.x2) < 1e-9
 
 
+def test_feedback_just_past_the_square_curves_is_post_switch():
+    """States 1e-10 past the A-curve (and their mirrors past the C-curve) lie
+    inside the on-curve band, where the corner family's switch is behind."""
+    for i in range(1, 4001):
+        x2 = 1.0 + i * 1e-3
+        s = State(-0.5 * (x2 * x2 + 1.0) + 1e-10, x2)
+        assert feedback(SQ, P1, s).u == -1.0, s
+        assert feedback(SQ, P1, -s).u == 1.0, -s
+
+
 def test_feedback_circle_on_switching_curve():
     curve = switching_curve_circle(P1, "upper")
     s = curve.point(2.5)
