@@ -3,10 +3,7 @@ circular or square terminal set, cross-verified against a brute-force
 minimum-time search."""
 
 from .characteristics import (
-    Characteristic,
-    CharacteristicArc,
     Costate,
-    build_characteristic,
     closed_form_state,
     costate_retro,
     forward_control,
@@ -17,7 +14,7 @@ from .characteristics import (
     switch_tau,
     terminal_costate,
 )
-from .isochrone import Isochrone, isochrone_circle, isochrone_generic, isocost_point_circle
+from .isochrone import Isochrone, isochrone_circle, isochrone_generic
 from .manifold import (
     BoundaryPoint,
     Circle,
@@ -66,7 +63,6 @@ from .synthesis import (
     discontinuity_loci,
     feedback,
     locus_distance,
-    point_target_reference,
     switching_curve_circle,
     switching_curve_square,
     touch_and_go_curves,

@@ -73,40 +73,6 @@ class Costate:
     lambda2: float
 
 
-@dataclass(frozen=True)
-class CharacteristicArc:
-    """One constant-control leg of a characteristic.
-
-    control is the forward-time control on the leg; tau bounds are retrograde
-    times with tau_start < tau_end; start_state is the phase point at
-    tau_start.
-    """
-
-    origin: BoundaryPoint
-    control: float
-    tau_start: float
-    tau_end: float
-    start_state: State
-
-    def __post_init__(self) -> None:
-        if self.control not in (-1.0, 1.0):
-            raise DomainError(f"arc control must be -1 or +1, got {self.control!r}")
-        if not self.tau_start < self.tau_end:
-            raise DomainError("arc needs tau_start < tau_end")
-
-
-@dataclass(frozen=True)
-class Characteristic:
-    """Up to two arcs with an optional retrograde switch time between them."""
-
-    arcs: tuple[CharacteristicArc, ...]
-    switch_tau: float | None
-
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.arcs) <= 2:
-            raise DomainError("a characteristic has one or two arcs")
-
-
 # ── Hamiltonian and control ────────────────────────────────────────────────────
 
 
@@ -335,42 +301,19 @@ def _rk4_leg(x1: float, x2: float, accel: float, length: float, step: float) -> 
     return x1, x2
 
 
-# ── Characteristic assembly and flow export ────────────────────────────────────
+# ── Flow export ────────────────────────────────────────────────────────────────
 
 
 def forward_control(m: Manifold, b: BoundaryPoint, params: Params, tau: float) -> float:
     """Forward-time control on the characteristic from b at retrograde tau.
 
     At a lambda2 = 0 instant (the switch, or tau = 0 on the square's left and
-    right sides) the control of the leg just beyond tau is reported.
+    right sides) the control of the leg just beyond tau is reported; lambda2
+    has the sign of lambda1 there.
     """
     c = costate_retro(m, b, params, tau)
-    try:
-        return optimal_control(c)
-    except SingularInstant:
-        c0 = terminal_costate(m, b, params)
-        return -_leg_sign(c0, tau, tau + 1.0)
-
-
-def build_characteristic(
-    m: Manifold, b: BoundaryPoint, params: Params, tau_max: float
-) -> Characteristic:
-    """Arc decomposition of the characteristic from b up to retrograde tau_max."""
-    if not tau_max > 0.0:  # also rejects NaN
-        raise DomainError(f"tau_max must be > 0, got {tau_max!r}")
-    c0 = terminal_costate(m, b, params)
-    ts = switch_tau(b)
-    # A switch below 1e-12 (e.g. a corner cone edge at theta = pi) leaves no
-    # representable near arc.
-    eff = ts if ts is not None and 1e-12 < ts < tau_max else None
-    if eff is None:
-        u = -_leg_sign(c0, 0.0, tau_max)
-        arc = CharacteristicArc(b, u, 0.0, tau_max, boundary_state(m, b))
-        return Characteristic((arc,), None)
-    switch_state = closed_form_state(m, b, params, eff)
-    near = CharacteristicArc(b, -_leg_sign(c0, 0.0, eff), 0.0, eff, boundary_state(m, b))
-    far = CharacteristicArc(b, -_leg_sign(c0, eff, tau_max), eff, tau_max, switch_state)
-    return Characteristic((near, far), eff)
+    lam2 = c.lambda2 if c.lambda2 != 0.0 else c.lambda1
+    return -1.0 if lam2 >= 0.0 else 1.0
 
 
 def anchor_kind(b: BoundaryPoint) -> str:

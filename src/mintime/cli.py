@@ -41,18 +41,20 @@ def _fmt(v) -> str:
 
 
 def _emit_table(args, name: str, header: list[str], rows: list[tuple]) -> None:
-    if getattr(args, "format", "csv") == "json":
+    if args.format == "json":
         payload = [dict(zip(header, row)) for row in rows]
         text = json.dumps(payload, sort_keys=True)
     else:
         lines = [",".join(header)]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
-    out_dir = getattr(args, "out", None)
-    if out_dir:
-        path = Path(out_dir) / f"{name}.{getattr(args, 'format', 'csv')}"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+    if args.out:
+        path = Path(args.out) / f"{name}.{args.format}"
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -62,7 +64,7 @@ def _scenario(args) -> tuple[Params, Manifold]:
     if args.scenario:
         try:
             text = Path(args.scenario).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DomainError(f"cannot read scenario file: {exc}") from exc
         params, target = parse_scenario(text)
         alpha, l = params.alpha, params.l

@@ -50,11 +50,6 @@ class Isochrone:
     points: tuple[IsoPoint, ...]
 
 
-def isocost_point_circle(params: Params, tau: float, theta: float) -> tuple[float, float]:
-    """One closed-form isochrone point; theta must be a usable-part angle."""
-    return closed_form_state(_small_circle(params), CircleTheta(theta), params, tau).as_tuple()
-
-
 def isochrone_circle(params: Params, tau: float, n_samples: int) -> Isochrone:
     """Closed-form circle isochrone between the switching curves (l <= alpha).
 

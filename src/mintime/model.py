@@ -155,4 +155,8 @@ def parse_scenario(text: str) -> tuple[Params, str]:
         raise DomainError(f'scenario "alpha" must be a number, got {alpha!r}')
     if not isinstance(l, (int, float)) or isinstance(l, bool):
         raise DomainError(f'scenario "l" must be a number, got {l!r}')
-    return Params(alpha=float(alpha), l=float(l)), target
+    try:
+        alpha, l = float(alpha), float(l)
+    except OverflowError as exc:
+        raise DomainError(f"scenario number too large for a float: {exc}") from exc
+    return Params(alpha=alpha, l=l), target

@@ -33,9 +33,9 @@ entry point, it checks the target against params with the shared model code
 (manifold._unit_size), which rejects a Circle whose radius differs from
 params.l.
 
-A two-switch probe (off by default) extends the family with a third arc; it
-exists to falsify the single-switch assumption and is expected never to
-improve the optimum beyond the refinement tolerance.
+The single-switch family is an assumption the oracle does not check itself.
+_two_switch_min searches a coarse three-arc family; the test suite compares
+it against the single-switch optimum to falsify the assumption.
 """
 
 from __future__ import annotations
@@ -292,25 +292,9 @@ def _origin_time(alpha: float, s0: State) -> float:
     return (sigma * s0.x2 + 2.0 * math.sqrt(rest)) / alpha
 
 
-def oracle_min_time(
-    m: Manifold,
-    params: Params,
-    s0: State,
-    horizon: float | None = None,
-    two_switch_probe: bool = False,
-) -> float:
-    """Minimum time to the target over the bang-bang candidate family.
-
-    With two_switch_probe the three-arc family is searched as well; it never
-    improves the single-switch optimum beyond the tolerance, which is asserted
-    by the test suite rather than assumed here.
-    """
-    pol = oracle_policy(m, params, s0, horizon)
-    best = pol.t_final
-    if two_switch_probe and best > 0.0:
-        probe = _two_switch_min(m, params, s0, best)
-        best = min(best, probe)
-    return best
+def oracle_min_time(m: Manifold, params: Params, s0: State, horizon: float | None = None) -> float:
+    """Minimum time to the target over the single-switch bang-bang family."""
+    return oracle_policy(m, params, s0, horizon).t_final
 
 
 def _two_switch_min(m: Manifold, params: Params, s0: State, t_best: float) -> float:
@@ -368,17 +352,13 @@ def acceptance_grid(span: float = 5.0, n: int = 41) -> list[State]:
     return [State(x1, x2) for x1 in pts for x2 in pts]
 
 
-def oracle_grid_report(
-    m: Manifold,
-    params: Params,
-    states: list[State],
-    band: float = _LOCUS_BAND,
-) -> GridReport:
+def oracle_grid_report(m: Manifold, params: Params, states: list[State]) -> GridReport:
     """Rows (x1, x2, oracle, synthesis, abs_err) over the given states.
 
     States in the closed target set are excluded (the synthesis defines zero
-    time only on the usable part), as are states within `band` of a value-jump
-    locus, where tangent target entries defeat both routes' tolerances.
+    time only on the usable part), as are states within _LOCUS_BAND of a
+    value-jump locus, where tangent target entries defeat both routes'
+    tolerances.
     """
     rows = []
     n_target = n_band = 0
@@ -387,7 +367,7 @@ def oracle_grid_report(
         if contains(m, s):
             n_target += 1
             continue
-        if locus_distance(m, params, s) < band:
+        if locus_distance(m, params, s) < _LOCUS_BAND:
             n_band += 1
             continue
         t_oracle = oracle_min_time(m, params, s)

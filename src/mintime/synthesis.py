@@ -152,8 +152,8 @@ class SwitchingCurve:
     target: str
     branch: str
     anchor_state: State
-    size: float = 1.0
-    alpha: float = 1.0
+    size: float
+    alpha: float
 
     def point(self, theta: float) -> State:
         """Circle branch point at anchor angle theta (closed at the anchor end)."""
@@ -288,7 +288,7 @@ class TouchAndGoCurve:
     c: float
     terminal_point: BoundaryPoint
     switch_state: State | None
-    alpha: float = 1.0
+    alpha: float
 
     def x1_of_x2(self, x2: float) -> float:
         return self.control * 0.5 * x2 * x2 / self.alpha + self.c
@@ -685,19 +685,3 @@ def _numeric_feedback(m: Manifold, params: Params, s: State) -> SynthesisResult:
     terminal = _simulator.boundary_point_of_state(m, end)
     return SynthesisResult(u_now, pol.t_final, terminal, switch_state, False)
 
-
-# ── Classical point-target reference law ───────────────────────────────────────
-
-
-def point_target_reference(s: State) -> float:
-    """Minimum-time law to the origin: brake onto x1 = -x2*|x2|/2 and ride it.
-
-    This is the limit of the circle synthesis as l shrinks to zero.
-    """
-    curve = -0.5 * s.x2 * abs(s.x2)
-    scale = 1.0 + abs(curve)
-    if s.x1 == 0.0 and s.x2 == 0.0:
-        raise DomainError("state is at the origin: already terminated")
-    if abs(s.x1 - curve) <= 1e-12 * scale:
-        return -1.0 if s.x2 > 0.0 else 1.0
-    return -1.0 if s.x1 > curve else 1.0

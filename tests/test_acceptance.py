@@ -157,7 +157,7 @@ def test_criterion_06_oracle_agreement():
     states = acceptance_grid(span=5.0, n=41)
     details = []
     for label, m, p in (("circle l=1", C1, P1), ("square", SQ, P1)):
-        report = oracle_grid_report(m, p, states, band=0.05)
+        report = oracle_grid_report(m, p, states)
         assert report.max_abs_err <= 1e-3, f"{label}: max err {report.max_abs_err}"
         details.append(f"{label}: n={len(report.rows)} max|dV|={report.max_abs_err:.2e}")
     elapsed = time.perf_counter() - t0

@@ -16,7 +16,6 @@ from mintime import (
     SquareSide,
     State,
     boundary_state,
-    build_characteristic,
     closed_form_state,
     costate_retro,
     forward_control,
@@ -263,25 +262,24 @@ def test_numeric_general_alpha_annihilates_hamiltonian():
                 assert abs(h_star) < 1e-6
 
 
-# ── Characteristic assembly ───────────────────────────────────────────────────
+# ── Forward control along a characteristic ────────────────────────────────────
 
 
-def test_build_characteristic_two_arcs_with_switch():
+def test_forward_control_switches_once():
+    """Upper near legs brake; at the switch the control beyond it is reported."""
     b = CircleTheta(2.5)
     ts = switch_tau(b)
-    ch = build_characteristic(C1, b, P1, 5.0)
-    assert ch.switch_tau == pytest.approx(ts, abs=1e-15)
-    assert len(ch.arcs) == 2
-    assert ch.arcs[0].control == -1.0  # upper near arcs brake
-    assert ch.arcs[1].control == 1.0
-    assert ch.arcs[0].tau_end == ch.arcs[1].tau_start
+    for tau in (0.0, 0.5 * ts, ts * (1.0 - 1e-12)):
+        assert forward_control(C1, b, P1, tau) == -1.0
+    for tau in (ts, ts * (1.0 + 1e-12), ts + 1.0, 5.0):
+        assert forward_control(C1, b, P1, tau) == 1.0
 
 
-def test_build_characteristic_single_arc():
-    ch = build_characteristic(SQ, SquareSide("BC", 0.5), P1, 4.0)
-    assert ch.switch_tau is None
-    assert len(ch.arcs) == 1
-    assert ch.arcs[0].control == 1.0  # bottom-side entries accelerate upward
-    for tau_max in (0.0, math.nan):
-        with pytest.raises(DomainError, match="tau_max"):
-            build_characteristic(SQ, SquareSide("BC", 0.5), P1, tau_max)
+def test_forward_control_without_switch():
+    b = SquareSide("BC", 0.5)
+    assert switch_tau(b) is None
+    for tau in (0.0, 1.0, 4.0):
+        assert forward_control(SQ, b, P1, tau) == 1.0  # bottom-side entries accelerate upward
+    for tau in (-1.0, math.nan):
+        with pytest.raises(DomainError):
+            forward_control(SQ, b, P1, tau)

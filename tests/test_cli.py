@@ -180,10 +180,20 @@ def test_scenario_merge_flags_win(tmp_path, capsys):
 
 
 def test_scenario_unknown_key_exits_2(tmp_path, capsys):
+    """An unknown key, bytes that are not UTF-8 and an integer too large for a
+    float each give one error line and exit 2."""
     scenario = tmp_path / "scn.json"
-    scenario.write_text('{"alpha": 1.0, "target": "circle", "extra": 1}')
-    code, _, err = run(capsys, "value", "--scenario", str(scenario), "--x1", "2", "--x2", "0")
-    assert code == 2
+    for content in (
+        b'{"alpha": 1.0, "target": "circle", "extra": 1}',
+        b"\xff\xfe",
+        b'{"alpha": 1' + b"0" * 400 + b', "target": "circle"}',
+    ):
+        scenario.write_bytes(content)
+        code, out, err = run(capsys, "value", "--scenario", str(scenario), "--x1", "3", "--x2", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
 
 
 def test_square_ignores_l(capsys):
@@ -214,3 +224,13 @@ def test_json_format(capsys):
     assert code == 0
     rows = json.loads(out)
     assert all(set(r) == {"kind", "param", "x1", "x2", "n1", "n2", "class"} for r in rows)
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    not_a_dir = tmp_path / "taken"
+    not_a_dir.write_text("")
+    code, out, err = run(capsys, "up", "--samples", "8", "--out", str(not_a_dir))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1

@@ -6,13 +6,14 @@ import pytest
 
 from mintime import (
     Circle,
+    CircleTheta,
     DomainError,
     Params,
     Square,
     State,
+    closed_form_state,
     isochrone_circle,
     isochrone_generic,
-    isocost_point_circle,
     locus_distance,
     numeric_retro,
     sample_up,
@@ -37,7 +38,7 @@ def test_zero_isochrone_is_the_usable_part():
 
 
 def test_branch_point_example():
-    x1, x2 = isocost_point_circle(P1, 1.0, math.pi / 2)
+    x1, x2 = closed_form_state(C1, CircleTheta(math.pi / 2), P1, 1.0).as_tuple()
     assert x1 == pytest.approx(-1.5, abs=1e-12)
     assert x2 == pytest.approx(2.0, abs=1e-12)
 
@@ -46,8 +47,8 @@ def test_branch_partition_at_arctan_tau():
     """phibar(1) = pi/4: the post-switch branch starts at 3*pi/4."""
     assert math.atan(1.0) == pytest.approx(math.pi / 4, abs=1e-15)
     th = 3.0 * math.pi / 4
-    before = isocost_point_circle(P1, 1.0, th * (1.0 - 1e-9))
-    after = isocost_point_circle(P1, 1.0, th * (1.0 + 1e-9))
+    before = closed_form_state(C1, CircleTheta(th * (1.0 - 1e-9)), P1, 1.0).as_tuple()
+    after = closed_form_state(C1, CircleTheta(th * (1.0 + 1e-9)), P1, 1.0).as_tuple()
     assert before[0] == pytest.approx(after[0], abs=1e-6)
     assert before[1] == pytest.approx(after[1], abs=1e-6)
 

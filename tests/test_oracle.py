@@ -25,7 +25,14 @@ from mintime import (
     value,
 )
 from mintime import oracle
-from mintime.oracle import _box_entry_time, _circle_switch, _endpoint_coeffs, _feasible, policy_endpoint
+from mintime.oracle import (
+    _box_entry_time,
+    _circle_switch,
+    _endpoint_coeffs,
+    _feasible,
+    _two_switch_min,
+    policy_endpoint,
+)
 from mintime.synthesis import _closed_form_feedback
 
 P1 = Params(alpha=1.0, l=1.0)
@@ -94,8 +101,7 @@ def test_two_switch_probe_never_improves():
         (Circle(2.0), Params(alpha=1.0, l=2.0), State(-3.5, 2.5)),
     ):
         single = oracle_min_time(m, p, s)
-        probed = oracle_min_time(m, p, s, two_switch_probe=True)
-        assert probed >= single - 1e-4
+        assert _two_switch_min(m, p, s, single) >= single - 1e-4
 
 
 def test_grid_report_small():

@@ -27,7 +27,6 @@ from mintime import (
     feedback,
     locus_distance,
     oracle_min_time,
-    point_target_reference,
     signed_distance,
     switching_curve_circle,
     switching_curve_square,
@@ -514,14 +513,3 @@ def test_switching_curve_inverse_matches_a_decimal_bisection(log_r, log_y2):
     assert abs(v - ref) <= 1e-13 * ref
     assert _upper_theta_of_x2(r, 1.0, y2) == math.pi - math.atan(v)
 
-
-# ── Point-target reference law ────────────────────────────────────────────────
-
-
-def test_point_target_reference_examples():
-    assert point_target_reference(State(1.0, 0.0)) == -1.0
-    assert point_target_reference(State(-1.0, 0.0)) == 1.0
-    assert point_target_reference(State(-0.5, 1.0)) == -1.0  # on-curve, ride down
-    assert point_target_reference(State(0.5, -1.0)) == 1.0
-    with pytest.raises(DomainError):
-        point_target_reference(State(0.0, 0.0))
