@@ -25,6 +25,8 @@ _USAGE_EXIT = 64
 _DOMAIN_EXIT = 2
 _VERIFY_EXIT = 3
 
+_MAX_ROWS = 1_000_000  # a larger table is refused before any row is built
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # noqa: D102 - argparse hook
@@ -57,6 +59,11 @@ def _emit_table(args, name: str, header: list[str], rows: list[tuple]) -> None:
             raise DomainError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _check_rows(count: float, flags: str) -> None:
+    if not count <= _MAX_ROWS:
+        raise DomainError(f"{flags} would give about {count:.3g} rows; the limit is {_MAX_ROWS}")
 
 
 def _scenario(args) -> tuple[Params, Manifold]:
@@ -94,6 +101,7 @@ def _taus(text: str) -> list[float]:
 
 def _cmd_up(args) -> int:
     params, m = _scenario(args)
+    _check_rows(args.samples, "--samples")
     rows = boundary_rows(m, params, args.samples)
     _emit_table(args, "up", ["kind", "param", "x1", "x2", "n1", "n2", "class"], rows)
     return 0
@@ -101,6 +109,7 @@ def _cmd_up(args) -> int:
 
 def _cmd_costate(args) -> int:
     params, m = _scenario(args)
+    _check_rows(args.samples, "--samples")
     rows = []
     for b in sample_up(m, params, args.samples):
         c = characteristics.terminal_costate(m, b, params)
@@ -121,7 +130,9 @@ def _cmd_flow(args) -> int:
     if not args.tau_step > 0.0:
         raise DomainError(f"--tau-step must be > 0, got {args.tau_step!r}")
     characteristics._check_tau(args.tau_max)
-    n_steps = max(1, int(round(args.tau_max / args.tau_step)))
+    steps = args.tau_max / args.tau_step
+    _check_rows(max(1, args.samples) * (steps + 1.0), "--samples, --tau-max and --tau-step")
+    n_steps = max(1, int(round(steps)))
     taus = [k * args.tau_max / n_steps for k in range(n_steps + 1)]
     rows = characteristics.flow_rows(m, params, args.samples, taus)
     _emit_table(
@@ -135,6 +146,7 @@ def _cmd_flow(args) -> int:
 
 def _cmd_switch_curves(args) -> int:
     params, m = _scenario(args)
+    _check_rows(2 * args.points, "--points")
     rows = []
     if isinstance(m, Circle):
         curves = [synthesis.switching_curve_circle(params, b) for b in ("upper", "lower")]
@@ -149,6 +161,7 @@ def _cmd_switch_curves(args) -> int:
 
 def _cmd_loci(args) -> int:
     params, m = _scenario(args)
+    _check_rows(args.levels, "--levels")
     loci = synthesis.discontinuity_loci(m, params, span=args.span, n_levels=args.levels)
     rows = []
     for curve_id, pts in zip(("a", "b"), loci):
@@ -160,8 +173,10 @@ def _cmd_loci(args) -> int:
 
 def _cmd_isochrone(args) -> int:
     params, m = _scenario(args)
+    taus = _taus(args.tau)
+    _check_rows(len(taus) * args.samples, "--tau and --samples")
     rows = []
-    for tau in _taus(args.tau):
+    for tau in taus:
         if isinstance(m, Circle) and _nup_empty(m, params):
             iso = isochrone.isochrone_circle(params, tau, args.samples)
         else:
@@ -215,6 +230,7 @@ def _cmd_verify(args) -> int:
     params, m = _scenario(args)
     if not 0.0 <= args.tol < math.inf:
         raise DomainError(f"--tol must be finite and >= 0, got {args.tol!r}")
+    _check_rows(args.grid * args.grid, "--grid")
     states = oracle.acceptance_grid(span=args.span, n=args.grid)
     report = oracle.oracle_grid_report(m, params, states)
     rows = list(report.rows)

@@ -356,6 +356,8 @@ def boundary_rows(m: Manifold, params: Params, n: int) -> list[tuple]:
     interval endpoints, so region transitions appear in the output regardless
     of n.
     """
+    if n < 1:
+        raise DomainError(f"need n >= 1 samples, got {n}")
     rows: list[tuple] = []
     if isinstance(m, Circle):
         thetas = {k * _TWO_PI / n for k in range(n)}

@@ -18,14 +18,22 @@ and a shrinking-interval bisection between the last infeasible and first
 feasible grid lines (DEFAULT_GRID apart) refines the minimum to
 DEFAULT_REFINE_TOL/4.
 
-Two exact shortcuts leave every answer unchanged.  The ascent starts one grid
-line below a proven lower bound on the minimum time: every target lies in the
-box |x1|, |x2| <= R (R = l for the circle, 1 for the square), and no control
-brings x2 or x1 into [-R, R] sooner than full braking does, so every skipped
-line is infeasible.  And a circle grid line whose endpoints cannot enter that
-box for any t_switch (x2f is linear and x1f monotone in t_switch) is rejected
-before the cubic stationarity solve; the box test is widened by a relative
-slack so it only ever passes lines the disk test then decides as before.
+Three exact shortcuts leave every answer unchanged.  The ascent starts one
+grid line below a proven lower bound on the minimum time: every target lies in
+the box |x1|, |x2| <= R (R = l for the circle, 1 for the square), and no
+control brings x2 or x1 into [-R, R] sooner than full braking does, so every
+skipped line is infeasible.  At each line it visits, the ascent bounds from
+below the distance g from every endpoint (both u0, every t_switch) to a disk
+holding the target (radius l, or sqrt(2) for the square).  A policy that ends
+in the target d later passes one of those endpoints at t_f and covers at most
+(R + alpha)*d + alpha*d^2/2 after it, so every line closer than the d where
+that reaches g is infeasible and the ascent jumps past them; where g is not
+positive it tests the line exactly.  And a circle grid line whose endpoints
+cannot enter the box for any t_switch (x2f is linear and x1f monotone in
+t_switch) is rejected before the cubic stationarity solve.  The gap and the
+box test are widened by a relative slack far above rounding, so they only
+ever pass lines the exact test then decides as before: the ascent lands on
+the same first feasible line and bisects the same bracket.
 
 The oracle shares no code with the synthesis: it has its own cubic solver, and
 only the grid report imports the synthesis, to compare against it.  Like every
@@ -34,8 +42,8 @@ entry point, it checks the target against params with the shared model code
 params.l.
 
 The single-switch family is an assumption the oracle does not check itself.
-_two_switch_min searches a coarse three-arc family; the test suite compares
-it against the single-switch optimum to falsify the assumption.
+The test suite searches a coarse three-arc family and compares it against the
+single-switch optimum to falsify the assumption.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ DEFAULT_GRID = 1e-2
 DEFAULT_REFINE_TOL = 1e-4
 
 _LOCUS_BAND = 0.05  # half-width of the exclusion band around value-jump loci
+_SQRT2 = math.sqrt(2.0)  # rounds up, so the disk of this radius holds the square
 
 
 @dataclass(frozen=True)
@@ -134,16 +143,21 @@ def _cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
     shift = b / 3.0
     p = c - b * b / 3.0
     q = 2.0 * b * b * b / 27.0 - b * c / 3.0 + d
+    return [y - shift for y in _depressed_roots(p, q)]
+
+
+def _depressed_roots(p: float, q: float) -> list[float]:
+    """Real roots of y^3 + p*y + q."""
     disc = 0.25 * q * q + p * p * p / 27.0
     if disc > 0.0:
         root = math.sqrt(disc)
-        return [_cube_root(-0.5 * q + root) + _cube_root(-0.5 * q - root) - shift]
+        return [_cube_root(-0.5 * q + root) + _cube_root(-0.5 * q - root)]
     if p == 0.0 and q == 0.0:
-        return [-shift]
+        return [0.0]
     r = math.sqrt(max(0.0, -p * p * p / 27.0))
     phi = math.acos(min(1.0, max(-1.0, -0.5 * q / r))) if r > 0.0 else 0.0
     m2 = 2.0 * math.sqrt(max(0.0, -p / 3.0))
-    return [m2 * math.cos((phi + 2.0 * math.pi * k) / 3.0) - shift for k in range(3)]
+    return [m2 * math.cos((phi + 2.0 * math.pi * k) / 3.0) for k in range(3)]
 
 
 def _cube_root(x: float) -> float:
@@ -238,10 +252,12 @@ def oracle_policy(m: Manifold, params: Params, s0: State,
     t_final is an interval [t*, ...) near the optimum, and bisection between
     the last infeasible and first feasible grid lines converges to t* within
     DEFAULT_REFINE_TOL/4.  The ascent starts one grid line below
-    `_box_entry_time`, a lower bound on t*, so it skips only lines that are
-    infeasible and finds the same first feasible line and bracket as an
-    ascent from 0.  The search stops at `horizon`, by default one grid line
-    past the minimum time to the origin, which both targets contain.
+    `_box_entry_time`, a lower bound on t*, and from each line it visits
+    jumps past every line `_clear_until` proves infeasible, so it skips only
+    lines that are infeasible and finds the same first feasible line and
+    bracket as a line-by-line ascent from 0.  The search stops at `horizon`,
+    by default one grid line past the minimum time to the origin, which both
+    targets contain.
     """
     _unit_size(m, params)
     _reject_interior(m, s0)
@@ -250,20 +266,27 @@ def oracle_policy(m: Manifold, params: Params, s0: State,
     grid = DEFAULT_GRID
     horizon = _origin_time(params.alpha, s0) + grid if horizon is None else horizon
     n = int(round(horizon / grid))
-    k0 = max(0, int(_box_entry_time(m, params.alpha, s0) / grid) - 1)
-    for k in range(k0, n + 1):
+    k = max(0, int(_box_entry_time(m, params.alpha, s0) / grid) - 1)
+    while k <= n:
         t_f = k * grid
-        if _feasible(m, params, s0, t_f) is not None:
+        t_clear = _clear_until(m, params.alpha, s0, t_f)
+        if t_clear is not None:
+            k = max(k + 1, math.ceil(t_clear / grid))
+            continue
+        hit = _feasible(m, params, s0, t_f)
+        if hit is not None:
             lo = max(0.0, (k - 1) * grid)
             hi = t_f
             while hi - lo > 0.25 * DEFAULT_REFINE_TOL:
                 mid = 0.5 * (lo + hi)
-                if _feasible(m, params, s0, mid) is not None:
-                    hi = mid
+                found = _feasible(m, params, s0, mid)
+                if found is not None:
+                    hi, hit = mid, found
                 else:
                     lo = mid
-            u0, t_sw = _feasible(m, params, s0, hi)
+            u0, t_sw = hit
             return PolicyCandidate(u0, min(t_sw, hi), hi)
+        k += 1
     raise HorizonExceeded(
         f"no candidate policy reaches the target from {s0!r} within t = {horizon}"
     )
@@ -285,6 +308,69 @@ def _box_entry_time(m: Manifold, alpha: float, s0: State) -> float:
     return max(0.0, t1, t2)
 
 
+def _disk_gap(m: Manifold, alpha: float, s0: State, t_f: float) -> float:
+    """A lower bound on the distance from every endpoint at t_f to a disk holding the target.
+
+    The disk is centred at the origin with radius l for the circle and sqrt(2)
+    for the square; the endpoints are those of both u0 and every t_switch in
+    [0, t_f].  Spending the last d = t_f - t_switch on -u0 instead of u0 moves
+    the endpoint from (X1, X2), that of u0 throughout, to
+    (X1 - a*d^2, X2 - 2*a*d).  Its squared radius is stationary where
+    d^3 + (2 - X1/a)*d - X2/a = 0, so the minimum over [0, t_f] lies at an
+    end or at a root of that cubic.  Two kinds of error could only make the
+    computed minimum too large: rounding, and a computed root that misses or
+    misplaces a true one (the one-real-root branch can drop a close pair,
+    which lies near a turning point of the cubic, so the one at d > 0 is
+    tried too).
+    Both are orders of magnitude below the relative slack subtracted at the
+    end, as in _misses_box.
+    """
+    R = m.l if isinstance(m, Circle) else _SQRT2
+    r2 = math.inf
+    for a in (-alpha, alpha):
+        X1 = s0.x1 + (s0.x2 + 0.5 * a * t_f) * t_f
+        X2 = s0.x2 + a * t_f
+        p = 2.0 - X1 / a
+        cands = _depressed_roots(p, -X2 / a)
+        cands += (0.0, t_f)
+        if p < 0.0:
+            cands.append(math.sqrt(-p / 3.0))
+        for d in cands:
+            if not 0.0 <= d <= t_f:
+                if d != d:  # a NaN root: nothing is proven
+                    return -math.inf
+                continue
+            x1f = X1 - a * d * d
+            x2f = X2 - 2.0 * a * d
+            d2 = x1f * x1f + x2f * x2f
+            if d2 < r2:
+                r2 = d2
+    scale = abs(s0.x1) + abs(s0.x2) + (abs(s0.x2) + alpha) * t_f + 4.0 * alpha * t_f * t_f
+    return math.sqrt(r2) - R - 1e-9 * (1.0 + R + scale)
+
+
+def _clear_until(m: Manifold, alpha: float, s0: State, t_f: float) -> float | None:
+    """A time t_clear such that every t_final in [t_f, t_clear) is infeasible, or
+    None when the gap bound proves nothing at t_f.
+
+    At time t_f, a policy that ends in the target at t_f + d is at the
+    endpoint of a policy ending at t_f (the same switch, or u0 throughout if
+    it switches later), so at least g = _disk_gap away from the disk.  It
+    ends where |x2| <= R (R = l, or 1 for the square) and x2 changes at rate
+    alpha, so |x2| <= R + alpha*d on the way and its speed is at most
+    |x2| + alpha: it covers at most (R + alpha)*d + alpha*d^2/2.  So every
+    t_final closer than the root of that against g is infeasible.  The
+    returned time is that root, shrunk far beyond the rounding of this
+    computation and of the grid lines.
+    """
+    g = _disk_gap(m, alpha, s0, t_f)
+    if not 0.0 < g < math.inf:
+        return None
+    b = (m.l if isinstance(m, Circle) else 1.0) + alpha
+    d = 2.0 * g / (b + math.sqrt(b * b + 2.0 * alpha * g))
+    return t_f + d * (1.0 - 1e-12) - 1e-15 * (t_f + d)
+
+
 def _origin_time(alpha: float, s0: State) -> float:
     """Minimum time from s0 to the origin: brake onto x1 = -x2*|x2|/(2*alpha) and ride it."""
     sigma = 1.0 if s0.x1 > -s0.x2 * abs(s0.x2) / (2.0 * alpha) else -1.0
@@ -295,33 +381,6 @@ def _origin_time(alpha: float, s0: State) -> float:
 def oracle_min_time(m: Manifold, params: Params, s0: State, horizon: float | None = None) -> float:
     """Minimum time to the target over the single-switch bang-bang family."""
     return oracle_policy(m, params, s0, horizon).t_final
-
-
-def _two_switch_min(m: Manifold, params: Params, s0: State, t_best: float) -> float:
-    """Coarse three-arc search: u0 to t1, -u0 to t2, u0 to t_final."""
-    step = max(DEFAULT_GRID, t_best / 200.0)
-    best = math.inf
-    n = int(math.ceil(t_best / step)) + 1
-    # The box entry bound holds for every control, three-arc ones included.
-    k0 = max(0, int(_box_entry_time(m, params.alpha, s0) / step) - 1)
-    for k in range(k0, n + 1):
-        t_f = k * step
-        if t_f >= best:
-            break
-        for u0 in (-1.0, 1.0):
-            a = params.alpha * u0
-            j = 0
-            while j * step <= t_f:
-                t1 = j * step
-                j += 1
-                mid = State(
-                    s0.x1 + s0.x2 * t1 + 0.5 * a * t1 * t1,
-                    s0.x2 + a * t1,
-                )
-                if _switch_seeds(m, params, mid, -u0, t_f - t1):
-                    best = min(best, t_f)
-                    break
-    return best
 
 
 # ── Grid report ────────────────────────────────────────────────────────────────

@@ -158,6 +158,11 @@ def test_domain_error_exits_2(capsys):
         ("loci", "--span", "-1"),
         ("switch-curves", "--x2-max", "nan"),
         ("switch-curves", "--x2-max", "-1"),
+        ("up", "--samples", "0"),
+        ("up", "--samples", "-1"),
+        ("flow", "--tau-step", "1e-300"),
+        ("loci", "--levels", "100000000"),
+        ("verify", "--grid", "100000"),
     ],
 )
 def test_out_of_range_numbers_exit_2(capsys, argv):

@@ -2,9 +2,10 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mintime import (
@@ -26,11 +27,16 @@ from mintime import (
 )
 from mintime import oracle
 from mintime.oracle import (
+    DEFAULT_GRID,
+    DEFAULT_REFINE_TOL,
     _box_entry_time,
     _circle_switch,
+    _clear_until,
+    _disk_gap,
     _endpoint_coeffs,
     _feasible,
-    _two_switch_min,
+    _origin_time,
+    _switch_seeds,
     policy_endpoint,
 )
 from mintime.synthesis import _closed_form_feedback
@@ -94,7 +100,35 @@ def test_oracle_upper_bound_certifier():
             assert abs(o - v) <= 1e-3
 
 
+def _two_switch_min(m, params, s0, t_best):
+    """Coarse three-arc search: u0 to t1, -u0 to t2, u0 to t_final."""
+    step = max(DEFAULT_GRID, t_best / 200.0)
+    best = math.inf
+    n = int(math.ceil(t_best / step)) + 1
+    # The box entry bound holds for every control, three-arc ones included.
+    k0 = max(0, int(_box_entry_time(m, params.alpha, s0) / step) - 1)
+    for k in range(k0, n + 1):
+        t_f = k * step
+        if t_f >= best:
+            break
+        for u0 in (-1.0, 1.0):
+            a = params.alpha * u0
+            j = 0
+            while j * step <= t_f:
+                t1 = j * step
+                j += 1
+                mid = State(
+                    s0.x1 + s0.x2 * t1 + 0.5 * a * t1 * t1,
+                    s0.x2 + a * t1,
+                )
+                if _switch_seeds(m, params, mid, -u0, t_f - t1):
+                    best = min(best, t_f)
+                    break
+    return best
+
+
 def test_two_switch_probe_never_improves():
+    """The single-switch family the oracle searches is not beaten by three arcs."""
     for m, p, s in (
         (C1, P1, State(-2.5, 1.5)),
         (SQ, P1, State(3.0, -2.0)),
@@ -216,3 +250,178 @@ def test_circle_switch_finds_every_swept_entry(l, alpha, u0, t_f, i_sw, rho, phi
     )
     if swept:
         assert _circle_switch(s0, a, t_f, l)
+
+
+# ── The certified skip in the t_final ascent ──────────────────────────────────
+
+
+def _plain_policy(m, p, s):
+    """oracle_policy without the skip: every grid line from the box bound up."""
+    grid = DEFAULT_GRID
+    n = int(round((_origin_time(p.alpha, s) + grid) / grid))
+    for k in range(max(0, int(_box_entry_time(m, p.alpha, s) / grid) - 1), n + 1):
+        t_f = k * grid
+        if _feasible(m, p, s, t_f) is not None:
+            lo, hi = max(0.0, (k - 1) * grid), t_f
+            while hi - lo > 0.25 * DEFAULT_REFINE_TOL:
+                mid = 0.5 * (lo + hi)
+                if _feasible(m, p, s, mid) is not None:
+                    hi = mid
+                else:
+                    lo = mid
+            u0, t_sw = _feasible(m, p, s, hi)
+            return PolicyCandidate(u0, min(t_sw, hi), hi)
+    raise HorizonExceeded("no grid line up to the horizon is feasible")
+
+
+def _answer(search, m, p, s):
+    try:
+        return search(m, p, s)
+    except HorizonExceeded:
+        return HorizonExceeded
+
+
+def test_skipping_ascent_matches_a_plain_ascent():
+    """Same policy, bit for bit, as the line-by-line ascent, raises included."""
+    rng = random.Random(17)
+    targets = [(Circle(l), l) for l in (0.003, 0.05, 0.5, 1.0, 2.0, 3.0)] + [(SQ, 1.0)]
+    compared = raised = 0
+    for i in range(280):
+        m, l = targets[i % len(targets)]
+        alpha = (0.5, 1.0, 2.0, 10.0)[i // len(targets) % 4]
+        span = (5.0, 20.0)[i // (4 * len(targets)) % 2]
+        s = State(rng.uniform(-span, span), rng.uniform(-span, span))
+        if contains(m, s):
+            continue
+        p = Params(alpha=alpha, l=l)
+        got = _answer(oracle_policy, m, p, s)
+        assert got == _answer(_plain_policy, m, p, s)
+        compared += 1
+        raised += got is HorizonExceeded
+    assert compared > 250 and raised > 0
+
+
+_target_and_alpha = {
+    "l": st.one_of(st.none(), st.floats(1e-3, 10.0)),
+    "alpha": st.floats(0.1, 10.0),
+}
+
+
+def _scenario(l, alpha):
+    return (SQ, Params(alpha=alpha)) if l is None else (Circle(l), Params(alpha=alpha, l=l))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(**_target_and_alpha, x1=st.floats(-50.0, 50.0), x2=st.floats(-50.0, 50.0))
+def test_lines_the_ascent_skips_are_infeasible(l, alpha, x1, x2):
+    """Follow the ascent to its first exactly tested feasible line: every line
+    a jump starts from or passes over is infeasible by the exact test."""
+    m, p = _scenario(l, alpha)
+    s = State(x1, x2)
+    assume(not contains(m, s))
+    grid = DEFAULT_GRID
+    n = int(round((_origin_time(alpha, s) + grid) / grid))
+    k = max(0, int(_box_entry_time(m, alpha, s) / grid) - 1)
+    while k <= n:
+        t_clear = _clear_until(m, alpha, s, k * grid)
+        if t_clear is None:
+            if _feasible(m, p, s, k * grid) is not None:
+                return
+            k += 1
+            continue
+        k_next = max(k + 1, math.ceil(t_clear / grid))
+        for j in range(k, min(k_next, n + 1)):
+            assert _feasible(m, p, s, j * grid) is None
+        k = k_next
+
+
+def _decimal_gap(m, alpha, s0, t_f):
+    """Distance from the nearest endpoint at t_f to the target's disk, in 60 digits.
+
+    The nearest endpoint sits at an end of [0, t_f] or where the squared
+    radius P is stationary; its derivative's roots are found by bisection on
+    the pieces where that derivative is monotone.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x1, x2, T = Decimal(s0.x1), Decimal(s0.x2), Decimal(t_f)
+        R = Decimal(m.l) if isinstance(m, Circle) else Decimal(2).sqrt()
+        best = None
+        for a in (Decimal(-alpha), Decimal(alpha)):
+            A0, A1, A2 = x1 + x2 * T - a * T * T / 2, 2 * a * T, -a
+            B0, B1 = x2 - a * T, 2 * a
+
+            def dP(t):  # dP/dt / 2
+                return (A0 + A1 * t + A2 * t * t) * (A1 + 2 * A2 * t) + (B0 + B1 * t) * B1
+
+            # d^2P/dt^2 / 2 = 6 A2^2 t^2 + 6 A1 A2 t + A1^2 + 2 A0 A2 + B1^2
+            qa, qb, qc = 6 * A2 * A2, 6 * A1 * A2, A1 * A1 + 2 * A0 * A2 + B1 * B1
+            cuts = [Decimal(0), T]
+            disc = qb * qb - 4 * qa * qc
+            if disc > 0:
+                for r in ((-qb - disc.sqrt()) / (2 * qa), (-qb + disc.sqrt()) / (2 * qa)):
+                    if 0 < r < T:
+                        cuts.append(r)
+            cuts.sort()
+            cands = list(cuts)
+            for lo, hi in zip(cuts, cuts[1:]):
+                if dP(lo) * dP(hi) < 0:
+                    for _ in range(130):
+                        mid = (lo + hi) / 2
+                        if (dP(mid) < 0) == (dP(lo) < 0):
+                            lo = mid
+                        else:
+                            hi = mid
+                    cands.append(lo)
+            for t in cands:
+                xf, yf = A0 + A1 * t + A2 * t * t, B0 + B1 * t
+                r2 = xf * xf + yf * yf
+                best = r2 if best is None else min(best, r2)
+        return best.sqrt() - R
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    **_target_and_alpha,
+    x1=st.floats(-50.0, 50.0),
+    x2=st.floats(-50.0, 50.0),
+    t_f=st.one_of(st.floats(0.0, 60.0), st.just(0.0)),
+)
+def test_disk_gap_never_exceeds_the_true_distance(l, alpha, x1, x2, t_f):
+    m, _ = _scenario(l, alpha)
+    s = State(x1, x2)
+    assert Decimal(_disk_gap(m, alpha, s, t_f)) <= _decimal_gap(m, alpha, s, t_f)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+# Near-tight: braking straight down onto the top of a small circle, the
+# endpoint closes the gap at 95% and 99.96% of the speed the skip assumes.
+@example(l=0.05, alpha=1.0, u0=1.0, t_final=2.0, f_sw=0.0, f_from=0.999, rho=1.0 - 1e-6, phi=0.5 * math.pi)
+@example(l=1e-3, alpha=10.0, u0=1.0, t_final=0.5, f_sw=0.0, f_from=0.999, rho=1.0 - 1e-6, phi=0.5 * math.pi)
+@given(
+    **_target_and_alpha,
+    u0=st.sampled_from((-1.0, 1.0)),
+    t_final=st.floats(0.0, 20.0),
+    f_sw=st.floats(0.0, 1.0),
+    f_from=st.one_of(st.floats(0.0, 1.0), st.floats(0.999, 1.0)),
+    rho=st.one_of(st.floats(0.0, 1.0 - 1e-6), st.just(1.0 - 1e-6)),
+    phi=st.floats(0.0, 2.0 * math.pi),
+)
+def test_clear_stretch_ends_before_a_feasible_final_time(l, alpha, u0, t_final, f_sw, f_from, rho, phi):
+    """Run a policy backward from an endpoint inside the target, so t_final is
+    feasible: from no earlier t_f does the proven-clear stretch pass it."""
+    m, p = _scenario(l, alpha)
+    # An endpoint at rho of the way from the centre to the boundary.
+    c, sn = math.cos(phi), math.sin(phi)
+    r = rho * (m.l if l is not None else 1.0 / max(abs(c), abs(sn)))
+    a = alpha * u0
+    t_sw = f_sw * t_final
+    d = t_final - t_sw
+    x2s = r * sn + a * d
+    x1s = r * c - x2s * d + 0.5 * a * d * d
+    x2 = x2s - a * t_sw
+    s0 = State(x1s - x2 * t_sw - 0.5 * a * t_sw * t_sw, x2)
+    assume(not contains(m, s0))
+    assume(contains(m, policy_endpoint(s0, PolicyCandidate(u0, t_sw, t_final), alpha)))
+    t_clear = _clear_until(m, alpha, s0, f_from * t_final)
+    assert t_clear is None or t_clear <= t_final
