@@ -6,7 +6,8 @@ data for external plotting so outputs stay diffable.  All angles are radians
 and all quantities non-dimensional.  Output is deterministic: identical
 inputs produce byte-identical bytes.
 
-Exit codes: 0 success, 2 domain error, 3 verification failure, 64 usage error.
+Exit codes: 0 success, 2 domain error, 3 verification failure (also a verify
+that compared no state), 64 usage error.
 """
 
 from __future__ import annotations
@@ -244,7 +245,8 @@ def _cmd_verify(args) -> int:
         "tol": args.tol,
     }
     sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
-    return _VERIFY_EXIT if report.max_abs_err > args.tol else 0
+    # A report that compared no state checked nothing, so it does not pass.
+    return _VERIFY_EXIT if not rows or report.max_abs_err > args.tol else 0
 
 
 # ── Parser assembly ────────────────────────────────────────────────────────────

@@ -10,7 +10,8 @@ endpoint is closed form:
 
 with a = alpha*u0 and d = t_final - t_switch.  The search ascends t_final on a
 fixed grid; at each t_final the switch time is tested exactly (interval
-arithmetic for the square, a cubic stationarity solve for the circle), which
+arithmetic for the square; for the circle, the endpoint nearest the origin
+over both u0 and every t_switch, from a cubic stationarity solve), which
 dominates gridding t_switch: every candidate a t_switch grid would accept is
 accepted, and tangent entries cannot slip between grid lines.  Because the
 switch test is exact, feasibility in t_final is an interval near the optimum,
@@ -18,22 +19,20 @@ and a shrinking-interval bisection between the last infeasible and first
 feasible grid lines (DEFAULT_GRID apart) refines the minimum to
 DEFAULT_REFINE_TOL/4.
 
-Three exact shortcuts leave every answer unchanged.  The ascent starts one
-grid line below a proven lower bound on the minimum time: every target lies in
-the box |x1|, |x2| <= R (R = l for the circle, 1 for the square), and no
-control brings x2 or x1 into [-R, R] sooner than full braking does, so every
-skipped line is infeasible.  At each line it visits, the ascent bounds from
-below the distance g from every endpoint (both u0, every t_switch) to a disk
-holding the target (radius l, or sqrt(2) for the square).  A policy that ends
-in the target d later passes one of those endpoints at t_f and covers at most
-(R + alpha)*d + alpha*d^2/2 after it, so every line closer than the d where
-that reaches g is infeasible and the ascent jumps past them; where g is not
-positive it tests the line exactly.  And a circle grid line whose endpoints
-cannot enter the box for any t_switch (x2f is linear and x1f monotone in
-t_switch) is rejected before the cubic stationarity solve.  The gap and the
-box test are widened by a relative slack far above rounding, so they only
-ever pass lines the exact test then decides as before: the ascent lands on
-the same first feasible line and bisects the same bracket.
+Two exact shortcuts leave every answer unchanged.  The ascent starts one grid
+line below a proven lower bound on the minimum time: every target lies in the
+box |x1|, |x2| <= R (R = l for the circle, 1 for the square), and no control
+brings x2 or x1 into [-R, R] sooner than full braking does, so every skipped
+line is infeasible.  At each line it visits, the ascent finds the endpoint
+nearest the origin (both u0, every t_switch) and, less a relative slack far
+above rounding, its distance g to a disk holding the target (radius l, or
+sqrt(2) for the square).  A policy that ends in the target d later passes one
+of those endpoints at t_f and covers at most (R + alpha)*d + alpha*d^2/2
+after it, so every line closer than the d where that reaches g is infeasible
+and the ascent jumps past them.  Where g is not positive it tests the line
+exactly; for the circle that test is the same nearest endpoint against the
+radius, so each line costs one cubic solve.  The ascent lands on the same
+first feasible line and bisects the same bracket as a line-by-line ascent.
 
 The oracle shares no code with the synthesis: it has its own cubic solver, and
 only the grid report imports the synthesis, to compare against it.  Like every
@@ -89,19 +88,11 @@ def policy_endpoint(s0: State, pol: PolicyCandidate, alpha: float) -> State:
 # ── Exact switch-time feasibility at a fixed final time ────────────────────────
 
 
-def _endpoint_coeffs(s0: State, a: float, t_f: float) -> tuple[float, float, float, float, float]:
-    """x1f = A0 + A1*t + A2*t^2 and x2f = B0 + B1*t as functions of t = t_switch."""
-    A0 = s0.x1 + s0.x2 * t_f - 0.5 * a * t_f * t_f
-    A1 = 2.0 * a * t_f
-    A2 = -a
-    B0 = s0.x2 - a * t_f
-    B1 = 2.0 * a
-    return A0, A1, A2, B0, B1
-
-
 def _square_switch(s0: State, a: float, t_f: float) -> list[float]:
     """Representative t_switch values, one per feasible window in [0, t_f]."""
-    A0, A1, A2, B0, B1 = _endpoint_coeffs(s0, a, t_f)
+    # x1f = A0 + A1*t + A2*t^2 and x2f = B0 + B1*t as functions of t = t_switch.
+    A0, A1, A2 = s0.x1 + s0.x2 * t_f - 0.5 * a * t_f * t_f, 2.0 * a * t_f, -a
+    B0, B1 = s0.x2 - a * t_f, 2.0 * a
     # |x2f| <= 1 is linear in t_switch.
     lo = (-1.0 - B0) / B1
     hi = (1.0 - B0) / B1
@@ -137,15 +128,6 @@ def _quad_band(A0: float, A1: float, A2: float, lo: float, hi: float) -> list[tu
     return out
 
 
-def _cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
-    """Real roots of a*t^3 + b*t^2 + c*t + d with a != 0 (Cardano / trigonometric)."""
-    b, c, d = b / a, c / a, d / a
-    shift = b / 3.0
-    p = c - b * b / 3.0
-    q = 2.0 * b * b * b / 27.0 - b * c / 3.0 + d
-    return [y - shift for y in _depressed_roots(p, q)]
-
-
 def _depressed_roots(p: float, q: float) -> list[float]:
     """Real roots of y^3 + p*y + q."""
     disc = 0.25 * q * q + p * p * p / 27.0
@@ -164,80 +146,63 @@ def _cube_root(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-def _misses_box(A0: float, A1: float, A2: float, B0: float, B1: float, t_f: float, l: float) -> bool:
-    """True when no t_switch in [0, t_f] puts the endpoint in the box |x1f|, |x2f| <= l.
+def _nearest_endpoint(alpha: float, s0: State, t_f: float) -> tuple[float, float, float]:
+    """(r2, u0, t_switch): the endpoint at t_f nearest the origin, over both u0
+    and every t_switch in [0, t_f], and its squared radius r2.
 
-    Both tests are widened by a relative slack far above rounding, so a
-    t_switch the disk test would accept is never rejected here.
+    Spending the last d = t_f - t_switch on -u0 instead of u0 moves the
+    endpoint from (X1, X2), that of u0 throughout, to (X1 - a*d^2, X2 - 2*a*d).
+    Its squared radius is stationary where d^3 + (2 - X1/a)*d - X2/a = 0, so
+    the minimum over [0, t_f] lies at an end or at a root of that cubic.  The
+    one-real-root branch can drop a close pair of roots, which lies near a
+    turning point of the cubic, so the one at d > 0 is tried too.  Every
+    candidate is an endpoint, so besides rounding only a computed root that
+    misses or misplaces a true one can make r2 too large; both errors are
+    orders of magnitude below the slack _disk_gap subtracts.  A NaN root
+    leaves the minimum unknown, and r2 is NaN.
     """
-    l2 = l + 1e-9 * (1.0 + l + abs(B0) + abs(B1) * t_f)
-    lo = (-l2 - B0) / B1
-    hi = (l2 - B0) / B1
-    if lo > hi:
-        lo, hi = hi, lo
-    if lo < 0.0:
-        lo = 0.0
-    if hi > t_f:
-        hi = t_f
-    if lo > hi:
-        return True
-    # dx1f/dt_switch = 2*a*(t_f - t_switch) keeps one sign on [0, t_f], so the
-    # range of x1f on [lo, hi] is spanned by its values at the window's ends.
-    l1 = l + 1e-9 * (1.0 + l + abs(A0) + abs(A1) * t_f + abs(A2) * t_f * t_f)
-    x_lo = A0 + A1 * lo + A2 * lo * lo
-    x_hi = A0 + A1 * hi + A2 * hi * hi
-    return (x_lo > l1 and x_hi > l1) or (x_lo < -l1 and x_hi < -l1)
+    best = (math.inf, 1.0, 0.0)
+    for u0 in (-1.0, 1.0):
+        a = alpha * u0
+        X1 = s0.x1 + (s0.x2 + 0.5 * a * t_f) * t_f
+        X2 = s0.x2 + a * t_f
+        p = 2.0 - X1 / a
+        cands = _depressed_roots(p, -X2 / a)
+        cands += (0.0, t_f)
+        if p < 0.0:
+            cands.append(math.sqrt(-p / 3.0))
+        for d in cands:
+            if not 0.0 <= d <= t_f:
+                if d != d:
+                    return math.nan, u0, 0.0
+                continue
+            x1f = X1 - a * d * d
+            x2f = X2 - 2.0 * a * d
+            r2 = x1f * x1f + x2f * x2f
+            if r2 < best[0]:
+                best = (r2, u0, t_f - d)
+    return best
 
 
-def _circle_switch(s0: State, a: float, t_f: float, l: float) -> list[float]:
-    """t_switch values in [0, t_f] whose endpoint lies in the disk.
-
-    The endpoint radius defect p(t) = x1f^2 + x2f^2 - l^2 is a quartic with
-    positive leading coefficient; every feasible window contains one of its
-    stationary points or an interval endpoint, so those suffice as seeds.
-    A line whose endpoints miss the disk's bounding box skips the cubic.
-    """
-    A0, A1, A2, B0, B1 = _endpoint_coeffs(s0, a, t_f)
-    if _misses_box(A0, A1, A2, B0, B1, t_f, l):
-        return []
-    c3 = 2.0 * A2 * A2
-    c2 = 3.0 * A1 * A2
-    c1 = A1 * A1 + 2.0 * A0 * A2 + B1 * B1
-    c0 = A0 * A1 + B0 * B1
-    cands = [0.0, t_f]
-    for r in _cubic_roots(c3, c2, c1, c0):
-        if 0.0 < r < t_f:
-            cands.append(r)
-    out = []
-    for t in cands:
-        x1f = A0 + A1 * t + A2 * t * t
-        x2f = B0 + B1 * t
-        if x1f * x1f + x2f * x2f <= l * l:
-            out.append(t)
-    return out
-
-
-def _switch_seeds(m: Manifold, params: Params, s0: State, u0: float, t_f: float) -> list[float]:
-    a = params.alpha * u0
-    if isinstance(m, Circle):
-        return _circle_switch(s0, a, t_f, m.l)
-    return _square_switch(s0, a, t_f)
+def _circle_entry(l: float, near: tuple[float, float, float]) -> tuple[float, float] | None:
+    """The circle's exact test: the nearest endpoint's (u0, t_switch) if it lies in the disk."""
+    return near[1:] if near[0] <= l * l else None
 
 
 # ── Public search ──────────────────────────────────────────────────────────────
 
 
 def _feasible(m: Manifold, params: Params, s0: State, t_f: float) -> tuple[float, float] | None:
-    """The deepest-entry (u0, t_switch) whose endpoint is in the target at t_f."""
+    """The deepest-entry (u0, t_switch) whose endpoint is in the target at t_f;
+    on the circle, that is the endpoint nearest the origin."""
+    if isinstance(m, Circle):
+        return _circle_entry(m.l, _nearest_endpoint(params.alpha, s0, t_f))
     best = None
     best_depth = math.inf
     for u0 in (-1.0, 1.0):
-        for t_sw in _switch_seeds(m, params, s0, u0, t_f):
+        for t_sw in _square_switch(s0, params.alpha * u0, t_f):
             end = policy_endpoint(s0, PolicyCandidate(u0, min(t_sw, t_f), t_f), params.alpha)
-            if isinstance(m, Circle):
-                depth = end.x1 * end.x1 + end.x2 * end.x2 - m.l * m.l
-            else:
-                depth = max(abs(end.x1), abs(end.x2)) - 1.0
+            depth = max(abs(end.x1), abs(end.x2)) - 1.0
             if depth < best_depth:
                 best_depth = depth
                 best = (u0, t_sw)
@@ -252,12 +217,14 @@ def oracle_policy(m: Manifold, params: Params, s0: State,
     t_final is an interval [t*, ...) near the optimum, and bisection between
     the last infeasible and first feasible grid lines converges to t* within
     DEFAULT_REFINE_TOL/4.  The ascent starts one grid line below
-    `_box_entry_time`, a lower bound on t*, and from each line it visits
-    jumps past every line `_clear_until` proves infeasible, so it skips only
-    lines that are infeasible and finds the same first feasible line and
-    bracket as a line-by-line ascent from 0.  The search stops at `horizon`,
-    by default one grid line past the minimum time to the origin, which both
-    targets contain.
+    `_box_entry_time`, a lower bound on t*.  At each line it visits it finds
+    the nearest endpoint once (`_nearest_endpoint`): its distance to the
+    target's disk lets it jump past every line `_clear_until` proves
+    infeasible, and on the circle its radius is also the exact test.  So it
+    skips only lines that are infeasible and finds the same first feasible
+    line and bracket as a line-by-line ascent from 0.  The search stops at
+    `horizon`, by default one grid line past the minimum time to the origin,
+    which both targets contain.
     """
     _unit_size(m, params)
     _reject_interior(m, s0)
@@ -269,11 +236,12 @@ def oracle_policy(m: Manifold, params: Params, s0: State,
     k = max(0, int(_box_entry_time(m, params.alpha, s0) / grid) - 1)
     while k <= n:
         t_f = k * grid
-        t_clear = _clear_until(m, params.alpha, s0, t_f)
+        near = _nearest_endpoint(params.alpha, s0, t_f)
+        t_clear = _clear_until(m, params.alpha, s0, t_f, near[0])
         if t_clear is not None:
             k = max(k + 1, math.ceil(t_clear / grid))
             continue
-        hit = _feasible(m, params, s0, t_f)
+        hit = _circle_entry(m.l, near) if isinstance(m, Circle) else _feasible(m, params, s0, t_f)
         if hit is not None:
             lo = max(0.0, (k - 1) * grid)
             hi = t_f
@@ -308,62 +276,33 @@ def _box_entry_time(m: Manifold, alpha: float, s0: State) -> float:
     return max(0.0, t1, t2)
 
 
-def _disk_gap(m: Manifold, alpha: float, s0: State, t_f: float) -> float:
+def _disk_gap(m: Manifold, alpha: float, s0: State, t_f: float, r2: float) -> float:
     """A lower bound on the distance from every endpoint at t_f to a disk holding the target.
 
     The disk is centred at the origin with radius l for the circle and sqrt(2)
-    for the square; the endpoints are those of both u0 and every t_switch in
-    [0, t_f].  Spending the last d = t_f - t_switch on -u0 instead of u0 moves
-    the endpoint from (X1, X2), that of u0 throughout, to
-    (X1 - a*d^2, X2 - 2*a*d).  Its squared radius is stationary where
-    d^3 + (2 - X1/a)*d - X2/a = 0, so the minimum over [0, t_f] lies at an
-    end or at a root of that cubic.  Two kinds of error could only make the
-    computed minimum too large: rounding, and a computed root that misses or
-    misplaces a true one (the one-real-root branch can drop a close pair,
-    which lies near a turning point of the cubic, so the one at d > 0 is
-    tried too).
-    Both are orders of magnitude below the relative slack subtracted at the
-    end, as in _misses_box.
+    for the square.  r2 is the nearest endpoint's squared radius, and its error
+    is orders of magnitude below the relative slack subtracted here.
     """
     R = m.l if isinstance(m, Circle) else _SQRT2
-    r2 = math.inf
-    for a in (-alpha, alpha):
-        X1 = s0.x1 + (s0.x2 + 0.5 * a * t_f) * t_f
-        X2 = s0.x2 + a * t_f
-        p = 2.0 - X1 / a
-        cands = _depressed_roots(p, -X2 / a)
-        cands += (0.0, t_f)
-        if p < 0.0:
-            cands.append(math.sqrt(-p / 3.0))
-        for d in cands:
-            if not 0.0 <= d <= t_f:
-                if d != d:  # a NaN root: nothing is proven
-                    return -math.inf
-                continue
-            x1f = X1 - a * d * d
-            x2f = X2 - 2.0 * a * d
-            d2 = x1f * x1f + x2f * x2f
-            if d2 < r2:
-                r2 = d2
     scale = abs(s0.x1) + abs(s0.x2) + (abs(s0.x2) + alpha) * t_f + 4.0 * alpha * t_f * t_f
     return math.sqrt(r2) - R - 1e-9 * (1.0 + R + scale)
 
 
-def _clear_until(m: Manifold, alpha: float, s0: State, t_f: float) -> float | None:
+def _clear_until(m: Manifold, alpha: float, s0: State, t_f: float, r2: float) -> float | None:
     """A time t_clear such that every t_final in [t_f, t_clear) is infeasible, or
     None when the gap bound proves nothing at t_f.
 
     At time t_f, a policy that ends in the target at t_f + d is at the
     endpoint of a policy ending at t_f (the same switch, or u0 throughout if
-    it switches later), so at least g = _disk_gap away from the disk.  It
-    ends where |x2| <= R (R = l, or 1 for the square) and x2 changes at rate
+    it switches later), so at least g = _disk_gap away from the disk.  It ends
+    where |x2| <= R (R = l, or 1 for the square) and x2 changes at rate
     alpha, so |x2| <= R + alpha*d on the way and its speed is at most
     |x2| + alpha: it covers at most (R + alpha)*d + alpha*d^2/2.  So every
     t_final closer than the root of that against g is infeasible.  The
     returned time is that root, shrunk far beyond the rounding of this
     computation and of the grid lines.
     """
-    g = _disk_gap(m, alpha, s0, t_f)
+    g = _disk_gap(m, alpha, s0, t_f, r2)
     if not 0.0 < g < math.inf:
         return None
     b = (m.l if isinstance(m, Circle) else 1.0) + alpha

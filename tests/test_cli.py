@@ -126,6 +126,21 @@ def test_verify_exit_three_on_impossible_tolerance(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, n_target", [
+    (("--grid", "0"), 0),
+    (("--span", "0.3", "--grid", "3"), 9),  # every state inside the unit circle
+])
+def test_verify_comparing_no_state_exits_3(capsys, argv, n_target):
+    """A report that compared nothing checked nothing, so it is no pass."""
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 3
+    assert out.splitlines() == [
+        "x1,x2,oracle,synthesis,abs_err",
+        '{"max_abs_err": 0.0, "mean_abs_err": 0.0, "n_excluded_band": 0, '
+        f'"n_excluded_target": {n_target}, "n_states": 0, "tol": 0.001}}',
+    ]
+
+
 def test_unknown_flag_exits_64(capsys):
     code, _, err = run(capsys, "up", "--target", "circle", "--no-such-flag")
     assert code == 64

@@ -25,18 +25,15 @@ from mintime import (
     oracle_policy,
     value,
 )
-from mintime import oracle
 from mintime.oracle import (
     DEFAULT_GRID,
     DEFAULT_REFINE_TOL,
     _box_entry_time,
-    _circle_switch,
     _clear_until,
     _disk_gap,
-    _endpoint_coeffs,
     _feasible,
+    _nearest_endpoint,
     _origin_time,
-    _switch_seeds,
     policy_endpoint,
 )
 from mintime.synthesis import _closed_form_feedback
@@ -101,7 +98,11 @@ def test_oracle_upper_bound_certifier():
 
 
 def _two_switch_min(m, params, s0, t_best):
-    """Coarse three-arc search: u0 to t1, -u0 to t2, u0 to t_final."""
+    """Coarse three-arc search: u0 to t1, -u0 to t2, u0 to t_final.
+
+    The last two arcs are probed with the exact single-switch test, which
+    tries both of their first controls, so every three-arc policy on the
+    t1 grid is in the probe."""
     step = max(DEFAULT_GRID, t_best / 200.0)
     best = math.inf
     n = int(math.ceil(t_best / step)) + 1
@@ -121,7 +122,7 @@ def _two_switch_min(m, params, s0, t_best):
                     s0.x1 + s0.x2 * t1 + 0.5 * a * t1 * t1,
                     s0.x2 + a * t1,
                 )
-                if _switch_seeds(m, params, mid, -u0, t_f - t1):
+                if _feasible(m, params, mid, t_f - t1) is not None:
                     best = min(best, t_f)
                     break
     return best
@@ -195,13 +196,11 @@ def test_box_entry_time_is_a_lower_bound(l, alpha, x1, x2):
     assert bound <= t_oracle
 
 
-def test_lines_below_the_start_are_infeasible(monkeypatch):
-    """Every grid line the ascent skips is infeasible by the exact switch test
-    alone, with the circle's box pre-test switched off."""
-    monkeypatch.setattr(oracle, "_misses_box", lambda *args: False)
+def test_lines_below_the_start_are_infeasible():
+    """Every grid line the ascent skips is infeasible by the exact switch test."""
     rng = random.Random(10)
     targets = [(Circle(l), l) for l in (0.05, 0.5, 1.0, 2.0, 3.0)] + [(SQ, 1.0)]
-    grid = oracle.DEFAULT_GRID
+    grid = DEFAULT_GRID
     checked = 0
     for i in range(90):
         m, l = targets[i % len(targets)]
@@ -233,7 +232,7 @@ _SWEEP = 2000
 )
 def test_circle_switch_finds_every_swept_entry(l, alpha, u0, t_f, i_sw, rho, phi):
     """If a dense sweep of t_switch puts the endpoint in the disk, the exact test
-    (box pre-test plus stationary points) returns a switch time too."""
+    (the nearest endpoint over both u0 and every t_switch) returns a switch too."""
     a = alpha * u0
     # Run a policy backward from an endpoint at radius rho*l, switching on a
     # sweep line, so the sweep often lands inside, also at the box's edges.
@@ -243,13 +242,15 @@ def test_circle_switch_finds_every_swept_entry(l, alpha, u0, t_f, i_sw, rho, phi
     x1s = rho * l * math.cos(phi) - x2s * d + 0.5 * a * d * d
     x2 = x2s - a * t_sw
     s0 = State(x1s - x2 * t_sw - 0.5 * a * t_sw * t_sw, x2)
-    A0, A1, A2, B0, B1 = _endpoint_coeffs(s0, a, t_f)
+    # x1f = A0 + A1*t + A2*t^2 and x2f = B0 + B1*t as functions of t = t_switch.
+    A0, A1, A2 = s0.x1 + s0.x2 * t_f - 0.5 * a * t_f * t_f, 2.0 * a * t_f, -a
+    B0, B1 = s0.x2 - a * t_f, 2.0 * a
     swept = any(
         (A0 + A1 * t + A2 * t * t) ** 2 + (B0 + B1 * t) ** 2 <= l * l * (1.0 - 1e-6)
         for t in (t_f * i / _SWEEP for i in range(_SWEEP + 1))
     )
     if swept:
-        assert _circle_switch(s0, a, t_f, l)
+        assert _feasible(Circle(l), Params(alpha=alpha, l=l), s0, t_f) is not None
 
 
 # ── The certified skip in the t_final ascent ──────────────────────────────────
@@ -323,7 +324,7 @@ def test_lines_the_ascent_skips_are_infeasible(l, alpha, x1, x2):
     n = int(round((_origin_time(alpha, s) + grid) / grid))
     k = max(0, int(_box_entry_time(m, alpha, s) / grid) - 1)
     while k <= n:
-        t_clear = _clear_until(m, alpha, s, k * grid)
+        t_clear = _clear_until(m, alpha, s, k * grid, _nearest_endpoint(alpha, s, k * grid)[0])
         if t_clear is None:
             if _feasible(m, p, s, k * grid) is not None:
                 return
@@ -390,7 +391,51 @@ def _decimal_gap(m, alpha, s0, t_f):
 def test_disk_gap_never_exceeds_the_true_distance(l, alpha, x1, x2, t_f):
     m, _ = _scenario(l, alpha)
     s = State(x1, x2)
-    assert Decimal(_disk_gap(m, alpha, s, t_f)) <= _decimal_gap(m, alpha, s, t_f)
+    g = _disk_gap(m, alpha, s, t_f, _nearest_endpoint(alpha, s, t_f)[0])
+    assert Decimal(g) <= _decimal_gap(m, alpha, s, t_f)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    l=st.floats(1e-3, 10.0),
+    alpha=st.floats(0.1, 10.0),
+    u0=st.sampled_from((-1.0, 1.0)),
+    t_f=st.floats(0.0, 20.0),
+    f_sw=st.floats(0.0, 1.0),
+    rho=st.one_of(st.floats(0.0, 3.0), st.floats(1.0 - 1e-6, 1.0 + 1e-6)),
+    phi=st.floats(0.0, 2.0 * math.pi),
+    stationary=st.booleans(),
+)
+def test_circle_exact_test_agrees_with_60_digits(l, alpha, u0, t_f, f_sw, rho, phi, stationary):
+    """The circle's exact test, against the nearest endpoint in 60 digits: a
+    switch whenever that endpoint is inside the disk by more than the gap
+    bound's slack, None whenever it is outside by more, and a returned switch
+    lands within the slack of the disk."""
+    # Run a policy backward from an endpoint at radius rho*l, so the nearest
+    # endpoint often lies close to the circle, on either side.  The endpoint
+    # moves along 2*a*(d, 1) with t_switch, so at phi normal to that its
+    # radius is stationary, and it is often the nearest one.
+    a = alpha * u0
+    t_sw = f_sw * t_f
+    d = t_f - t_sw
+    if stationary:
+        phi = math.atan2(-d, 1.0) + (math.pi if phi > math.pi else 0.0)
+    x2s = rho * l * math.sin(phi) + a * d
+    x1s = rho * l * math.cos(phi) - x2s * d + 0.5 * a * d * d
+    x2 = x2s - a * t_sw
+    s0 = State(x1s - x2 * t_sw - 0.5 * a * t_sw * t_sw, x2)
+    m, p = Circle(l), Params(alpha=alpha, l=l)
+    scale = abs(s0.x1) + abs(s0.x2) + (abs(s0.x2) + alpha) * t_f + 4.0 * alpha * t_f * t_f
+    slack = 1e-9 * (1.0 + l + scale)
+    gap = _decimal_gap(m, alpha, s0, t_f)
+    hit = _feasible(m, p, s0, t_f)
+    if gap < -slack:
+        assert hit is not None
+    if gap > slack:
+        assert hit is None
+    if hit is not None:
+        end = policy_endpoint(s0, PolicyCandidate(hit[0], hit[1], t_f), alpha)
+        assert math.hypot(end.x1, end.x2) <= l + slack
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -423,5 +468,6 @@ def test_clear_stretch_ends_before_a_feasible_final_time(l, alpha, u0, t_final, 
     s0 = State(x1s - x2 * t_sw - 0.5 * a * t_sw * t_sw, x2)
     assume(not contains(m, s0))
     assume(contains(m, policy_endpoint(s0, PolicyCandidate(u0, t_sw, t_final), alpha)))
-    t_clear = _clear_until(m, alpha, s0, f_from * t_final)
+    t_f = f_from * t_final
+    t_clear = _clear_until(m, alpha, s0, t_f, _nearest_endpoint(alpha, s0, t_f)[0])
     assert t_clear is None or t_clear <= t_final
