@@ -1,12 +1,14 @@
 """Closed-loop rollout: plant plus synthesized feedback, with event-accurate stops.
 
 The loop is sampled-data: the feedback law is re-evaluated every step and held
-constant across it, integrated with fixed-step RK4.  Two kinds of events land
-inside a step rather than on the grid:
+constant across it, integrated with fixed-step RK4.  At every alpha it is the
+closed form, asked only for the control and switch state (synthesis._invert).
+Two kinds of events land inside a step rather than on the grid:
 
   * target crossings, bisected on the signed distance (circle: |x| - l;
     square: max(|x1|, |x2|) - 1) to |distance| <= 1e-10, so the realized
-    final time is bit-stable for the acceptance checks;
+    final time is bit-stable for the acceptance checks.  A sample within
+    1e-12 outside counts, or a rollout into a square corner steps away;
   * switches, taken from the law itself: when the next sample's control
     flips, the rollout steps exactly to the law's switch_state if that lies
     inside the step and the law flips there; otherwise the control flips at
@@ -28,11 +30,12 @@ from .manifold import (
     Manifold,
     SquareCorner,
     SquareSide,
+    _unit_size,
     antipode,
     signed_distance,
 )
 from .model import DomainError, InsideTarget, Params, State
-from .synthesis import feedback, locus_distance, value
+from .synthesis import _invert, feedback, locus_distance, value
 
 _EVENT_TOL = 1e-10
 _ON_MANIFOLD_TOL = 1e-12
@@ -129,15 +132,16 @@ def simulate(m: Manifold, params: Params, s0: State, dt: float, t_max: float) ->
         sample = TrajectorySample(0.0, s0.x1, s0.x2, u0)
         return Trajectory((sample,), Termination("reached", boundary_point_of_state(m, s0), 0.0), dt)
 
+    size = _unit_size(m, params)
+    a = params.alpha
     t = 0.0
     s = s0
-    law = feedback(m, params, s)
-    samples = [TrajectorySample(0.0, s.x1, s.x2, law.u)]
+    _, u, sw = _invert(m, size, a, s)
+    samples = [TrajectorySample(0.0, s.x1, s.x2, u)]
     while t < t_max:
-        u = law.u
-        accel = params.alpha * u
+        accel = a * u
         trial = _rk4_forward(s, accel, dt)
-        if signed_distance(m, trial) <= 0.0:
+        if signed_distance(m, trial) <= _ON_MANIFOLD_TOL:
             h = _bisect_event(m, s, accel, dt)
             final = _rk4_forward(s, accel, h)
             t += h
@@ -145,18 +149,17 @@ def simulate(m: Manifold, params: Params, s0: State, dt: float, t_max: float) ->
             return Trajectory(
                 tuple(samples), Termination("reached", boundary_point_of_state(m, final), t), dt
             )
-        nxt = feedback(m, params, trial)
-        sw = law.switch_state
-        if nxt.u != u and sw is not None and 0.0 < (h := (sw.x2 - s.x2) / accel) < dt:
+        _, nxt_u, nxt_sw = _invert(m, size, a, trial)
+        if nxt_u != u and sw is not None and 0.0 < (h := (sw.x2 - s.x2) / accel) < dt:
             # x2 is linear under constant control, so h reaches the law's own
             # switch state; it is taken only if the law flips there too.
-            at_switch = feedback(m, params, sw)
-            if at_switch.u != u:
-                s, t, law = sw, t + h, at_switch
-                samples.append(TrajectorySample(t, s.x1, s.x2, law.u))
+            _, sw_u, sw_sw = _invert(m, size, a, sw)
+            if sw_u != u:
+                s, t, u, sw = sw, t + h, sw_u, sw_sw
+                samples.append(TrajectorySample(t, s.x1, s.x2, u))
                 continue
-        s, t, law = trial, t + dt, nxt
-        samples.append(TrajectorySample(t, s.x1, s.x2, law.u))
+        s, t, u, sw = trial, t + dt, nxt_u, nxt_sw
+        samples.append(TrajectorySample(t, s.x1, s.x2, u))
     return Trajectory(tuple(samples), Termination("max_time", None, None), dt)
 
 

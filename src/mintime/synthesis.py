@@ -593,8 +593,8 @@ def feedback(m: Manifold, params: Params, s: State) -> SynthesisResult:
     At alpha = 1 this is the closed-form law.  Other authorities are still
     answered by the oracle-backed law (_numeric_feedback): the benchmark's
     tracer test counts one oracle search per such query.  The closed form
-    serves them exactly as well (_closed_form_feedback) and replaces the
-    oracle-backed law once that test changes.
+    serves them exactly as well (_closed_form_feedback, as simulate does)
+    and replaces the oracle-backed law once that test changes.
     """
     if params.alpha != 1.0:
         _unit_size(m, params)
@@ -606,29 +606,15 @@ def feedback(m: Manifold, params: Params, s: State) -> SynthesisResult:
 def _closed_form_feedback(m: Manifold, params: Params, s: State) -> SynthesisResult:
     """Feedback by characteristic inversion, at any alpha.
 
-    Solves the unit-authority problem at y = s/alpha: enumerates the
-    admissible families at y and, for their mirror twins, at -y; keeps
-    feasible inversions and returns the minimal-time one, mapped back.  On a
-    switching curve the reported control matches the post-switch arc (_far_u)
-    so the closed loop does not chatter.
+    Solves the unit-authority problem at y = s/alpha (_invert) and adds the
+    terminal point and the locus flag.  On a switching curve the reported
+    control matches the post-switch arc (_far_u) so the closed loop does not
+    chatter.
     """
     size = _unit_size(m, params)
     _reject_interior(m, s)
     a = params.alpha
-    y1, y2 = s.x1 / a, s.x2 / a
-    half = _circle_half if isinstance(m, Circle) else _square_half
-    cands = half(size, y1, y2, False) + half(size, -y1, -y2, True)
-    if not cands:
-        raise DomainError(f"no admissible characteristic reaches {s!r}")
-    cands.sort(key=_order)
-    best = cands[0]
-    ties = [c for c in cands if c.tau <= best.tau + _TIE_TOL * (1.0 + best.tau)]
-    switch_state = None
-    for c in ties:
-        if c.switch is not None:
-            g = -a if c.mirrored else a
-            switch_state = State(g * c.switch[0], g * c.switch[1])
-            break
+    best, u, switch_state = _invert(m, size, a, s)
     if isinstance(m, Circle):
         terminal: BoundaryPoint = CircleTheta(best.param)
     elif best.family in ("AB", "BC"):
@@ -636,10 +622,32 @@ def _closed_form_feedback(m: Manifold, params: Params, s: State) -> SynthesisRes
         terminal = SquareSide(best.family, min(max(a * best.param, lo), 1.0))
     else:
         terminal = SquareCorner("A", best.param)
-    u = best.u
     if best.mirrored:
-        terminal, u = antipode(m, terminal), -u
-    return SynthesisResult(u, best.tau, terminal, switch_state, _near_locus(m, size, a, y1, y2))
+        terminal = antipode(m, terminal)
+    return SynthesisResult(u, best.tau, terminal, switch_state,
+                           _near_locus(m, size, a, s.x1 / a, s.x2 / a))
+
+
+def _invert(m: Manifold, size: float, a: float, s: State) -> tuple[_Candidate, float, State | None]:
+    """(winning candidate, its control, switch state) at s outside the target: the
+    families inverted at y = s/alpha and their mirror twins at -y."""
+    y1, y2 = s.x1 / a, s.x2 / a
+    half = _circle_half if isinstance(m, Circle) else _square_half
+    cands = half(size, y1, y2, False) + half(size, -y1, -y2, True)
+    if not cands:
+        raise DomainError(f"no admissible characteristic reaches {s!r}")
+    if len(cands) > 1:
+        cands.sort(key=_order)
+    best = cands[0]
+    switch_state = None
+    for c in cands:  # sorted by time-to-go, so the ties with best come first
+        if c.tau > best.tau + _TIE_TOL * (1.0 + best.tau):
+            break
+        if c.switch is not None:
+            g = -a if c.mirrored else a
+            switch_state = State(g * c.switch[0], g * c.switch[1])
+            break
+    return best, -best.u if best.mirrored else best.u, switch_state
 
 
 def _near_locus(m: Manifold, size: float, a: float, y1: float, y2: float) -> bool:

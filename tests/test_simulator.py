@@ -1,6 +1,7 @@
 """Closed-loop rollouts with event-accurate termination."""
 
 import math
+import random
 
 import pytest
 
@@ -13,15 +14,17 @@ from mintime import (
     RegionClass,
     Square,
     State,
-    SynthesisResult,
     boundary_state,
     classify,
+    feedback,
+    signed_distance,
     simulate,
     value,
     verify_rollout,
 )
 from mintime import simulator
-from mintime.simulator import Termination, Trajectory, TrajectorySample
+from mintime.simulator import Termination, Trajectory, TrajectorySample, boundary_point_of_state
+from mintime.synthesis import _closed_form_feedback
 
 P1 = Params(alpha=1.0, l=1.0)
 C1 = Circle(1.0)
@@ -60,18 +63,109 @@ def test_rollout_advances_when_the_law_flips_on_every_call(monkeypatch):
     at each sample and the rollout still advances by dt."""
     calls = []
 
-    def flipping_law(m, params, s):
+    def flipping_law(m, size, a, s):
         calls.append(s)
         if len(calls) > 1000:
             raise RuntimeError("the rollout stopped advancing")
         u = 1.0 if len(calls) % 2 else -1.0
-        return SynthesisResult(u, 1.0, CircleTheta(0.0), s, False)
+        return None, u, s
 
-    monkeypatch.setattr(simulator, "feedback", flipping_law)
+    monkeypatch.setattr(simulator, "_invert", flipping_law)
     dt, t_max = 1e-3, 0.05
     traj = simulate(C1, P1, State(-5.0, -5.0), dt, t_max)
     assert traj.termination.status == "max_time"
     assert len(traj.samples) <= math.ceil(t_max / dt) + 1
+    assert {s.u for s in traj.samples} == {-1.0, 1.0}
+
+
+def _feedback_loop(law, m, params, s0, dt, t_max):
+    """simulate's loop written on a whole-result law: law(m, params, s) per sample.
+
+    The same event and switch rules as simulate; only the law call differs.
+    """
+    t, s = 0.0, s0
+    res = law(m, params, s)
+    samples = [TrajectorySample(0.0, s.x1, s.x2, res.u)]
+    while t < t_max:
+        u = res.u
+        accel = params.alpha * u
+        trial = simulator._rk4_forward(s, accel, dt)
+        if signed_distance(m, trial) <= simulator._ON_MANIFOLD_TOL:
+            h = simulator._bisect_event(m, s, accel, dt)
+            final = simulator._rk4_forward(s, accel, h)
+            t += h
+            samples.append(TrajectorySample(t, final.x1, final.x2, u))
+            end = Termination("reached", boundary_point_of_state(m, final), t)
+            return Trajectory(tuple(samples), end, dt)
+        nxt = law(m, params, trial)
+        sw = res.switch_state
+        if nxt.u != u and sw is not None and 0.0 < (h := (sw.x2 - s.x2) / accel) < dt:
+            at_switch = law(m, params, sw)
+            if at_switch.u != u:
+                s, t, res = sw, t + h, at_switch
+                samples.append(TrajectorySample(t, s.x1, s.x2, res.u))
+                continue
+        s, t, res = trial, t + dt, nxt
+        samples.append(TrajectorySample(t, s.x1, s.x2, res.u))
+    return Trajectory(tuple(samples), Termination("max_time", None, None), dt)
+
+
+def _outside_states(m, rng, n, span):
+    out = []
+    while len(out) < n:
+        s = State(rng.uniform(-span, span), rng.uniform(-span, span))
+        if signed_distance(m, s) > 0.0:
+            out.append(s)
+    return out
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 2.0])
+def test_rollout_matches_a_feedback_loop(alpha):
+    """simulate asks the law for (u, switch) only; its samples and termination
+    are bit-identical to the loop that reads them from the whole result.  At
+    alpha = 1 that result is the public feedback, elsewhere the closed form."""
+    law = feedback if alpha == 1.0 else _closed_form_feedback
+    rng = random.Random(19)
+    n_switched = 0
+    for l in (0.05, 0.5, 1.0, 2.0, 3.0, None):
+        m = Square() if l is None else Circle(l)
+        p = Params(alpha=alpha) if l is None else Params(alpha=alpha, l=l)
+        for s0 in _outside_states(m, rng, 3 if alpha == 1.0 else 2, 3.0 * min(alpha, 1.0) + 1.0):
+            traj = simulate(m, p, s0, 2e-3, 40.0)
+            assert traj.termination.status == "reached", (l, s0)
+            assert traj == _feedback_loop(law, m, p, s0, 2e-3, 40.0), (l, s0)
+            n_switched += traj.n_switches > 0
+    assert n_switched >= 4  # the switch step is exercised, not only the event rule
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+def test_rollout_at_general_alpha_follows_the_closed_form(alpha):
+    dt = 1e-3
+    for m, p in ((SQ, Params(alpha=alpha)), (C1, Params(alpha=alpha, l=1.0))):
+        for s0 in (State(3.0, 1.0), State(-3.0, 1.0), State(4.0, -2.0)):
+            traj = simulate(m, p, s0, dt, 40.0)
+            v = _closed_form_feedback(m, p, s0).time_to_go
+            assert traj.termination.status == "reached"
+            assert abs(traj.termination.t_f - v) <= 2.0 * dt, (m, alpha, s0)
+            assert traj.n_switches <= 1
+
+
+def test_rollout_into_a_square_corner_ends_on_time():
+    """Starts on the u = +1 parabola through C (x1 = 1/2 + x2^2/2, x2 < -1), and
+    its mirror through A, reach the corner at t = V.  When V is a whole number
+    of steps the sample there lands within rounding of the corner, on either
+    side; the rollout must end there, not step away and come back."""
+    rng = random.Random(7)
+    starts = [(Params(), s) for k in rng.sample(range(1, 3000), 8)
+              for x2 in [-1.0 - k * 1e-3]
+              for s in (State(0.5 + 0.5 * x2 * x2, x2), State(-0.5 - 0.5 * x2 * x2, -x2))]
+    starts.append((Params(alpha=0.5), State(4.0, -2.0)))
+    for p, s0 in starts:
+        traj = simulate(SQ, p, s0, 1e-3, 10.0)
+        assert traj.termination.status == "reached"
+        v = _closed_form_feedback(SQ, p, s0).time_to_go
+        assert abs(traj.termination.t_f - v) <= 1e-9, (p, s0)
+        assert traj.n_switches == 0
 
 
 def test_rollout_terminates_on_usable_part():
