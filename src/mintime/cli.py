@@ -216,6 +216,8 @@ def _cmd_value(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params, m = _scenario(args)
+    if args.dt > 0.0 and math.isfinite(args.tmax):  # bad values keep simulate's own message
+        _check_rows(args.tmax / args.dt, "--tmax and --dt")
     traj = simulator.simulate(m, params, State(args.x1, args.x2), args.dt, args.tmax)
     rows = [(s.t, s.x1, s.x2, s.u) for s in traj.samples]
     _emit_table(args, "simulate", ["t", "x1", "x2", "u"], rows)

@@ -291,9 +291,14 @@ def contains(m: Manifold, s: State) -> bool:
 
 def signed_distance(m: Manifold, s: State) -> float:
     """Positive outside the target, zero on the manifold, negative inside."""
+    return _signed_distance(m, s.x1, s.x2)
+
+
+def _signed_distance(m: Manifold, x1: float, x2: float) -> float:
+    """signed_distance at the point (x1, x2), for callers stepping on plain floats."""
     if isinstance(m, Circle):
-        return math.hypot(s.x1, s.x2) - m.l
-    return max(abs(s.x1), abs(s.x2)) - 1.0
+        return math.hypot(x1, x2) - m.l
+    return max(abs(x1), abs(x2)) - 1.0
 
 
 def _reject_interior(m: Manifold, s: State) -> None:

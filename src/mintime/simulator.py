@@ -3,6 +3,8 @@
 The loop is sampled-data: the feedback law is re-evaluated every step and held
 constant across it, integrated with fixed-step RK4.  At every alpha it is the
 closed form, asked only for the control and switch state (synthesis._invert).
+Each step carries (x1, x2) as plain floats, and raises State's error when
+they leave float range.
 Two kinds of events land inside a step rather than on the grid:
 
   * target crossings, bisected on the signed distance (circle: |x| - l;
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .manifold import (
     BoundaryPoint,
@@ -30,6 +33,7 @@ from .manifold import (
     Manifold,
     SquareCorner,
     SquareSide,
+    _signed_distance,
     _unit_size,
     antipode,
     signed_distance,
@@ -43,8 +47,7 @@ _CORNER_TOL = 1e-7
 _PARAM_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
+class TrajectorySample(NamedTuple):
     t: float
     x1: float
     x2: float
@@ -85,12 +88,14 @@ class RolloutReport:
     n_checked: int
 
 
-def _rk4_forward(s: State, accel: float, h: float) -> State:
+def _rk4_forward(x1: float, x2: float, accel: float, h: float) -> tuple[float, float]:
     # (dx1/dt, dx2/dt) = (x2, accel); RK4 is exact for this RHS.
-    k1 = s.x2
-    k2 = s.x2 + 0.5 * h * accel
-    k4 = s.x2 + h * accel
-    return State(s.x1 + (h / 6.0) * (k1 + 4.0 * k2 + k4), s.x2 + h * accel)
+    k2 = x2 + 0.5 * h * accel
+    k4 = x2 + h * accel
+    nx1 = x1 + (h / 6.0) * (x2 + 4.0 * k2 + k4)
+    if not (math.isfinite(nx1) and math.isfinite(k4)):
+        State(nx1, k4)  # raises State's own DomainError
+    return nx1, k4
 
 
 def boundary_point_of_state(m: Manifold, s: State) -> BoundaryPoint:
@@ -124,7 +129,7 @@ def simulate(m: Manifold, params: Params, s0: State, dt: float, t_max: float) ->
         raise DomainError(f"dt must be finite and > 0, got {dt!r}")
     if not 0.0 < t_max < math.inf:
         raise DomainError(f"t_max must be finite and > 0, got {t_max!r}")
-    d0 = signed_distance(m, s0)
+    d0 = _signed_distance(m, s0.x1, s0.x2)
     if d0 < -_ON_MANIFOLD_TOL:
         raise InsideTarget(f"{s0!r} starts inside the target")
     if abs(d0) <= _ON_MANIFOLD_TOL:
@@ -135,39 +140,38 @@ def simulate(m: Manifold, params: Params, s0: State, dt: float, t_max: float) ->
     size = _unit_size(m, params)
     a = params.alpha
     t = 0.0
-    s = s0
-    _, u, sw = _invert(m, size, a, s)
-    samples = [TrajectorySample(0.0, s.x1, s.x2, u)]
+    x1, x2 = s0.x1, s0.x2
+    _, u, sw = _invert(m, size, a, x1, x2)
+    samples = [TrajectorySample(0.0, x1, x2, u)]
     while t < t_max:
         accel = a * u
-        trial = _rk4_forward(s, accel, dt)
-        if signed_distance(m, trial) <= _ON_MANIFOLD_TOL:
-            h = _bisect_event(m, s, accel, dt)
-            final = _rk4_forward(s, accel, h)
+        n1, n2 = _rk4_forward(x1, x2, accel, dt)
+        if _signed_distance(m, n1, n2) <= _ON_MANIFOLD_TOL:
+            h = _bisect_event(m, x1, x2, accel, dt)
+            x1, x2 = _rk4_forward(x1, x2, accel, h)
             t += h
-            samples.append(TrajectorySample(t, final.x1, final.x2, u))
-            return Trajectory(
-                tuple(samples), Termination("reached", boundary_point_of_state(m, final), t), dt
-            )
-        _, nxt_u, nxt_sw = _invert(m, size, a, trial)
-        if nxt_u != u and sw is not None and 0.0 < (h := (sw.x2 - s.x2) / accel) < dt:
+            samples.append(TrajectorySample(t, x1, x2, u))
+            final = boundary_point_of_state(m, State(x1, x2))
+            return Trajectory(tuple(samples), Termination("reached", final, t), dt)
+        _, nxt_u, nxt_sw = _invert(m, size, a, n1, n2)
+        if nxt_u != u and sw is not None and 0.0 < (h := (sw[1] - x2) / accel) < dt:
             # x2 is linear under constant control, so h reaches the law's own
             # switch state; it is taken only if the law flips there too.
-            _, sw_u, sw_sw = _invert(m, size, a, sw)
+            _, sw_u, sw_sw = _invert(m, size, a, *sw)
             if sw_u != u:
-                s, t, u, sw = sw, t + h, sw_u, sw_sw
-                samples.append(TrajectorySample(t, s.x1, s.x2, u))
+                (x1, x2), t, u, sw = sw, t + h, sw_u, sw_sw
+                samples.append(TrajectorySample(t, x1, x2, u))
                 continue
-        s, t, u, sw = trial, t + dt, nxt_u, nxt_sw
-        samples.append(TrajectorySample(t, s.x1, s.x2, u))
+        x1, x2, t, u, sw = n1, n2, t + dt, nxt_u, nxt_sw
+        samples.append(TrajectorySample(t, x1, x2, u))
     return Trajectory(tuple(samples), Termination("max_time", None, None), dt)
 
 
-def _bisect_event(m: Manifold, s: State, accel: float, dt: float) -> float:
+def _bisect_event(m: Manifold, x1: float, x2: float, accel: float, dt: float) -> float:
     lo, hi = 0.0, dt
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        d = signed_distance(m, _rk4_forward(s, accel, mid))
+        d = _signed_distance(m, *_rk4_forward(x1, x2, accel, mid))
         if abs(d) <= _EVENT_TOL:
             return mid
         if d > 0.0:

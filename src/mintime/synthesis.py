@@ -65,6 +65,7 @@ time: the value function is zero only on the usable part.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -360,6 +361,7 @@ def _far_constant(l: float, u: float) -> tuple[float, float]:
 _NEWTON_MAX = 60  # iteration cap of the Newton solves; each converges in under 10
 
 
+@functools.lru_cache(maxsize=2)
 def _solve_far_constant(l: float, target: float) -> float:
     """The t < 0 whose post-switch constant is target; requires target > l.
 
@@ -368,6 +370,10 @@ def _solve_far_constant(l: float, target: float) -> float:
     the root (clamped at u = 0, where u*g(u) = 0), and from the left the
     iterates climb to the root monotonically.  The solve stops when a step
     from the left no longer moves u, and returns t = -sqrt(u).
+
+    Cached, as the solve is pure: along a u = +1 arc the parabola constant is
+    invariant and RK4 is exact for this plant, so a rollout's samples repeat
+    targets bit for bit.  _invert solves at most one far family per half.
     """
     if target <= l:
         raise DomainError("no post-switch anchor: constant must exceed l")
@@ -614,7 +620,7 @@ def _closed_form_feedback(m: Manifold, params: Params, s: State) -> SynthesisRes
     size = _unit_size(m, params)
     _reject_interior(m, s)
     a = params.alpha
-    best, u, switch_state = _invert(m, size, a, s)
+    best, u, switch = _invert(m, size, a, s.x1, s.x2)
     if isinstance(m, Circle):
         terminal: BoundaryPoint = CircleTheta(best.param)
     elif best.family in ("AB", "BC"):
@@ -624,30 +630,34 @@ def _closed_form_feedback(m: Manifold, params: Params, s: State) -> SynthesisRes
         terminal = SquareCorner("A", best.param)
     if best.mirrored:
         terminal = antipode(m, terminal)
-    return SynthesisResult(u, best.tau, terminal, switch_state,
+    return SynthesisResult(u, best.tau, terminal, None if switch is None else State(*switch),
                            _near_locus(m, size, a, s.x1 / a, s.x2 / a))
 
 
-def _invert(m: Manifold, size: float, a: float, s: State) -> tuple[_Candidate, float, State | None]:
-    """(winning candidate, its control, switch state) at s outside the target: the
-    families inverted at y = s/alpha and their mirror twins at -y."""
-    y1, y2 = s.x1 / a, s.x2 / a
+def _invert(m: Manifold, size: float, a: float, x1: float,
+            x2: float) -> tuple[_Candidate, float, tuple[float, float] | None]:
+    """(winning candidate, its control, switch state as (x1, x2)) at (x1, x2)
+    outside the target: the families inverted at y = x/alpha and their mirror
+    twins at -y.  Plain floats in and out, so that a rollout builds no State."""
+    y1, y2 = x1 / a, x2 / a
     half = _circle_half if isinstance(m, Circle) else _square_half
     cands = half(size, y1, y2, False) + half(size, -y1, -y2, True)
     if not cands:
-        raise DomainError(f"no admissible characteristic reaches {s!r}")
+        raise DomainError(f"no admissible characteristic reaches State(x1={x1!r}, x2={x2!r})")
     if len(cands) > 1:
         cands.sort(key=_order)
     best = cands[0]
-    switch_state = None
+    switch = None
     for c in cands:  # sorted by time-to-go, so the ties with best come first
         if c.tau > best.tau + _TIE_TOL * (1.0 + best.tau):
             break
         if c.switch is not None:
             g = -a if c.mirrored else a
-            switch_state = State(g * c.switch[0], g * c.switch[1])
+            switch = (g * c.switch[0], g * c.switch[1])
+            if not (math.isfinite(switch[0]) and math.isfinite(switch[1])):
+                State(*switch)  # raises State's DomainError: a rollout steps there
             break
-    return best, -best.u if best.mirrored else best.u, switch_state
+    return best, -best.u if best.mirrored else best.u, switch
 
 
 def _near_locus(m: Manifold, size: float, a: float, y1: float, y2: float) -> bool:

@@ -168,6 +168,7 @@ def test_domain_error_exits_2(capsys):
         ("verify", "--tol", "nan"),
         ("verify", "--tol", "-1"),
         ("simulate", "--x1", "3", "--x2", "1", "--tmax", "nan"),
+        ("simulate", "--x1", "3", "--x2", "1", "--dt", "1e-9"),
         ("loci", "--span", "nan"),
         ("loci", "--span", "inf"),
         ("loci", "--span", "-1"),

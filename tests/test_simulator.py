@@ -24,7 +24,7 @@ from mintime import (
 )
 from mintime import simulator
 from mintime.simulator import Termination, Trajectory, TrajectorySample, boundary_point_of_state
-from mintime.synthesis import _closed_form_feedback
+from mintime.synthesis import _closed_form_feedback, _solve_far_constant
 
 P1 = Params(alpha=1.0, l=1.0)
 C1 = Circle(1.0)
@@ -63,12 +63,12 @@ def test_rollout_advances_when_the_law_flips_on_every_call(monkeypatch):
     at each sample and the rollout still advances by dt."""
     calls = []
 
-    def flipping_law(m, size, a, s):
-        calls.append(s)
+    def flipping_law(m, size, a, x1, x2):
+        calls.append((x1, x2))
         if len(calls) > 1000:
             raise RuntimeError("the rollout stopped advancing")
         u = 1.0 if len(calls) % 2 else -1.0
-        return None, u, s
+        return None, u, (x1, x2)
 
     monkeypatch.setattr(simulator, "_invert", flipping_law)
     dt, t_max = 1e-3, 0.05
@@ -78,10 +78,69 @@ def test_rollout_advances_when_the_law_flips_on_every_call(monkeypatch):
     assert {s.u for s in traj.samples} == {-1.0, 1.0}
 
 
+def test_rollout_rejects_a_switch_state_beyond_float_range():
+    """The law's switch state overflows here; the rollout raises State's
+    error, as feedback does, rather than run on to t_max."""
+    m, p, s0 = Circle(1e100), Params(alpha=1e160, l=1e100), State(1e100, 1e300)
+    for call in (lambda: simulate(m, p, s0, 0.1, 2.0), lambda: _closed_form_feedback(m, p, s0)):
+        with pytest.raises(DomainError, match="state must be finite"):
+            call()
+
+
+def test_rollout_step_rejects_a_state_beyond_float_range(monkeypatch):
+    """The float step checks finiteness as State does: a u = +1 law at alpha
+    = 1e308 overflows x1 within the first step."""
+    monkeypatch.setattr(simulator, "_invert", lambda m, size, a, x1, x2: (None, 1.0, None))
+    with pytest.raises(DomainError, match="state must be finite"):
+        simulate(SQ, Params(alpha=1e308), State(-5.0, -5.0), 1.0, 10.0)
+
+
+def test_trajectory_sample_fields_repr_and_immutability():
+    smp = TrajectorySample(0.5, -1.0, 2.0, 1.0)
+    assert TrajectorySample._fields == ("t", "x1", "x2", "u")
+    assert (smp.t, smp.x1, smp.x2, smp.u) == (0.5, -1.0, 2.0, 1.0)
+    assert repr(smp) == "TrajectorySample(t=0.5, x1=-1.0, x2=2.0, u=1.0)"
+    with pytest.raises(AttributeError):
+        smp.u = -1.0
+
+
+def test_rollout_is_the_same_with_the_anchor_cache_warm_or_cleared():
+    p2 = Params(alpha=1.0, l=2.0)
+    for m, p, s0 in ((C1, P1, State(-2.0, 3.0)), (Circle(2.0), p2, State(3.5, 2.0))):
+        first = simulate(m, p, s0, 1e-3, 30.0)
+        assert simulate(m, p, s0, 1e-3, 30.0) == first
+        _solve_far_constant.cache_clear()
+        assert simulate(m, p, s0, 1e-3, 30.0) == first
+        assert _solve_far_constant.cache_info().hits > 0
+
+
+def _rk4_state(s, accel, h):
+    k1 = s.x2
+    k2 = s.x2 + 0.5 * h * accel
+    k4 = s.x2 + h * accel
+    return State(s.x1 + (h / 6.0) * (k1 + 4.0 * k2 + k4), s.x2 + h * accel)
+
+
+def _bisect_state(m, s, accel, dt):
+    lo, hi = 0.0, dt
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        d = signed_distance(m, _rk4_state(s, accel, mid))
+        if abs(d) <= simulator._EVENT_TOL:
+            return mid
+        if d > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def _feedback_loop(law, m, params, s0, dt, t_max):
     """simulate's loop written on a whole-result law: law(m, params, s) per sample.
 
-    The same event and switch rules as simulate; only the law call differs.
+    The same event and switch rules as simulate, stepped on States by its own
+    RK4 step and event bisection (_rk4_state, _bisect_state), so this
+    reference shares no step code with the float kernel it checks.
     """
     t, s = 0.0, s0
     res = law(m, params, s)
@@ -89,10 +148,10 @@ def _feedback_loop(law, m, params, s0, dt, t_max):
     while t < t_max:
         u = res.u
         accel = params.alpha * u
-        trial = simulator._rk4_forward(s, accel, dt)
+        trial = _rk4_state(s, accel, dt)
         if signed_distance(m, trial) <= simulator._ON_MANIFOLD_TOL:
-            h = simulator._bisect_event(m, s, accel, dt)
-            final = simulator._rk4_forward(s, accel, h)
+            h = _bisect_state(m, s, accel, dt)
+            final = _rk4_state(s, accel, h)
             t += h
             samples.append(TrajectorySample(t, final.x1, final.x2, u))
             end = Termination("reached", boundary_point_of_state(m, final), t)
