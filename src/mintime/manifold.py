@@ -309,12 +309,17 @@ def _reject_interior(m: Manifold, s: State) -> None:
 
 def _unit_size(m: Manifold, params: Params) -> float:
     """Radius l/alpha or half-side 1/alpha of the target seen at y = x/alpha,
-    where the plant is y1' = y2, y2' = u in unchanged time."""
+    where the plant is y1' = y2, y2' = u in unchanged time.  A size that leaves
+    float range (0 or inf) is rejected."""
     if isinstance(m, Circle):
         if m.l != params.l:
             raise DomainError(f"circle radius {m.l!r} disagrees with params.l = {params.l!r}")
-        return m.l / params.alpha
-    return 1.0 / params.alpha
+        size = m.l / params.alpha
+    else:
+        size = 1.0 / params.alpha
+    if not 0.0 < size < math.inf:
+        raise DomainError(f"target size l/alpha (1/alpha for the square) is {size!r}, out of float range")
+    return size
 
 
 # ── Sampling helpers ───────────────────────────────────────────────────────────

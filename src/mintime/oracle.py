@@ -8,16 +8,18 @@ endpoint is closed form:
     after the first arc   x2s = x2 + a*t_sw,   x1s = x1 + x2*t_sw + a*t_sw^2/2
     after the second arc  x2f = x2s - a*d,     x1f = x1s + x2s*d - a*d^2/2
 
-with a = alpha*u0 and d = t_final - t_switch.  The search ascends t_final on a
-fixed grid; at each t_final the switch time is tested exactly (interval
-arithmetic for the square; for the circle, the endpoint nearest the origin
-over both u0 and every t_switch, from a cubic stationarity solve), which
-dominates gridding t_switch: every candidate a t_switch grid would accept is
-accepted, and tangent entries cannot slip between grid lines.  Because the
-switch test is exact, feasibility in t_final is an interval near the optimum,
-and a shrinking-interval bisection between the last infeasible and first
-feasible grid lines (DEFAULT_GRID apart) refines the minimum to
-DEFAULT_REFINE_TOL/4.
+with a = alpha*u0 and d = t_final - t_switch.  At a fixed t_final that is
+(X1 - a*d^2, X2 - 2*a*d), where (X1, X2) is the endpoint of u0 held
+throughout.  The search ascends t_final on a fixed grid; at each t_final the
+switch time is tested exactly over d: for the square, |x1| <= 1 and
+|x2| <= 1 each hold on one d-interval, as both coordinates are monotone in d;
+for the circle, the endpoint nearest the origin over both u0 and every d
+comes from a cubic stationarity solve.  This dominates gridding t_switch:
+every candidate a t_switch grid would accept is accepted, and tangent entries
+cannot slip between grid lines.  Because the switch test is exact,
+feasibility in t_final is an interval near the optimum, and a
+shrinking-interval bisection between the last infeasible and first feasible
+grid lines (DEFAULT_GRID apart) refines the minimum to DEFAULT_REFINE_TOL/4.
 
 Two exact shortcuts leave every answer unchanged.  The ascent starts one grid
 line below a proven lower bound on the minimum time: every target lies in the
@@ -88,46 +90,6 @@ def policy_endpoint(s0: State, pol: PolicyCandidate, alpha: float) -> State:
 # ── Exact switch-time feasibility at a fixed final time ────────────────────────
 
 
-def _square_switch(s0: State, a: float, t_f: float) -> list[float]:
-    """Representative t_switch values, one per feasible window in [0, t_f]."""
-    # x1f = A0 + A1*t + A2*t^2 and x2f = B0 + B1*t as functions of t = t_switch.
-    A0, A1, A2 = s0.x1 + s0.x2 * t_f - 0.5 * a * t_f * t_f, 2.0 * a * t_f, -a
-    B0, B1 = s0.x2 - a * t_f, 2.0 * a
-    # |x2f| <= 1 is linear in t_switch.
-    lo = (-1.0 - B0) / B1
-    hi = (1.0 - B0) / B1
-    if lo > hi:
-        lo, hi = hi, lo
-    lo, hi = max(lo, 0.0), min(hi, t_f)
-    if lo > hi:
-        return []
-    # |x1f| <= 1: intersect two quadratic conditions on [lo, hi].
-    return [0.5 * (a0 + b0) for a0, b0 in _quad_band(A0, A1, A2, lo, hi)]
-
-
-def _quad_band(A0: float, A1: float, A2: float, lo: float, hi: float) -> list[tuple[float, float]]:
-    """Subintervals of [lo, hi] where -1 <= A0 + A1*t + A2*t^2 <= 1 (A2 != 0)."""
-    # A2 < 0 (u0 = +1): >= -1 between the roots of q+1, <= 1 outside roots of q-1.
-    # A2 > 0 mirrors.  Collect breakpoints and test midpoints; at most 5 pieces.
-    pts = {lo, hi}
-    for off in (-1.0, 1.0):
-        disc = A1 * A1 - 4.0 * A2 * (A0 - off)
-        if disc >= 0.0:
-            r = math.sqrt(disc)
-            for root in ((-A1 - r) / (2.0 * A2), (-A1 + r) / (2.0 * A2)):
-                if lo < root < hi:
-                    pts.add(root)
-    cuts = sorted(pts)
-    out = []
-    for i in range(len(cuts) - 1):
-        c0, c1 = cuts[i], cuts[i + 1]
-        t = 0.5 * (c0 + c1)
-        v = A0 + A1 * t + A2 * t * t
-        if -1.0 <= v <= 1.0:
-            out.append((c0, c1))
-    return out
-
-
 def _depressed_roots(p: float, q: float) -> list[float]:
     """Real roots of y^3 + p*y + q."""
     disc = 0.25 * q * q + p * p * p / 27.0
@@ -150,10 +112,9 @@ def _nearest_endpoint(alpha: float, s0: State, t_f: float) -> tuple[float, float
     """(r2, u0, t_switch): the endpoint at t_f nearest the origin, over both u0
     and every t_switch in [0, t_f], and its squared radius r2.
 
-    Spending the last d = t_f - t_switch on -u0 instead of u0 moves the
-    endpoint from (X1, X2), that of u0 throughout, to (X1 - a*d^2, X2 - 2*a*d).
-    Its squared radius is stationary where d^3 + (2 - X1/a)*d - X2/a = 0, so
-    the minimum over [0, t_f] lies at an end or at a root of that cubic.  The
+    In d = t_f - t_switch the endpoint is (X1 - a*d^2, X2 - 2*a*d).  Its
+    squared radius is stationary where d^3 + (2 - X1/a)*d - X2/a = 0, so the
+    minimum over [0, t_f] lies at an end or at a root of that cubic.  The
     one-real-root branch can drop a close pair of roots, which lies near a
     turning point of the cubic, so the one at d > 0 is tried too.  Every
     candidate is an endpoint, so besides rounding only a computed root that
@@ -189,24 +150,44 @@ def _circle_entry(l: float, near: tuple[float, float, float]) -> tuple[float, fl
     return near[1:] if near[0] <= l * l else None
 
 
+def _square_entry(alpha: float, s0: State, t_f: float) -> tuple[float, float] | None:
+    """The square's exact test: the deepest-entry (u0, t_switch) whose endpoint
+    at t_f is in the square, or None.
+
+    On d in [0, t_f] both X1 - a*d^2 and X2 - 2*a*d are monotone, so for each
+    u0, |x1| <= 1 holds on one d-interval (a*d^2 in [X1 - 1, X1 + 1]) and so
+    does |x2| <= 1 (2*a*d in [X2 - 1, X2 + 1]).  Their intersection with
+    [0, t_f] is the feasible window, and its midpoint represents it; a window
+    of one point counts as empty, so the ascent brackets a tangent entry from
+    above.  Between u0 = -1 and +1 the midpoint deeper inside the square wins.
+    """
+    best = (math.inf, 1.0, 0.0)
+    for u0 in (-1.0, 1.0):
+        a = alpha * u0
+        X1 = s0.x1 + (s0.x2 + 0.5 * a * t_f) * t_f
+        X2 = s0.x2 + a * t_f
+        lo1, hi1 = sorted(((X1 - 1.0) / a, (X1 + 1.0) / a))
+        lo2, hi2 = sorted(((X2 - 1.0) / (2.0 * a), (X2 + 1.0) / (2.0 * a)))
+        if hi1 < 0.0:
+            continue  # a*d^2 never reaches [X1 - 1, X1 + 1]
+        lo = max(math.sqrt(max(0.0, lo1)), lo2)
+        hi = min(t_f, math.sqrt(hi1), hi2)
+        if lo < hi:
+            d = 0.5 * (lo + hi)
+            best = min(best, (max(abs(X1 - a * d * d), abs(X2 - 2.0 * a * d)), u0, t_f - d))
+    return best[1:] if best[0] < math.inf else None
+
+
 # ── Public search ──────────────────────────────────────────────────────────────
 
 
 def _feasible(m: Manifold, params: Params, s0: State, t_f: float) -> tuple[float, float] | None:
-    """The deepest-entry (u0, t_switch) whose endpoint is in the target at t_f;
-    on the circle, that is the endpoint nearest the origin."""
+    """The exact test at t_f: a (u0, t_switch) whose endpoint is in the target,
+    or None.  On the circle that is the endpoint nearest the origin, on the
+    square the deepest entry."""
     if isinstance(m, Circle):
         return _circle_entry(m.l, _nearest_endpoint(params.alpha, s0, t_f))
-    best = None
-    best_depth = math.inf
-    for u0 in (-1.0, 1.0):
-        for t_sw in _square_switch(s0, params.alpha * u0, t_f):
-            end = policy_endpoint(s0, PolicyCandidate(u0, min(t_sw, t_f), t_f), params.alpha)
-            depth = max(abs(end.x1), abs(end.x2)) - 1.0
-            if depth < best_depth:
-                best_depth = depth
-                best = (u0, t_sw)
-    return best
+    return _square_entry(params.alpha, s0, t_f)
 
 
 def oracle_policy(m: Manifold, params: Params, s0: State,

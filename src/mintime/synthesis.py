@@ -494,24 +494,18 @@ def _locus_half(m: Manifold, size: float) -> tuple[float, float]:
     return size + 0.5 * size * size, size
 
 
-def _cubic_real_roots(a: float, b: float, c: float, d: float) -> list[float]:
-    """Real roots of a*t^3 + b*t^2 + c*t + d with a != 0."""
-    b, c, d = b / a, c / a, d / a
-    shift = b / 3.0
-    p = c - b * b / 3.0
-    q = 2.0 * b * b * b / 27.0 - b * c / 3.0 + d
+def _depressed_cubic_roots(p: float, q: float) -> list[float]:
+    """Real roots of w^3 + p*w + q."""
     disc = 0.25 * q * q + p * p * p / 27.0
     if disc > 0.0:
         root = math.sqrt(disc)
-        u = _cbrt(-0.5 * q + root)
-        v = _cbrt(-0.5 * q - root)
-        return [u + v - shift]
+        return [_cbrt(-0.5 * q + root) + _cbrt(-0.5 * q - root)]
     if p == 0.0 and q == 0.0:
-        return [-shift]
+        return [0.0]
     r = math.sqrt(max(0.0, -p * p * p / 27.0))
     phi = math.acos(min(1.0, max(-1.0, -0.5 * q / r))) if r > 0.0 else 0.0
     m2 = 2.0 * math.sqrt(max(0.0, -p / 3.0))
-    return [m2 * math.cos((phi + 2.0 * math.pi * k) / 3.0) - shift for k in range(3)]
+    return [m2 * math.cos((phi + 2.0 * math.pi * k) / 3.0) for k in range(3)]
 
 
 def _cbrt(x: float) -> float:
@@ -523,8 +517,8 @@ def _parabola_distance(x1: float, x2: float, c: float, w_edge: float) -> float:
 
     The squared distance is quartic in w; its stationary points solve a cubic.
     """
-    # d/dw [(w - x2)^2 + (c - w^2/2 - x1)^2] / 2 = w^3/2 + (1 - (c - x1))*w - x2
-    roots = _cubic_real_roots(0.5, 0.0, 1.0 - (c - x1), -x2)
+    # d/dw [(w - x2)^2 + (c - w^2/2 - x1)^2] = w^3 + 2*(1 - (c - x1))*w - 2*x2
+    roots = _depressed_cubic_roots(2.0 * (1.0 - (c - x1)), -2.0 * x2)
     best = math.inf
     for w in (w_edge, *roots):
         if w < w_edge:

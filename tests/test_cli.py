@@ -179,6 +179,10 @@ def test_domain_error_exits_2(capsys):
         ("flow", "--tau-step", "1e-300"),
         ("loci", "--levels", "100000000"),
         ("verify", "--grid", "100000"),
+        # Target sizes l/alpha and 1/alpha that leave float range.
+        ("simulate", "--l", "1e-300", "--alpha", "1e300", "--x1", "3", "--x2", "1"),
+        ("value", "--target", "square", "--alpha", "1e-310", "--x1", "3", "--x2", "1"),
+        ("value", "--l", "1e-300", "--alpha", "1e300", "--x1", "3", "--x2", "1"),
     ],
 )
 def test_out_of_range_numbers_exit_2(capsys, argv):

@@ -253,6 +253,53 @@ def test_circle_switch_finds_every_swept_entry(l, alpha, u0, t_f, i_sw, rho, phi
         assert _feasible(Circle(l), Params(alpha=alpha, l=l), s0, t_f) is not None
 
 
+_NEAR_SIDE = st.sampled_from((-1.0, -1.0 + 1e-6, 1.0 - 1e-6, 1.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+# A corner endpoint, with the window clipped by t_f at d = t_f and at d = 0.
+@example(alpha=1.0, u0=-1.0, t_f=2.0, i_sw=0, ex=1.0 - 1e-6, ey=-1.0 + 1e-6)
+@example(alpha=0.5, u0=1.0, t_f=3.0, i_sw=_SWEEP, ex=-1.0 + 1e-6, ey=1.0 - 1e-6)
+@given(
+    alpha=st.floats(0.1, 10.0),
+    u0=st.sampled_from((-1.0, 1.0)),
+    t_f=st.one_of(st.floats(0.0, 20.0, exclude_min=True), st.floats(0.0, 0.5, exclude_min=True)),
+    i_sw=st.one_of(st.integers(0, _SWEEP), st.sampled_from((0, _SWEEP))),
+    ex=st.one_of(st.floats(-1.2, 1.2), _NEAR_SIDE),
+    ey=st.one_of(st.floats(-1.2, 1.2), _NEAR_SIDE),
+)
+def test_square_switch_finds_every_swept_entry(alpha, u0, t_f, i_sw, ex, ey):
+    """If a dense sweep of t_switch puts the endpoint inside the square, the
+    exact test (one d-interval per u0) returns a switch too, and every switch
+    it returns ends in the square up to rounding.  At t_f = 0 the window is one
+    point, which the test counts as empty; the search answers a start in the
+    target before it tests any t_f."""
+    a = alpha * u0
+    # Run a policy backward from the endpoint (ex, ey), switching on a sweep
+    # line, so the sweep often lands inside, also at the sides and corners.
+    t_sw = t_f * i_sw / _SWEEP
+    d = t_f - t_sw
+    x2s = ey + a * d
+    x1s = ex - x2s * d + 0.5 * a * d * d
+    x2 = x2s - a * t_sw
+    s0 = State(x1s - x2 * t_sw - 0.5 * a * t_sw * t_sw, x2)
+    # x1f = A0 + A1*t + A2*t^2 and x2f = B0 + B1*t as functions of t = t_switch.
+    A0, A1, A2 = s0.x1 + s0.x2 * t_f - 0.5 * a * t_f * t_f, 2.0 * a * t_f, -a
+    B0, B1 = s0.x2 - a * t_f, 2.0 * a
+    swept = any(
+        max(abs(A0 + A1 * t + A2 * t * t), abs(B0 + B1 * t)) <= 1.0 - 1e-6
+        for t in (t_f * i / _SWEEP for i in range(_SWEEP + 1))
+    )
+    hit = _feasible(SQ, Params(alpha=alpha), s0, t_f)
+    if swept:
+        assert hit is not None
+    if hit is not None:
+        assert 0.0 <= hit[1] <= t_f
+        end = policy_endpoint(s0, PolicyCandidate(hit[0], hit[1], t_f), alpha)
+        scale = abs(s0.x1) + abs(s0.x2) + (abs(s0.x2) + alpha) * t_f + 4.0 * alpha * t_f * t_f
+        assert max(abs(end.x1), abs(end.x2)) <= 1.0 + 1e-9 * (1.0 + scale)
+
+
 # ── The certified skip in the t_final ascent ──────────────────────────────────
 
 
