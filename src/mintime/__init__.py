@@ -55,7 +55,7 @@ from .oracle import (
     oracle_min_time,
     oracle_policy,
 )
-from .simulator import RolloutReport, Termination, Trajectory, simulate, verify_rollout
+from .simulator import Termination, Trajectory, simulate
 from .synthesis import (
     SwitchingCurve,
     SynthesisResult,

@@ -54,6 +54,7 @@ from .manifold import (
     _unit_size,
     antipode,
     boundary_state,
+    point_code,
     sample_up,
 )
 from .model import DomainError, Params, SingularInstant, State, validate_control
@@ -316,22 +317,6 @@ def forward_control(m: Manifold, b: BoundaryPoint, params: Params, tau: float) -
     return -1.0 if lam2 >= 0.0 else 1.0
 
 
-def anchor_kind(b: BoundaryPoint) -> str:
-    if isinstance(b, CircleTheta):
-        return "theta"
-    if isinstance(b, SquareSide):
-        return b.side
-    return f"corner_{b.corner}"
-
-
-def anchor_param(b: BoundaryPoint) -> float:
-    if isinstance(b, CircleTheta):
-        return b.theta
-    if isinstance(b, SquareSide):
-        return b.s
-    return b.theta
-
-
 def flow_rows(
     m: Manifold, params: Params, n_anchors: int, taus: list[float]
 ) -> list[tuple]:
@@ -343,7 +328,5 @@ def flow_rows(
             s = closed_form_state(m, b, params, t)
             u = forward_control(m, b, params, t)
             c = costate_retro(m, b, params, t)
-            rows.append(
-                (anchor_kind(b), anchor_param(b), t, s.x1, s.x2, c.lambda1, c.lambda2, u)
-            )
+            rows.append((*point_code(b), t, s.x1, s.x2, c.lambda1, c.lambda2, u))
     return rows

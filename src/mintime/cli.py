@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import characteristics, isochrone, oracle, simulator, synthesis
-from .manifold import Circle, Manifold, Square, _nup_empty, boundary_rows, sample_up
+from .manifold import Circle, Manifold, Square, _nup_empty, boundary_rows, point_code, sample_up
 from .model import DomainError, Params, State, parse_scenario
 
 _USAGE_EXIT = 64
@@ -114,14 +114,7 @@ def _cmd_costate(args) -> int:
     rows = []
     for b in sample_up(m, params, args.samples):
         c = characteristics.terminal_costate(m, b, params)
-        rows.append(
-            (
-                characteristics.anchor_kind(b),
-                characteristics.anchor_param(b),
-                c.lambda1,
-                c.lambda2,
-            )
-        )
+        rows.append((*point_code(b), c.lambda1, c.lambda2))
     _emit_table(args, "costate", ["kind", "param", "lambda1", "lambda2"], rows)
     return 0
 
@@ -189,7 +182,8 @@ def _cmd_isochrone(args) -> int:
 
 
 def _terminal_json(bp) -> dict:
-    return {"kind": characteristics.anchor_kind(bp), "param": characteristics.anchor_param(bp)}
+    kind, param = point_code(bp)
+    return {"kind": kind, "param": param}
 
 
 def _cmd_feedback(args) -> int:

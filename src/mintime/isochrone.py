@@ -28,8 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .characteristics import _check_tau, anchor_kind, anchor_param, closed_form_state
-from .manifold import BoundaryPoint, Circle, CircleTheta, Manifold, Square, SquareSide, _nup_empty, sample_up
+from .characteristics import _check_tau, closed_form_state
+from .manifold import BoundaryPoint, Circle, CircleTheta, Manifold, Square, SquareSide, _nup_empty, point_code, sample_up
 from .model import DomainError, Params
 
 _TWO_PI = 2.0 * math.pi
@@ -103,7 +103,8 @@ def isochrone_generic(m: Manifold, params: Params, tau: float, n_samples: int) -
         if limit is not None and tau >= limit:
             continue
         state = closed_form_state(m, b, params, tau)
-        points.append(IsoPoint(anchor_param(b), state.x1, state.x2, anchor_kind(b)))
+        kind, param = point_code(b)
+        points.append(IsoPoint(param, state.x1, state.x2, kind))
     return Isochrone(tau, tuple(points))
 
 

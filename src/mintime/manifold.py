@@ -42,6 +42,8 @@ _HALF_PI = 0.5 * math.pi
 BUP_TOL = 1e-13
 
 _INTERIOR_TOL = 1e-12  # states this deep inside the target are rejected
+_CORNER_TOL = 1e-7     # a state this close to both side lines is at the corner
+_PARAM_EPS = 1e-12     # nudge applied when clamping a side parameter into its open range
 
 
 # ── Manifolds ──────────────────────────────────────────────────────────────────
@@ -202,6 +204,39 @@ def _side_state(side: str, s: float) -> tuple[float, float]:
     return (s, 1.0)  # AD
 
 
+def boundary_point_of_state(m: Manifold, s: State) -> BoundaryPoint:
+    """Boundary point of a state on (or within event tolerance of) the
+    manifold: the inverse of boundary_state.
+
+    On the square, states on the right side or top (corners C and D included)
+    are the central mirror images of states on the left side or bottom.
+    """
+    if isinstance(m, Circle):
+        theta = math.atan2(s.x2, s.x1) % _TWO_PI
+        return CircleTheta(theta)
+    near_x1 = abs(abs(s.x1) - 1.0)
+    near_x2 = abs(abs(s.x2) - 1.0)
+    corner = near_x1 < _CORNER_TOL and near_x2 < _CORNER_TOL
+    vertical = corner or near_x1 <= near_x2
+    if (s.x1 > 0.0) if vertical else (s.x2 > 0.0):
+        return antipode(m, boundary_point_of_state(m, -s))
+    if not corner:
+        return _side_point("AB", s.x2) if vertical else _side_point("BC", s.x1)
+    if s.x2 > 0.0:
+        return SquareCorner("A", 0.75 * math.pi)
+    # B carries no boundary point; report the adjoining usable side.
+    return _side_point("BC", -1.0)
+
+
+def _side_point(side: str, s: float) -> SquareSide:
+    """The point at s on a side, clamped into the side's range; an open end
+    is approached to within _PARAM_EPS."""
+    lo, hi, lo_closed, hi_closed = _SIDE_RANGES[side]
+    lo = lo if lo_closed else lo + _PARAM_EPS
+    hi = hi if hi_closed else hi - _PARAM_EPS
+    return SquareSide(side, min(max(s, lo), hi))
+
+
 _SIDE_NORMALS = {
     "AB": (-1.0, 0.0),
     "BC": (0.0, -1.0),
@@ -347,6 +382,16 @@ def sample_up(m: Manifold, params: Params, n: int) -> list[BoundaryPoint]:
             p = iv.lo + (j + 0.5) * (iv.hi - iv.lo) / k
             out.append(_up_point(iv.kind, p))
     return out
+
+
+def point_code(b: BoundaryPoint) -> tuple[str, float]:
+    """(kind, param) of a boundary point, as up_intervals names its parameter
+    intervals; _up_point decodes it."""
+    if isinstance(b, CircleTheta):
+        return "theta", b.theta
+    if isinstance(b, SquareSide):
+        return b.side, b.s
+    return f"corner_{b.corner}", b.theta
 
 
 def _up_point(kind: str, p: float) -> BoundaryPoint:

@@ -26,25 +26,12 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .manifold import (
-    BoundaryPoint,
-    Circle,
-    CircleTheta,
-    Manifold,
-    SquareCorner,
-    SquareSide,
-    _signed_distance,
-    _unit_size,
-    antipode,
-    signed_distance,
-)
+from .manifold import BoundaryPoint, Manifold, _signed_distance, _unit_size, boundary_point_of_state
 from .model import DomainError, InsideTarget, Params, State
-from .synthesis import _invert, feedback, locus_distance, value
+from .synthesis import _invert, feedback
 
 _EVENT_TOL = 1e-10
 _ON_MANIFOLD_TOL = 1e-12
-_CORNER_TOL = 1e-7
-_PARAM_EPS = 1e-12
 
 
 class TrajectorySample(NamedTuple):
@@ -78,16 +65,6 @@ class Trajectory:
         return flips
 
 
-@dataclass(frozen=True)
-class RolloutReport:
-    """Audit of value-function consistency along a finished rollout."""
-
-    max_abs_deviation: float
-    threshold: float
-    flagged: bool
-    n_checked: int
-
-
 def _rk4_forward(x1: float, x2: float, accel: float, h: float) -> tuple[float, float]:
     # (dx1/dt, dx2/dt) = (x2, accel); RK4 is exact for this RHS.
     k2 = x2 + 0.5 * h * accel
@@ -96,31 +73,6 @@ def _rk4_forward(x1: float, x2: float, accel: float, h: float) -> tuple[float, f
     if not (math.isfinite(nx1) and math.isfinite(k4)):
         State(nx1, k4)  # raises State's own DomainError
     return nx1, k4
-
-
-def boundary_point_of_state(m: Manifold, s: State) -> BoundaryPoint:
-    """Boundary point of a state on (or within event tolerance of) the manifold.
-
-    On the square, states on the right side or top (corners C and D included)
-    are the central mirror images of states on the left side or bottom.
-    """
-    if isinstance(m, Circle):
-        theta = math.atan2(s.x2, s.x1) % (2.0 * math.pi)
-        return CircleTheta(theta)
-    near_x1 = abs(abs(s.x1) - 1.0)
-    near_x2 = abs(abs(s.x2) - 1.0)
-    corner = near_x1 < _CORNER_TOL and near_x2 < _CORNER_TOL
-    vertical = corner or near_x1 <= near_x2
-    if (s.x1 > 0.0) if vertical else (s.x2 > 0.0):
-        return antipode(m, boundary_point_of_state(m, -s))
-    if not corner:
-        if vertical:
-            return SquareSide("AB", min(max(s.x2, _PARAM_EPS), 1.0))
-        return SquareSide("BC", min(max(s.x1, -1.0 + _PARAM_EPS), 1.0))
-    if s.x2 > 0.0:
-        return SquareCorner("A", 0.75 * math.pi)
-    # B carries no boundary point; report the adjoining usable side.
-    return SquareSide("BC", -1.0 + _PARAM_EPS)
 
 
 def simulate(m: Manifold, params: Params, s0: State, dt: float, t_max: float) -> Trajectory:
@@ -180,25 +132,3 @@ def _bisect_event(m: Manifold, x1: float, x2: float, accel: float, dt: float) ->
             hi = mid
     return hi
 
-
-def verify_rollout(traj: Trajectory, m: Manifold, params: Params) -> RolloutReport:
-    """Check value(sample) tracks the remaining time t_f - t along the rollout.
-
-    Samples within a small band of a value-jump locus are skipped; deviations
-    beyond 5*dt are flagged.
-    """
-    if traj.termination.status != "reached":
-        raise DomainError("verify_rollout needs a trajectory that reached the manifold")
-    t_f = traj.termination.t_f
-    threshold = 5.0 * traj.dt
-    worst = 0.0
-    checked = 0
-    for smp in traj.samples:
-        st = State(smp.x1, smp.x2)
-        if locus_distance(m, params, st) < threshold:
-            continue
-        if signed_distance(m, st) < -_ON_MANIFOLD_TOL:
-            continue
-        worst = max(worst, abs(value(m, params, st) - (t_f - smp.t)))
-        checked += 1
-    return RolloutReport(worst, threshold, worst > threshold, checked)

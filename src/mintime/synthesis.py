@@ -77,12 +77,13 @@ from .manifold import (
     Manifold,
     Square,
     SquareCorner,
-    SquareSide,
     _nup_empty,
     _reject_interior,
     _theta_bar,
+    _side_point,
     _unit_size,
     antipode,
+    boundary_point_of_state,
 )
 from .model import DomainError, Params, State
 
@@ -91,7 +92,6 @@ _HALF_PI = 0.5 * math.pi
 
 _Q_TOL = 1e-12        # closure tolerance on cos(theta) roots at excluded endpoints
 _PARAM_TOL = 1e-9     # closure tolerance on square side parameters
-_PARAM_EPS = 1e-12    # nudge applied when clamping a parameter into its open range
 _TAU_TOL = 1e-9       # slack on time-to-go feasibility checks
 _TIE_TOL = 1e-9       # relative width of a time-to-go tie between families
 _ONCURVE_TOL = 1e-9   # membership band for riding a square switching curve
@@ -618,8 +618,7 @@ def _closed_form_feedback(m: Manifold, params: Params, s: State) -> SynthesisRes
     if isinstance(m, Circle):
         terminal: BoundaryPoint = CircleTheta(best.param)
     elif best.family in ("AB", "BC"):
-        lo = _PARAM_EPS if best.family == "AB" else -1.0 + _PARAM_EPS
-        terminal = SquareSide(best.family, min(max(a * best.param, lo), 1.0))
+        terminal = _side_point(best.family, a * best.param)
     else:
         terminal = SquareCorner("A", best.param)
     if best.mirrored:
@@ -682,7 +681,6 @@ def value(m: Manifold, params: Params, s: State) -> float:
 def _numeric_feedback(m: Manifold, params: Params, s: State) -> SynthesisResult:
     # Lazy import: the oracle validates the synthesis and imports it.
     from . import oracle as _oracle
-    from . import simulator as _simulator
 
     pol = _oracle.oracle_policy(m, params, s)
     u_now = pol.u0 if pol.t_switch > 1e-9 else -pol.u0
@@ -694,6 +692,6 @@ def _numeric_feedback(m: Manifold, params: Params, s: State) -> SynthesisResult:
             s.x2 + a * pol.t_switch,
         )
     end = _oracle.policy_endpoint(s, pol, params.alpha)
-    terminal = _simulator.boundary_point_of_state(m, end)
+    terminal = boundary_point_of_state(m, end)
     return SynthesisResult(u_now, pol.t_final, terminal, switch_state, False)
 

@@ -20,7 +20,7 @@ from mintime import (
     signed_distance,
     value,
 )
-from mintime.characteristics import anchor_kind, anchor_param
+from mintime.manifold import point_code
 from mintime.synthesis import _closed_form_feedback
 
 P1 = Params(alpha=1.0, l=1.0)
@@ -117,7 +117,7 @@ def test_generic_matches_rk4_propagation():
     for m, l in ((Circle(0.5), 0.5), (C1, 1.0), (Circle(2.0), 2.0), (SQ, 1.0)):
         for alpha in (0.5, 1.0, 2.0):
             p = Params(alpha=alpha, l=l)
-            anchors = {(anchor_kind(b), anchor_param(b)): b for b in sample_up(m, p, 32)}
+            anchors = {point_code(b): b for b in sample_up(m, p, 32)}
             for tau in (0.5, 1.75, 3.0):
                 iso = isochrone_generic(m, p, tau, 32)
                 if isinstance(m, Circle):  # no circle anchor re-enters its target

@@ -2,6 +2,7 @@
 
 import math
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -17,13 +18,14 @@ from mintime import (
     boundary_state,
     classify,
     feedback,
+    locus_distance,
     signed_distance,
     simulate,
     value,
-    verify_rollout,
 )
 from mintime import simulator
-from mintime.simulator import Termination, Trajectory, TrajectorySample, boundary_point_of_state
+from mintime.manifold import boundary_point_of_state
+from mintime.simulator import Termination, Trajectory, TrajectorySample
 from mintime.synthesis import _closed_form_feedback, _solve_far_constant
 
 P1 = Params(alpha=1.0, l=1.0)
@@ -259,6 +261,32 @@ def test_simulate_validations():
         simulate(C1, P1, State(-2.0, 0.0), 0.0, 1.0)
     traj = simulate(C1, P1, State(-5.0, -5.0), 1e-3, 0.05)
     assert traj.termination.status == "max_time"
+
+
+class RolloutReport(NamedTuple):
+    max_abs_deviation: float
+    threshold: float
+    flagged: bool
+    n_checked: int
+
+
+def verify_rollout(traj, m, params):
+    """Audit a finished rollout: value(sample) tracks the remaining time t_f - t.
+
+    Samples within 5*dt of a value-jump locus, or inside the target, are
+    skipped; deviations beyond 5*dt are flagged.
+    """
+    if traj.termination.status != "reached":
+        raise DomainError("verify_rollout needs a trajectory that reached the manifold")
+    threshold = 5.0 * traj.dt
+    worst, checked = 0.0, 0
+    for smp in traj.samples:
+        st = State(smp.x1, smp.x2)
+        if locus_distance(m, params, st) < threshold or signed_distance(m, st) < -simulator._ON_MANIFOLD_TOL:
+            continue
+        worst = max(worst, abs(value(m, params, st) - (traj.termination.t_f - smp.t)))
+        checked += 1
+    return RolloutReport(worst, threshold, worst > threshold, checked)
 
 
 def test_verify_rollout_accepts_optimal_loop():
