@@ -41,7 +41,7 @@ _HALF_PI = 0.5 * math.pi
 # angles below ~2*sqrt(BUP_TOL) (~6e-7 rad) read BUP.
 BUP_TOL = 1e-13
 
-_INTERIOR_TOL = 1e-12  # states this deep inside the target are rejected
+_INTERIOR_TOL = 1e-12  # states this deep inside the target, relative to _radius, are rejected
 _CORNER_TOL = 1e-7     # a state this close to both side lines is at the corner
 _PARAM_EPS = 1e-12     # nudge applied when clamping a side parameter into its open range
 
@@ -338,8 +338,14 @@ def _signed_distance(m: Manifold, x1: float, x2: float) -> float:
 
 def _reject_interior(m: Manifold, s: State) -> None:
     """Raise InsideTarget for a state strictly inside the target set."""
-    if signed_distance(m, s) < -_INTERIOR_TOL:
+    if signed_distance(m, s) < -_INTERIOR_TOL * _radius(m):
         raise InsideTarget(f"{s!r} is inside the target: already terminated")
+
+
+def _radius(m: Manifold) -> float:
+    """R, the target's size: the radius l, or the square's half-side 1.  The
+    target lies in the box |x1|, |x2| <= R, and distance bands scale with it."""
+    return m.l if isinstance(m, Circle) else 1.0
 
 
 def _unit_size(m: Manifold, params: Params) -> float:

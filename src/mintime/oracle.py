@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .manifold import Circle, Manifold, _reject_interior, _unit_size, contains
+from .manifold import Circle, Manifold, _radius, _reject_interior, _unit_size, contains
 from .model import DomainError, HorizonExceeded, Params, State
 from .synthesis import locus_distance, value  # for the grid report's comparison only
 
@@ -248,7 +248,7 @@ def _box_entry_time(m: Manifold, alpha: float, s0: State) -> float:
     unit time, and x1(t) >= x1 + x2*t - alpha*t^2/2 (mirrored for x1 < -R), so
     neither coordinate enters [-R, R] before the times computed here.
     """
-    R = m.l if isinstance(m, Circle) else 1.0
+    R = _radius(m)
     x1, x2 = s0.x1, s0.x2
     if x1 < 0.0:
         x1, x2 = -x1, -x2
@@ -286,7 +286,7 @@ def _clear_until(m: Manifold, alpha: float, s0: State, t_f: float, r2: float) ->
     g = _disk_gap(m, alpha, s0, t_f, r2)
     if not 0.0 < g < math.inf:
         return None
-    b = (m.l if isinstance(m, Circle) else 1.0) + alpha
+    b = _radius(m) + alpha
     d = 2.0 * g / (b + math.sqrt(b * b + 2.0 * alpha * g))
     return t_f + d * (1.0 - 1e-12) - 1e-15 * (t_f + d)
 

@@ -26,10 +26,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .manifold import BoundaryPoint, Manifold, _signed_distance, _unit_size, boundary_point_of_state
+from .manifold import BoundaryPoint, Manifold, _radius, _signed_distance, _unit_size, boundary_point_of_state
 from .model import DomainError, InsideTarget, Params, State
 from .synthesis import _invert, feedback
 
+# Distance bands, relative to the target's size R (manifold._radius).
 _EVENT_TOL = 1e-10
 _ON_MANIFOLD_TOL = 1e-12
 
@@ -81,10 +82,11 @@ def simulate(m: Manifold, params: Params, s0: State, dt: float, t_max: float) ->
         raise DomainError(f"dt must be finite and > 0, got {dt!r}")
     if not 0.0 < t_max < math.inf:
         raise DomainError(f"t_max must be finite and > 0, got {t_max!r}")
+    on_tol = _ON_MANIFOLD_TOL * _radius(m)
     d0 = _signed_distance(m, s0.x1, s0.x2)
-    if d0 < -_ON_MANIFOLD_TOL:
+    if d0 < -on_tol:
         raise InsideTarget(f"{s0!r} starts inside the target")
-    if abs(d0) <= _ON_MANIFOLD_TOL:
+    if abs(d0) <= on_tol:
         u0 = feedback(m, params, s0).u
         sample = TrajectorySample(0.0, s0.x1, s0.x2, u0)
         return Trajectory((sample,), Termination("reached", boundary_point_of_state(m, s0), 0.0), dt)
@@ -98,7 +100,7 @@ def simulate(m: Manifold, params: Params, s0: State, dt: float, t_max: float) ->
     while t < t_max:
         accel = a * u
         n1, n2 = _rk4_forward(x1, x2, accel, dt)
-        if _signed_distance(m, n1, n2) <= _ON_MANIFOLD_TOL:
+        if _signed_distance(m, n1, n2) <= on_tol:
             h = _bisect_event(m, x1, x2, accel, dt)
             x1, x2 = _rk4_forward(x1, x2, accel, h)
             t += h
@@ -120,11 +122,12 @@ def simulate(m: Manifold, params: Params, s0: State, dt: float, t_max: float) ->
 
 
 def _bisect_event(m: Manifold, x1: float, x2: float, accel: float, dt: float) -> float:
+    tol = _EVENT_TOL * _radius(m)
     lo, hi = 0.0, dt
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         d = _signed_distance(m, *_rk4_forward(x1, x2, accel, mid))
-        if abs(d) <= _EVENT_TOL:
+        if abs(d) <= tol:
             return mid
         if d > 0.0:
             lo = mid

@@ -123,12 +123,17 @@ def _rk4_state(s, accel, h):
     return State(s.x1 + (h / 6.0) * (k1 + 4.0 * k2 + k4), s.x2 + h * accel)
 
 
+def _size(m):
+    """The target's size, which scales simulate's distance bands."""
+    return m.l if isinstance(m, Circle) else 1.0
+
+
 def _bisect_state(m, s, accel, dt):
     lo, hi = 0.0, dt
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         d = signed_distance(m, _rk4_state(s, accel, mid))
-        if abs(d) <= simulator._EVENT_TOL:
+        if abs(d) <= simulator._EVENT_TOL * _size(m):
             return mid
         if d > 0.0:
             lo = mid
@@ -151,7 +156,7 @@ def _feedback_loop(law, m, params, s0, dt, t_max):
         u = res.u
         accel = params.alpha * u
         trial = _rk4_state(s, accel, dt)
-        if signed_distance(m, trial) <= simulator._ON_MANIFOLD_TOL:
+        if signed_distance(m, trial) <= simulator._ON_MANIFOLD_TOL * _size(m):
             h = _bisect_state(m, s, accel, dt)
             final = _rk4_state(s, accel, h)
             t += h
@@ -263,6 +268,20 @@ def test_simulate_validations():
     assert traj.termination.status == "max_time"
 
 
+def test_rollout_to_a_tiny_target_does_not_arrive_at_its_start():
+    """The distance bands scale with the target: five radii out of
+    Circle(1e-13) is not on the manifold, and the centre is inside.  At this
+    size the arrival is nearly tangent; a rollout that misses it ends at
+    t_max, and one that reaches it ends within 2*dt of V."""
+    m, p, s0, dt = Circle(1e-13), Params(l=1e-13), State(5e-13, 0.0), 1e-9
+    traj = simulate(m, p, s0, dt, 4e-6)
+    assert len(traj.samples) > 1
+    t_f = traj.termination.t_f
+    assert t_f is None or abs(t_f - value(m, p, s0)) <= 2.0 * dt
+    with pytest.raises(InsideTarget):
+        simulate(m, p, State(0.0, 0.0), dt, 4e-6)
+
+
 class RolloutReport(NamedTuple):
     max_abs_deviation: float
     threshold: float
@@ -282,7 +301,9 @@ def verify_rollout(traj, m, params):
     worst, checked = 0.0, 0
     for smp in traj.samples:
         st = State(smp.x1, smp.x2)
-        if locus_distance(m, params, st) < threshold or signed_distance(m, st) < -simulator._ON_MANIFOLD_TOL:
+        if locus_distance(m, params, st) < threshold:
+            continue
+        if signed_distance(m, st) < -simulator._ON_MANIFOLD_TOL * _size(m):
             continue
         worst = max(worst, abs(value(m, params, st) - (traj.termination.t_f - smp.t)))
         checked += 1

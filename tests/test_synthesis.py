@@ -187,6 +187,18 @@ def test_feedback_rejects_interior():
         value(SQ, P1, State(0.0, 0.9))
 
 
+def test_feedback_rejects_the_interior_of_a_tiny_target():
+    """The interior band scales with the radius: the centre of Circle(1e-13)
+    is a whole radius deep, not a time-to-go of 0 at the top of the circle."""
+    m, p = Circle(1e-13), Params(l=1e-13)
+    for s in (State(0.0, 0.0), State(5e-14, -5e-14)):
+        with pytest.raises(InsideTarget):
+            feedback(m, p, s)
+        with pytest.raises(InsideTarget):
+            value(m, p, s)
+    assert value(m, p, State(5e-13, 0.0)) == pytest.approx(2.0 * math.sqrt(4e-13), rel=1e-6)
+
+
 def test_feedback_on_switching_curve_reports_imminent_switch():
     """On the A-curve the control is the post-switch arc's and the switch is here."""
     for x2 in (1.2, 1.8, 2.5, 4.0):
