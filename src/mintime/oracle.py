@@ -158,8 +158,9 @@ def _square_entry(alpha: float, s0: State, t_f: float) -> tuple[float, float] | 
     u0, |x1| <= 1 holds on one d-interval (a*d^2 in [X1 - 1, X1 + 1]) and so
     does |x2| <= 1 (2*a*d in [X2 - 1, X2 + 1]).  Their intersection with
     [0, t_f] is the feasible window, and its midpoint represents it; a window
-    of one point counts as empty, so the ascent brackets a tangent entry from
-    above.  Between u0 = -1 and +1 the midpoint deeper inside the square wins.
+    of one point counts, as the circle's tangent endpoint does, so an entry
+    exactly at t_f is found on that line.  Between u0 = -1 and +1 the
+    midpoint deeper inside the square wins.
     """
     best = (math.inf, 1.0, 0.0)
     for u0 in (-1.0, 1.0):
@@ -172,7 +173,7 @@ def _square_entry(alpha: float, s0: State, t_f: float) -> tuple[float, float] | 
             continue  # a*d^2 never reaches [X1 - 1, X1 + 1]
         lo = max(math.sqrt(max(0.0, lo1)), lo2)
         hi = min(t_f, math.sqrt(hi1), hi2)
-        if lo < hi:
+        if lo <= hi:
             d = 0.5 * (lo + hi)
             best = min(best, (max(abs(X1 - a * d * d), abs(X2 - 2.0 * a * d)), u0, t_f - d))
     return best[1:] if best[0] < math.inf else None

@@ -45,6 +45,8 @@ SQ = Square()
 
 def test_oracle_square_example():
     assert oracle_min_time(SQ, P1, State(-1.0, 2.0)) == pytest.approx(1.0, abs=1e-3)
+    # u = -1 reaches corner A at t = 2, a grid line: a one-point window, found there.
+    assert oracle_min_time(SQ, P1, State(-5.0, 3.0)) == 2.0
 
 
 def test_oracle_circle_example():
@@ -260,6 +262,8 @@ _NEAR_SIDE = st.sampled_from((-1.0, -1.0 + 1e-6, 1.0 - 1e-6, 1.0))
 # A corner endpoint, with the window clipped by t_f at d = t_f and at d = 0.
 @example(alpha=1.0, u0=-1.0, t_f=2.0, i_sw=0, ex=1.0 - 1e-6, ey=-1.0 + 1e-6)
 @example(alpha=0.5, u0=1.0, t_f=3.0, i_sw=_SWEEP, ex=-1.0 + 1e-6, ey=1.0 - 1e-6)
+# A start in the square at t_f = 0: a window of one point.
+@example(alpha=2.0, u0=1.0, t_f=0.0, i_sw=0, ex=0.5, ey=-0.5)
 @given(
     alpha=st.floats(0.1, 10.0),
     u0=st.sampled_from((-1.0, 1.0)),
@@ -271,9 +275,8 @@ _NEAR_SIDE = st.sampled_from((-1.0, -1.0 + 1e-6, 1.0 - 1e-6, 1.0))
 def test_square_switch_finds_every_swept_entry(alpha, u0, t_f, i_sw, ex, ey):
     """If a dense sweep of t_switch puts the endpoint inside the square, the
     exact test (one d-interval per u0) returns a switch too, and every switch
-    it returns ends in the square up to rounding.  At t_f = 0 the window is one
-    point, which the test counts as empty; the search answers a start in the
-    target before it tests any t_f."""
+    it returns ends in the square up to rounding.  A window of one point
+    counts; at t_f = 0 every window is one point (an example below)."""
     a = alpha * u0
     # Run a policy backward from the endpoint (ex, ey), switching on a sweep
     # line, so the sweep often lands inside, also at the sides and corners.
