@@ -212,8 +212,7 @@ def boundary_point_of_state(m: Manifold, s: State) -> BoundaryPoint:
     are the central mirror images of states on the left side or bottom.
     """
     if isinstance(m, Circle):
-        theta = math.atan2(s.x2, s.x1) % _TWO_PI
-        return CircleTheta(theta)
+        return CircleTheta(math.atan2(s.x2, s.x1) % _TWO_PI)
     near_x1 = abs(abs(s.x1) - 1.0)
     near_x2 = abs(abs(s.x2) - 1.0)
     corner = near_x1 < _CORNER_TOL and near_x2 < _CORNER_TOL
@@ -343,8 +342,7 @@ def _reject_interior(m: Manifold, s: State) -> None:
 
 
 def _radius(m: Manifold) -> float:
-    """R, the target's size: the radius l, or the square's half-side 1.  The
-    target lies in the box |x1|, |x2| <= R, and distance bands scale with it."""
+    """R: the radius l, or the square's half-side 1; the target lies in |x1|, |x2| <= R."""
     return m.l if isinstance(m, Circle) else 1.0
 
 
@@ -403,10 +401,8 @@ def point_code(b: BoundaryPoint) -> tuple[str, float]:
 def _up_point(kind: str, p: float) -> BoundaryPoint:
     if kind == "theta":
         return CircleTheta(p)
-    if kind == "corner_A":
-        return SquareCorner("A", p)
-    if kind == "corner_C":
-        return SquareCorner("C", p)
+    if kind.startswith("corner_"):
+        return SquareCorner(kind.removeprefix("corner_"), p)
     return SquareSide(kind, p)
 
 

@@ -8,13 +8,16 @@ they leave float range.
 Two kinds of events land inside a step rather than on the grid:
 
   * target crossings, bisected on the signed distance (circle: |x| - l;
-    square: max(|x1|, |x2|) - 1) to |distance| <= 1e-10, so the realized
+    square: max(|x1|, |x2|) - 1) to |distance| <= 1e-10*R, so the realized
     final time is bit-stable for the acceptance checks.  A sample within
-    1e-12 outside counts, or a rollout into a square corner steps away;
+    1e-12*R outside counts, or a rollout into a square corner steps away;
   * switches, taken from the law itself: when the next sample's control
     flips, the rollout steps exactly to the law's switch_state if that lies
     inside the step and the law flips there; otherwise the control flips at
     the sample.
+
+R is the target's size (l, or 1 for the square), so the bands hold at
+every radius.
 
 A tangential graze of the manifold produces no sign change of the distance,
 so touch-and-go passes correctly do not terminate the rollout.
@@ -134,4 +137,3 @@ def _bisect_event(m: Manifold, x1: float, x2: float, accel: float, dt: float) ->
         else:
             hi = mid
     return hi
-

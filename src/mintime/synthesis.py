@@ -79,8 +79,8 @@ from .manifold import (
     SquareCorner,
     _nup_empty,
     _reject_interior,
-    _theta_bar,
     _side_point,
+    _theta_bar,
     _unit_size,
     antipode,
     boundary_point_of_state,

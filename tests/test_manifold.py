@@ -23,7 +23,7 @@ from mintime import (
     terminal_costate,
     up_intervals,
 )
-from mintime.manifold import antipode, boundary_rows
+from mintime.manifold import _up_point, antipode, boundary_point_of_state, boundary_rows, point_code
 
 P1 = Params(alpha=1.0, l=1.0)
 P2 = Params(alpha=1.0, l=2.0)
@@ -247,3 +247,39 @@ def test_sample_up_points_are_usable():
         assert len(pts) >= 60
         for b in pts:
             assert classify(m, b, p) is RegionClass.UP
+
+
+# ── Boundary-point codec and the state -> point map ──────────────────────────
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_point_code_and_state_map_invert_their_counterparts(alpha):
+    """_up_point decodes point_code exactly, and boundary_point_of_state
+    inverts boundary_state: to 1e-12 in theta or the side parameter, and to
+    the cone midpoint at a corner, whose state alone does not fix the cone
+    angle."""
+    cases = [(Circle(l), Params(alpha=alpha, l=l)) for l in (0.5, 1.0, 2.0)]
+    cases.append((Square(), Params(alpha=alpha)))
+    midpoint = {"A": 0.75 * math.pi, "C": 1.75 * math.pi}
+    for m, p in cases:
+        for b in sample_up(m, p, 64):
+            assert _up_point(*point_code(b)) == b
+            back = boundary_point_of_state(m, boundary_state(m, b))
+            assert type(back) is type(b)
+            if isinstance(b, SquareCorner):
+                assert back == SquareCorner(b.corner, midpoint[b.corner])
+            elif isinstance(b, SquareSide):
+                assert back.side == b.side and abs(back.s - b.s) <= 1e-12
+            else:
+                assert abs(back.theta - b.theta) <= 1e-12
+
+
+def test_state_map_clamps_into_the_open_side_ranges():
+    """Side ends that belong to no usable point are approached to within 1e-12:
+    the middle of AB, and the corners B and D, which carry no boundary point."""
+    sq = Square()
+    assert boundary_point_of_state(sq, State(-1.0, 0.0)) == SquareSide("AB", 1e-12)
+    assert boundary_point_of_state(sq, State(1.0, 0.0)) == SquareSide("CD", -1e-12)
+    assert boundary_point_of_state(sq, State(-1.0, -1.0)) == SquareSide("BC", -1.0 + 1e-12)
+    assert boundary_point_of_state(sq, State(1.0, 1.0)) == SquareSide("AD", 1.0 - 1e-12)
+    assert boundary_point_of_state(sq, State(-1.0 + 1e-8, 1.0)) == SquareCorner("A", 0.75 * math.pi)
