@@ -52,12 +52,13 @@ from .manifold import (
     SquareSide,
     _region,
     _unit_size,
+    _up_codes,
+    _up_point,
     antipode,
     boundary_state,
     point_code,
-    sample_up,
 )
-from .model import DomainError, Params, SingularInstant, State, validate_control
+from .model import DomainError, Params, SingularInstant, State, _check_finite, validate_control
 
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
@@ -110,15 +111,10 @@ def _terminal_pair(m: Manifold, b: BoundaryPoint, params: Params) -> tuple[float
         raise DomainError(f"boundary point {b!r} does not belong to {m!r}")
     alpha = params.alpha
     if isinstance(b, CircleTheta):
-        st, ct = math.sin(b.theta), math.cos(b.theta)
-        if _region(m, params, m.l * st, ct, st) != "UP":
-            raise DomainError(
-                f"no terminating characteristic at theta={b.theta!r}: "
-                "the anchor is not in the usable part"
-            )
+        st, ct = _circle_anchor(m, params, b.theta)
         a = 1.0 / (alpha * abs(st) - m.l * st * ct)
         return a * ct, a * st
-    if _lower_half(b):
+    if _lower_half(*point_code(b)):
         l1, l2 = _terminal_pair(m, antipode(m, b), params)
         return 0.0 - l1, 0.0 - l2  # negated, zeros kept +0.0
     if isinstance(b, SquareSide):
@@ -128,6 +124,17 @@ def _terminal_pair(m: Manifold, b: BoundaryPoint, params: Params) -> tuple[float
     st, ct = math.sin(b.theta), math.cos(b.theta)
     a = 1.0 / (alpha * st - ct)  # corner A: positive on the whole cone [pi/2, pi]
     return a * ct, a * st
+
+
+def _circle_anchor(m: Circle, params: Params, theta: float) -> tuple[float, float]:
+    """(sin, cos) of the circle anchor at theta; DomainError off the usable part."""
+    st, ct = math.sin(theta), math.cos(theta)
+    if _region(m, params, m.l * st, ct, st) != "UP":
+        raise DomainError(
+            f"no terminating characteristic at theta={theta!r}: "
+            "the anchor is not in the usable part"
+        )
+    return st, ct
 
 
 def switch_tau(b: BoundaryPoint) -> float | None:
@@ -182,55 +189,54 @@ def closed_form_state(m: Manifold, b: BoundaryPoint, params: Params, tau: float)
     """Phase point at retrograde time tau along the characteristic from b."""
     _check_tau(tau)
     _terminal_pair(m, b, params)  # validates the anchor
-    a = params.alpha
-    y = _closed_form(m, b, _unit_size(m, params), a, tau)
-    return State(a * y.x1, a * y.x2)
+    return State(*_closed_form(*point_code(b), _unit_size(m, params), params.alpha, tau))
 
 
-def _lower_half(b: BoundaryPoint) -> bool:
-    """Anchor in the half of the usable part that antipode maps onto the written one."""
-    if isinstance(b, CircleTheta):
-        return b.theta >= math.pi
-    if isinstance(b, SquareSide):
-        return b.side in ("CD", "AD")
-    return b.corner == "C"
+def _lower_half(kind: str, p: float) -> bool:
+    """Anchor (kind, p) in the half of the usable part that antipode maps onto the written one."""
+    return kind in ("CD", "AD", "corner_C") or (kind == "theta" and p >= math.pi)
 
 
-def _closed_form(m: Manifold, b: BoundaryPoint, size: float, alpha: float, tau: float) -> State:
-    """Unit-authority state at tau from b; size is the radius or half-side there."""
-    if _lower_half(b):
-        return -_closed_form(m, antipode(m, b), size, alpha, tau)
-    if isinstance(b, CircleTheta):
-        return _circle_state(size, b.theta, tau)
-    if isinstance(b, SquareSide):
-        s = b.s / alpha
-        if b.side == "AB":
-            return State(-size - s * tau + 0.5 * tau * tau, s - tau)
-        return State(s + size * tau + 0.5 * tau * tau, -size - tau)  # BC
-    return _corner_state(size, b.theta, tau)
+def _closed_form(kind: str, p: float, size: float, alpha: float, tau: float) -> tuple[float, float]:
+    """closed_form_state at the unchecked UP anchor (kind, p) (point_code), on floats.
 
-
-def _circle_state(l: float, theta: float, tau: float) -> State:
-    # upper anchors: the near leg has u = -1; anchors past pi/2 switch at -tan(theta)
-    st, ct = math.sin(theta), math.cos(theta)
-    if theta <= _HALF_PI or tau <= -math.tan(theta):
-        return State(l * (ct - tau * st) - 0.5 * tau * tau, l * st + tau)
-    tt = math.tan(theta)
-    return State(
-        l * (ct - tau * st) + tt * tt + 0.5 * tau * tau + 2.0 * tau * tt,
-        l * st - 2.0 * tt - tau,
-    )
-
-
-def _corner_state(h: float, theta: float, tau: float) -> State:
-    # corner A = (-h, h): cone angles past pi/2 switch at -tan(theta)
-    if theta <= _HALF_PI or tau <= -math.tan(theta):
-        return State(-h - h * tau - 0.5 * tau * tau, h + tau)
-    tt = math.tan(theta)
-    return State(
-        -h - h * tau + 2.0 * tau * tt + 0.5 * tau * tau + tt * tt,
-        h - 2.0 * tt - tau,
-    )
+    size is the radius or half-side at unit authority.  A lower-half anchor
+    maps to its antipode's parameter (theta - pi, or -s on CD and AD) and the
+    point is negated.  Out of float range, State's DomainError names the
+    unit-authority point y of the written half if y overflows, else x.
+    """
+    lower = _lower_half(kind, p)
+    if lower:
+        p = -p if kind in ("CD", "AD") else p - math.pi
+    if kind == "theta":
+        # upper anchors: the near leg has u = -1; anchors past pi/2 switch at -tan(theta)
+        st, ct = math.sin(p), math.cos(p)
+        if p <= _HALF_PI or tau <= -math.tan(p):
+            y1, y2 = size * (ct - tau * st) - 0.5 * tau * tau, size * st + tau
+        else:
+            tt = math.tan(p)
+            y1 = size * (ct - tau * st) + tt * tt + 0.5 * tau * tau + 2.0 * tau * tt
+            y2 = size * st - 2.0 * tt - tau
+    elif kind in ("corner_A", "corner_C"):
+        # corner A = (-h, h): cone angles past pi/2 switch at -tan(theta)
+        if p <= _HALF_PI or tau <= -math.tan(p):
+            y1, y2 = -size - size * tau - 0.5 * tau * tau, size + tau
+        else:
+            tt = math.tan(p)
+            y1 = -size - size * tau + 2.0 * tau * tt + 0.5 * tau * tau + tt * tt
+            y2 = size - 2.0 * tt - tau
+    elif kind in ("AB", "CD"):
+        s = p / alpha
+        y1, y2 = -size - s * tau + 0.5 * tau * tau, s - tau
+    else:  # BC, AD
+        s = p / alpha
+        y1, y2 = s + size * tau + 0.5 * tau * tau, -size - tau
+    a = -alpha if lower else alpha
+    x1, x2 = a * y1, a * y2
+    if not (math.isfinite(x1) and math.isfinite(x2)):  # alpha > 0: y is finite or x is not
+        _check_finite(y1, y2)
+        _check_finite(x1, x2)
+    return x1, x2
 
 
 # ── Numeric propagation ────────────────────────────────────────────────────────
@@ -313,7 +319,11 @@ def forward_control(m: Manifold, b: BoundaryPoint, params: Params, tau: float) -
     has the sign of lambda1 there.
     """
     c = costate_retro(m, b, params, tau)
-    lam2 = c.lambda2 if c.lambda2 != 0.0 else c.lambda1
+    return _forward_u(c.lambda1, c.lambda2)
+
+
+def _forward_u(lambda1: float, lambda2: float) -> float:
+    lam2 = lambda2 if lambda2 != 0.0 else lambda1  # forward_control from the costate at tau
     return -1.0 if lam2 >= 0.0 else 1.0
 
 
@@ -321,12 +331,17 @@ def flow_rows(
     m: Manifold, params: Params, n_anchors: int, taus: list[float]
 ) -> list[tuple]:
     """Rows (anchor_kind, anchor_param, tau, x1, x2, lambda1, lambda2, u) over a
-    fan of UP anchors, for phase-portrait export."""
+    fan of UP anchors, for phase-portrait export: closed_form_state,
+    costate_retro and forward_control at each anchor and tau, on floats."""
+    codes = _up_codes(m, params, n_anchors)
+    for t in taus:
+        _check_tau(t)
+    size, alpha = _unit_size(m, params), params.alpha
     rows: list[tuple] = []
-    for b in sample_up(m, params, n_anchors):
+    for kind, p in codes:
+        l1, l2 = _terminal_pair(m, _up_point(kind, p), params)
         for t in taus:
-            s = closed_form_state(m, b, params, t)
-            u = forward_control(m, b, params, t)
-            c = costate_retro(m, b, params, t)
-            rows.append((*point_code(b), t, s.x1, s.x2, c.lambda1, c.lambda2, u))
+            x1, x2 = _closed_form(kind, p, size, alpha, t)
+            lam2 = l2 + l1 * t
+            rows.append((kind, p, t, x1, x2, l1, lam2, _forward_u(l1, lam2)))
     return rows

@@ -28,8 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .characteristics import _check_tau, closed_form_state
-from .manifold import BoundaryPoint, Circle, CircleTheta, Manifold, Square, SquareSide, _nup_empty, point_code, sample_up
+from .characteristics import _check_tau, _circle_anchor, _closed_form
+from .manifold import Circle, Manifold, Square, _nup_empty, _unit_size, _up_codes
 from .model import DomainError, Params
 
 _TWO_PI = 2.0 * math.pi
@@ -70,6 +70,7 @@ def isochrone_circle(params: Params, tau: float, n_samples: int) -> Isochrone:
         ("6", _TWO_PI - phibar, _TWO_PI),
     ]
     total = sum(hi - lo for _, lo, hi in branches)
+    size, alpha = _unit_size(m, params), params.alpha
     points: list[IsoPoint] = []
     for name, lo, hi in branches:
         width = hi - lo
@@ -78,8 +79,8 @@ def isochrone_circle(params: Params, tau: float, n_samples: int) -> Isochrone:
         k = max(1, round(n_samples * width / total))
         for j in range(k):
             theta = lo + (j + 0.5) * width / k
-            state = closed_form_state(m, CircleTheta(theta), params, tau)
-            points.append(IsoPoint(theta, state.x1, state.x2, name))
+            _circle_anchor(m, params, theta)
+            points.append(IsoPoint(theta, *_closed_form("theta", theta, size, alpha, tau), name))
     return Isochrone(tau, tuple(points))
 
 
@@ -97,26 +98,28 @@ def isochrone_generic(m: Manifold, params: Params, tau: float, n_samples: int) -
     non-usable half of their own side, at tau = 2*|s|).
     """
     _check_tau(tau)
+    codes = _up_codes(m, params, n_samples)
+    size, alpha = _unit_size(m, params), params.alpha
     points: list[IsoPoint] = []
-    for b in sample_up(m, params, n_samples):
-        limit = _shadow_limit(m, b, params)
+    for kind, p in codes:
+        limit = _shadow_limit(m, kind, p, params)
         if limit is not None and tau >= limit:
             continue
-        state = closed_form_state(m, b, params, tau)
-        kind, param = point_code(b)
-        points.append(IsoPoint(param, state.x1, state.x2, kind))
+        if kind == "theta":
+            _circle_anchor(m, params, p)
+        points.append(IsoPoint(p, *_closed_form(kind, p, size, alpha, tau), kind))
     return Isochrone(tau, tuple(points))
 
 
-def _shadow_limit(m: Manifold, b: BoundaryPoint, params: Params) -> float | None:
+def _shadow_limit(m: Manifold, kind: str, p: float, params: Params) -> float | None:
     """Retrograde time at which the backward extension re-enters the target.
 
     On the square's left and right sides the backward parabola crosses back
     through x1 = -+1 at tau = 2*|s|/alpha; all other anchor families move
     strictly away from the target in retrograde time.
     """
-    if isinstance(m, Square) and isinstance(b, SquareSide) and b.side in ("AB", "CD"):
-        return 2.0 * abs(b.s) / params.alpha
+    if isinstance(m, Square) and kind in ("AB", "CD"):
+        return 2.0 * abs(p) / params.alpha
     return None
 
 

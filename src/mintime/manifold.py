@@ -368,24 +368,30 @@ def sample_up(m: Manifold, params: Params, n: int) -> list[BoundaryPoint]:
     """n boundary points spread over the UP, at parameter-interval midpoints.
 
     Samples never sit on interval endpoints, so every returned point anchors a
-    terminating characteristic.
+    terminating characteristic.  Each interval takes its rounded share of n by
+    length, the last what is left, and each at least one: an n below the
+    interval count (6 on the square, 2 on the circle) gives one per interval,
+    and an excess of rounding comes off the largest earlier shares.
     """
+    return [_up_point(kind, p) for kind, p in _up_codes(m, params, n)]
+
+
+def _up_codes(m: Manifold, params: Params, n: int) -> list[tuple[str, float]]:
+    """The (kind, param) codes of sample_up's points (point_code)."""
     if n < 1:
         raise DomainError(f"need n >= 1 samples, got {n}")
     intervals = up_intervals(m, params)
     weights = [iv.hi - iv.lo for iv in intervals]
     total = sum(weights)
-    out: list[BoundaryPoint] = []
-    remaining = n
-    for i, iv in enumerate(intervals):
-        k = max(1, round(n * weights[i] / total))
-        if i == len(intervals) - 1:
-            k = max(1, remaining)
-        remaining -= k
-        for j in range(k):
-            p = iv.lo + (j + 0.5) * (iv.hi - iv.lo) / k
-            out.append(_up_point(iv.kind, p))
-    return out
+    ks = [max(1, round(n * w / total)) for w in weights[:-1]]
+    while sum(ks) >= n and max(ks) > 1:
+        ks[ks.index(max(ks))] -= 1
+    ks.append(max(1, n - sum(ks)))
+    return [
+        (iv.kind, iv.lo + (j + 0.5) * (iv.hi - iv.lo) / k)
+        for iv, k in zip(intervals, ks)
+        for j in range(k)
+    ]
 
 
 def point_code(b: BoundaryPoint) -> tuple[str, float]:

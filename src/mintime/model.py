@@ -91,8 +91,7 @@ class State:
     x2: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x1) and math.isfinite(self.x2)):
-            raise DomainError(f"state must be finite, got ({self.x1!r}, {self.x2!r})")
+        _check_finite(self.x1, self.x2)
 
     def __neg__(self) -> "State":
         return State(-self.x1, -self.x2)
@@ -102,6 +101,12 @@ class State:
 
 
 # ── Operations ─────────────────────────────────────────────────────────────────
+
+
+def _check_finite(x1: float, x2: float) -> None:
+    """State's check, for callers that build the point (x1, x2) on plain floats."""
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise DomainError(f"state must be finite, got ({x1!r}, {x2!r})")
 
 
 def nondimensionalize(p: PhysicalParams, l: float = 1.0) -> Params:

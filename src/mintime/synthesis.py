@@ -85,7 +85,7 @@ from .manifold import (
     antipode,
     boundary_point_of_state,
 )
-from .model import DomainError, Params, State
+from .model import DomainError, Params, State, _check_finite
 
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
@@ -163,10 +163,11 @@ class SwitchingCurve:
         if self.branch == "upper":
             if not _HALF_PI < theta <= math.pi:
                 raise DomainError(f"upper branch needs theta in (pi/2, pi], got {theta!r}")
-            return _upper_switch_point(self.size, self.alpha, theta)
+            return State(*_upper_switch_point(self.size, self.alpha, theta))
         if not 1.5 * math.pi < theta <= _TWO_PI:
             raise DomainError(f"lower branch needs theta in (3*pi/2, 2*pi], got {theta!r}")
-        return -_upper_switch_point(self.size, self.alpha, theta - math.pi)
+        x1, x2 = _upper_switch_point(self.size, self.alpha, theta - math.pi)
+        return State(-x1, -x2)
 
     def x2_of_x1(self, x1: float) -> float:
         """Circle branches in explicit form; defined for |x1| >= l on the branch side."""
@@ -205,18 +206,21 @@ class SwitchingCurve:
                 x2 = sgn * (1.0 + j * (x2_max - 1.0) / (n - 1))
                 out.append(State(self.x1_of_x2(x2), x2))
             return out
-        upper = [
-            _upper_switch_point(self.size, self.alpha,
-                                _upper_theta_of_x2(self.size, self.alpha, j * x2_max / (n - 1)))
-            for j in range(n)
-        ]
-        return upper if self.branch == "upper" else [-p for p in upper]
+        sgn = 1.0 if self.branch == "upper" else -1.0
+        out = []
+        for j in range(n):
+            theta = _upper_theta_of_x2(self.size, self.alpha, j * x2_max / (n - 1))
+            x1, x2 = _upper_switch_point(self.size, self.alpha, theta)
+            out.append(State(sgn * x1, sgn * x2))
+        return out
 
 
 # The upper circle branch at unit-authority radius l, mapped back to x = a*y.
-def _upper_switch_point(l: float, a: float, theta: float) -> State:
+def _upper_switch_point(l: float, a: float, theta: float) -> tuple[float, float]:
     tt = math.tan(theta)
-    return State(a * (l / math.cos(theta) - 0.5 * tt * tt), a * (l * math.sin(theta) - tt))
+    x1, x2 = a * (l / math.cos(theta) - 0.5 * tt * tt), a * (l * math.sin(theta) - tt)
+    _check_finite(x1, x2)
+    return x1, x2
 
 
 def _upper_switch_x2(l: float, a: float, x1: float) -> float:

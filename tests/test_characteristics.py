@@ -27,7 +27,8 @@ from mintime import (
     switch_tau,
     terminal_costate,
 )
-from mintime.manifold import antipode
+from mintime.characteristics import flow_rows
+from mintime.manifold import antipode, point_code
 
 P1 = Params(alpha=1.0, l=1.0)
 P2 = Params(alpha=1.0, l=2.0)
@@ -283,3 +284,20 @@ def test_forward_control_without_switch():
     for tau in (-1.0, math.nan):
         with pytest.raises(DomainError):
             forward_control(SQ, b, P1, tau)
+
+
+def test_flow_rows_are_the_closed_form_costate_and_control():
+    """Each row is closed_form_state, costate_retro and forward_control at its
+    anchor and tau, exactly."""
+    taus = [0.0, 0.3, 1.0, 2.5]
+    for m, l in ((Circle(0.5), 0.5), (Circle(2.0), 2.0), (SQ, 1.0)):
+        for alpha in (0.5, 1.0, 2.0):
+            p = Params(alpha=alpha, l=l)
+            rows = flow_rows(m, p, 12, taus)
+            expected = []
+            for b in sample_up(m, p, 12):
+                for t in taus:
+                    s, c = closed_form_state(m, b, p, t), costate_retro(m, b, p, t)
+                    u = forward_control(m, b, p, t)
+                    expected.append((*point_code(b), t, s.x1, s.x2, c.lambda1, c.lambda2, u))
+            assert rows == expected

@@ -10,6 +10,7 @@ from mintime import (
     DomainError,
     Params,
     Square,
+    SquareSide,
     State,
     closed_form_state,
     isochrone_circle,
@@ -18,9 +19,11 @@ from mintime import (
     numeric_retro,
     sample_up,
     signed_distance,
+    switching_curve_square,
     value,
 )
-from mintime.manifold import point_code
+from mintime.characteristics import flow_rows
+from mintime.manifold import _up_point, point_code
 from mintime.synthesis import _closed_form_feedback
 
 P1 = Params(alpha=1.0, l=1.0)
@@ -146,3 +149,52 @@ def test_isochrone_central_symmetry():
         for x1, x2 in pts:
             best = min(math.hypot(x1 + q1, x2 + q2) for q1, q2 in pts)
             assert best < 1e-9
+
+
+# ── The fans are the public closed form ──────────────────────────────────────
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_fans_are_the_public_closed_form_bit_for_bit(alpha):
+    """Each fan point equals closed_form_state at its anchor, and the square's
+    side anchors AB and CD are pruned exactly where tau >= 2*|s|/alpha."""
+    for m, l in [(Circle(l), l) for l in (0.05, 0.5, 1.0, 1.5, 3.0)] + [(SQ, 1.0)]:
+        p = Params(alpha=alpha, l=l)
+        for tau in (0.0, 0.7, 2.5):
+            iso = isochrone_generic(m, p, tau, 64)
+            kept = [
+                point_code(b) for b in sample_up(m, p, 64)
+                if not (isinstance(b, SquareSide) and b.side in ("AB", "CD") and tau >= 2.0 * abs(b.s) / alpha)
+            ]
+            assert [(pt.family, pt.param) for pt in iso.points] == kept
+            for pt in iso.points:
+                s = closed_form_state(m, _up_point(pt.family, pt.param), p, tau)
+                assert (pt.x1, pt.x2) == s.as_tuple()
+            if isinstance(m, Circle) and l <= alpha:
+                iso = isochrone_circle(p, tau, 64)
+                assert len(iso.points) >= 64
+                for pt in iso.points:
+                    assert (pt.x1, pt.x2) == closed_form_state(m, CircleTheta(pt.param), p, tau).as_tuple()
+
+
+def test_overflowing_points_raise_the_state_error():
+    """A point out of float range raises State's DomainError, never yields inf.
+    The message shows the unit-authority point of the written half when that
+    overflows (before the mirror and the scaling by alpha), else the point."""
+    p2 = Params(alpha=2.0, l=1.0)
+    cases = [
+        (lambda: isochrone_generic(C1, p2, 1e200, 8), "(-inf, 1e+200)"),
+        (lambda: isochrone_circle(p2, 1e200, 8), "(-inf, 1e+200)"),
+        (lambda: flow_rows(C1, p2, 4, [0.0, 1e200]), "(-inf, 1e+200)"),
+        (lambda: flow_rows(SQ, p2, 4, [0.0, 1e200]), "(inf, -1e+200)"),
+        (lambda: switching_curve_square("A").sample(5, 1e200), "(-inf, 2.5e+199)"),
+        # a lower-half anchor reports its antipode's point, not the mirrored one
+        (lambda: closed_form_state(C1, CircleTheta(1.25 * math.pi), p2, 1e200), "(-inf, 1e+200)"),
+        (lambda: closed_form_state(SQ, SquareSide("AD", 0.5), p2, 1e200), "(inf, -1e+200)"),
+        # the unit-authority point is finite; alpha * y is not
+        (lambda: isochrone_generic(C1, Params(alpha=1e300), 1e10, 8), "(-inf, inf)"),
+    ]
+    for call, pair in cases:
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == f"state must be finite, got {pair}"

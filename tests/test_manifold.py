@@ -249,6 +249,20 @@ def test_sample_up_points_are_usable():
             assert classify(m, b, p) is RegionClass.UP
 
 
+def test_sample_up_returns_n_points_from_the_interval_count():
+    """Exactly n points for every n >= the number of UP intervals, one per
+    interval below it; n = 7 on the square once gave 8."""
+    cases = [(Circle(l), Params(alpha=1.0, l=l)) for l in (0.5, 2.0)] + [(Square(), P1)]
+    for m, p in cases:
+        count = len(up_intervals(m, p))
+        for n in range(1, 301):
+            assert len(sample_up(m, p, n)) == max(n, count), (m, n)
+    kinds = [point_code(b)[0] for b in sample_up(Square(), P1, 7)]
+    assert [kinds.count(k) for k in ("AB", "BC", "CD", "AD", "corner_A", "corner_C")] == [1, 1, 1, 2, 1, 1]
+    kinds = [point_code(b)[0] for b in sample_up(Square(), P1, 64)]
+    assert [kinds.count(k) for k in ("AB", "BC", "CD", "AD", "corner_A", "corner_C")] == [7, 14, 7, 14, 11, 11]
+
+
 # ── Boundary-point codec and the state -> point map ──────────────────────────
 
 

@@ -65,6 +65,21 @@ def test_circle_switching_curve_anchors():
     assert pt.x2 == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_lower_switching_curves_are_the_negated_upper_ones(alpha):
+    """Circle "lower" and square "C" are the central mirrors of "upper" and "A",
+    exactly: the same floats with the sign flipped."""
+    for l in (0.5, 1.0, 2.0):
+        p = Params(alpha=alpha, l=l)
+        up, lo = switching_curve_circle(p, "upper"), switching_curve_circle(p, "lower")
+        assert [q.as_tuple() for q in lo.sample(40, 6.0)] == [(-q.x1, -q.x2) for q in up.sample(40, 6.0)]
+        for th in (1.6 * math.pi, 1.75 * math.pi, 1.9 * math.pi, 2.0 * math.pi):
+            q = up.point(th - math.pi)
+            assert lo.point(th).as_tuple() == (-q.x1, -q.x2)
+    a, c = switching_curve_square("A", Params(alpha=alpha)), switching_curve_square("C", Params(alpha=alpha))
+    assert [q.as_tuple() for q in c.sample(30, 6.0)] == [(-q.x1, -q.x2) for q in a.sample(30, 6.0)]
+
+
 def test_circle_switching_curve_parametric_value():
     """theta = 3*pi/4, l = 1: x1 = -sqrt(2) - 1/2, x2 = sqrt(2)/2 + 1."""
     pt = switching_curve_circle(P1, "upper").point(3.0 * math.pi / 4)
