@@ -91,7 +91,8 @@ class State:
     x2: float
 
     def __post_init__(self) -> None:
-        _check_finite(self.x1, self.x2)
+        if not (math.isfinite(self.x1) and math.isfinite(self.x2)):
+            raise DomainError(f"state must be finite, got ({self.x1!r}, {self.x2!r})")
 
     def __neg__(self) -> "State":
         return State(-self.x1, -self.x2)
@@ -104,9 +105,10 @@ class State:
 
 
 def _check_finite(x1: float, x2: float) -> None:
-    """State's check, for callers that build the point (x1, x2) on plain floats."""
+    """State's check for a point (x1, x2) built on plain floats: a State is
+    made only to raise its own DomainError."""
     if not (math.isfinite(x1) and math.isfinite(x2)):
-        raise DomainError(f"state must be finite, got ({x1!r}, {x2!r})")
+        State(x1, x2)
 
 
 def nondimensionalize(p: PhysicalParams, l: float = 1.0) -> Params:
