@@ -251,7 +251,8 @@ def test_sample_up_points_are_usable():
 
 def test_sample_up_returns_n_points_from_the_interval_count():
     """Exactly n points for every n >= the number of UP intervals, one per
-    interval below it; n = 7 on the square once gave 8."""
+    interval below it.  On the square at n = 7 the rounded shares of the
+    first five intervals already sum to 7, and the largest gives one up."""
     cases = [(Circle(l), Params(alpha=1.0, l=l)) for l in (0.5, 2.0)] + [(Square(), P1)]
     for m, p in cases:
         count = len(up_intervals(m, p))
