@@ -25,16 +25,19 @@ Two exact shortcuts leave every answer unchanged.  The ascent starts one grid
 line below a proven lower bound on the minimum time: every target lies in the
 box |x1|, |x2| <= R (R = l for the circle, 1 for the square), and no control
 brings x2 or x1 into [-R, R] sooner than full braking does, so every skipped
-line is infeasible.  At each line it visits, the ascent finds the endpoint
-nearest the origin (both u0, every t_switch) and, less a relative slack far
-above rounding, its distance g to a disk holding the target (radius l, or
-sqrt(2) for the square).  A policy that ends in the target d later passes one
-of those endpoints at t_f and covers at most (R + alpha)*d + alpha*d^2/2
-after it, so every line closer than the d where that reaches g is infeasible
-and the ascent jumps past them.  Where g is not positive it tests the line
-exactly; for the circle that test is the same nearest endpoint against the
-radius, so each line costs one cubic solve.  The ascent lands on the same
-first feasible line and bisects the same bracket as a line-by-line ascent.
+line is infeasible.  At each line it visits, the ascent bounds, less a
+relative slack far above rounding, the distance g from every endpoint (both
+u0, every t_switch) to the target itself: for the circle from the endpoint
+nearest the origin, for the square from the least max(|x1|, |x2|), which
+lies where x1 + x2 = 0 or at an end of [0, t_final] and needs no cubic.  A
+policy that ends in the target d later passes one of those endpoints at t_f
+and covers at most (R + alpha)*d + alpha*d^2/2 after it, so every line
+closer than the d where that reaches g is infeasible and the ascent jumps
+past them.  Where g is not positive it tests the line exactly; for the
+circle that test is the same nearest endpoint against the radius, so a
+circle line costs one cubic solve and a square line none.  The ascent lands
+on the same first feasible line and bisects the same bracket as a
+line-by-line ascent.
 
 The oracle shares no code with the synthesis: it has its own cubic solver, and
 only the grid report imports the synthesis, to compare against it.  Like every
@@ -60,7 +63,6 @@ DEFAULT_GRID = 1e-2
 DEFAULT_REFINE_TOL = 1e-4
 
 _LOCUS_BAND = 0.05  # half-width of the exclusion band around value-jump loci
-_SQRT2 = math.sqrt(2.0)  # rounds up, so the disk of this radius holds the square
 
 
 @dataclass(frozen=True)
@@ -199,12 +201,13 @@ def oracle_policy(m: Manifold, params: Params, s0: State,
     t_final is an interval [t*, ...) near the optimum, and bisection between
     the last infeasible and first feasible grid lines converges to t* within
     DEFAULT_REFINE_TOL/4.  The ascent starts one grid line below
-    `_box_entry_time`, a lower bound on t*.  At each line it visits it finds
-    the nearest endpoint once (`_nearest_endpoint`): its distance to the
-    target's disk lets it jump past every line `_clear_until` proves
-    infeasible, and on the circle its radius is also the exact test.  So it
-    skips only lines that are infeasible and finds the same first feasible
-    line and bracket as a line-by-line ascent from 0.  The search stops at
+    `_box_entry_time`, a lower bound on t*.  At each line it visits it
+    bounds the distance from every endpoint to the target (`_disk_gap` from
+    the nearest endpoint on the circle, whose radius is also the exact test;
+    `_square_gap` on the square, with no cubic solve), and jumps past every
+    line `_clear_until` proves infeasible.  So it skips only lines that are
+    infeasible and finds the same first feasible line and bracket as a
+    line-by-line ascent from 0.  The search stops at
     `horizon`, by default one grid line past the minimum time to the origin,
     which both targets contain.
     """
@@ -216,14 +219,19 @@ def oracle_policy(m: Manifold, params: Params, s0: State,
     horizon = _origin_time(params.alpha, s0) + grid if horizon is None else horizon
     n = int(round(horizon / grid))
     k = max(0, int(_box_entry_time(m, params.alpha, s0) / grid) - 1)
+    circle = isinstance(m, Circle)
     while k <= n:
         t_f = k * grid
-        near = _nearest_endpoint(params.alpha, s0, t_f)
-        t_clear = _clear_until(m, params.alpha, s0, t_f, near[0])
+        if circle:
+            near = _nearest_endpoint(params.alpha, s0, t_f)
+            g = _disk_gap(m.l, params.alpha, s0, t_f, near[0])
+        else:
+            g = _square_gap(params.alpha, s0, t_f)
+        t_clear = _clear_until(m, params.alpha, t_f, g)
         if t_clear is not None:
             k = max(k + 1, math.ceil(t_clear / grid))
             continue
-        hit = _circle_entry(m.l, near) if isinstance(m, Circle) else _feasible(m, params, s0, t_f)
+        hit = _circle_entry(m.l, near) if circle else _square_entry(params.alpha, s0, t_f)
         if hit is not None:
             lo = max(0.0, (k - 1) * grid)
             hi = t_f
@@ -258,33 +266,73 @@ def _box_entry_time(m: Manifold, alpha: float, s0: State) -> float:
     return max(0.0, t1, t2)
 
 
-def _disk_gap(m: Manifold, alpha: float, s0: State, t_f: float, r2: float) -> float:
-    """A lower bound on the distance from every endpoint at t_f to a disk holding the target.
-
-    The disk is centred at the origin with radius l for the circle and sqrt(2)
-    for the square.  r2 is the nearest endpoint's squared radius, and its error
-    is orders of magnitude below the relative slack subtracted here.
-    """
-    R = m.l if isinstance(m, Circle) else _SQRT2
+def _gap_slack(alpha: float, s0: State, t_f: float, R: float) -> float:
+    """The relative slack the gaps subtract, far above their rounding errors."""
     scale = abs(s0.x1) + abs(s0.x2) + (abs(s0.x2) + alpha) * t_f + 4.0 * alpha * t_f * t_f
-    return math.sqrt(r2) - R - 1e-9 * (1.0 + R + scale)
+    return 1e-9 * (1.0 + R + scale)
 
 
-def _clear_until(m: Manifold, alpha: float, s0: State, t_f: float, r2: float) -> float | None:
-    """A time t_clear such that every t_final in [t_f, t_clear) is infeasible, or
-    None when the gap bound proves nothing at t_f.
+def _disk_gap(l: float, alpha: float, s0: State, t_f: float, r2: float) -> float:
+    """A lower bound on the distance from every endpoint at t_f to the circle of radius l.
 
-    At time t_f, a policy that ends in the target at t_f + d is at the
-    endpoint of a policy ending at t_f (the same switch, or u0 throughout if
-    it switches later), so at least g = _disk_gap away from the disk.  It ends
-    where |x2| <= R (R = l, or 1 for the square) and x2 changes at rate
-    alpha, so |x2| <= R + alpha*d on the way and its speed is at most
-    |x2| + alpha: it covers at most (R + alpha)*d + alpha*d^2/2.  So every
-    t_final closer than the root of that against g is infeasible.  The
-    returned time is that root, shrunk far beyond the rounding of this
-    computation and of the grid lines.
+    r2 is the nearest endpoint's squared radius (`_nearest_endpoint`), and
+    its error is orders of magnitude below the relative slack subtracted here.
     """
-    g = _disk_gap(m, alpha, s0, t_f, r2)
+    return math.sqrt(r2) - l - _gap_slack(alpha, s0, t_f, l)
+
+
+def _square_gap(alpha: float, s0: State, t_f: float) -> float:
+    """A lower bound on the distance from every endpoint at t_f to the square.
+
+    In d = t_f - t_switch the endpoint is (X1 - a*d^2, X2 - 2*a*d).  On
+    d >= 0 both coordinates move the same way, so max(x1, x2) and
+    max(-x1, -x2) are strictly monotone in opposite directions.  Their
+    maximum, max(|x1|, |x2|), is least where they cross; their difference
+    is x1 + x2, so that is at its root d = q/(1 + sqrt(1 + q)),
+    q = (X1 + X2)/a, or at the end of [0, t_f] nearest that root.  The kinks
+    of |x1| and |x2| and the crossings where x1 = x2 need no test.  That
+    minimum less 1 is the distance in the max-norm, which never exceeds the
+    Euclidean one.  X1, X2 and the coordinates at d are each off by a few
+    ulps of the scale `_gap_slack` measures, and d by a few ulps of itself,
+    where the maximum's slope is at most 2*alpha*max(1, t_f); so, as for
+    `_disk_gap`, the computed minimum's error is orders of magnitude below
+    the relative slack subtracted here.
+    A NaN coordinate leaves the minimum unknown, and the gap is NaN.
+    """
+    best = math.inf
+    for u0 in (-1.0, 1.0):
+        a = alpha * u0
+        X1 = s0.x1 + (s0.x2 + 0.5 * a * t_f) * t_f
+        X2 = s0.x2 + a * t_f
+        q = (X1 + X2) / a
+        if q <= 0.0:
+            d = 0.0
+        elif q < t_f * (t_f + 2.0):
+            d = q / (1.0 + math.sqrt(1.0 + q))
+        else:
+            d = t_f
+        e1, e2 = abs(X1 - a * d * d), abs(X2 - 2.0 * a * d)
+        if e1 != e1 or e2 != e2:
+            return math.nan
+        best = min(best, max(e1, e2))
+    return best - 1.0 - _gap_slack(alpha, s0, t_f, 1.0)
+
+
+def _clear_until(m: Manifold, alpha: float, t_f: float, g: float) -> float | None:
+    """A time t_clear such that every t_final in [t_f, t_clear) is infeasible, or
+    None when the gap g proves nothing at t_f.
+
+    g bounds from below the distance from every endpoint at t_f to the
+    target (`_disk_gap`, `_square_gap`).  At time t_f, a policy that ends in
+    the target at t_f + d is at the endpoint of a policy ending at t_f (the
+    same switch, or u0 throughout if it switches later), so at least g away
+    from the target.  It ends where |x2| <= R (R = l, or 1 for the square)
+    and x2 changes at rate alpha, so |x2| <= R + alpha*d on the way and its
+    speed is at most |x2| + alpha: it covers at most
+    (R + alpha)*d + alpha*d^2/2.  So every t_final closer than the root of
+    that against g is infeasible.  The returned time is that root, shrunk
+    far beyond the rounding of this computation and of the grid lines.
+    """
     if not 0.0 < g < math.inf:
         return None
     b = _radius(m) + alpha

@@ -1,5 +1,6 @@
 """Brute-force minimum-time search and the oracle-vs-synthesis report."""
 
+import itertools
 import math
 import random
 from decimal import Decimal, localcontext
@@ -25,6 +26,7 @@ from mintime import (
     oracle_policy,
     value,
 )
+from mintime import oracle
 from mintime.oracle import (
     DEFAULT_GRID,
     DEFAULT_REFINE_TOL,
@@ -34,6 +36,7 @@ from mintime.oracle import (
     _feasible,
     _nearest_endpoint,
     _origin_time,
+    _square_gap,
     policy_endpoint,
 )
 from mintime.synthesis import _closed_form_feedback
@@ -351,6 +354,33 @@ def test_skipping_ascent_matches_a_plain_ascent():
     assert compared > 250 and raised > 0
 
 
+@pytest.mark.parametrize("x1, x2", [
+    (4.02912784660454, -4.622689033464713),
+    (-1.15803409660454, 3.168642394232888),
+    (-0.970872153395459, -1.2893557001313782),
+])
+def test_square_ascent_decides_its_first_feasible_line_with_one_exact_test(monkeypatch, x1, x2):
+    """States between the square and its circumscribed disk, at alpha = 2,
+    where a gap to that disk proved nothing: the ascent tested 100, 96 and
+    89 lines exactly before the first feasible one.  The square's own gap
+    leaves at most 2 exact tests on grid lines before the bisection, and the
+    answer is the line-by-line ascent's."""
+    s, p = State(x1, x2), Params(alpha=2.0)
+    tested = []
+    square_entry = oracle._square_entry
+
+    def counted(alpha, s0, t_f):
+        tested.append(t_f)
+        return square_entry(alpha, s0, t_f)
+
+    monkeypatch.setattr(oracle, "_square_entry", counted)
+    got = oracle_policy(SQ, p, s)
+    # The bisection tests only final times strictly between two grid lines.
+    on_lines = list(itertools.takewhile(lambda t: t == round(t / DEFAULT_GRID) * DEFAULT_GRID, tested))
+    assert 1 <= len(on_lines) <= 2 < len(tested)
+    assert got == _plain_policy(SQ, p, s)
+
+
 _target_and_alpha = {
     "l": st.one_of(st.none(), st.floats(1e-3, 10.0)),
     "alpha": st.floats(0.1, 10.0),
@@ -359,6 +389,13 @@ _target_and_alpha = {
 
 def _scenario(l, alpha):
     return (SQ, Params(alpha=alpha)) if l is None else (Circle(l), Params(alpha=alpha, l=l))
+
+
+def _gap(m, alpha, s, t_f):
+    """The ascent's gap at t_f: the nearest endpoint's for the circle, the square's own."""
+    if isinstance(m, Circle):
+        return _disk_gap(m.l, alpha, s, t_f, _nearest_endpoint(alpha, s, t_f)[0])
+    return _square_gap(alpha, s, t_f)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -373,7 +410,7 @@ def test_lines_the_ascent_skips_are_infeasible(l, alpha, x1, x2):
     n = int(round((_origin_time(alpha, s) + grid) / grid))
     k = max(0, int(_box_entry_time(m, alpha, s) / grid) - 1)
     while k <= n:
-        t_clear = _clear_until(m, alpha, s, k * grid, _nearest_endpoint(alpha, s, k * grid)[0])
+        t_clear = _clear_until(m, alpha, k * grid, _gap(m, alpha, s, k * grid))
         if t_clear is None:
             if _feasible(m, p, s, k * grid) is not None:
                 return
@@ -386,7 +423,7 @@ def test_lines_the_ascent_skips_are_infeasible(l, alpha, x1, x2):
 
 
 def _decimal_gap(m, alpha, s0, t_f):
-    """Distance from the nearest endpoint at t_f to the target's disk, in 60 digits.
+    """Distance from the nearest endpoint at t_f to the circle, in 60 digits.
 
     The nearest endpoint sits at an end of [0, t_f] or where the squared
     radius P is stationary; its derivative's roots are found by bisection on
@@ -395,7 +432,7 @@ def _decimal_gap(m, alpha, s0, t_f):
     with localcontext() as ctx:
         ctx.prec = 60
         x1, x2, T = Decimal(s0.x1), Decimal(s0.x2), Decimal(t_f)
-        R = Decimal(m.l) if isinstance(m, Circle) else Decimal(2).sqrt()
+        R = Decimal(m.l)
         best = None
         for a in (Decimal(-alpha), Decimal(alpha)):
             A0, A1, A2 = x1 + x2 * T - a * T * T / 2, 2 * a * T, -a
@@ -430,18 +467,72 @@ def _decimal_gap(m, alpha, s0, t_f):
         return best.sqrt() - R
 
 
+_gap_state = {
+    "alpha": st.floats(0.1, 10.0),
+    "x1": st.floats(-50.0, 50.0),
+    "x2": st.floats(-50.0, 50.0),
+    "t_f": st.one_of(st.floats(0.0, 60.0), st.just(0.0)),
+}
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    **_target_and_alpha,
-    x1=st.floats(-50.0, 50.0),
-    x2=st.floats(-50.0, 50.0),
-    t_f=st.one_of(st.floats(0.0, 60.0), st.just(0.0)),
-)
+@given(l=st.floats(1e-3, 10.0), **_gap_state)
 def test_disk_gap_never_exceeds_the_true_distance(l, alpha, x1, x2, t_f):
-    m, _ = _scenario(l, alpha)
     s = State(x1, x2)
-    g = _disk_gap(m, alpha, s, t_f, _nearest_endpoint(alpha, s, t_f)[0])
-    assert Decimal(g) <= _decimal_gap(m, alpha, s, t_f)
+    g = _disk_gap(l, alpha, s, t_f, _nearest_endpoint(alpha, s, t_f)[0])
+    assert Decimal(g) <= _decimal_gap(Circle(l), alpha, s, t_f)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(**_gap_state)
+def test_square_gap_never_exceeds_the_true_distance(alpha, x1, x2, t_f):
+    """The square's gap, against the least max(|x1|, |x2|) over the endpoints
+    at t_f, found in 60 digits by golden-section search: no more than that
+    minimum less 1, which is no more than the Euclidean distance from any
+    endpoint to the square (checked on 101 switch times per u0, squared).
+
+    For each u0 the endpoint is (X1 - a*d^2, X2 - 2*a*d) on d in [0, t_f];
+    |x1| and |x2| are each V-shaped in d, so their maximum is unimodal and
+    the search brackets its minimiser.  The maximum's slope is at most
+    L = 2*alpha*max(1, t_f), so its value at the bracket's midpoint less L
+    times the bracket's width is a lower bound on the minimum."""
+    s = State(x1, x2)
+    g = _square_gap(alpha, s, t_f)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        T = Decimal(t_f)
+        L = 2 * Decimal(alpha) * max(Decimal(1), T)
+        shrink = (Decimal(5).sqrt() - 1) / 2
+        least = dist2 = None
+        for a in (Decimal(-alpha), Decimal(alpha)):
+            X1 = Decimal(x1) + (Decimal(x2) + a * T / 2) * T
+            X2 = Decimal(x2) + a * T
+
+            def cheb(d):
+                return max(abs(X1 - a * d * d), abs(X2 - 2 * a * d))
+
+            lo, hi = Decimal(0), T
+            c1, c2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+            f1, f2 = cheb(c1), cheb(c2)
+            for _ in range(130):
+                if f1 <= f2:
+                    hi, c2, f2 = c2, c1, f1
+                    c1 = hi - shrink * (hi - lo)
+                    f1 = cheb(c1)
+                else:
+                    lo, c1, f1 = c1, c2, f2
+                    c2 = lo + shrink * (hi - lo)
+                    f2 = cheb(c2)
+            low = cheb((lo + hi) / 2) - L * (hi - lo)
+            least = low if least is None else min(least, low)
+            for k in range(101):
+                d = T * k / 100
+                e1 = max(abs(X1 - a * d * d) - 1, Decimal(0))
+                e2 = max(abs(X2 - 2 * a * d) - 1, Decimal(0))
+                r2 = e1 * e1 + e2 * e2
+                dist2 = r2 if dist2 is None else min(dist2, r2)
+        assert Decimal(g) <= least - 1
+        assert max(least - 1, Decimal(0)) ** 2 <= dist2
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -518,5 +609,5 @@ def test_clear_stretch_ends_before_a_feasible_final_time(l, alpha, u0, t_final, 
     assume(not contains(m, s0))
     assume(contains(m, policy_endpoint(s0, PolicyCandidate(u0, t_sw, t_final), alpha)))
     t_f = f_from * t_final
-    t_clear = _clear_until(m, alpha, s0, t_f, _nearest_endpoint(alpha, s0, t_f)[0])
+    t_clear = _clear_until(m, alpha, t_f, _gap(m, alpha, s0, t_f))
     assert t_clear is None or t_clear <= t_final
