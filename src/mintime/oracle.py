@@ -10,34 +10,34 @@ endpoint is closed form:
 
 with a = alpha*u0 and d = t_final - t_switch.  At a fixed t_final that is
 (X1 - a*d^2, X2 - 2*a*d), where (X1, X2) is the endpoint of u0 held
-throughout.  The search ascends t_final on a fixed grid; at each t_final the
-switch time is tested exactly over d: for the square, |x1| <= 1 and
-|x2| <= 1 each hold on one d-interval, as both coordinates are monotone in d;
-for the circle, the endpoint nearest the origin over both u0 and every d
-comes from a cubic stationarity solve.  This dominates gridding t_switch:
-every candidate a t_switch grid would accept is accepted, and tangent entries
-cannot slip between grid lines.  Because the switch test is exact,
-feasibility in t_final is an interval near the optimum, and a
-shrinking-interval bisection between the last infeasible and first feasible
-grid lines (DEFAULT_GRID apart) refines the minimum to DEFAULT_REFINE_TOL/4.
+throughout.  The search ascends t_final on a fixed grid; at each t_final one
+endpoint decides the switch time exactly, the one nearest the target's centre
+in the target's own norm over both u0 and every d: for the circle the least
+radius, from a cubic stationarity solve; for the square the least
+max(|x1|, |x2|), which lies where x1 + x2 = 0 or at an end of [0, t_final]
+and needs no cubic.  Some switch ends in the target exactly when that
+endpoint does.  This dominates gridding t_switch: every candidate a
+t_switch grid would accept is accepted, and tangent entries cannot slip
+between grid lines.  Because the switch test is exact, feasibility in
+t_final is an interval near the optimum, and a shrinking-interval bisection
+between the last infeasible and first feasible grid lines (DEFAULT_GRID
+apart) refines the minimum to DEFAULT_REFINE_TOL/4.
 
 Two exact shortcuts leave every answer unchanged.  The ascent starts one grid
 line below a proven lower bound on the minimum time: every target lies in the
 box |x1|, |x2| <= R (R = l for the circle, 1 for the square), and no control
 brings x2 or x1 into [-R, R] sooner than full braking does, so every skipped
-line is infeasible.  At each line it visits, the ascent bounds, less a
-relative slack far above rounding, the distance g from every endpoint (both
-u0, every t_switch) to the target itself: for the circle from the endpoint
-nearest the origin, for the square from the least max(|x1|, |x2|), which
-lies where x1 + x2 = 0 or at an end of [0, t_final] and needs no cubic.  A
-policy that ends in the target d later passes one of those endpoints at t_f
-and covers at most (R + alpha)*d + alpha*d^2/2 after it, so every line
-closer than the d where that reaches g is infeasible and the ascent jumps
-past them.  Where g is not positive it tests the line exactly; for the
-circle that test is the same nearest endpoint against the radius, so a
-circle line costs one cubic solve and a square line none.  The ascent lands
-on the same first feasible line and bisects the same bracket as a
-line-by-line ascent.
+line is infeasible.  At each line it visits, the ascent takes that same
+nearest endpoint's distance to the target (in the max-norm for the square,
+never more than the Euclidean one), less a relative slack far above
+rounding, as a lower bound g on the distance from every endpoint to the
+target.  A policy that ends in the target d later passes one of those
+endpoints at t_f and covers at most (R + alpha)*d + alpha*d^2/2 after it, so
+every line closer than the d where that reaches g is infeasible and the
+ascent jumps past them.  Where g is not positive the same endpoint tests the
+line exactly, so a circle line costs one cubic solve and a square line none.
+The ascent lands on the same first feasible line and bisects the same
+bracket as a line-by-line ascent.
 
 The oracle shares no code with the synthesis: it has its own cubic solver, and
 only the grid report imports the synthesis, to compare against it.  Like every
@@ -121,8 +121,8 @@ def _nearest_endpoint(alpha: float, s0: State, t_f: float) -> tuple[float, float
     turning point of the cubic, so the one at d > 0 is tried too.  Every
     candidate is an endpoint, so besides rounding only a computed root that
     misses or misplaces a true one can make r2 too large; both errors are
-    orders of magnitude below the slack _disk_gap subtracts.  A NaN root
-    leaves the minimum unknown, and r2 is NaN.
+    orders of magnitude below `_gap_slack`.  A NaN root leaves the minimum
+    unknown, and r2 is NaN.
     """
     best = (math.inf, 1.0, 0.0)
     for u0 in (-1.0, 1.0):
@@ -147,50 +147,65 @@ def _nearest_endpoint(alpha: float, s0: State, t_f: float) -> tuple[float, float
     return best
 
 
-def _circle_entry(l: float, near: tuple[float, float, float]) -> tuple[float, float] | None:
-    """The circle's exact test: the nearest endpoint's (u0, t_switch) if it lies in the disk."""
-    return near[1:] if near[0] <= l * l else None
+def _square_endpoint(alpha: float, s0: State, t_f: float) -> tuple[float, float, float]:
+    """(e, u0, t_switch): the endpoint at t_f with the least e = max(|x1|, |x2|),
+    over both u0 and every t_switch in [0, t_f].
 
-
-def _square_entry(alpha: float, s0: State, t_f: float) -> tuple[float, float] | None:
-    """The square's exact test: the deepest-entry (u0, t_switch) whose endpoint
-    at t_f is in the square, or None.
-
-    On d in [0, t_f] both X1 - a*d^2 and X2 - 2*a*d are monotone, so for each
-    u0, |x1| <= 1 holds on one d-interval (a*d^2 in [X1 - 1, X1 + 1]) and so
-    does |x2| <= 1 (2*a*d in [X2 - 1, X2 + 1]).  Their intersection with
-    [0, t_f] is the feasible window, and its midpoint represents it; a window
-    of one point counts, as the circle's tangent endpoint does, so an entry
-    exactly at t_f is found on that line.  Between u0 = -1 and +1 the
-    midpoint deeper inside the square wins.
+    In d = t_f - t_switch the endpoint is (X1 - a*d^2, X2 - 2*a*d).  On
+    d >= 0 both coordinates move the same way, so max(x1, x2) and
+    max(-x1, -x2) are strictly monotone in opposite directions.  Their
+    maximum, max(|x1|, |x2|), is least where they cross; their difference
+    is x1 + x2, so that is at its root d = q/(1 + sqrt(1 + q)),
+    q = (X1 + X2)/a, or at the end of [0, t_f] nearest that root.  The kinks
+    of |x1| and |x2| and the crossings where x1 = x2 need no test.  So some
+    endpoint is in the square exactly when e <= 1, the square's exact test
+    (an endpoint on a side counts, as the circle's tangent endpoint does),
+    and otherwise e - 1 is the distance in the max-norm.  X1, X2 and the
+    coordinates at d are each off by a few ulps of the scale `_gap_slack`
+    measures, and d by a few ulps of itself, where the maximum's slope is at
+    most 2*alpha*max(1, t_f); so, as for `_nearest_endpoint`, the computed
+    minimum's error is orders of magnitude below that slack.  A NaN
+    coordinate leaves the minimum unknown, and e is NaN.
     """
     best = (math.inf, 1.0, 0.0)
     for u0 in (-1.0, 1.0):
         a = alpha * u0
         X1 = s0.x1 + (s0.x2 + 0.5 * a * t_f) * t_f
         X2 = s0.x2 + a * t_f
-        lo1, hi1 = sorted(((X1 - 1.0) / a, (X1 + 1.0) / a))
-        lo2, hi2 = sorted(((X2 - 1.0) / (2.0 * a), (X2 + 1.0) / (2.0 * a)))
-        if hi1 < 0.0:
-            continue  # a*d^2 never reaches [X1 - 1, X1 + 1]
-        lo = max(math.sqrt(max(0.0, lo1)), lo2)
-        hi = min(t_f, math.sqrt(hi1), hi2)
-        if lo <= hi:
-            d = 0.5 * (lo + hi)
-            best = min(best, (max(abs(X1 - a * d * d), abs(X2 - 2.0 * a * d)), u0, t_f - d))
-    return best[1:] if best[0] < math.inf else None
+        q = (X1 + X2) / a
+        if q <= 0.0:
+            d = 0.0
+        elif q < t_f * (t_f + 2.0):
+            d = q / (1.0 + math.sqrt(1.0 + q))
+        else:
+            d = t_f
+        e1, e2 = abs(X1 - a * d * d), abs(X2 - 2.0 * a * d)
+        if e1 != e1 or e2 != e2:
+            return math.nan, u0, 0.0
+        e = max(e1, e2)
+        if e < best[0]:
+            best = (e, u0, t_f - d)
+    return best
+
+
+def _probe(m: Manifold, alpha: float, s0: State,
+           t_f: float) -> tuple[float, tuple[float, float] | None]:
+    """(excess, hit) at t_f, from the endpoint nearest the target's centre.
+
+    That endpoint is `_nearest_endpoint`'s on the circle and
+    `_square_endpoint`'s on the square.  excess is its radius less l, or its
+    max(|x1|, |x2|) less 1: negative inside, and otherwise a distance to the
+    target that no endpoint at t_f undercuts.  hit is its (u0, t_switch) if
+    it lies in the closed target, else None: the exact test at t_f.
+    """
+    if isinstance(m, Circle):
+        r2, u0, t_sw = _nearest_endpoint(alpha, s0, t_f)
+        return math.sqrt(r2) - m.l, ((u0, t_sw) if r2 <= m.l * m.l else None)
+    e, u0, t_sw = _square_endpoint(alpha, s0, t_f)
+    return e - 1.0, ((u0, t_sw) if e <= 1.0 else None)
 
 
 # ── Public search ──────────────────────────────────────────────────────────────
-
-
-def _feasible(m: Manifold, params: Params, s0: State, t_f: float) -> tuple[float, float] | None:
-    """The exact test at t_f: a (u0, t_switch) whose endpoint is in the target,
-    or None.  On the circle that is the endpoint nearest the origin, on the
-    square the deepest entry."""
-    if isinstance(m, Circle):
-        return _circle_entry(m.l, _nearest_endpoint(params.alpha, s0, t_f))
-    return _square_entry(params.alpha, s0, t_f)
 
 
 def oracle_policy(m: Manifold, params: Params, s0: State,
@@ -201,13 +216,14 @@ def oracle_policy(m: Manifold, params: Params, s0: State,
     t_final is an interval [t*, ...) near the optimum, and bisection between
     the last infeasible and first feasible grid lines converges to t* within
     DEFAULT_REFINE_TOL/4.  The ascent starts one grid line below
-    `_box_entry_time`, a lower bound on t*.  At each line it visits it
-    bounds the distance from every endpoint to the target (`_disk_gap` from
-    the nearest endpoint on the circle, whose radius is also the exact test;
-    `_square_gap` on the square, with no cubic solve), and jumps past every
-    line `_clear_until` proves infeasible.  So it skips only lines that are
-    infeasible and finds the same first feasible line and bracket as a
-    line-by-line ascent from 0.  The search stops at
+    `_box_entry_time`, a lower bound on t*.  At each line it visits,
+    `_probe` finds the endpoint nearest the target's centre (the least radius
+    on the circle, the least max-norm on the square, with no cubic solve);
+    that endpoint against the target is the exact test, and its distance less
+    `_gap_slack` bounds the distance from every endpoint to the target, so
+    the ascent jumps past every line `_clear_until` proves infeasible.  So it
+    skips only lines that are infeasible and finds the same first feasible
+    line and bracket as a line-by-line ascent from 0.  The search stops at
     `horizon`, by default one grid line past the minimum time to the origin,
     which both targets contain.
     """
@@ -215,29 +231,23 @@ def oracle_policy(m: Manifold, params: Params, s0: State,
     _reject_interior(m, s0)
     if contains(m, s0):
         return PolicyCandidate(1.0, 0.0, 0.0)
-    grid = DEFAULT_GRID
-    horizon = _origin_time(params.alpha, s0) + grid if horizon is None else horizon
+    alpha, R, grid = params.alpha, _radius(m), DEFAULT_GRID
+    horizon = _origin_time(alpha, s0) + grid if horizon is None else horizon
     n = int(round(horizon / grid))
-    k = max(0, int(_box_entry_time(m, params.alpha, s0) / grid) - 1)
-    circle = isinstance(m, Circle)
+    k = max(0, int(_box_entry_time(m, alpha, s0) / grid) - 1)
     while k <= n:
         t_f = k * grid
-        if circle:
-            near = _nearest_endpoint(params.alpha, s0, t_f)
-            g = _disk_gap(m.l, params.alpha, s0, t_f, near[0])
-        else:
-            g = _square_gap(params.alpha, s0, t_f)
-        t_clear = _clear_until(m, params.alpha, t_f, g)
+        excess, hit = _probe(m, alpha, s0, t_f)
+        t_clear = _clear_until(m, alpha, t_f, excess - _gap_slack(alpha, s0, t_f, R))
         if t_clear is not None:
             k = max(k + 1, math.ceil(t_clear / grid))
             continue
-        hit = _circle_entry(m.l, near) if circle else _square_entry(params.alpha, s0, t_f)
         if hit is not None:
             lo = max(0.0, (k - 1) * grid)
             hi = t_f
             while hi - lo > 0.25 * DEFAULT_REFINE_TOL:
                 mid = 0.5 * (lo + hi)
-                found = _feasible(m, params, s0, mid)
+                found = _probe(m, alpha, s0, mid)[1]
                 if found is not None:
                     hi, hit = mid, found
                 else:
@@ -267,55 +277,9 @@ def _box_entry_time(m: Manifold, alpha: float, s0: State) -> float:
 
 
 def _gap_slack(alpha: float, s0: State, t_f: float, R: float) -> float:
-    """The relative slack the gaps subtract, far above their rounding errors."""
+    """The relative slack the ascent's gap subtracts, far above its rounding errors."""
     scale = abs(s0.x1) + abs(s0.x2) + (abs(s0.x2) + alpha) * t_f + 4.0 * alpha * t_f * t_f
     return 1e-9 * (1.0 + R + scale)
-
-
-def _disk_gap(l: float, alpha: float, s0: State, t_f: float, r2: float) -> float:
-    """A lower bound on the distance from every endpoint at t_f to the circle of radius l.
-
-    r2 is the nearest endpoint's squared radius (`_nearest_endpoint`), and
-    its error is orders of magnitude below the relative slack subtracted here.
-    """
-    return math.sqrt(r2) - l - _gap_slack(alpha, s0, t_f, l)
-
-
-def _square_gap(alpha: float, s0: State, t_f: float) -> float:
-    """A lower bound on the distance from every endpoint at t_f to the square.
-
-    In d = t_f - t_switch the endpoint is (X1 - a*d^2, X2 - 2*a*d).  On
-    d >= 0 both coordinates move the same way, so max(x1, x2) and
-    max(-x1, -x2) are strictly monotone in opposite directions.  Their
-    maximum, max(|x1|, |x2|), is least where they cross; their difference
-    is x1 + x2, so that is at its root d = q/(1 + sqrt(1 + q)),
-    q = (X1 + X2)/a, or at the end of [0, t_f] nearest that root.  The kinks
-    of |x1| and |x2| and the crossings where x1 = x2 need no test.  That
-    minimum less 1 is the distance in the max-norm, which never exceeds the
-    Euclidean one.  X1, X2 and the coordinates at d are each off by a few
-    ulps of the scale `_gap_slack` measures, and d by a few ulps of itself,
-    where the maximum's slope is at most 2*alpha*max(1, t_f); so, as for
-    `_disk_gap`, the computed minimum's error is orders of magnitude below
-    the relative slack subtracted here.
-    A NaN coordinate leaves the minimum unknown, and the gap is NaN.
-    """
-    best = math.inf
-    for u0 in (-1.0, 1.0):
-        a = alpha * u0
-        X1 = s0.x1 + (s0.x2 + 0.5 * a * t_f) * t_f
-        X2 = s0.x2 + a * t_f
-        q = (X1 + X2) / a
-        if q <= 0.0:
-            d = 0.0
-        elif q < t_f * (t_f + 2.0):
-            d = q / (1.0 + math.sqrt(1.0 + q))
-        else:
-            d = t_f
-        e1, e2 = abs(X1 - a * d * d), abs(X2 - 2.0 * a * d)
-        if e1 != e1 or e2 != e2:
-            return math.nan
-        best = min(best, max(e1, e2))
-    return best - 1.0 - _gap_slack(alpha, s0, t_f, 1.0)
 
 
 def _clear_until(m: Manifold, alpha: float, t_f: float, g: float) -> float | None:
@@ -323,10 +287,10 @@ def _clear_until(m: Manifold, alpha: float, t_f: float, g: float) -> float | Non
     None when the gap g proves nothing at t_f.
 
     g bounds from below the distance from every endpoint at t_f to the
-    target (`_disk_gap`, `_square_gap`).  At time t_f, a policy that ends in
-    the target at t_f + d is at the endpoint of a policy ending at t_f (the
-    same switch, or u0 throughout if it switches later), so at least g away
-    from the target.  It ends where |x2| <= R (R = l, or 1 for the square)
+    target (`_probe`'s excess less `_gap_slack`).  At time t_f, a policy that
+    ends in the target at t_f + d is at the endpoint of a policy ending at t_f
+    (the same switch, or u0 throughout if it switches later), so at least g
+    away from the target.  It ends where |x2| <= R (R = l, or 1 for the square)
     and x2 changes at rate alpha, so |x2| <= R + alpha*d on the way and its
     speed is at most |x2| + alpha: it covers at most
     (R + alpha)*d + alpha*d^2/2.  So every t_final closer than the root of

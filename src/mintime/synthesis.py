@@ -194,7 +194,7 @@ class SwitchingCurve:
         return -self.alpha * _corner_a_x1(self.size, -x2 / self.alpha)
 
     def sample(self, n: int, x2_max: float = 5.0) -> list[State]:
-        """n curve points at uniform |x2| from the anchor outward."""
+        """n curve points at uniform |x2| from the anchor (the first) outward."""
         if n < 2:
             raise DomainError(f"need n >= 2 sample points, got {n}")
         if not abs(self.anchor_state.x2) < x2_max < math.inf:
@@ -206,12 +206,15 @@ class SwitchingCurve:
                 x2 = sgn * (1.0 + j * (x2_max - 1.0) / (n - 1))
                 out.append(State(self.x1_of_x2(x2), x2))
             return out
+        # Each point from its slope v = -tan(theta), in _circle_half's far
+        # switch form: theta itself rounds to pi/2 once v passes ~1e16.
         sgn = 1.0 if self.branch == "upper" else -1.0
-        out = []
-        for j in range(n):
-            theta = _upper_theta_of_x2(self.size, self.alpha, j * x2_max / (n - 1))
-            x1, x2 = _upper_switch_point(self.size, self.alpha, theta)
-            out.append(State(sgn * x1, sgn * x2))
+        l, a = self.size, self.alpha
+        out = [self.anchor_state]
+        for j in range(1, n):
+            v = _upper_slope_of_y2(l, j * x2_max / (n - 1) / a)
+            h = math.sqrt(1.0 + v * v)
+            out.append(State(sgn * a * (-l * h - 0.5 * v * v), sgn * a * (l * v / h + v)))
         return out
 
 
@@ -233,11 +236,6 @@ def _upper_switch_x2(l: float, a: float, x1: float) -> float:
 def _corner_a_x1(h: float, x2: float) -> float:
     """The corner-A switching parabola through (-h, h), at unit authority."""
     return -0.5 * (x2 * x2 + h * (2.0 - h))
-
-
-def _upper_theta_of_x2(l: float, a: float, x2: float) -> float:
-    """Anchor angle of the upper-branch point at height x2 (radius l at unit authority)."""
-    return math.pi - math.atan(_upper_slope_of_y2(l, x2 / a))
 
 
 def _upper_slope_of_y2(l: float, y2: float) -> float:

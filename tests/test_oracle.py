@@ -1,6 +1,5 @@
 """Brute-force minimum-time search and the oracle-vs-synthesis report."""
 
-import itertools
 import math
 import random
 from decimal import Decimal, localcontext
@@ -32,18 +31,23 @@ from mintime.oracle import (
     DEFAULT_REFINE_TOL,
     _box_entry_time,
     _clear_until,
-    _disk_gap,
-    _feasible,
-    _nearest_endpoint,
+    _gap_slack,
     _origin_time,
-    _square_gap,
+    _probe,
+    _square_endpoint,
     policy_endpoint,
 )
+from mintime.manifold import _radius
 from mintime.synthesis import _closed_form_feedback
 
 P1 = Params(alpha=1.0, l=1.0)
 C1 = Circle(1.0)
 SQ = Square()
+
+
+def _feasible(m, p, s, t_f):
+    """The exact test at t_f: a (u0, t_switch) whose endpoint is in the target, or None."""
+    return _probe(m, p.alpha, s, t_f)[1]
 
 
 def test_oracle_square_example():
@@ -277,9 +281,10 @@ _NEAR_SIDE = st.sampled_from((-1.0, -1.0 + 1e-6, 1.0 - 1e-6, 1.0))
 )
 def test_square_switch_finds_every_swept_entry(alpha, u0, t_f, i_sw, ex, ey):
     """If a dense sweep of t_switch puts the endpoint inside the square, the
-    exact test (one d-interval per u0) returns a switch too, and every switch
-    it returns ends in the square up to rounding.  A window of one point
-    counts; at t_f = 0 every window is one point (an example below)."""
+    exact test (the least max-norm endpoint against 1) returns a switch too,
+    and every switch it returns ends in the square up to rounding.  A window
+    of one point counts; at t_f = 0 every window is one point (an example
+    below)."""
     a = alpha * u0
     # Run a policy backward from the endpoint (ex, ey), switching on a sweep
     # line, so the sweep often lands inside, also at the sides and corners.
@@ -303,6 +308,69 @@ def test_square_switch_finds_every_swept_entry(alpha, u0, t_f, i_sw, ex, ey):
         end = policy_endpoint(s0, PolicyCandidate(hit[0], hit[1], t_f), alpha)
         scale = abs(s0.x1) + abs(s0.x2) + (abs(s0.x2) + alpha) * t_f + 4.0 * alpha * t_f * t_f
         assert max(abs(end.x1), abs(end.x2)) <= 1.0 + 1e-9 * (1.0 + scale)
+
+
+def _square_windows(alpha, s0, t_f):
+    """The d-interval reference for the square's exact test: {u0: (lo, hi)}
+    for each u0 with a switch whose endpoint at t_f is in the square.
+
+    On d = t_f - t_switch in [0, t_f] both X1 - a*d^2 and X2 - 2*a*d are
+    monotone, so for each u0, |x1| <= 1 holds on one d-interval
+    (a*d^2 in [X1 - 1, X1 + 1]) and so does |x2| <= 1
+    (2*a*d in [X2 - 1, X2 + 1]).  Their intersection with [0, t_f] is the
+    feasible window; a window of one point counts.
+    """
+    windows = {}
+    for u0 in (-1.0, 1.0):
+        a = alpha * u0
+        X1 = s0.x1 + (s0.x2 + 0.5 * a * t_f) * t_f
+        X2 = s0.x2 + a * t_f
+        lo1, hi1 = sorted(((X1 - 1.0) / a, (X1 + 1.0) / a))
+        lo2, hi2 = sorted(((X2 - 1.0) / (2.0 * a), (X2 + 1.0) / (2.0 * a)))
+        if hi1 < 0.0:
+            continue  # a*d^2 never reaches [X1 - 1, X1 + 1]
+        lo = max(math.sqrt(max(0.0, lo1)), lo2)
+        hi = min(t_f, math.sqrt(hi1), hi2)
+        if lo <= hi:
+            windows[u0] = (lo, hi)
+    return windows
+
+
+def test_square_exact_test_agrees_with_the_d_interval_windows():
+    """The least max-norm endpoint is in the square exactly when some u0's
+    d-interval window is non-empty, and its u0 has a window; they may
+    disagree only where that endpoint lies within 1e-12, relative to the
+    endpoint's scale, of the square's boundary.
+
+    Half the states run a policy backward from an endpoint near or on a
+    side or corner, so both answers and the boundary are well exercised."""
+    rng = random.Random(25)
+    near = (-1.0, -1.0 + 1e-9, 1.0 - 1e-9, 1.0)
+    counts = {True: 0, False: 0}
+    while sum(counts.values()) < 20_000:
+        alpha = 10.0 ** rng.uniform(-1.0, 1.0)
+        t_f = rng.choice((0.0, rng.uniform(0.0, 1.0), rng.uniform(0.0, 20.0)))
+        if rng.random() < 0.5:
+            s0 = State(rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0))
+        else:
+            ex, ey = (rng.choice(near) if rng.random() < 0.3 else rng.uniform(-1.2, 1.2) for _ in "xy")
+            a = alpha * rng.choice((-1.0, 1.0))
+            t_sw = t_f * rng.choice((0.0, 1.0, rng.random()))
+            d = t_f - t_sw
+            x2s = ey + a * d
+            x1s = ex - x2s * d + 0.5 * a * d * d
+            x2 = x2s - a * t_sw
+            s0 = State(x1s - x2 * t_sw - 0.5 * a * t_sw * t_sw, x2)
+            if max(abs(s0.x1), abs(s0.x2)) > 50.0:
+                continue
+        e, u0, _ = _square_endpoint(alpha, s0, t_f)
+        windows = _square_windows(alpha, s0, t_f)
+        scale = abs(s0.x1) + abs(s0.x2) + (abs(s0.x2) + alpha) * t_f + 4.0 * alpha * t_f * t_f
+        if abs(e - 1.0) > 1e-12 * (1.0 + scale):
+            assert (e <= 1.0) == bool(windows)
+            assert e > 1.0 or u0 in windows
+        counts[e <= 1.0] += 1
+    assert min(counts.values()) > 5_000
 
 
 # ── The certified skip in the t_final ascent ──────────────────────────────────
@@ -363,21 +431,23 @@ def test_square_ascent_decides_its_first_feasible_line_with_one_exact_test(monke
     """States between the square and its circumscribed disk, at alpha = 2,
     where a gap to that disk proved nothing: the ascent tested 100, 96 and
     89 lines exactly before the first feasible one.  The square's own gap
-    leaves at most 2 exact tests on grid lines before the bisection, and the
-    answer is the line-by-line ascent's."""
+    leaves at most 2 grid lines uncleared, so tested exactly, before the
+    bisection, and the answer is the line-by-line ascent's."""
     s, p = State(x1, x2), Params(alpha=2.0)
-    tested = []
-    square_entry = oracle._square_entry
+    uncleared = []
+    clear_until = oracle._clear_until
 
-    def counted(alpha, s0, t_f):
-        tested.append(t_f)
-        return square_entry(alpha, s0, t_f)
+    def counted(m, alpha, t_f, g):
+        t_clear = clear_until(m, alpha, t_f, g)
+        if t_clear is None:
+            uncleared.append(t_f)
+        return t_clear
 
-    monkeypatch.setattr(oracle, "_square_entry", counted)
+    # The ascent asks _clear_until at every grid line it visits, and the
+    # bisection never does.
+    monkeypatch.setattr(oracle, "_clear_until", counted)
     got = oracle_policy(SQ, p, s)
-    # The bisection tests only final times strictly between two grid lines.
-    on_lines = list(itertools.takewhile(lambda t: t == round(t / DEFAULT_GRID) * DEFAULT_GRID, tested))
-    assert 1 <= len(on_lines) <= 2 < len(tested)
+    assert 1 <= len(uncleared) <= 2
     assert got == _plain_policy(SQ, p, s)
 
 
@@ -392,10 +462,8 @@ def _scenario(l, alpha):
 
 
 def _gap(m, alpha, s, t_f):
-    """The ascent's gap at t_f: the nearest endpoint's for the circle, the square's own."""
-    if isinstance(m, Circle):
-        return _disk_gap(m.l, alpha, s, t_f, _nearest_endpoint(alpha, s, t_f)[0])
-    return _square_gap(alpha, s, t_f)
+    """The ascent's gap at t_f: the nearest endpoint's distance to the target, less the slack."""
+    return _probe(m, alpha, s, t_f)[0] - _gap_slack(alpha, s, t_f, _radius(m))
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -479,17 +547,18 @@ _gap_state = {
 @given(l=st.floats(1e-3, 10.0), **_gap_state)
 def test_disk_gap_never_exceeds_the_true_distance(l, alpha, x1, x2, t_f):
     s = State(x1, x2)
-    g = _disk_gap(l, alpha, s, t_f, _nearest_endpoint(alpha, s, t_f)[0])
+    g = _gap(Circle(l), alpha, s, t_f)
     assert Decimal(g) <= _decimal_gap(Circle(l), alpha, s, t_f)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(**_gap_state)
 def test_square_gap_never_exceeds_the_true_distance(alpha, x1, x2, t_f):
-    """The square's gap, against the least max(|x1|, |x2|) over the endpoints
-    at t_f, found in 60 digits by golden-section search: no more than that
-    minimum less 1, which is no more than the Euclidean distance from any
-    endpoint to the square (checked on 101 switch times per u0, squared).
+    """The square's gap (its least max-norm endpoint less 1, less the slack),
+    against the least max(|x1|, |x2|) over the endpoints at t_f, found in 60
+    digits by golden-section search: no more than that minimum less 1, which
+    is no more than the Euclidean distance from any endpoint to the square
+    (checked on 101 switch times per u0, squared).
 
     For each u0 the endpoint is (X1 - a*d^2, X2 - 2*a*d) on d in [0, t_f];
     |x1| and |x2| are each V-shaped in d, so their maximum is unimodal and
@@ -497,7 +566,7 @@ def test_square_gap_never_exceeds_the_true_distance(alpha, x1, x2, t_f):
     L = 2*alpha*max(1, t_f), so its value at the bracket's midpoint less L
     times the bracket's width is a lower bound on the minimum."""
     s = State(x1, x2)
-    g = _square_gap(alpha, s, t_f)
+    g = _square_endpoint(alpha, s, t_f)[0] - 1.0 - _gap_slack(alpha, s, t_f, 1.0)
     with localcontext() as ctx:
         ctx.prec = 60
         T = Decimal(t_f)

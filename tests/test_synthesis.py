@@ -40,7 +40,6 @@ from mintime.synthesis import (
     _locus_half,
     _solve_far_constant,
     _upper_slope_of_y2,
-    _upper_theta_of_x2,
 )
 
 P1 = Params(alpha=1.0, l=1.0)
@@ -78,6 +77,24 @@ def test_lower_switching_curves_are_the_negated_upper_ones(alpha):
             assert lo.point(th).as_tuple() == (-q.x1, -q.x2)
     a, c = switching_curve_square("A", Params(alpha=alpha)), switching_curve_square("C", Params(alpha=alpha))
     assert [q.as_tuple() for q in c.sample(30, 6.0)] == [(-q.x1, -q.x2) for q in a.sample(30, 6.0)]
+
+
+@pytest.mark.parametrize("branch", ["upper", "lower"])
+@pytest.mark.parametrize("x2_max", [1e-3, 6.0, 1e8, 1e16])
+def test_circle_switching_curve_samples_hold_their_heights(branch, x2_max):
+    """A circle branch's samples start exactly at its anchor and lie at the
+    heights asked, within 1e-12 relative, on the branch's side of the plane,
+    up to x2_max = 1e16, where the anchor angle pi - atan(v) rounds to pi/2."""
+    sgn = 1.0 if branch == "upper" else -1.0
+    for alpha, l in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.05)):
+        curve = switching_curve_circle(Params(alpha=alpha, l=l), branch)
+        for n in (3, 11):
+            pts = curve.sample(n, x2_max)
+            assert pts[0] == curve.anchor_state
+            for j, pt in enumerate(pts[1:], 1):
+                asked = j * x2_max / (n - 1)
+                assert abs(sgn * pt.x2 - asked) <= 1e-12 * asked
+                assert sgn * pt.x1 <= -l * (1.0 - 1e-12)
 
 
 def test_circle_switching_curve_parametric_value():
@@ -283,6 +300,26 @@ def test_feedback_value_central_symmetry_exact():
                 assert rm.switch_state is None
             else:
                 assert rm.switch_state == -r.switch_state
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+@pytest.mark.parametrize("m", [SQ, C1], ids=["square", "circle"])
+def test_feedback_central_symmetry_at_general_alpha(m, alpha):
+    """The public law at alpha != 1, which answers from the oracle search,
+    gives -s the opposite control and the same time-to-go as s, also where
+    a one-arc policy and a switch from the same feasible window both reach
+    the square at that time."""
+    rng = random.Random(25)
+    p = Params(alpha=alpha, l=1.0)
+    checked = 0
+    while checked < 150:
+        s = State(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+        if contains(m, s):
+            continue
+        r, rm = feedback(m, p, s), feedback(m, p, -s)
+        assert rm.u == -r.u, s
+        assert rm.time_to_go == r.time_to_go, s
+        checked += 1
 
 
 def test_feedback_rejects_circle_radius_unlike_params():
@@ -516,13 +553,10 @@ def test_far_constant_solve_matches_a_decimal_bisection(log_r, log_gap):
 )
 def test_switching_curve_inverse_matches_a_decimal_bisection(log_r, log_y2):
     """The upper branch height y2 = v*(1 + r/sqrt(1 + v^2)), v = -tan(theta), solved
-    for v, against a 45-digit bisection; y2 = 0 is the anchor theta = pi exactly.
-
-    v is checked before the arctangent: -tan of the returned angle carries that
-    angle's rounding times 1 + v^2 and cannot hold 1e-13 once v is large."""
+    for v, against a 45-digit bisection; y2 = 0 is the anchor v = 0 exactly."""
     r = 10.0 ** log_r
     if log_y2 is None:
-        assert _upper_theta_of_x2(r, 1.0, 0.0) == math.pi
+        assert _upper_slope_of_y2(r, 0.0) == 0.0
         return
     y2 = 10.0 ** log_y2
     v = _upper_slope_of_y2(r, y2)
@@ -538,5 +572,4 @@ def test_switching_curve_inverse_matches_a_decimal_bisection(log_r, log_y2):
                 hi = mid
         ref = float((lo + hi) / 2)
     assert abs(v - ref) <= 1e-13 * ref
-    assert _upper_theta_of_x2(r, 1.0, y2) == math.pi - math.atan(v)
 
