@@ -170,18 +170,6 @@ def _check_tau(tau: float) -> None:
         raise DomainError(f"retrograde time must be finite and >= 0, got {tau!r}")
 
 
-def _leg_sign(c0: Costate, lo: float, hi: float) -> float:
-    """sign(lambda2) on the interior of the retrograde leg [lo, hi]."""
-    mid = 0.5 * (lo + hi)
-    lam2 = c0.lambda2 + c0.lambda1 * mid
-    if lam2 > 0.0:
-        return 1.0
-    if lam2 < 0.0:
-        return -1.0
-    # Degenerate only for a zero-length leg; fall back to the slope.
-    return 1.0 if c0.lambda1 >= 0.0 else -1.0
-
-
 # ── Closed-form state propagation ──────────────────────────────────────────────
 
 
@@ -285,7 +273,8 @@ def numeric_retro_dense(
             leg_end = target
             if ts is not None and now < ts < target:
                 leg_end = ts
-            sigma = _leg_sign(c0, now, leg_end)
+            # sign(lambda2) = -u at mid-leg; zero only on a zero-length leg
+            sigma = -_forward_u(lam1, lam20 + lam1 * (0.5 * (now + leg_end)))
             x1, x2 = _rk4_leg(x1, x2, sigma * alpha, leg_end - now, step)
             now = leg_end
         out.append((State(x1, x2), Costate(lam1, lam20 + lam1 * now)))

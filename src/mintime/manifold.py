@@ -195,13 +195,9 @@ def boundary_state(m: Manifold, b: BoundaryPoint) -> State:
 
 
 def _side_state(side: str, s: float) -> tuple[float, float]:
-    if side == "AB":
-        return (-1.0, s)
-    if side == "BC":
-        return (s, -1.0)
-    if side == "CD":
-        return (1.0, s)
-    return (s, 1.0)  # AD
+    """The point at s on a side, which lies on the line x . n = 1 of its normal n."""
+    n1, n2 = _SIDE_NORMALS[side]
+    return (n1, s) if n1 else (s, n2)
 
 
 def boundary_point_of_state(m: Manifold, s: State) -> BoundaryPoint:
@@ -298,13 +294,8 @@ def up_intervals(m: Manifold, params: Params) -> list[ParamInterval]:
             ParamInterval("theta", theta_bar, math.pi),
             ParamInterval("theta", math.pi + theta_bar, _TWO_PI),
         ]
-    return [
-        ParamInterval("AB", 0.0, 1.0),
-        ParamInterval("BC", -1.0, 1.0),
-        ParamInterval("CD", -1.0, 0.0),
-        ParamInterval("AD", -1.0, 1.0),
-        ParamInterval("corner_A", _HALF_PI, math.pi),
-        ParamInterval("corner_C", 1.5 * math.pi, _TWO_PI),
+    return [ParamInterval(side, lo, hi) for side, (lo, hi, _, _) in _SIDE_RANGES.items()] + [
+        ParamInterval(f"corner_{corner}", lo, hi) for corner, (lo, hi) in _CORNER_RANGES.items()
     ]
 
 

@@ -233,6 +233,8 @@ def oracle_policy(m: Manifold, params: Params, s0: State,
         return PolicyCandidate(1.0, 0.0, 0.0)
     alpha, R, grid = params.alpha, _radius(m), DEFAULT_GRID
     horizon = _origin_time(alpha, s0) + grid if horizon is None else horizon
+    if not math.isfinite(horizon):
+        raise DomainError(f"the search horizon t = {horizon} from {s0!r} is not finite")
     n = int(round(horizon / grid))
     k = max(0, int(_box_entry_time(m, alpha, s0) / grid) - 1)
     while k <= n:

@@ -26,14 +26,19 @@ controls and taking manifold.antipode of boundary points.
 
 Switching curves
 ----------------
-Circle: the switch points of the upper family trace
+Circle: the switch points of the upper family, anchored at th in (pi/2, pi],
+trace r/cos th - tan^2 th / 2, r sin th - tan th from (-r, 0).  The code
+evaluates them in the slope t = tan th <= 0, with h = sqrt(1 + t^2), as
 
-    y1 = r/cos th - tan^2 th / 2,   y2 = r sin th - tan th,   th in (pi/2, pi],
+    y1 = -r*h - t^2/2,   y2 = -r*t/h - t        (_circle_switch).
 
-anchored at (-r, 0).  In explicit form
+Eliminating t gives the explicit form
 
     y2(y1) = sqrt(2) * sqrt(r^2+1-2y1) / (sqrt(r^2+1-2y1) - r)
-             * sqrt(r^2 - y1 - r*sqrt(r^2+1-2y1)),    y1 <= -r.
+             * sqrt(r^2 - y1 - r*sqrt(r^2+1-2y1)),    y1 <= -r,
+
+which the code does not evaluate: its inner root cancels near the anchor.
+x2_of_x1 takes t from h - 1 = -2*(y1 + r)/(sqrt(r^2+1-2y1) + r + 1).
 
 Square: the corner-A family rides the parabola y1 = -(y2^2 + h*(2-h))/2,
 y2 >= h, through the corner (-h, h).
@@ -85,7 +90,7 @@ from .manifold import (
     antipode,
     boundary_point_of_state,
 )
-from .model import DomainError, Params, State, _check_finite
+from .model import DomainError, Params, State
 
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
@@ -163,11 +168,13 @@ class SwitchingCurve:
         if self.branch == "upper":
             if not _HALF_PI < theta <= math.pi:
                 raise DomainError(f"upper branch needs theta in (pi/2, pi], got {theta!r}")
-            return State(*_upper_switch_point(self.size, self.alpha, theta))
-        if not 1.5 * math.pi < theta <= _TWO_PI:
-            raise DomainError(f"lower branch needs theta in (3*pi/2, 2*pi], got {theta!r}")
-        x1, x2 = _upper_switch_point(self.size, self.alpha, theta - math.pi)
-        return State(-x1, -x2)
+            a = self.alpha
+        else:
+            if not 1.5 * math.pi < theta <= _TWO_PI:
+                raise DomainError(f"lower branch needs theta in (3*pi/2, 2*pi], got {theta!r}")
+            a, theta = -self.alpha, theta - math.pi
+        y1, y2 = _circle_switch(self.size, math.tan(theta))
+        return State(a * y1, a * y2)
 
     def x2_of_x1(self, x1: float) -> float:
         """Circle branches in explicit form; defined for |x1| >= l on the branch side."""
@@ -176,10 +183,15 @@ class SwitchingCurve:
         if self.branch == "upper":
             if x1 > self.anchor_state.x1:
                 raise DomainError(f"upper branch needs x1 <= -l, got {x1!r}")
-            return _upper_switch_x2(self.size, self.alpha, x1)
-        if x1 < self.anchor_state.x1:
-            raise DomainError(f"lower branch needs x1 >= l, got {x1!r}")
-        return -_upper_switch_x2(self.size, self.alpha, -x1)
+            a = self.alpha
+        else:
+            if x1 < self.anchor_state.x1:
+                raise DomainError(f"lower branch needs x1 >= l, got {x1!r}")
+            a = -self.alpha
+        l, y1 = self.size, x1 / a
+        # g = h - 1 from the offset to the anchor, taken before rescaling
+        g = 2.0 * (self.anchor_state.x1 - x1) / a / (math.sqrt(l * l + 1.0 - 2.0 * y1) + l + 1.0)
+        return a * _circle_switch(l, -math.sqrt(g * (g + 2.0)))[1]
 
     def x1_of_x2(self, x2: float) -> float:
         """Square branches: x1 = -+(x2^2/alpha + 2 - 1/alpha)/2 with the stated x2 domain."""
@@ -206,31 +218,24 @@ class SwitchingCurve:
                 x2 = sgn * (1.0 + j * (x2_max - 1.0) / (n - 1))
                 out.append(State(self.x1_of_x2(x2), x2))
             return out
-        # Each point from its slope v = -tan(theta), in _circle_half's far
-        # switch form: theta itself rounds to pi/2 once v passes ~1e16.
-        sgn = 1.0 if self.branch == "upper" else -1.0
-        l, a = self.size, self.alpha
+        # Each point from its slope v = -tan(theta): theta itself rounds to
+        # pi/2 once v passes ~1e16.
+        l, a = self.size, (1.0 if self.branch == "upper" else -1.0) * self.alpha
         out = [self.anchor_state]
         for j in range(1, n):
-            v = _upper_slope_of_y2(l, j * x2_max / (n - 1) / a)
-            h = math.sqrt(1.0 + v * v)
-            out.append(State(sgn * a * (-l * h - 0.5 * v * v), sgn * a * (l * v / h + v)))
+            y1, y2 = _circle_switch(l, -_upper_slope_of_y2(l, j * x2_max / (n - 1) / self.alpha))
+            out.append(State(a * y1, a * y2))
         return out
 
 
-# The upper circle branch at unit-authority radius l, mapped back to x = a*y.
-def _upper_switch_point(l: float, a: float, theta: float) -> tuple[float, float]:
-    tt = math.tan(theta)
-    x1, x2 = a * (l / math.cos(theta) - 0.5 * tt * tt), a * (l * math.sin(theta) - tt)
-    _check_finite(x1, x2)
-    return x1, x2
+def _circle_switch(l: float, t: float) -> tuple[float, float]:
+    """Switch point (y1, y2) of the upper far family anchored at theta = pi + atan(t), t <= 0.
 
-
-def _upper_switch_x2(l: float, a: float, x1: float) -> float:
-    y1 = x1 / a
-    root = math.sqrt(l * l + 1.0 - 2.0 * y1)
-    inner = max(0.0, l * l - y1 - l * root)
-    return a * math.sqrt(2.0) * root / (root - l) * math.sqrt(inner)
+    Unit authority with radius l; h = sqrt(1 + t^2) = -1/cos(theta).  Each
+    coordinate's two terms share a sign, so neither cancels.
+    """
+    h = math.sqrt(1.0 + t * t)
+    return -l * h - 0.5 * t * t, -l * t / h - t
 
 
 def _corner_a_x1(h: float, x2: float) -> float:
@@ -318,8 +323,7 @@ def touch_and_go_curves(m: Manifold, params: Params) -> list[TouchAndGoCurve]:
         graze = State(size * math.cos(theta_bar), size * math.sin(theta_bar))
         control, c = -1.0, 0.5 * (size * size + 1.0)
         t = _solve_far_constant(size, c)
-        h = math.sqrt(1.0 + t * t)
-        switch = State(size * h + 0.5 * t * t, size * t / h + t)
+        switch = -State(*_circle_switch(size, t))  # on the lower branch
         terminal = CircleTheta(_TWO_PI + math.atan(t))
     tg = TouchAndGoCurve(State(a * graze.x1, a * graze.x2), control, a * c, terminal,
                          State(a * switch.x1, a * switch.x2), a)
@@ -430,8 +434,7 @@ def _circle_half(l: float, x1: float, x2: float, mirrored: bool) -> list[_Candid
         tau_s = -t
         if tau >= tau_s - _TAU_TOL * (1.0 + tau_s):
             out.append(_Candidate(max(tau, tau_s), "far_upper", _far_u(tau, tau_s),
-                                  math.pi + math.atan(t), (-l * h - 0.5 * t * t, -l * t / h - t),
-                                  mirrored))
+                                  math.pi + math.atan(t), _circle_switch(l, t), mirrored))
     return out
 
 
@@ -626,7 +629,7 @@ def _closed_form_feedback(m: Manifold, params: Params, s: State) -> SynthesisRes
     if best.mirrored:
         terminal = antipode(m, terminal)
     return SynthesisResult(u, best.tau, terminal, None if switch is None else State(*switch),
-                           _near_locus(m, size, a, s.x1 / a, s.x2 / a))
+                           locus_distance(m, params, s) <= _LOCUS_FLAG_TOL)
 
 
 def _invert(m: Manifold, size: float, a: float, x1: float,
@@ -653,26 +656,6 @@ def _invert(m: Manifold, size: float, a: float, x1: float,
                 State(*switch)  # raises State's DomainError: a rollout steps there
             break
     return best, -best.u if best.mirrored else best.u, switch
-
-
-def _near_locus(m: Manifold, size: float, a: float, y1: float, y2: float) -> bool:
-    """locus_distance(m, params, alpha*y) <= _LOCUS_FLAG_TOL, computing few distances.
-
-    A point within tol of the half-parabola y1 = c - w^2/2 has vertical offset
-    |y1 - c + y2^2/2| <= tol*(1 + |y2| + tol/2).  A half whose offset exceeds
-    tol*(1 + |y2| + tol), plus a rounding slack, cannot be within tol, so
-    only the halves that pass get the cubic of _parabola_distance.
-    """
-    c, w_edge = _locus_half(m, size)
-    tol = _LOCUS_FLAG_TOL / a
-    offset = 0.5 * y2 * y2 - c
-    band = tol * (1.0 + abs(y2) + tol) + 1e-15 * (abs(y1) + abs(c) + y2 * y2)
-    d = math.inf
-    if abs(y1 + offset) <= band:
-        d = _parabola_distance(y1, y2, c, w_edge)
-    if abs(offset - y1) <= band:
-        d = min(d, _parabola_distance(-y1, -y2, c, w_edge))
-    return a * d <= _LOCUS_FLAG_TOL
 
 
 def value(m: Manifold, params: Params, s: State) -> float:

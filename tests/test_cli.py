@@ -183,6 +183,9 @@ def test_domain_error_exits_2(capsys):
         ("simulate", "--l", "1e-300", "--alpha", "1e300", "--x1", "3", "--x2", "1"),
         ("value", "--target", "square", "--alpha", "1e-310", "--x1", "3", "--x2", "1"),
         ("value", "--l", "1e-300", "--alpha", "1e300", "--x1", "3", "--x2", "1"),
+        # States whose oracle search horizon overflows to inf.
+        ("value", "--alpha", "2", "--x1", "41", "--x2", "1e200"),
+        ("verify", "--target", "circle", "--l", "7", "--grid", "5", "--span", "1e200"),
     ],
 )
 def test_out_of_range_numbers_exit_2(capsys, argv):

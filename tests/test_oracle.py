@@ -73,6 +73,13 @@ def test_oracle_rejects_interior_and_short_horizon():
         oracle_min_time(C1, P1, State(-5.0, -5.0), horizon=0.5)
 
 
+@pytest.mark.parametrize("horizon", [math.inf, math.nan])
+def test_oracle_rejects_a_non_finite_horizon(horizon):
+    for m in (C1, SQ):
+        with pytest.raises(DomainError, match=r"horizon t = (inf|nan) .* is not finite"):
+            oracle_min_time(m, P1, State(-5.0, -5.0), horizon=horizon)
+
+
 def test_oracle_rejects_circle_radius_unlike_params():
     """The l = 2 circle is not answered for params with l = 1."""
     with pytest.raises(DomainError, match="disagrees with params.l"):

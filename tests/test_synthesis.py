@@ -117,6 +117,63 @@ def test_circle_switching_curve_explicit_matches_parametric():
     assert switching_curve_circle(P1, "lower").x2_of_x1(1.0) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 3.0])
+@pytest.mark.parametrize("l", [0.05, 1.0, 2.0])
+def test_circle_switching_curve_explicit_form_matches_60_digits(l, alpha):
+    """x2_of_x1 against the explicit root form in 60-digit arithmetic, from
+    1e-14 to 1e6 past the anchor on both branches, within 1e-14 relative:
+    evaluated in floats, that form's inner root cancels next to the anchor,
+    and so does y1 + l/alpha where x1/alpha and l/alpha round."""
+    p = Params(alpha=alpha, l=l)
+    up, lo = switching_curve_circle(p, "upper"), switching_curve_circle(p, "lower")
+    for k in range(-14, 7):
+        x1 = -(l + 10.0 ** k)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            a = Decimal(alpha)
+            ld, y1 = Decimal(l) / a, Decimal(x1) / a
+            root = (ld * ld + 1 - 2 * y1).sqrt()
+            ref = a * 2 ** Decimal("0.5") * root / (root - ld) * (ld * ld - y1 - ld * root).sqrt()
+        assert abs(Decimal(up.x2_of_x1(x1)) - ref) <= Decimal("1e-14") * ref
+        assert abs(Decimal(lo.x2_of_x1(-x1)) + ref) <= Decimal("1e-14") * ref
+
+
+def _sin_cos_60(x: float) -> tuple[Decimal, Decimal]:
+    """sin and cos of the float x (|x| <= 4) by their Taylor series, in 60-digit arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        sin = cos = Decimal(0)
+        term, k = Decimal(1), 0
+        while abs(term) > Decimal("1e-75"):
+            if k % 2:
+                sin += term if k % 4 == 1 else -term
+            else:
+                cos += term if k % 4 == 0 else -term
+            k += 1
+            term = term * Decimal(x) / k
+        return +sin, +cos
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_circle_switching_curve_point_matches_60_digits(alpha):
+    """point(theta) against alpha*(l/cos th - tan^2 th/2, l sin th - tan th) in
+    60-digit arithmetic, within 1e-15 of the point's magnitude, over (pi/2, pi]
+    down to one float above pi/2, where the point lies ~1e32 out."""
+    thetas = [math.nextafter(0.5 * math.pi, 4.0)] + [0.5 * math.pi + 10.0 ** k for k in range(-15, -5)]
+    thetas += [1.7, 2.0, 2.5, 3.0, 3.1, math.pi - 1e-9, math.pi]
+    for l in (0.05, 1.0, 2.0):
+        curve = switching_curve_circle(Params(alpha=alpha, l=l), "upper")
+        for th in thetas:
+            pt = curve.point(th)
+            sin, cos = _sin_cos_60(th)
+            with localcontext() as ctx:
+                ctx.prec = 60
+                a, r, tan = Decimal(alpha), Decimal(curve.size), sin / cos
+                ref1, ref2 = a * (r / cos - tan * tan / 2), a * (r * sin - tan)
+                err = ((Decimal(pt.x1) - ref1) ** 2 + (Decimal(pt.x2) - ref2) ** 2).sqrt()
+                assert err <= Decimal("1e-15") * (ref1 * ref1 + ref2 * ref2).sqrt(), th
+
+
 def test_square_switching_curves():
     a = switching_curve_square("A")
     c = switching_curve_square("C")
