@@ -40,10 +40,10 @@ The ascent lands on the same first feasible line and bisects the same
 bracket as a line-by-line ascent.
 
 The oracle shares no code with the synthesis: it has its own cubic solver, and
-only the grid report imports the synthesis, to compare against it.  Like every
-entry point, it checks the target against params with the shared model code
-(manifold._unit_size), which rejects a Circle whose radius differs from
-params.l.
+only the grid report imports the synthesis, to compare against its closed
+form (synthesis._invert) at every alpha.  Like every entry point, it checks
+the target against params with the shared model code (manifold._unit_size),
+which rejects a Circle whose radius differs from params.l.
 
 The single-switch family is an assumption the oracle does not check itself.
 The test suite searches a coarse three-arc family and compares it against the
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 from .manifold import Circle, Manifold, _radius, _reject_interior, _unit_size, contains
 from .model import DomainError, HorizonExceeded, Params, State
-from .synthesis import locus_distance, value  # for the grid report's comparison only
+from .synthesis import _invert, locus_distance  # for the grid report's comparison only
 
 DEFAULT_GRID = 1e-2
 DEFAULT_REFINE_TOL = 1e-4
@@ -208,8 +208,7 @@ def _probe(m: Manifold, alpha: float, s0: State,
 # ── Public search ──────────────────────────────────────────────────────────────
 
 
-def oracle_policy(m: Manifold, params: Params, s0: State,
-                  horizon: float | None = None) -> PolicyCandidate:
+def oracle_policy(m: Manifold, params: Params, s0: State) -> PolicyCandidate:
     """Best bang-bang policy: grid ascent on t_final plus bisection refinement.
 
     Because the switch time is tested exactly at each t_final, feasibility in
@@ -223,16 +222,15 @@ def oracle_policy(m: Manifold, params: Params, s0: State,
     `_gap_slack` bounds the distance from every endpoint to the target, so
     the ascent jumps past every line `_clear_until` proves infeasible.  So it
     skips only lines that are infeasible and finds the same first feasible
-    line and bracket as a line-by-line ascent from 0.  The search stops at
-    `horizon`, by default one grid line past the minimum time to the origin,
-    which both targets contain.
+    line and bracket as a line-by-line ascent from 0.  The search stops one
+    grid line past the minimum time to the origin, which both targets contain.
     """
     _unit_size(m, params)
     _reject_interior(m, s0)
     if contains(m, s0):
         return PolicyCandidate(1.0, 0.0, 0.0)
     alpha, R, grid = params.alpha, _radius(m), DEFAULT_GRID
-    horizon = _origin_time(alpha, s0) + grid if horizon is None else horizon
+    horizon = _origin_time(alpha, s0) + grid
     if not math.isfinite(horizon):
         raise DomainError(f"the search horizon t = {horizon} from {s0!r} is not finite")
     n = int(round(horizon / grid))
@@ -313,9 +311,9 @@ def _origin_time(alpha: float, s0: State) -> float:
     return (sigma * s0.x2 + 2.0 * math.sqrt(rest)) / alpha
 
 
-def oracle_min_time(m: Manifold, params: Params, s0: State, horizon: float | None = None) -> float:
+def oracle_min_time(m: Manifold, params: Params, s0: State) -> float:
     """Minimum time to the target over the single-switch bang-bang family."""
-    return oracle_policy(m, params, s0, horizon).t_final
+    return oracle_policy(m, params, s0).t_final
 
 
 # ── Grid report ────────────────────────────────────────────────────────────────
@@ -349,11 +347,13 @@ def acceptance_grid(span: float = 5.0, n: int = 41) -> list[State]:
 def oracle_grid_report(m: Manifold, params: Params, states: list[State]) -> GridReport:
     """Rows (x1, x2, oracle, synthesis, abs_err) over the given states.
 
-    States in the closed target set are excluded (the synthesis defines zero
-    time only on the usable part), as are states within _LOCUS_BAND of a
-    value-jump locus, where tangent target entries defeat both routes'
-    tolerances.
+    The synthesis column is the closed form's time-to-go at every alpha, so
+    the oracle is never compared with itself.  States in the closed target
+    set are excluded (the synthesis defines zero time only on the usable
+    part), as are states within _LOCUS_BAND of a value-jump locus, where
+    tangent target entries defeat both routes' tolerances.
     """
+    size = _unit_size(m, params)
     rows = []
     n_target = n_band = 0
     errs = []
@@ -365,7 +365,7 @@ def oracle_grid_report(m: Manifold, params: Params, states: list[State]) -> Grid
             n_band += 1
             continue
         t_oracle = oracle_min_time(m, params, s)
-        t_synth = value(m, params, s)
+        t_synth = _invert(m, size, params.alpha, s.x1, s.x2)[0].tau
         err = abs(t_oracle - t_synth)
         rows.append((s.x1, s.x2, t_oracle, t_synth, err))
         errs.append(err)

@@ -417,7 +417,7 @@ def _circle_half(l: float, x1: float, x2: float, mirrored: bool) -> list[_Candid
             tau = x2 - l * stheta
             if tau < -_TAU_TOL:
                 continue
-            tau = max(tau, 0.0)
+            tau = max(0.0, tau)  # +0.0, not -0.0, at the manifold
             if q < 0.0:  # the anchor switches at tau_s; the near leg must end first
                 tau_s = stheta / -q
                 if tau > tau_s + _TAU_TOL * (1.0 + tau_s):
@@ -446,17 +446,17 @@ def _square_half(h: float, x1: float, x2: float, mirrored: bool) -> list[_Candid
     out: list[_Candidate] = []
 
     # Side families: one u = +1 leg into a side.
-    rad = x2 * x2 - 2.0 * x1 - 2.0 * h
+    rad = x2 * x2 - 2.0 * (x1 + h)  # x1 + h first: it keeps x2^2 next to the side
     if rad >= 0.0:
         p = math.sqrt(rad)  # arrival x2 on the left side
         tau = p - x2
         if p <= h + _PARAM_TOL and tau >= -_TAU_TOL:
-            out.append(_Candidate(max(tau, 0.0), "AB", 1.0, p, None, mirrored))
+            out.append(_Candidate(max(0.0, tau), "AB", 1.0, p, None, mirrored))
     p = x1 - 0.5 * (x2 * x2 - h * h)  # arrival x1 on the bottom side
     if -h - _PARAM_TOL <= p <= h + _PARAM_TOL:
         tau = -h - x2
         if tau >= -_TAU_TOL:
-            out.append(_Candidate(max(tau, 0.0), "BC", 1.0, p, None, mirrored))
+            out.append(_Candidate(max(0.0, tau), "BC", 1.0, p, None, mirrored))
 
     # Riding the switching curve into corner A (the pre-switch corner arc).
     # The band is absolute: the constant-control flow preserves the vertical
@@ -597,13 +597,11 @@ def feedback(m: Manifold, params: Params, s: State) -> SynthesisResult:
 
     At alpha = 1 this is the closed-form law.  Other authorities are still
     answered by the oracle-backed law (_numeric_feedback): the benchmark's
-    tracer test counts one oracle search per such query.  The closed form
-    serves them exactly as well (_closed_form_feedback, as simulate does)
-    and replaces the oracle-backed law once that test changes.
+    tracer test counts one oracle search per such query.  simulate and the
+    oracle's grid report ask the closed form (_invert) at every alpha, and
+    it replaces the oracle-backed law once that test changes.
     """
     if params.alpha != 1.0:
-        _unit_size(m, params)
-        _reject_interior(m, s)
         return _numeric_feedback(m, params, s)
     return _closed_form_feedback(m, params, s)
 

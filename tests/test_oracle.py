@@ -66,18 +66,18 @@ def test_oracle_zero_on_boundary():
     assert oracle_min_time(SQ, P1, State(1.0, 0.5)) == 0.0  # non-usable boundary counts
 
 
-def test_oracle_rejects_interior_and_short_horizon():
+def test_oracle_rejects_interior():
     with pytest.raises(InsideTarget):
         oracle_min_time(C1, P1, State(0.2, 0.1))
-    with pytest.raises(HorizonExceeded):
-        oracle_min_time(C1, P1, State(-5.0, -5.0), horizon=0.5)
 
 
-@pytest.mark.parametrize("horizon", [math.inf, math.nan])
-def test_oracle_rejects_a_non_finite_horizon(horizon):
+def test_oracle_rejects_a_non_finite_horizon():
+    """x2^2 overflows in the minimum time to the origin, the search's horizon."""
+    p = Params(alpha=2.0, l=1.0)
     for m in (C1, SQ):
-        with pytest.raises(DomainError, match=r"horizon t = (inf|nan) .* is not finite"):
-            oracle_min_time(m, P1, State(-5.0, -5.0), horizon=horizon)
+        for s in (State(41.0, 1e200), State(-41.0, -1e200)):
+            with pytest.raises(DomainError, match=r"horizon t = inf .* is not finite"):
+                oracle_min_time(m, p, s)
 
 
 def test_oracle_rejects_circle_radius_unlike_params():
@@ -173,6 +173,20 @@ def test_grid_report_exclusions():
     assert report.n_excluded_target == 1
     assert report.n_excluded_band == 1
     assert len(report.rows) == 1
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+@pytest.mark.parametrize("l", [1.0, 2.0, None], ids=["l1", "l2", "square"])
+def test_grid_report_at_general_alpha_checks_the_closed_form(l, alpha):
+    """The synthesis column is the closed form, not a second oracle search,
+    so the report shows the oracle's own refinement error, not 0."""
+    m, p = (SQ, Params(alpha=alpha)) if l is None else (Circle(l), Params(alpha=alpha, l=l))
+    states = [State(x1, x2) for x1 in (-4.0, -2.5, 2.5, 4.0) for x2 in (-3.0, 1.5)]
+    report = oracle_grid_report(m, p, states)
+    assert len(report.rows) >= 6
+    assert 0.0 < report.max_abs_err <= 1e-3
+    for x1, x2, _, t_synth, _ in report.rows:
+        assert t_synth == _closed_form_feedback(m, p, State(x1, x2)).time_to_go
 
 
 def test_oracle_general_alpha():

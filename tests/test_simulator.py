@@ -24,7 +24,7 @@ from mintime import (
     value,
 )
 from mintime import simulator
-from mintime.manifold import boundary_point_of_state
+from mintime.manifold import _INTERIOR_TOL, boundary_point_of_state
 from mintime.simulator import Termination, Trajectory, TrajectorySample
 from mintime.synthesis import _closed_form_feedback, _solve_far_constant
 
@@ -156,7 +156,7 @@ def _feedback_loop(law, m, params, s0, dt, t_max):
         u = res.u
         accel = params.alpha * u
         trial = _rk4_state(s, accel, dt)
-        if signed_distance(m, trial) <= simulator._ON_MANIFOLD_TOL * _size(m):
+        if signed_distance(m, trial) <= _INTERIOR_TOL * _size(m):
             h = _bisect_state(m, s, accel, dt)
             final = _rk4_state(s, accel, h)
             t += h
@@ -214,6 +214,24 @@ def test_rollout_at_general_alpha_follows_the_closed_form(alpha):
             assert traj.termination.status == "reached"
             assert abs(traj.termination.t_f - v) <= 2.0 * dt, (m, alpha, s0)
             assert traj.n_switches <= 1
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+def test_start_on_the_manifold_takes_the_closed_form_control(alpha):
+    """A start on the usable part has arrived; its one sample carries the
+    closed form's control, which is odd under s -> -s, as at alpha = 1."""
+    cases = [(C1, Params(alpha=alpha, l=1.0), State(0.0, -1.0)),
+             (C1, Params(alpha=alpha, l=1.0), boundary_state(C1, CircleTheta(2.2))),
+             (SQ, Params(alpha=alpha), State(-1.0, 0.5)),
+             (SQ, Params(alpha=alpha), State(0.25, -1.0))]
+    for m, p, s in cases:
+        u = []
+        for s0 in (s, -s):
+            traj = simulate(m, p, s0, 1e-3, 1.0)
+            assert traj.termination.t_f == 0.0 and len(traj.samples) == 1, s0
+            assert traj.samples[0].u == _closed_form_feedback(m, p, s0).u, s0
+            u.append(traj.samples[0].u)
+        assert u[1] == -u[0], s
 
 
 def test_rollout_into_a_square_corner_ends_on_time():
@@ -303,7 +321,7 @@ def verify_rollout(traj, m, params):
         st = State(smp.x1, smp.x2)
         if locus_distance(m, params, st) < threshold:
             continue
-        if signed_distance(m, st) < -simulator._ON_MANIFOLD_TOL * _size(m):
+        if signed_distance(m, st) < -_INTERIOR_TOL * _size(m):
             continue
         worst = max(worst, abs(value(m, params, st) - (traj.termination.t_f - smp.t)))
         checked += 1

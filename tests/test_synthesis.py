@@ -269,6 +269,35 @@ def test_feedback_zero_on_usable_part():
     assert value(SQ, P1, s) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_usable_square_sides_next_to_the_half_way_points_answer_zero(alpha):
+    """(1, -s), (-1, s), (s, 1) and (-s, -1) for tiny s lie on the usable
+    part.  The side family's radicand x2^2 - 2*(x1 + h) keeps x2^2 there;
+    formed as x2^2 - 2*x1 - 2*h it rounded x2^2 away and no family answered."""
+    rng = random.Random(27)
+    p = Params(alpha=alpha)
+    for _ in range(200):
+        v = 10.0 ** rng.uniform(-12.0, -6.0)
+        for s in (State(1.0, -v), State(-1.0, v), State(v, 1.0), State(-v, -1.0)):
+            res = _closed_form_feedback(SQ, p, s)
+            assert res.time_to_go == 0.0, s
+            assert math.copysign(1.0, res.time_to_go) == 1.0, s
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("l", [0.5, 1.0, 2.0])
+def test_no_time_to_go_is_negative_zero(l, alpha):
+    """At x2 = 0 the near family's time is x2 - l*0.0, which is -0.0 where the
+    mirrored inversion reads x2 = -0.0; the clamp answers +0.0."""
+    m, p = Circle(l), Params(alpha=alpha, l=l)
+    states = [State(x1, x2) for x1 in (l, -l) for x2 in (0.0, -0.0)]
+    states += [boundary_state(m, CircleTheta(k * math.pi / 16)) for k in range(32)]
+    for s in states:
+        assert math.copysign(1.0, _closed_form_feedback(m, p, s).time_to_go) == 1.0, s
+    if alpha == 1.0:
+        assert math.copysign(1.0, value(m, p, State(l, 0.0))) == 1.0
+
+
 def test_feedback_rejects_interior():
     with pytest.raises(InsideTarget):
         feedback(C1, P1, State(0.1, 0.2))
