@@ -19,9 +19,11 @@ and needs no cubic.  Some switch ends in the target exactly when that
 endpoint does.  This dominates gridding t_switch: every candidate a
 t_switch grid would accept is accepted, and tangent entries cannot slip
 between grid lines.  Because the switch test is exact, feasibility in
-t_final is an interval near the optimum, and a shrinking-interval bisection
-between the last infeasible and first feasible grid lines (DEFAULT_GRID
-apart) refines the minimum to DEFAULT_REFINE_TOL/4.
+t_final is an interval near the optimum.  The first feasible grid line and
+the line before it, or the box bound below where that is higher, bracket the
+minimum, and `_refine` narrows that bracket to a width of
+1e-9*max(1, t_final) by Illinois regula falsi on the nearest endpoint's
+excess over the target, which is continuous in t_final.
 
 Two exact shortcuts leave every answer unchanged.  The ascent starts one grid
 line below a proven lower bound on the minimum time: every target lies in the
@@ -36,7 +38,7 @@ endpoints at t_f and covers at most (R + alpha)*d + alpha*d^2/2 after it, so
 every line closer than the d where that reaches g is infeasible and the
 ascent jumps past them.  Where g is not positive the same endpoint tests the
 line exactly, so a circle line costs one cubic solve and a square line none.
-The ascent lands on the same first feasible line and bisects the same
+The ascent lands on the same first feasible line and refines the same
 bracket as a line-by-line ascent.
 
 The oracle shares no code with the synthesis: it has its own cubic solver, and
@@ -60,7 +62,6 @@ from .model import DomainError, HorizonExceeded, Params, State
 from .synthesis import _invert, locus_distance  # for the grid report's comparison only
 
 DEFAULT_GRID = 1e-2
-DEFAULT_REFINE_TOL = 1e-4
 
 _LOCUS_BAND = 0.05  # half-width of the exclusion band around value-jump loci
 
@@ -209,12 +210,14 @@ def _probe(m: Manifold, alpha: float, s0: State,
 
 
 def oracle_policy(m: Manifold, params: Params, s0: State) -> PolicyCandidate:
-    """Best bang-bang policy: grid ascent on t_final plus bisection refinement.
+    """Best bang-bang policy: grid ascent on t_final plus a bracketed root solve.
 
     Because the switch time is tested exactly at each t_final, feasibility in
-    t_final is an interval [t*, ...) near the optimum, and bisection between
-    the last infeasible and first feasible grid lines converges to t* within
-    DEFAULT_REFINE_TOL/4.  The ascent starts one grid line below
+    t_final is an interval [t*, ...) near the optimum.  The first feasible
+    grid line and the line below it, or `_box_entry_time` if that is higher,
+    bracket t*, and `_refine` returns the feasible end of that bracket
+    narrowed to 1e-9*max(1, t*), so t_final lies in [t*, t* + 1e-9*max(1, t*)]
+    up to the exact test's rounding.  The ascent starts one grid line below
     `_box_entry_time`, a lower bound on t*.  At each line it visits,
     `_probe` finds the endpoint nearest the target's centre (the least radius
     on the circle, the least max-norm on the square, with no cubic solve);
@@ -234,30 +237,64 @@ def oracle_policy(m: Manifold, params: Params, s0: State) -> PolicyCandidate:
     if not math.isfinite(horizon):
         raise DomainError(f"the search horizon t = {horizon} from {s0!r} is not finite")
     n = int(round(horizon / grid))
-    k = max(0, int(_box_entry_time(m, alpha, s0) / grid) - 1)
+    t_box = _box_entry_time(m, alpha, s0)
+    k = max(0, int(t_box / grid) - 1)
+    last_t = last_excess = math.nan  # the last line probed and its excess
     while k <= n:
         t_f = k * grid
         excess, hit = _probe(m, alpha, s0, t_f)
         t_clear = _clear_until(m, alpha, t_f, excess - _gap_slack(alpha, s0, t_f, R))
         if t_clear is not None:
             k = max(k + 1, math.ceil(t_clear / grid))
-            continue
-        if hit is not None:
-            lo = max(0.0, (k - 1) * grid)
-            hi = t_f
-            while hi - lo > 0.25 * DEFAULT_REFINE_TOL:
-                mid = 0.5 * (lo + hi)
-                found = _probe(m, alpha, s0, mid)[1]
-                if found is not None:
-                    hi, hit = mid, found
-                else:
-                    lo = mid
-            u0, t_sw = hit
-            return PolicyCandidate(u0, min(t_sw, hi), hi)
-        k += 1
+        elif hit is None:
+            k += 1
+        else:
+            lo = max((k - 1) * grid, t_box)
+            lo_excess = last_excess if lo == last_t else None
+            t_final, (u0, t_sw) = _refine(m, alpha, s0, lo, lo_excess, t_f, excess, hit)
+            return PolicyCandidate(u0, min(t_sw, t_final), t_final)
+        last_t, last_excess = t_f, excess
     raise HorizonExceeded(
         f"no candidate policy reaches the target from {s0!r} within t = {horizon}"
     )
+
+
+def _refine(m: Manifold, alpha: float, s0: State, lo: float, lo_excess: float | None,
+            hi: float, hi_excess: float,
+            hit: tuple[float, float]) -> tuple[float, tuple[float, float]]:
+    """(t_final, hit): the feasible end of the bracket [lo, hi] on the minimum
+    time, narrowed to a width of 1e-9*max(1, hi), and that end's hit.
+
+    hi is feasible, with hit; lo is infeasible or the box bound, and
+    lo_excess is None where it is not yet probed.  `_probe`'s excess is
+    continuous in t_final and not positive where the exact test accepts, so
+    the step is Illinois regula falsi on it (an end kept twice running has
+    its excess halved), or a bisection where the secant point is not inside
+    the open bracket or an excess is NaN.  Only the exact test moves the
+    ends.  A box bound the exact test accepts is the answer itself.
+    """
+    if lo_excess is None:
+        lo_excess, found = _probe(m, alpha, s0, lo)
+        if found is not None:
+            return lo, found
+    tol = 1e-9 * max(1.0, hi)
+    kept = 0  # +1 after lo was kept, -1 after hi was kept
+    while hi - lo > tol:
+        t = hi - hi_excess * (hi - lo) / (hi_excess - lo_excess) if lo_excess > hi_excess else math.nan
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        excess, found = _probe(m, alpha, s0, t)
+        if found is not None:
+            hi, hi_excess, hit = t, excess, found
+            if kept == 1:
+                lo_excess *= 0.5
+            kept = 1
+        else:
+            lo, lo_excess = t, excess
+            if kept == -1:
+                hi_excess *= 0.5
+            kept = -1
+    return hi, hit
 
 
 def _box_entry_time(m: Manifold, alpha: float, s0: State) -> float:

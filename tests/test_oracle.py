@@ -18,6 +18,7 @@ from mintime import (
     PolicyCandidate,
     Square,
     State,
+    acceptance_grid,
     boundary_state,
     contains,
     oracle_grid_report,
@@ -28,12 +29,12 @@ from mintime import (
 from mintime import oracle
 from mintime.oracle import (
     DEFAULT_GRID,
-    DEFAULT_REFINE_TOL,
     _box_entry_time,
     _clear_until,
     _gap_slack,
     _origin_time,
     _probe,
+    _refine,
     _square_endpoint,
     policy_endpoint,
 )
@@ -189,6 +190,20 @@ def test_grid_report_at_general_alpha_checks_the_closed_form(l, alpha):
         assert t_synth == _closed_form_feedback(m, p, State(x1, x2)).time_to_go
 
 
+@pytest.mark.parametrize("m, p", [
+    (C1, P1),
+    (Circle(2.0), Params(alpha=1.0, l=2.0)),
+    (SQ, Params(alpha=1.0)),
+    (Circle(0.5), Params(alpha=2.0, l=0.5)),
+    (SQ, Params(alpha=0.5)),
+], ids=["l1", "l2", "square", "l0.5-alpha2", "square-alpha0.5"])
+def test_grid_report_on_the_acceptance_grid_is_within_the_refinement_width(m, p):
+    """The refined oracle and the closed form agree to 1e-7 on the 41 x 41
+    grid, far inside the acceptance tolerance, and are still two computations."""
+    report = oracle_grid_report(m, p, acceptance_grid(5.0, 41))
+    assert 0.0 < report.max_abs_err <= 1e-7
+
+
 def test_oracle_general_alpha():
     p = Params(alpha=2.0, l=1.0)
     s = State(-3.0, 1.0)
@@ -203,6 +218,9 @@ def test_oracle_general_alpha():
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
+# The exact test accepts t_final one rounding step below the bound 1/3 here,
+# so the refinement's bracket must start at the bound.
+@example(l=None, alpha=1.5, x1=0.0, x2=1.5)
 @given(
     l=st.one_of(st.none(), st.floats(1e-3, 10.0)),
     alpha=st.floats(0.1, 10.0),
@@ -398,21 +416,18 @@ def test_square_exact_test_agrees_with_the_d_interval_windows():
 
 
 def _plain_policy(m, p, s):
-    """oracle_policy without the skip: every grid line from the box bound up."""
+    """oracle_policy without the skip: every grid line from the box bound up,
+    then the same refinement of the bracket below the first feasible line."""
     grid = DEFAULT_GRID
+    t_box = _box_entry_time(m, p.alpha, s)
     n = int(round((_origin_time(p.alpha, s) + grid) / grid))
-    for k in range(max(0, int(_box_entry_time(m, p.alpha, s) / grid) - 1), n + 1):
+    for k in range(max(0, int(t_box / grid) - 1), n + 1):
         t_f = k * grid
-        if _feasible(m, p, s, t_f) is not None:
-            lo, hi = max(0.0, (k - 1) * grid), t_f
-            while hi - lo > 0.25 * DEFAULT_REFINE_TOL:
-                mid = 0.5 * (lo + hi)
-                if _feasible(m, p, s, mid) is not None:
-                    hi = mid
-                else:
-                    lo = mid
-            u0, t_sw = _feasible(m, p, s, hi)
-            return PolicyCandidate(u0, min(t_sw, hi), hi)
+        excess, hit = _probe(m, p.alpha, s, t_f)
+        if hit is not None:
+            lo = max((k - 1) * grid, t_box)
+            t_final, (u0, t_sw) = _refine(m, p.alpha, s, lo, None, t_f, excess, hit)
+            return PolicyCandidate(u0, min(t_sw, t_final), t_final)
     raise HorizonExceeded("no grid line up to the horizon is feasible")
 
 
@@ -453,7 +468,7 @@ def test_square_ascent_decides_its_first_feasible_line_with_one_exact_test(monke
     where a gap to that disk proved nothing: the ascent tested 100, 96 and
     89 lines exactly before the first feasible one.  The square's own gap
     leaves at most 2 grid lines uncleared, so tested exactly, before the
-    bisection, and the answer is the line-by-line ascent's."""
+    refinement, and the answer is the line-by-line ascent's."""
     s, p = State(x1, x2), Params(alpha=2.0)
     uncleared = []
     clear_until = oracle._clear_until
@@ -465,11 +480,53 @@ def test_square_ascent_decides_its_first_feasible_line_with_one_exact_test(monke
         return t_clear
 
     # The ascent asks _clear_until at every grid line it visits, and the
-    # bisection never does.
+    # refinement never does.
     monkeypatch.setattr(oracle, "_clear_until", counted)
     got = oracle_policy(SQ, p, s)
     assert 1 <= len(uncleared) <= 2
     assert got == _plain_policy(SQ, p, s)
+
+
+# ── The refinement below the first feasible line ──────────────────────────────
+
+
+def _bisected_minimum(m, p, s, k):
+    """(lo, hi): the first time the exact test accepts in the grid interval
+    below line k, a feasible line with an infeasible one below it, bracketed
+    to 1e-13 by bisection."""
+    lo, hi = (k - 1) * DEFAULT_GRID, k * DEFAULT_GRID
+    assert _feasible(m, p, s, hi) is not None
+    assert _feasible(m, p, s, lo) is None
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if _feasible(m, p, s, mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def test_refined_time_is_within_its_bracket_width_of_the_minimum():
+    """Over seeded states on both targets at alpha in [0.1, 10], t_final lies in
+    [T*, T* + 1e-9*max(1, T*)], with T* bisected from the exact test to 1e-13
+    in the grid interval that holds t_final."""
+    rng = random.Random(28)
+    targets = [(Circle(l), l) for l in (0.05, 0.5, 1.0, 2.0, 3.0)] + [(SQ, 1.0)]
+    checked = 0
+    for i in range(2200):
+        m, l = targets[i % len(targets)]
+        p = Params(alpha=math.exp(rng.uniform(math.log(0.1), math.log(10.0))), l=l)
+        s = State(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+        if contains(m, s):
+            continue
+        t = oracle_min_time(m, p, s)
+        k = math.ceil(t / DEFAULT_GRID)
+        if (k - 1) * DEFAULT_GRID >= t:
+            k -= 1
+        lo, hi = _bisected_minimum(m, p, s, k)
+        assert lo <= t <= hi + 1e-9 * max(1.0, hi)
+        checked += 1
+    assert checked >= 2000
 
 
 _target_and_alpha = {
