@@ -8,11 +8,12 @@ Each step carries (x1, x2) as plain floats, and raises State's error when
 they leave float range.
 Two kinds of events land inside a step rather than on the grid:
 
-  * target crossings, bisected on the signed distance (circle: |x| - l;
-    square: max(|x1|, |x2|) - 1) to |distance| <= 1e-10*R, so the realized
-    final time is bit-stable for the acceptance checks.  A sample within
+  * target crossings.  The arrival band is the signed distance (circle:
+    |x| - l; square: max(|x1|, |x2|) - 1) <= 1e-12*R, so a sample within
     1e-12*R outside counts, or a rollout into a square corner steps away; a
-    start within that band (manifold._reject_interior's) has arrived;
+    start within that band (manifold._reject_interior's) has arrived.  A
+    step whose end enters the band is bisected in its length down to
+    adjacent floats, and ends at the first of the pair inside the band;
   * switches, taken from the law itself: when the next sample's control
     flips, the rollout steps exactly to the law's switch_state if that lies
     inside the step and the law flips there; otherwise the control flips at
@@ -37,8 +38,6 @@ from .model import DomainError, Params, State
 # feedback is not called here; the benchmark's tracer test checks that its
 # wrapper replaces this binding too (perfbench/test_perfbench.py).
 from .synthesis import _invert, feedback  # noqa: F401
-
-_EVENT_TOL = 1e-10  # crossing band, relative to the target's size R (manifold._radius)
 
 
 class TrajectorySample(NamedTuple):
@@ -102,7 +101,7 @@ def simulate(m: Manifold, params: Params, s0: State, dt: float, t_max: float) ->
         accel = a * u
         n1, n2 = _rk4_forward(x1, x2, accel, dt)
         if _signed_distance(m, n1, n2) <= on_tol:
-            h = _bisect_event(m, x1, x2, accel, dt)
+            h = _bisect_event(m, x1, x2, accel, dt, on_tol)
             x1, x2 = _rk4_forward(x1, x2, accel, h)
             t += h
             samples.append(TrajectorySample(t, x1, x2, u))
@@ -122,16 +121,14 @@ def simulate(m: Manifold, params: Params, s0: State, dt: float, t_max: float) ->
     return Trajectory(tuple(samples), Termination("max_time", None, None), dt)
 
 
-def _bisect_event(m: Manifold, x1: float, x2: float, accel: float, dt: float) -> float:
-    tol = _EVENT_TOL * _radius(m)
+def _bisect_event(m: Manifold, x1: float, x2: float, accel: float, dt: float,
+                  on_tol: float) -> float:
+    """The first float step length whose end lies within on_tol, given that the
+    end at dt does: hi stays inside the band and lo outside until they are adjacent."""
     lo, hi = 0.0, dt
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        d = _signed_distance(m, *_rk4_forward(x1, x2, accel, mid))
-        if abs(d) <= tol:
-            return mid
-        if d > 0.0:
-            lo = mid
-        else:
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _signed_distance(m, *_rk4_forward(x1, x2, accel, mid)) <= on_tol:
             hi = mid
+        else:
+            lo = mid
     return hi

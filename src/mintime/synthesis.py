@@ -99,7 +99,6 @@ _Q_TOL = 1e-12        # closure tolerance on cos(theta) roots at excluded endpoi
 _PARAM_TOL = 1e-9     # closure tolerance on square side parameters
 _TAU_TOL = 1e-9       # slack on time-to-go feasibility checks
 _TIE_TOL = 1e-9       # relative width of a time-to-go tie between families
-_ONCURVE_TOL = 1e-9   # membership band for riding a square switching curve
 _LOCUS_FLAG_TOL = 1e-9  # distance band reported as "on a value-jump locus"
 
 
@@ -442,7 +441,8 @@ def _circle_half(l: float, x1: float, x2: float, mirrored: bool) -> list[_Candid
 
 
 def _square_half(h: float, x1: float, x2: float, mirrored: bool) -> list[_Candidate]:
-    """Inversions of the families into side AB, side BC and corner A (at y, unclamped)."""
+    """Inversions of the families into side AB, side BC and corner A (at y, unclamped):
+    near legs into the sides and one far family, as on the circle."""
     out: list[_Candidate] = []
 
     # Side families: one u = +1 leg into a side.
@@ -458,16 +458,9 @@ def _square_half(h: float, x1: float, x2: float, mirrored: bool) -> list[_Candid
         if tau >= -_TAU_TOL:
             out.append(_Candidate(max(0.0, tau), "BC", 1.0, p, None, mirrored))
 
-    # Riding the switching curve into corner A (the pre-switch corner arc).
-    # The band is absolute: the constant-control flow preserves the vertical
-    # offset to the curve exactly, so a state captured within the band stays
-    # inside it for the whole ride and the closed loop cannot chatter.
-    if x2 >= h - _PARAM_TOL and abs(x1 - _corner_a_x1(h, x2)) <= _ONCURVE_TOL:
-        theta1 = min(max(math.pi + math.atan(h - x2), _HALF_PI), math.pi)
-        out.append(_Candidate(max(x2 - h, 0.0), "A_near", -1.0, theta1, (x1, x2), mirrored))
-
-    # Corner family beyond the switch: approach, cross the switching curve,
-    # ride it into the corner.
+    # Corner family: approach on u = +1, switch on the A-curve, ride it into
+    # the corner.  On the curve t = h - x2: the switch is the state itself,
+    # tau ties tau_s, and _far_u gives the post-switch control.
     disc = 0.5 * (x2 * x2 - 2.0 * x1 - h * (2.0 - h))
     if disc >= 0.0:
         t = h - math.sqrt(disc)
@@ -567,7 +560,7 @@ def discontinuity_loci(
         x2 = -span + i * (2.0 * span) / (n_levels - 1)
         w = x2 / a
         x1 = a * (c - 0.5 * w * w)
-        if x2 >= 1e-9 and w >= w_edge and abs(x1) <= span:
+        if x2 >= 1e-9 * span and w >= w_edge and abs(x1) <= span:
             upper.append(State(x1, x2))
     return [upper, [-p for p in reversed(upper)]]
 
@@ -578,13 +571,13 @@ _FAMILY_ORDER = {
     name: i
     for i, name in enumerate(
         ["near_upper", "near_lower", "AB", "BC", "CD", "AD",
-         "A_near", "C_near", "far_upper", "far_lower", "A_far", "C_far"]
+         "far_upper", "far_lower", "A_far", "C_far"]
     )
 }
 
 # Each family written out above, and its twin through x -> -x.
 _TWIN = {"near_upper": "near_lower", "far_upper": "far_lower", "AB": "CD", "BC": "AD",
-         "A_near": "C_near", "A_far": "C_far"}
+         "A_far": "C_far"}
 
 
 def _order(c: _Candidate) -> tuple[float, int]:

@@ -1,5 +1,6 @@
 """Closed-loop rollouts with event-accurate termination."""
 
+import functools
 import math
 import random
 from typing import NamedTuple
@@ -14,6 +15,7 @@ from mintime import (
     Params,
     RegionClass,
     Square,
+    SquareCorner,
     State,
     boundary_state,
     classify,
@@ -129,16 +131,15 @@ def _size(m):
 
 
 def _bisect_state(m, s, accel, dt):
+    """The first float step length whose end lies in the arrival band, given
+    that the end at dt does: bisect until lo and hi are adjacent floats."""
     lo, hi = 0.0, dt
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        d = signed_distance(m, _rk4_state(s, accel, mid))
-        if abs(d) <= simulator._EVENT_TOL * _size(m):
-            return mid
-        if d > 0.0:
-            lo = mid
-        else:
+    while math.nextafter(lo, hi) < hi:
+        mid = lo + 0.5 * (hi - lo)
+        if signed_distance(m, _rk4_state(s, accel, mid)) <= _INTERIOR_TOL * _size(m):
             hi = mid
+        else:
+            lo = mid
     return hi
 
 
@@ -250,6 +251,67 @@ def test_rollout_into_a_square_corner_ends_on_time():
         v = _closed_form_feedback(SQ, p, s0).time_to_go
         assert abs(traj.termination.t_f - v) <= 1e-9, (p, s0)
         assert traj.n_switches == 0
+
+
+def test_tangent_arrival_ends_next_to_the_grazing_point():
+    """From (-1.5, 2) the u = -1 parabola grazes Circle(0.5) at (0.5, 0), V = 2.
+    The arrival band is the only stop rule, so the graze ends where the arc
+    enters it, not where it first comes within a wider band."""
+    traj = simulate(Circle(0.5), Params(l=0.5), State(-1.5, 2.0), 1e-3, 10.0)
+    assert traj.termination.status == "reached"
+    assert abs(traj.termination.t_f - 2.0) <= 1e-6
+
+
+@functools.lru_cache(maxsize=1)
+def _seeded_rollouts():
+    """612 seeded rollouts, (m, s0, trajectory, V), on circles l = 0.05 to 3
+    and the square at alpha 0.5, 1 and 2, sampled at dt = 5e-3 to 2e-2."""
+    rng = random.Random(29)
+    out = []
+    for alpha in (0.5, 1.0, 2.0):
+        for l in (0.05, 0.5, 1.0, 2.0, 3.0, None):
+            m = Square() if l is None else Circle(l)
+            p = Params(alpha=alpha) if l is None else Params(alpha=alpha, l=l)
+            for s0 in _outside_states(m, rng, 34, 4.0):
+                traj = simulate(m, p, s0, rng.choice((5e-3, 1e-2, 2e-2)), 60.0)
+                out.append((m, s0, traj, _closed_form_feedback(m, p, s0).time_to_go))
+    return out
+
+
+def test_seeded_rollouts_arrive_at_the_value():
+    """Each step's end is exact for this plant and the arrival is bisected to
+    adjacent floats, so t_f is V up to rounding."""
+    for m, s0, traj, v in _seeded_rollouts():
+        assert traj.termination.status == "reached", (m, s0)
+        assert abs(traj.termination.t_f - v) <= 5e-11, (m, s0)
+
+
+def test_square_corner_arrivals_end_on_both_side_lines():
+    n_corner = 0
+    for m, s0, traj, _ in _seeded_rollouts():
+        if isinstance(traj.termination.boundary, SquareCorner):
+            last = traj.samples[-1]
+            assert abs(abs(last.x1) - 1.0) <= 1e-11 and abs(abs(last.x2) - 1.0) <= 1e-11, s0
+            n_corner += 1
+    assert n_corner >= 50
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0])
+def test_rollout_from_the_square_curves_rides_into_the_corner(alpha):
+    """Starts on the A-curve x1 = -(x2^2 + 2*alpha - 1)/(2*alpha), or within
+    1e-12 of it, and their mirrors on the C-curve ride into the corner."""
+    dt = 1e-3
+    p = Params(alpha=alpha)
+    for x2 in (1.2, 2.5, 4.0):
+        on = -(x2 * x2 + 2.0 * alpha - 1.0) / (2.0 * alpha)
+        for x1 in (on, on - 1e-12, on + 1e-12):
+            for s0, corner in ((State(x1, x2), "A"), (State(-x1, -x2), "C")):
+                traj = simulate(SQ, p, s0, dt, 30.0)
+                assert traj.termination.status == "reached", s0
+                assert traj.termination.boundary.corner == corner, s0
+                assert traj.n_switches <= 1, s0
+                v = _closed_form_feedback(SQ, p, s0).time_to_go
+                assert abs(traj.termination.t_f - v) <= 2.0 * dt, s0
 
 
 def test_rollout_terminates_on_usable_part():

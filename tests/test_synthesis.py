@@ -333,9 +333,26 @@ def test_feedback_on_switching_curve_reports_imminent_switch():
     assert math.hypot(res.switch_state.x1 - s.x1, res.switch_state.x2 - s.x2) < 1e-9
 
 
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0])
+def test_square_curves_report_imminent_switch_at_general_alpha(alpha):
+    """On the A-curve x1 = -(x2^2 + 2*alpha - 1)/(2*alpha), x2 > 1, and its
+    mirror the C-curve, the closed form gives the post-switch control, the
+    ride's time (x2 - 1)/alpha into the corner, and the state as the switch."""
+    p = Params(alpha=alpha)
+    for x2 in (1.0001, 1.2, 1.8, 2.5, 4.0, 7.0):
+        s = State(-(x2 * x2 + 2.0 * alpha - 1.0) / (2.0 * alpha), x2)
+        for q, u in ((s, -1.0), (-s, 1.0)):
+            res = _closed_form_feedback(SQ, p, q)
+            assert res.u == u, (alpha, q)
+            assert res.time_to_go == pytest.approx((x2 - 1.0) / alpha, abs=1e-9)
+            assert res.switch_state is not None
+            assert math.hypot(res.switch_state.x1 - q.x1, res.switch_state.x2 - q.x2) < 1e-9
+
+
 def test_feedback_just_past_the_square_curves_is_post_switch():
-    """States 1e-10 past the A-curve (and their mirrors past the C-curve) lie
-    inside the on-curve band, where the corner family's switch is behind."""
+    """States 1e-10 past the A-curve (and their mirrors past the C-curve) are
+    answered by the corner family with its switch just behind them, so the
+    control is the post-switch one."""
     for i in range(1, 4001):
         x2 = 1.0 + i * 1e-3
         s = State(-0.5 * (x2 * x2 + 1.0) + 1e-10, x2)
@@ -517,6 +534,19 @@ def test_loci_nonempty_and_symmetric():
         assert locus_a
         assert locus_b == [-pa for pa in reversed(locus_a)]
         assert [pa.x2 for pa in locus_a] == sorted(pa.x2 for pa in locus_a)
+
+
+def test_loci_of_a_tiny_circle_fill_the_span():
+    """The level filter scales with the span: at Circle(1e-10) and span 5e-10
+    every level above x2 = 0 holds the locus point x1 = l - x2^2/2, and only
+    the middle level, x2 = 0 up to rounding, is dropped."""
+    l, span = 1e-10, 5e-10
+    locus_a, locus_b = discontinuity_loci(Circle(l), Params(l=l), span=span, n_levels=33)
+    assert len(locus_a) == 16
+    assert locus_b == [-pa for pa in reversed(locus_a)]
+    for i, pa in enumerate(locus_a, start=17):
+        assert pa.x2 == -span + i * (2.0 * span) / 32
+        assert pa.x1 == l - 0.5 * pa.x2 * pa.x2
 
 
 _LOCI_CASES = [(Circle(l), l) for l in (0.5, 1.0, 2.0)] + [(SQ, 1.0)]
