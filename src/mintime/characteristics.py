@@ -5,32 +5,28 @@ Along a minimum-time trajectory the Hamiltonian
     H = 1 + lambda1 * x2 + lambda2 * alpha * u
 
 vanishes identically, and the minimizing control is u* = -sign(lambda2).  The
-costate at termination is a positive multiple a of the outward normal; a
-follows from H = 0 evaluated at the final time.  On the circle
+costate at termination is a positive multiple a of the outward normal n at
+the anchor x; a follows from H = 0 evaluated at the final time:
 
-    a = 1 / (alpha*|sin th| - l*sin th*cos th),
+    a = 1 / (alpha*|n2| - x2*n1),
 
-which is positive exactly on the usable part.  On the square the same
-evaluation gives (-1/s, 0) on the left side, (0, -1/alpha) on the bottom, and
-normalized cone normals at the corner A.
+which is positive exactly on the usable part.  On the circle it reads
+1 / (alpha*|sin th| - l*sin th*cos th); on the square it gives (-1/s, 0) on
+the left side, (0, -1/alpha) on the bottom, and scaled cone normals at the
+corners.
 
 Propagation runs in retrograde time tau (measured backward from termination):
 
     dx1/dtau = -x2              dlambda1/dtau = 0
     dx2/dtau = alpha*sign(lambda2)    dlambda2/dtau = lambda1
 
-so lambda1 keeps its terminal value, lambda2 = lambda2(0) + lambda1*tau is
-linear, and each constant-control leg traces a parabola
-x1 = -u*x2^2/(2*alpha) + const in the phase plane.  lambda2 crosses zero at
-most once, at tau_s = -lambda2(0)/lambda1; the control flips there and
-nowhere else.  At a lambda2 = 0 instant the control sign is taken from the
-interior of the current leg, never from sign(0).
-
-Both targets are centrally symmetric, so the characteristic from an anchor b
-in the lower half of the usable part (circle angles in [pi, 2*pi), sides CD
-and AD, corner C) is the mirror image of the one from antipode(b): its states
-and costates are negated.  Terminal costates and closed forms are written out
-for the other half only.
+so lambda1 keeps its terminal value, lambda2 = a*(n2 + n1*tau) is linear, and
+each constant-control leg traces a parabola x1 = -u*x2^2/(2*alpha) + const in
+the phase plane.  lambda2 crosses zero at most once, at tau_s = -n2/n1 where
+n1*n2 < 0; the control flips there and nowhere else.  At a lambda2 = 0
+instant the control sign is taken from the interior of the current leg, never
+from sign(0).  One formula covers every anchor, the circle's, the sides' and
+the corners' alike: the anchor point and normal come from manifold._anchor.
 
 Closed forms are solved at y = x/alpha, where the authority is 1
 (manifold._unit_size).  numeric_retro integrates the original system with a
@@ -46,22 +42,17 @@ from dataclasses import dataclass
 
 from .manifold import (
     BoundaryPoint,
-    Circle,
-    CircleTheta,
     Manifold,
-    SquareSide,
+    _anchor,
+    _check_kind,
+    _radius,
     _region,
     _unit_size,
     _up_codes,
-    _up_point,
-    antipode,
     boundary_state,
     point_code,
 )
 from .model import DomainError, Params, SingularInstant, State, _check_finite, validate_control
-
-_TWO_PI = 2.0 * math.pi
-_HALF_PI = 0.5 * math.pi
 
 
 # ── Types ──────────────────────────────────────────────────────────────────────
@@ -102,67 +93,48 @@ def terminal_costate(m: Manifold, b: BoundaryPoint, params: Params) -> Costate:
     Raises DomainError for anchors outside the usable part (including the
     circle BUP angles), where no terminating characteristic exists.
     """
-    return Costate(*_terminal_pair(m, b, params))
+    _check_kind(m, b)
+    return Costate(*_terminal_pair(m, params, *point_code(b)))
 
 
-def _terminal_pair(m: Manifold, b: BoundaryPoint, params: Params) -> tuple[float, float]:
-    """(lambda1, lambda2) of terminal_costate without building a Costate."""
-    if isinstance(b, CircleTheta) != isinstance(m, Circle):
-        raise DomainError(f"boundary point {b!r} does not belong to {m!r}")
-    alpha = params.alpha
-    if isinstance(b, CircleTheta):
-        st, ct = _circle_anchor(m, params, b.theta)
-        a = 1.0 / (alpha * abs(st) - m.l * st * ct)
-        return a * ct, a * st
-    if _lower_half(*point_code(b)):
-        l1, l2 = _terminal_pair(m, antipode(m, b), params)
-        return 0.0 - l1, 0.0 - l2  # negated, zeros kept +0.0
-    if isinstance(b, SquareSide):
-        if b.side == "AB":
-            return -1.0 / b.s, 0.0
-        return 0.0, -1.0 / alpha  # BC
-    st, ct = math.sin(b.theta), math.cos(b.theta)
-    a = 1.0 / (alpha * st - ct)  # corner A: positive on the whole cone [pi/2, pi]
-    return a * ct, a * st
+def _terminal_pair(m: Manifold, params: Params, kind: str, p: float) -> tuple[float, float]:
+    """(lambda1, lambda2) = a*n at the anchor (kind, p), a = 1/(alpha*|n2| - x2*n1)."""
+    _, x2, n1, n2 = _usable_anchor(m, params, kind, p, _radius(m), 1.0)
+    a = 1.0 / (params.alpha * abs(n2) - x2 * n1)
+    return a * n1, a * n2
 
 
-def _circle_anchor(m: Circle, params: Params, theta: float) -> tuple[float, float]:
-    """(sin, cos) of the circle anchor at theta; DomainError off the usable part."""
-    st, ct = math.sin(theta), math.cos(theta)
-    if _region(m, params, m.l * st, ct, st) != "UP":
+def _usable_anchor(
+    m: Manifold, params: Params, kind: str, p: float, size: float, alpha: float
+) -> tuple[float, float, float, float]:
+    """manifold._anchor(kind, p, size, alpha); DomainError for a circle anchor
+    off the usable part.  The square's boundary-point types admit usable
+    anchors only, so they skip the test."""
+    anchor = _anchor(kind, p, size, alpha)
+    if kind == "theta" and _region(m, params, 0.0, anchor[2], anchor[3]) != "UP":  # reads n only
         raise DomainError(
-            f"no terminating characteristic at theta={theta!r}: "
+            f"no terminating characteristic at theta={p!r}: "
             "the anchor is not in the usable part"
         )
-    return st, ct
+    return anchor
 
 
 def switch_tau(b: BoundaryPoint) -> float | None:
-    """Retrograde switch time -tan(theta) where the anchor admits one.
+    """Retrograde switch time -n2/n1 where the outward normal has n1*n2 < 0.
 
-    Circle anchors switch for theta in (pi/2, pi) and (3*pi/2, 2*pi); square
-    side anchors never switch; corner anchors switch at -tan(theta_i) except
-    at the cone edge theta_i = pi/2 or 3*pi/2, where lambda2 stays constant.
+    lambda2 = a*(n2 + n1*tau) crosses zero there: circle anchors in (pi/2, pi)
+    and (3*pi/2, 2*pi), and corner anchors off their cone edge.  Side anchors
+    never switch.
     """
-    if isinstance(b, CircleTheta):
-        th = b.theta
-        if _HALF_PI < th < math.pi or 1.5 * math.pi < th < _TWO_PI:
-            return -math.tan(th)
-        return None
-    if isinstance(b, SquareSide):
-        return None
-    th = b.theta
-    cone_edge = _HALF_PI if b.corner == "A" else 1.5 * math.pi
-    if th <= cone_edge:
-        return None
-    return -math.tan(th)
+    _, _, n1, n2 = _anchor(*point_code(b), 1.0, 1.0)
+    return -n2 / n1 if n1 * n2 < 0.0 else None
 
 
 def costate_retro(m: Manifold, b: BoundaryPoint, params: Params, tau: float) -> Costate:
     """Costate at retrograde time tau: lambda1 constant, lambda2 linear."""
     _check_tau(tau)
-    l1, l2 = _terminal_pair(m, b, params)
-    return Costate(l1, l2 + l1 * tau)
+    c = terminal_costate(m, b, params)
+    return Costate(c.lambda1, c.lambda2 + c.lambda1 * tau)
 
 
 def _check_tau(tau: float) -> None:
@@ -176,51 +148,30 @@ def _check_tau(tau: float) -> None:
 def closed_form_state(m: Manifold, b: BoundaryPoint, params: Params, tau: float) -> State:
     """Phase point at retrograde time tau along the characteristic from b."""
     _check_tau(tau)
-    _terminal_pair(m, b, params)  # validates the anchor
-    return State(*_closed_form(*point_code(b), _unit_size(m, params), params.alpha, tau))
+    _check_kind(m, b)
+    anchor = _usable_anchor(m, params, *point_code(b), _unit_size(m, params), params.alpha)
+    return State(*_closed_form(anchor, params.alpha, tau))
 
 
-def _lower_half(kind: str, p: float) -> bool:
-    """Anchor (kind, p) in the half of the usable part that antipode maps onto the written one."""
-    return kind in ("CD", "AD", "corner_C") or (kind == "theta" and p >= math.pi)
+def _closed_form(
+    anchor: tuple[float, float, float, float], alpha: float, tau: float
+) -> tuple[float, float]:
+    """closed_form_state from the unit-authority anchor (y1, y2, n1, n2) of
+    manifold._anchor: the point y and its outward normal n, on floats.
 
-
-def _closed_form(kind: str, p: float, size: float, alpha: float, tau: float) -> tuple[float, float]:
-    """closed_form_state at the unchecked UP anchor (kind, p) (point_code), on floats.
-
-    size is the radius or half-side at unit authority.  A lower-half anchor
-    maps to its antipode's parameter (theta - pi, or -s on CD and AD) and the
-    point is negated.  Out of float range, State's DomainError names the
-    unit-authority point y of the written half if y overflows, else x.
+    Each leg is dy1/dtau = -y2, dy2/dtau = -u.  The first has u = -sign(lambda2)
+    = -sign(n2) (-sign(n1) at n2 = 0); past switch_tau's time the same leg runs
+    on with -u.  Out of float range, State's DomainError names the point y if
+    it overflows, else x.
     """
-    lower = _lower_half(kind, p)
-    if lower:
-        p = -p if kind in ("CD", "AD") else p - math.pi
-    if kind == "theta":
-        # upper anchors: the near leg has u = -1; anchors past pi/2 switch at -tan(theta)
-        st, ct = math.sin(p), math.cos(p)
-        if p <= _HALF_PI or tau <= -math.tan(p):
-            y1, y2 = size * (ct - tau * st) - 0.5 * tau * tau, size * st + tau
-        else:
-            tt = math.tan(p)
-            y1 = size * (ct - tau * st) + tt * tt + 0.5 * tau * tau + 2.0 * tau * tt
-            y2 = size * st - 2.0 * tt - tau
-    elif kind in ("corner_A", "corner_C"):
-        # corner A = (-h, h): cone angles past pi/2 switch at -tan(theta)
-        if p <= _HALF_PI or tau <= -math.tan(p):
-            y1, y2 = -size - size * tau - 0.5 * tau * tau, size + tau
-        else:
-            tt = math.tan(p)
-            y1 = -size - size * tau + 2.0 * tau * tt + 0.5 * tau * tau + tt * tt
-            y2 = size - 2.0 * tt - tau
-    elif kind in ("AB", "CD"):
-        s = p / alpha
-        y1, y2 = -size - s * tau + 0.5 * tau * tau, s - tau
-    else:  # BC, AD
-        s = p / alpha
-        y1, y2 = s + size * tau + 0.5 * tau * tau, -size - tau
-    a = -alpha if lower else alpha
-    x1, x2 = a * y1, a * y2
+    y1, y2, n1, n2 = anchor
+    u = _forward_u(n1, n2)
+    if n1 * n2 < 0.0 and tau > -n2 / n1:  # past the switch: the leg to it, then on
+        ts = -n2 / n1
+        y1, y2 = y1 - ts * (y2 - 0.5 * u * ts), y2 - u * ts
+        u, tau = -u, tau - ts
+    y1, y2 = y1 - tau * (y2 - 0.5 * u * tau), y2 - u * tau
+    x1, x2 = alpha * y1, alpha * y2
     if not (math.isfinite(x1) and math.isfinite(x2)):  # alpha > 0: y is finite or x is not
         _check_finite(y1, y2)
         _check_finite(x1, x2)
@@ -328,9 +279,10 @@ def flow_rows(
     size, alpha = _unit_size(m, params), params.alpha
     rows: list[tuple] = []
     for kind, p in codes:
-        l1, l2 = _terminal_pair(m, _up_point(kind, p), params)
+        l1, l2 = _terminal_pair(m, params, kind, p)
+        anchor = _anchor(kind, p, size, alpha)
         for t in taus:
-            x1, x2 = _closed_form(kind, p, size, alpha, t)
+            x1, x2 = _closed_form(anchor, alpha, t)
             lam2 = l2 + l1 * t
             rows.append((kind, p, t, x1, x2, l1, lam2, _forward_u(l1, lam2)))
     return rows

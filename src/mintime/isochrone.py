@@ -2,19 +2,13 @@
 
 The tau = 0 isochrone is the usable part itself.  For the circle with
 l <= alpha the section of the tau-level set between the two switching
-curves is the closed-form characteristic fan at retrograde time tau.  The
-anchor range splits at phibar = arctan(tau), because anchors whose switch
-time -tan(theta) is below tau have already switched by then.  On the upper
-half (phibar > 0), with r = l/alpha and x = alpha*y:
-
-    theta in (0, pi/2]           y1 = r(cos - tau sin) - tau^2/2, y2 = r sin + tau
-    (pi/2, pi - phibar)          same (pre-switch)
-    [pi - phibar, pi)            y1 = r(cos - tau sin) + tau^2/2 + tan^2 + 2 tau tan
-                                 y2 = r sin - 2 tan - tau
-
-and the branches (pi, 3pi/2], (3pi/2, 2pi - phibar), [2pi - phibar, 2pi) are
-their central mirror images: the point at theta is minus the point at
-theta - pi.
+curves is the closed-form characteristic fan at retrograde time tau
+(characteristics._closed_form: one parabolic leg from the anchor, run on
+with the opposite control past the switch time -tan(theta)).  The anchor
+range splits at phibar = arctan(tau), because anchors whose switch time is
+below tau have already switched by then: the six branches are (0, pi/2],
+(pi/2, pi - phibar) and [pi - phibar, pi) on the upper half, and their
+central mirror images (pi, 3pi/2], (3pi/2, 2pi - phibar), [2pi - phibar, 2pi).
 
 For the square target, any l, and the region beyond the switching curves, the
 generic construction takes every usable-part anchor (corner cones included)
@@ -28,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .characteristics import _check_tau, _circle_anchor, _closed_form
+from .characteristics import _check_tau, _closed_form, _usable_anchor
 from .manifold import Circle, Manifold, Square, _nup_empty, _unit_size, _up_codes
 from .model import DomainError, Params
 
@@ -79,8 +73,8 @@ def isochrone_circle(params: Params, tau: float, n_samples: int) -> Isochrone:
         k = max(1, round(n_samples * width / total))
         for j in range(k):
             theta = lo + (j + 0.5) * width / k
-            _circle_anchor(m, params, theta)
-            points.append(IsoPoint(theta, *_closed_form("theta", theta, size, alpha, tau), name))
+            anchor = _usable_anchor(m, params, "theta", theta, size, alpha)
+            points.append(IsoPoint(theta, *_closed_form(anchor, alpha, tau), name))
     return Isochrone(tau, tuple(points))
 
 
@@ -105,9 +99,8 @@ def isochrone_generic(m: Manifold, params: Params, tau: float, n_samples: int) -
         limit = _shadow_limit(m, kind, p, params)
         if limit is not None and tau >= limit:
             continue
-        if kind == "theta":
-            _circle_anchor(m, params, p)
-        points.append(IsoPoint(p, *_closed_form(kind, p, size, alpha, tau), kind))
+        anchor = _usable_anchor(m, params, kind, p, size, alpha)
+        points.append(IsoPoint(p, *_closed_form(anchor, alpha, tau), kind))
     return Isochrone(tau, tuple(points))
 
 

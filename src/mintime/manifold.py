@@ -84,7 +84,7 @@ _CORNER_RANGES = {
     "C": (1.5 * math.pi, _TWO_PI),
 }
 
-_CORNER_STATES = {"A": (-1.0, 1.0), "C": (1.0, -1.0)}
+_CORNER_STATES = {"corner_A": (-1.0, 1.0), "corner_C": (1.0, -1.0)}
 
 
 @dataclass(frozen=True)
@@ -187,17 +187,26 @@ def _check_kind(m: Manifold, b: BoundaryPoint) -> None:
 def boundary_state(m: Manifold, b: BoundaryPoint) -> State:
     """Phase-plane point of a boundary point."""
     _check_kind(m, b)
-    if isinstance(b, CircleTheta):
-        return State(m.l * math.cos(b.theta), m.l * math.sin(b.theta))
-    if isinstance(b, SquareSide):
-        return State(*_side_state(b.side, b.s))
-    return State(*_CORNER_STATES[b.corner])
+    return State(*_anchor(*point_code(b), _radius(m), 1.0)[:2])
 
 
-def _side_state(side: str, s: float) -> tuple[float, float]:
-    """The point at s on a side, which lies on the line x . n = 1 of its normal n."""
-    n1, n2 = _SIDE_NORMALS[side]
-    return (n1, s) if n1 else (s, n2)
+def _anchor(kind: str, p: float, size: float, alpha: float) -> tuple[float, float, float, float]:
+    """Boundary point (y1, y2) and outward normal (n1, n2) of the code (kind, p) (point_code).
+
+    size is the radius or half-side, and a side parameter p reads p/alpha:
+    (_radius(m), 1.0) gives the point x, and (_unit_size(m, params),
+    params.alpha) the unit-authority point y = x/alpha.  A side point lies
+    on the line y . n = size of its normal n.
+    """
+    if kind == "theta":
+        n1, n2 = math.cos(p), math.sin(p)
+        return size * n1, size * n2, n1, n2
+    if kind in _SIDE_NORMALS:
+        n1, n2 = _SIDE_NORMALS[kind]
+        s = p / alpha
+        return (size * n1, s, n1, n2) if n1 else (s, size * n2, n1, n2)
+    c1, c2 = _CORNER_STATES[kind]
+    return size * c1, size * c2, math.cos(p), math.sin(p)
 
 
 def boundary_point_of_state(m: Manifold, s: State) -> BoundaryPoint:
@@ -243,9 +252,7 @@ _SIDE_NORMALS = {
 def outward_normal(m: Manifold, b: BoundaryPoint) -> Normal:
     """Outward unit normal; at a corner, the cone normal selected by b.theta."""
     _check_kind(m, b)
-    if isinstance(b, SquareSide):
-        return Normal(*_SIDE_NORMALS[b.side])
-    return Normal(math.cos(b.theta), math.sin(b.theta))
+    return Normal(*_anchor(*point_code(b), 1.0, 1.0)[2:])
 
 
 def classify(m: Manifold, b: BoundaryPoint, params: Params) -> RegionClass:
@@ -412,29 +419,22 @@ def boundary_rows(m: Manifold, params: Params, n: int) -> list[tuple]:
     """
     if n < 1:
         raise DomainError(f"need n >= 1 samples, got {n}")
-    rows: list[tuple] = []
     if isinstance(m, Circle):
         thetas = {k * _TWO_PI / n for k in range(n)}
         thetas.update(bup_params(m, params))
-        for th in sorted(thetas):
-            n1, n2 = math.cos(th), math.sin(th)
-            x2 = m.l * n2
-            rows.append(("theta", th, m.l * n1, x2, n1, n2, _region(m, params, x2, n1, n2)))
-        return rows
-    per_side = max(2, n // 4)
-    for side in ("AB", "BC", "CD", "AD"):
-        lo, hi, _, _ = _SIDE_RANGES[side]
-        n1, n2 = _SIDE_NORMALS[side]
-        for j in range(per_side + 1):
-            s = lo + j * (hi - lo) / per_side
-            x1, x2 = _side_state(side, s)
-            rows.append((side, s, x1, x2, n1, n2, _region(m, params, x2, n1, n2)))
-    for corner in ("A", "C"):
-        lo, hi = _CORNER_RANGES[corner]
-        mid = 0.5 * (lo + hi)
-        x1, x2 = _CORNER_STATES[corner]
-        n1, n2 = math.cos(mid), math.sin(mid)
-        rows.append((f"corner_{corner}", mid, x1, x2, n1, n2, _region(m, params, x2, n1, n2)))
+        codes = [("theta", th) for th in sorted(thetas)]
+    else:
+        per_side = max(2, n // 4)
+        codes = [
+            (side, lo + j * (hi - lo) / per_side)
+            for side, (lo, hi, _, _) in _SIDE_RANGES.items()
+            for j in range(per_side + 1)
+        ]
+        codes += [(f"corner_{c}", 0.5 * (lo + hi)) for c, (lo, hi) in _CORNER_RANGES.items()]
+    rows: list[tuple] = []
+    for kind, p in codes:
+        x1, x2, n1, n2 = _anchor(kind, p, _radius(m), 1.0)
+        rows.append((kind, p, x1, x2, n1, n2, _region(m, params, x2, n1, n2)))
     return rows
 
 

@@ -400,26 +400,29 @@ def _solve_far_constant(l: float, target: float) -> float:
 
 def _circle_half(l: float, x1: float, x2: float, mirrored: bool) -> list[_Candidate]:
     """Inversions of the upper circle families, which end with a u = -1 leg (at y)."""
-    q_max = min(1.0, 1.0 / l)  # cos(thbar); 1 when the NUP is empty
+    q_max = 1.0 / l if l > 1.0 else 1.0  # cos(thbar); 1 when the NUP is empty
+    tau_tol = _TAU_TOL * l if l < 1.0 else _TAU_TOL  # times scale with a radius below 1
     out: list[_Candidate] = []
 
     # Near family: one constant-control leg into the manifold, its cos(theta)
-    # a root of a quadratic.
-    disc = 1.0 + l * l - 2.0 * (x1 + 0.5 * x2 * x2)
+    # a root of a quadratic; the small root from the product of the roots,
+    # as 1 - root cancels.
+    c_minus = x1 + 0.5 * x2 * x2  # constant of the u = -1 parabola through s
+    disc = 1.0 + l * l - 2.0 * c_minus
     if disc >= 0.0:
         root = math.sqrt(disc)
-        for q in ((1.0 - root) / l, (1.0 + root) / l):
+        for q in ((2.0 * c_minus - l * l) / (l * (1.0 + root)), (1.0 + root) / l):
             if q > q_max + _Q_TOL or q < -1.0 - _Q_TOL:
                 continue
             q = min(max(q, -1.0), q_max)
             stheta = math.sqrt(max(0.0, 1.0 - q * q))
             tau = x2 - l * stheta
-            if tau < -_TAU_TOL:
+            if tau < -tau_tol:
                 continue
             tau = max(0.0, tau)  # +0.0, not -0.0, at the manifold
             if q < 0.0:  # the anchor switches at tau_s; the near leg must end first
                 tau_s = stheta / -q
-                if tau > tau_s + _TAU_TOL * (1.0 + tau_s):
+                if tau > tau_s + tau_tol * (1.0 + tau_s):
                     continue
             out.append(_Candidate(tau, "near_upper", -1.0, math.acos(q), None, mirrored))
 
@@ -431,7 +434,7 @@ def _circle_half(l: float, x1: float, x2: float, mirrored: bool) -> list[_Candid
         h = math.sqrt(1.0 + t * t)
         tau = -t * (l / h + 2.0) - x2
         tau_s = -t
-        if tau >= tau_s - _TAU_TOL * (1.0 + tau_s):
+        if tau >= tau_s - tau_tol * (1.0 + tau_s):
             out.append(_Candidate(max(tau, tau_s), "far_upper", _far_u(tau, tau_s),
                                   math.pi + math.atan(t), _circle_switch(l, t), mirrored))
     return out

@@ -179,8 +179,8 @@ def test_fans_are_the_public_closed_form_bit_for_bit(alpha):
 
 def test_overflowing_points_raise_the_state_error():
     """A point out of float range raises State's DomainError, never yields inf.
-    The message shows the unit-authority point of the written half when that
-    overflows (before the mirror and the scaling by alpha), else the point."""
+    The message shows the anchor's own unit-authority point when that
+    overflows (before the scaling by alpha), else the point."""
     p2 = Params(alpha=2.0, l=1.0)
     cases = [
         (lambda: isochrone_generic(C1, p2, 1e200, 8), "(-inf, 1e+200)"),
@@ -188,9 +188,8 @@ def test_overflowing_points_raise_the_state_error():
         (lambda: flow_rows(C1, p2, 4, [0.0, 1e200]), "(-inf, 1e+200)"),
         (lambda: flow_rows(SQ, p2, 4, [0.0, 1e200]), "(inf, -1e+200)"),
         (lambda: switching_curve_square("A").sample(5, 1e200), "(-inf, 2.5e+199)"),
-        # a lower-half anchor reports its antipode's point, not the mirrored one
-        (lambda: closed_form_state(C1, CircleTheta(1.25 * math.pi), p2, 1e200), "(-inf, 1e+200)"),
-        (lambda: closed_form_state(SQ, SquareSide("AD", 0.5), p2, 1e200), "(inf, -1e+200)"),
+        (lambda: closed_form_state(C1, CircleTheta(1.25 * math.pi), p2, 1e200), "(inf, -1e+200)"),
+        (lambda: closed_form_state(SQ, SquareSide("AD", 0.5), p2, 1e200), "(-inf, 1e+200)"),
         # the unit-authority point is finite; alpha * y is not
         (lambda: isochrone_generic(C1, Params(alpha=1e300), 1e10, 8), "(-inf, inf)"),
     ]
