@@ -31,15 +31,19 @@ box |x1|, |x2| <= R (R = l for the circle, 1 for the square), and no control
 brings x2 or x1 into [-R, R] sooner than full braking does, so every skipped
 line is infeasible.  At each line it visits, the ascent takes that same
 nearest endpoint's distance to the target (in the max-norm for the square,
-never more than the Euclidean one), less a relative slack far above
-rounding, as a lower bound g on the distance from every endpoint to the
-target.  A policy that ends in the target d later passes one of those
-endpoints at t_f and covers at most (R + alpha)*d + alpha*d^2/2 after it, so
-every line closer than the d where that reaches g is infeasible and the
-ascent jumps past them.  Where g is not positive the same endpoint tests the
-line exactly, so a circle line costs one cubic solve and a square line none.
-The ascent lands on the same first feasible line and refines the same
-bracket as a line-by-line ascent.
+never more than the Euclidean one), less `_gap_slack`, a bound on its
+rounding of a few ulps of each term, as a lower bound g on the distance from
+every endpoint to the target.  A policy that ends in the target d later
+passes one of those endpoints at t_f and after it moves x1 by at most
+R*d + alpha*d^2/2 and x2 by at most alpha*d, so it covers at most
+b*d + alpha*d^2/2, with b = hypot(R, alpha) for the circle and
+max(R, alpha) for the square.  Every line closer than the d where that
+reaches g is infeasible and the ascent jumps past them.  Where g is not
+positive the same endpoint tests the line exactly, so a circle line costs
+one cubic solve and a square line none.  The ascent lands on the same first
+feasible line and refines the same bracket as a line-by-line ascent.  The
+probe kernel works on plain floats: the state's (x1, x2) and the circle's
+radius, or None for the square.
 
 The oracle shares no code with the synthesis: it has its own cubic solver, and
 only the grid report imports the synthesis, to compare against its closed
@@ -93,48 +97,50 @@ def policy_endpoint(s0: State, pol: PolicyCandidate, alpha: float) -> State:
 # ── Exact switch-time feasibility at a fixed final time ────────────────────────
 
 
-def _depressed_roots(p: float, q: float) -> list[float]:
-    """Real roots of y^3 + p*y + q."""
-    disc = 0.25 * q * q + p * p * p / 27.0
-    if disc > 0.0:
-        root = math.sqrt(disc)
-        return [_cube_root(-0.5 * q + root) + _cube_root(-0.5 * q - root)]
-    if p == 0.0 and q == 0.0:
-        return [0.0]
-    r = math.sqrt(max(0.0, -p * p * p / 27.0))
-    phi = math.acos(min(1.0, max(-1.0, -0.5 * q / r))) if r > 0.0 else 0.0
-    m2 = 2.0 * math.sqrt(max(0.0, -p / 3.0))
-    return [m2 * math.cos((phi + 2.0 * math.pi * k) / 3.0) for k in range(3)]
-
-
-def _cube_root(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
-def _nearest_endpoint(alpha: float, s0: State, t_f: float) -> tuple[float, float, float]:
+def _nearest_endpoint(alpha: float, x1: float, x2: float, t_f: float) -> tuple[float, float, float]:
     """(r2, u0, t_switch): the endpoint at t_f nearest the origin, over both u0
     and every t_switch in [0, t_f], and its squared radius r2.
 
     In d = t_f - t_switch the endpoint is (X1 - a*d^2, X2 - 2*a*d).  Its
-    squared radius is stationary where d^3 + (2 - X1/a)*d - X2/a = 0, so the
-    minimum over [0, t_f] lies at an end or at a root of that cubic.  The
-    one-real-root branch can drop a close pair of roots, which lies near a
-    turning point of the cubic, so the one at d > 0 is tried too.  Every
-    candidate is an endpoint, so besides rounding only a computed root that
-    misses or misplaces a true one can make r2 too large; both errors are
-    orders of magnitude below `_gap_slack`.  A NaN root leaves the minimum
-    unknown, and r2 is NaN.
+    squared radius is stationary where d^3 + p*d + q = 0, p = 2 - X1/a,
+    q = -X2/a, so the minimum over [0, t_f] lies at an end or at a real root
+    of that cubic, found by Cardano's formula (one real root) or the
+    trigonometric form (three).  The one-real-root branch can drop a close pair of roots,
+    which lies near a turning point of the cubic, so the one at d > 0 is
+    tried too.  Every candidate is an endpoint; `_gap_slack` bounds how far
+    rounding can put the least computed radius above the true least radius.
+    A NaN root leaves the minimum unknown, and r2 is NaN.
     """
-    best = (math.inf, 1.0, 0.0)
+    best_r2, best_u0, best_sw = math.inf, 1.0, 0.0
     for u0 in (-1.0, 1.0):
         a = alpha * u0
-        X1 = s0.x1 + (s0.x2 + 0.5 * a * t_f) * t_f
-        X2 = s0.x2 + a * t_f
+        X1 = x1 + (x2 + 0.5 * a * t_f) * t_f
+        X2 = x2 + a * t_f
         p = 2.0 - X1 / a
-        cands = _depressed_roots(p, -X2 / a)
-        cands += (0.0, t_f)
+        q = -X2 / a
+        disc = 0.25 * q * q + p * p * p / 27.0
+        if disc > 0.0:
+            root = math.sqrt(disc)
+            c1 = -0.5 * q + root
+            c2 = -0.5 * q - root
+            y = math.copysign(abs(c1) ** (1.0 / 3.0), c1) + math.copysign(abs(c2) ** (1.0 / 3.0), c2)
+            cands = (y, 0.0, t_f)
+        elif p == 0.0 and q == 0.0:
+            cands = (0.0, 0.0, t_f)
+        else:
+            r = -p * p * p / 27.0
+            r = math.sqrt(r) if r > 0.0 else 0.0
+            phi = 0.0
+            if r > 0.0:
+                w = -0.5 * q / r
+                w = w if w > -1.0 else -1.0
+                phi = math.acos(w if w < 1.0 else 1.0)
+            m2 = -p / 3.0
+            m2 = 2.0 * math.sqrt(m2) if m2 > 0.0 else 0.0
+            cands = (m2 * math.cos(phi / 3.0), m2 * math.cos((phi + math.tau) / 3.0),
+                     m2 * math.cos((phi + 2.0 * math.tau) / 3.0), 0.0, t_f)
         if p < 0.0:
-            cands.append(math.sqrt(-p / 3.0))
+            cands += (math.sqrt(-p / 3.0),)
         for d in cands:
             if not 0.0 <= d <= t_f:
                 if d != d:
@@ -143,12 +149,12 @@ def _nearest_endpoint(alpha: float, s0: State, t_f: float) -> tuple[float, float
             x1f = X1 - a * d * d
             x2f = X2 - 2.0 * a * d
             r2 = x1f * x1f + x2f * x2f
-            if r2 < best[0]:
-                best = (r2, u0, t_f - d)
-    return best
+            if r2 < best_r2:
+                best_r2, best_u0, best_sw = r2, u0, t_f - d
+    return best_r2, best_u0, best_sw
 
 
-def _square_endpoint(alpha: float, s0: State, t_f: float) -> tuple[float, float, float]:
+def _square_endpoint(alpha: float, x1: float, x2: float, t_f: float) -> tuple[float, float, float]:
     """(e, u0, t_switch): the endpoint at t_f with the least e = max(|x1|, |x2|),
     over both u0 and every t_switch in [0, t_f].
 
@@ -161,18 +167,15 @@ def _square_endpoint(alpha: float, s0: State, t_f: float) -> tuple[float, float,
     of |x1| and |x2| and the crossings where x1 = x2 need no test.  So some
     endpoint is in the square exactly when e <= 1, the square's exact test
     (an endpoint on a side counts, as the circle's tangent endpoint does),
-    and otherwise e - 1 is the distance in the max-norm.  X1, X2 and the
-    coordinates at d are each off by a few ulps of the scale `_gap_slack`
-    measures, and d by a few ulps of itself, where the maximum's slope is at
-    most 2*alpha*max(1, t_f); so, as for `_nearest_endpoint`, the computed
-    minimum's error is orders of magnitude below that slack.  A NaN
+    and otherwise e - 1 is the distance in the max-norm; `_gap_slack` bounds
+    how far rounding can put e above the true least max-norm.  A NaN
     coordinate leaves the minimum unknown, and e is NaN.
     """
-    best = (math.inf, 1.0, 0.0)
+    best_e, best_u0, best_sw = math.inf, 1.0, 0.0
     for u0 in (-1.0, 1.0):
         a = alpha * u0
-        X1 = s0.x1 + (s0.x2 + 0.5 * a * t_f) * t_f
-        X2 = s0.x2 + a * t_f
+        X1 = x1 + (x2 + 0.5 * a * t_f) * t_f
+        X2 = x2 + a * t_f
         q = (X1 + X2) / a
         if q <= 0.0:
             d = 0.0
@@ -183,27 +186,29 @@ def _square_endpoint(alpha: float, s0: State, t_f: float) -> tuple[float, float,
         e1, e2 = abs(X1 - a * d * d), abs(X2 - 2.0 * a * d)
         if e1 != e1 or e2 != e2:
             return math.nan, u0, 0.0
-        e = max(e1, e2)
-        if e < best[0]:
-            best = (e, u0, t_f - d)
-    return best
+        e = e2 if e2 > e1 else e1
+        if e < best_e:
+            best_e, best_u0, best_sw = e, u0, t_f - d
+    return best_e, best_u0, best_sw
 
 
-def _probe(m: Manifold, alpha: float, s0: State,
+def _probe(l: float | None, alpha: float, x1: float, x2: float,
            t_f: float) -> tuple[float, tuple[float, float] | None]:
-    """(excess, hit) at t_f, from the endpoint nearest the target's centre.
+    """(excess, hit) at t_f from (x1, x2), into the circle of radius l, or into
+    the square where l is None, from the endpoint nearest the target's centre.
 
     That endpoint is `_nearest_endpoint`'s on the circle and
     `_square_endpoint`'s on the square.  excess is its radius less l, or its
     max(|x1|, |x2|) less 1: negative inside, and otherwise a distance to the
-    target that no endpoint at t_f undercuts.  hit is its (u0, t_switch) if
-    it lies in the closed target, else None: the exact test at t_f.
+    target that no endpoint at t_f undercuts by more than `_gap_slack`.  hit
+    is its (u0, t_switch) if it lies in the closed target, else None: the
+    exact test at t_f.
     """
-    if isinstance(m, Circle):
-        r2, u0, t_sw = _nearest_endpoint(alpha, s0, t_f)
-        return math.sqrt(r2) - m.l, ((u0, t_sw) if r2 <= m.l * m.l else None)
-    e, u0, t_sw = _square_endpoint(alpha, s0, t_f)
-    return e - 1.0, ((u0, t_sw) if e <= 1.0 else None)
+    if l is None:
+        e, u0, t_sw = _square_endpoint(alpha, x1, x2, t_f)
+        return e - 1.0, ((u0, t_sw) if e <= 1.0 else None)
+    r2, u0, t_sw = _nearest_endpoint(alpha, x1, x2, t_f)
+    return math.sqrt(r2) - l, ((u0, t_sw) if r2 <= l * l else None)
 
 
 # ── Public search ──────────────────────────────────────────────────────────────
@@ -233,6 +238,8 @@ def oracle_policy(m: Manifold, params: Params, s0: State) -> PolicyCandidate:
     if contains(m, s0):
         return PolicyCandidate(1.0, 0.0, 0.0)
     alpha, R, grid = params.alpha, _radius(m), DEFAULT_GRID
+    l = m.l if isinstance(m, Circle) else None
+    x1, x2 = s0.x1, s0.x2
     horizon = _origin_time(alpha, s0) + grid
     if not math.isfinite(horizon):
         raise DomainError(f"the search horizon t = {horizon} from {s0!r} is not finite")
@@ -242,8 +249,8 @@ def oracle_policy(m: Manifold, params: Params, s0: State) -> PolicyCandidate:
     last_t = last_excess = math.nan  # the last line probed and its excess
     while k <= n:
         t_f = k * grid
-        excess, hit = _probe(m, alpha, s0, t_f)
-        t_clear = _clear_until(m, alpha, t_f, excess - _gap_slack(alpha, s0, t_f, R))
+        excess, hit = _probe(l, alpha, x1, x2, t_f)
+        t_clear = _clear_until(m, alpha, t_f, excess - _gap_slack(alpha, x2, t_f, R, excess))
         if t_clear is not None:
             k = max(k + 1, math.ceil(t_clear / grid))
         elif hit is None:
@@ -251,7 +258,7 @@ def oracle_policy(m: Manifold, params: Params, s0: State) -> PolicyCandidate:
         else:
             lo = max((k - 1) * grid, t_box)
             lo_excess = last_excess if lo == last_t else None
-            t_final, (u0, t_sw) = _refine(m, alpha, s0, lo, lo_excess, t_f, excess, hit)
+            t_final, (u0, t_sw) = _refine(l, alpha, x1, x2, lo, lo_excess, t_f, excess, hit)
             return PolicyCandidate(u0, min(t_sw, t_final), t_final)
         last_t, last_excess = t_f, excess
     raise HorizonExceeded(
@@ -259,8 +266,8 @@ def oracle_policy(m: Manifold, params: Params, s0: State) -> PolicyCandidate:
     )
 
 
-def _refine(m: Manifold, alpha: float, s0: State, lo: float, lo_excess: float | None,
-            hi: float, hi_excess: float,
+def _refine(l: float | None, alpha: float, x1: float, x2: float, lo: float,
+            lo_excess: float | None, hi: float, hi_excess: float,
             hit: tuple[float, float]) -> tuple[float, tuple[float, float]]:
     """(t_final, hit): the feasible end of the bracket [lo, hi] on the minimum
     time, narrowed to a width of 1e-9*max(1, hi), and that end's hit.
@@ -274,7 +281,7 @@ def _refine(m: Manifold, alpha: float, s0: State, lo: float, lo_excess: float | 
     ends.  A box bound the exact test accepts is the answer itself.
     """
     if lo_excess is None:
-        lo_excess, found = _probe(m, alpha, s0, lo)
+        lo_excess, found = _probe(l, alpha, x1, x2, lo)
         if found is not None:
             return lo, found
     tol = 1e-9 * max(1.0, hi)
@@ -283,7 +290,7 @@ def _refine(m: Manifold, alpha: float, s0: State, lo: float, lo_excess: float | 
         t = hi - hi_excess * (hi - lo) / (hi_excess - lo_excess) if lo_excess > hi_excess else math.nan
         if not lo < t < hi:
             t = 0.5 * (lo + hi)
-        excess, found = _probe(m, alpha, s0, t)
+        excess, found = _probe(l, alpha, x1, x2, t)
         if found is not None:
             hi, hi_excess, hit = t, excess, found
             if kept == 1:
@@ -313,10 +320,41 @@ def _box_entry_time(m: Manifold, alpha: float, s0: State) -> float:
     return max(0.0, t1, t2)
 
 
-def _gap_slack(alpha: float, s0: State, t_f: float, R: float) -> float:
-    """The relative slack the ascent's gap subtracts, far above its rounding errors."""
-    scale = abs(s0.x1) + abs(s0.x2) + (abs(s0.x2) + alpha) * t_f + 4.0 * alpha * t_f * t_f
-    return 1e-9 * (1.0 + R + scale)
+def _gap_slack(alpha: float, x2: float, t_f: float, R: float, excess: float) -> float:
+    """How far rounding can put `_probe`'s excess at t_f above the distance from
+    the nearest endpoint to the target: a few ulps of each term's magnitude.
+
+    With u = 2^-53, |a| = alpha, d <= t_f the chosen d, (x1f, x2f) that
+    endpoint and r = excess + R its radius (or max-norm), to first order in u:
+    - X1 = x1 + (x2 + a*t_f/2)*t_f and X2 = x2 + a*t_f are off by at most
+      u*(|X1| + 2*|x2|*t_f + 1.5*alpha*t_f^2) and u*(|X2| + alpha*t_f).
+      That translates the whole endpoint curve, which moves its least radius
+      or max-norm by no more than the translation.
+    - Circle: p = 2 - X1/a and q = -X2/a are rounded, which solves the cubic
+      of a second translate, by u*(2*|X1| + 2*alpha) and u*|X2|, and
+      evaluates the roots on the first: twice that.  The radius is
+      stationary at a root, so the roots' own rounding costs second order.
+      One case escapes: where |p|^3 << q^2, Cardano's second cube root
+      cancels and can keep only a third of its digits.  In that thin band
+      the excess can exceed the distance by more than this slack (2e-10 at
+      r = 1.7, alpha = 1, in a scan), which moves t_clear by as much over b.
+    - Square: d = q/(1 + sqrt(1 + q)), q = (X1 + X2)/a, is within 5.5 ulps of
+      the translated curve's crossing, where the max-norm changes at most at
+      2*alpha*max(1, t_f) per unit d: 11*u*alpha*(t_f^2 + t_f).
+    - The endpoint at d: u*(|x1f| + 2*alpha*d^2) and u*(|x2f| + 2*alpha*d).
+    - The radius (squares, sum, root) costs 2*u*r and excess = r - R costs
+      u*(r + R); the square's max-norm is exact and e - 1 costs u*(r + 1).
+    With |X1| <= |x1f| + alpha*t_f^2 and |X2| <= |x2f| + 2*alpha*t_f, the
+    circle's endpoint terms are 6*|x1f| + 4*|x2f| <= sqrt(52)*r, and it sums
+    to u*(10.3*r + R + 2*|x2|*t_f + 8.5*alpha*t_f^2 + 9*alpha*t_f + 4*alpha);
+    with |x1f|, |x2f| <= r the square sums to
+    u*(5*r + R + 2*|x2|*t_f + 15.5*alpha*t_f^2 + 16*alpha*t_f).
+    The slack is both, with the coefficients rounded up, which also covers
+    the second-order terms and the slack's own rounding.  An excess that is
+    NaN or infinite gives a slack that is NaN or infinite, so no gap.
+    """
+    r = excess + R
+    return 2.0 ** -53 * (11.0 * r + R + 2.0 * abs(x2) * t_f + 16.0 * alpha * t_f * (t_f + 1.0) + 4.0 * alpha)
 
 
 def _clear_until(m: Manifold, alpha: float, t_f: float, g: float) -> float | None:
@@ -324,19 +362,25 @@ def _clear_until(m: Manifold, alpha: float, t_f: float, g: float) -> float | Non
     None when the gap g proves nothing at t_f.
 
     g bounds from below the distance from every endpoint at t_f to the
-    target (`_probe`'s excess less `_gap_slack`).  At time t_f, a policy that
-    ends in the target at t_f + d is at the endpoint of a policy ending at t_f
-    (the same switch, or u0 throughout if it switches later), so at least g
-    away from the target.  It ends where |x2| <= R (R = l, or 1 for the square)
-    and x2 changes at rate alpha, so |x2| <= R + alpha*d on the way and its
-    speed is at most |x2| + alpha: it covers at most
-    (R + alpha)*d + alpha*d^2/2.  So every t_final closer than the root of
-    that against g is infeasible.  The returned time is that root, shrunk
-    far beyond the rounding of this computation and of the grid lines.
+    target (`_probe`'s excess less `_gap_slack`): Euclidean for the circle,
+    in the max-norm for the square.  At time t_f, a policy that ends in the
+    target at t_f + d is at the endpoint of a policy ending at t_f (the same
+    switch, or u0 throughout if it switches later), so at least g away from
+    the target.  It ends where |x2| <= R (R = l, or 1 for the square), and
+    x2 changes at rate at most alpha, so on the way |x2| <= R + alpha*s at
+    time s before the end.  So the two axes move at most
+    |dx1| <= R*d + alpha*d^2/2 and |dx2| <= alpha*d, each on its own.  The
+    vector (R*d, alpha*d) + (alpha*d^2/2, 0) bounds them, so the Euclidean
+    reach is at most hypot(R, alpha)*d + alpha*d^2/2 and the max-norm reach
+    at most max(R, alpha)*d + alpha*d^2/2.  So every t_final closer than the
+    root d of that reach against g, b*d + alpha*d^2/2 = g with
+    b = hypot(R, alpha) or max(R, alpha), is infeasible.  The returned time
+    is that root, shrunk far beyond the rounding of this computation and of
+    the grid lines.
     """
     if not 0.0 < g < math.inf:
         return None
-    b = _radius(m) + alpha
+    b = math.hypot(m.l, alpha) if isinstance(m, Circle) else max(1.0, alpha)
     d = 2.0 * g / (b + math.sqrt(b * b + 2.0 * alpha * g))
     return t_f + d * (1.0 - 1e-12) - 1e-15 * (t_f + d)
 
