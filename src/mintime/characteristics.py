@@ -161,8 +161,9 @@ def _closed_form(
 
     Each leg is dy1/dtau = -y2, dy2/dtau = -u.  The first has u = -sign(lambda2)
     = -sign(n2) (-sign(n1) at n2 = 0); past switch_tau's time the same leg runs
-    on with -u.  Out of float range, State's DomainError names the point y if
-    it overflows, else x.
+    on with -u.  n need not be unit: u reads its signs, the switch -n2/n1, and
+    the costate a*n (a from H = 0) is free of its scale.  alpha < 0 gives -x.
+    Out of float range, State's DomainError names y if it overflows, else x.
     """
     y1, y2, n1, n2 = anchor
     u = _forward_u(n1, n2)
@@ -172,10 +173,15 @@ def _closed_form(
         u, tau = -u, tau - ts
     y1, y2 = y1 - tau * (y2 - 0.5 * u * tau), y2 - u * tau
     x1, x2 = alpha * y1, alpha * y2
-    if not (math.isfinite(x1) and math.isfinite(x2)):  # alpha > 0: y is finite or x is not
+    if not (math.isfinite(x1) and math.isfinite(x2)):  # alpha != 0: y is finite or x is not
         _check_finite(y1, y2)
         _check_finite(x1, x2)
     return x1, x2
+
+
+def _switch_point(anchor: tuple[float, float, float, float], alpha: float) -> tuple[float, float]:
+    """Where the characteristic from anchor switches: _closed_form at -n2/n1 (0 at n2 = 0)."""
+    return _closed_form(anchor, alpha, -anchor[3] / anchor[2])
 
 
 # ── Numeric propagation ────────────────────────────────────────────────────────

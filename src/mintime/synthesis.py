@@ -26,11 +26,12 @@ controls and taking manifold.antipode of boundary points.
 
 Switching curves
 ----------------
-Circle: the switch points of the upper family, anchored at th in (pi/2, pi],
-trace r/cos th - tan^2 th / 2, r sin th - tan th from (-r, 0).  The code
-evaluates them in the slope t = tan th <= 0, with h = sqrt(1 + t^2), as
+Every switch point, the law's and the curves', is the closed form at
+tau_s = -n2/n1 from an anchor (y1, y2, n1, n2) (characteristics._switch_point).
+Circle: the upper family, anchored at th = pi + atan(t), t <= 0, with normal
+(-1, -t) (_slope_anchor), switches at r/cos th - tan^2 th / 2, r sin th - tan th:
 
-    y1 = -r*h - t^2/2,   y2 = -r*t/h - t        (_circle_switch).
+    y1 = -r*h - t^2/2,   y2 = -r*t/h - t,   h = sqrt(1 + t^2).
 
 Eliminating t gives the explicit form
 
@@ -40,8 +41,8 @@ Eliminating t gives the explicit form
 which the code does not evaluate: its inner root cancels near the anchor.
 x2_of_x1 takes t from h - 1 = -2*(y1 + r)/(sqrt(r^2+1-2y1) + r + 1).
 
-Square: the corner-A family rides the parabola y1 = -(y2^2 + h*(2-h))/2,
-y2 >= h, through the corner (-h, h).
+Square: the corner-A family, anchored at (-h, h) with normal (-1, -t), switches
+on the parabola y1 = -(y2^2 + h*(2-h))/2, y2 >= h.
 
 Value-jump loci
 ---------------
@@ -75,6 +76,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .characteristics import _switch_point
 from .manifold import (
     BoundaryPoint,
     Circle,
@@ -87,6 +89,7 @@ from .manifold import (
     _side_point,
     _theta_bar,
     _unit_size,
+    _up_point,
     antipode,
     boundary_point_of_state,
 )
@@ -115,6 +118,11 @@ class SynthesisResult:
     switch_state: the upcoming switching-curve crossing, if any;
     discontinuity_flag: the query sits within a hair of a value-jump locus,
     and the smaller-time side is reported.
+
+    The answer is one policy: u until t_s = (x2_sw - x2)/(alpha*u), then -u
+    until time_to_go; u throughout if switch_state is None or t_s <=
+    _TIE_TOL*(1 + time_to_go), as on a curve or at a tie with a runner-up whose
+    switch has passed (the square at alpha = 1 at (2.5, -2): BC wins, C_far ties).
     """
 
     u: float
@@ -127,8 +135,8 @@ class SynthesisResult:
 class _Candidate(NamedTuple):
     """One feasible inversion of a written family at y, kept as plain numbers.
 
-    param is the terminal circle angle, side parameter or corner-A cone
-    angle; switch is the switch state as (y1, y2).  mirrored marks
+    anchor is its characteristic's unit-authority anchor (y1, y2, n1, n2),
+    n unit on the near family and (-1, -t) on the far ones.  mirrored marks
     an inversion computed at -y: it stands for the twin family at y, and its
     control, switch state and terminal point are mapped back only if it wins.
     """
@@ -136,8 +144,7 @@ class _Candidate(NamedTuple):
     tau: float
     family: str
     u: float
-    param: float
-    switch: tuple[float, float] | None
+    anchor: tuple[float, float, float, float]
     mirrored: bool
 
 
@@ -172,37 +179,34 @@ class SwitchingCurve:
             if not 1.5 * math.pi < theta <= _TWO_PI:
                 raise DomainError(f"lower branch needs theta in (3*pi/2, 2*pi], got {theta!r}")
             a, theta = -self.alpha, theta - math.pi
-        y1, y2 = _circle_switch(self.size, math.tan(theta))
-        return State(a * y1, a * y2)
+        return State(*_switch_point(_slope_anchor(self.size, math.tan(theta)), a))
 
     def x2_of_x1(self, x1: float) -> float:
         """Circle branches in explicit form; defined for |x1| >= l on the branch side."""
         if self.target != "circle":
             raise DomainError("x2_of_x1 applies to circle branches")
         if self.branch == "upper":
-            if x1 > self.anchor_state.x1:
+            if not x1 <= self.anchor_state.x1:  # also rejects NaN
                 raise DomainError(f"upper branch needs x1 <= -l, got {x1!r}")
-            a = self.alpha
-        else:
-            if x1 < self.anchor_state.x1:
-                raise DomainError(f"lower branch needs x1 >= l, got {x1!r}")
-            a = -self.alpha
+        elif not x1 >= self.anchor_state.x1:
+            raise DomainError(f"lower branch needs x1 >= l, got {x1!r}")
+        a = self.alpha if self.branch == "upper" else -self.alpha
         l, y1 = self.size, x1 / a
         # g = h - 1 from the offset to the anchor, taken before rescaling
         g = 2.0 * (self.anchor_state.x1 - x1) / a / (math.sqrt(l * l + 1.0 - 2.0 * y1) + l + 1.0)
-        return a * _circle_switch(l, -math.sqrt(g * (g + 2.0)))[1]
+        return _switch_point(_slope_anchor(l, -math.sqrt(g * (g + 2.0))), a)[1]
 
     def x1_of_x2(self, x2: float) -> float:
         """Square branches: x1 = -+(x2^2/alpha + 2 - 1/alpha)/2 with the stated x2 domain."""
         if self.target != "square":
             raise DomainError("x1_of_x2 applies to square branches")
         if self.branch == "A":
-            if x2 < 1.0:
+            if not x2 >= 1.0:  # also rejects NaN
                 raise DomainError(f"branch A needs x2 >= 1, got {x2!r}")
-            return self.alpha * _corner_a_x1(self.size, x2 / self.alpha)
-        if x2 > -1.0:
+        elif not x2 <= -1.0:
             raise DomainError(f"branch C needs x2 <= -1, got {x2!r}")
-        return -self.alpha * _corner_a_x1(self.size, -x2 / self.alpha)
+        a, h = (self.alpha if self.branch == "A" else -self.alpha), self.size
+        return _switch_point((-h, h, -1.0, x2 / a - h), a)[0]
 
     def sample(self, n: int, x2_max: float = 5.0) -> list[State]:
         """n curve points at uniform |x2| from the anchor (the first) outward."""
@@ -222,24 +226,16 @@ class SwitchingCurve:
         l, a = self.size, (1.0 if self.branch == "upper" else -1.0) * self.alpha
         out = [self.anchor_state]
         for j in range(1, n):
-            y1, y2 = _circle_switch(l, -_upper_slope_of_y2(l, j * x2_max / (n - 1) / self.alpha))
-            out.append(State(a * y1, a * y2))
+            v = _upper_slope_of_y2(l, j * x2_max / (n - 1) / self.alpha)
+            out.append(State(*_switch_point(_slope_anchor(l, -v), a)))
         return out
 
 
-def _circle_switch(l: float, t: float) -> tuple[float, float]:
-    """Switch point (y1, y2) of the upper far family anchored at theta = pi + atan(t), t <= 0.
-
-    Unit authority with radius l; h = sqrt(1 + t^2) = -1/cos(theta).  Each
-    coordinate's two terms share a sign, so neither cancels.
-    """
+def _slope_anchor(l: float, t: float) -> tuple[float, float, float, float]:
+    """Anchor of the upper circle family at theta = pi + atan(t), t <= 0, radius l:
+    h = sqrt(1 + t^2) = -1/cos(theta), and the normal (-1, -t) switches at -t."""
     h = math.sqrt(1.0 + t * t)
-    return -l * h - 0.5 * t * t, -l * t / h - t
-
-
-def _corner_a_x1(h: float, x2: float) -> float:
-    """The corner-A switching parabola through (-h, h), at unit authority."""
-    return -0.5 * (x2 * x2 + h * (2.0 - h))
+    return -l / h, -l * t / h, -1.0, -t
 
 
 def _upper_slope_of_y2(l: float, y2: float) -> float:
@@ -322,7 +318,7 @@ def touch_and_go_curves(m: Manifold, params: Params) -> list[TouchAndGoCurve]:
         graze = State(size * math.cos(theta_bar), size * math.sin(theta_bar))
         control, c = -1.0, 0.5 * (size * size + 1.0)
         t = _solve_far_constant(size, c)
-        switch = -State(*_circle_switch(size, t))  # on the lower branch
+        switch = State(*_switch_point(_slope_anchor(size, t), -1.0))  # on the lower branch
         terminal = CircleTheta(_TWO_PI + math.atan(t))
     tg = TouchAndGoCurve(State(a * graze.x1, a * graze.x2), control, a * c, terminal,
                          State(a * switch.x1, a * switch.x2), a)
@@ -424,19 +420,18 @@ def _circle_half(l: float, x1: float, x2: float, mirrored: bool) -> list[_Candid
                 tau_s = stheta / -q
                 if tau > tau_s + tau_tol * (1.0 + tau_s):
                     continue
-            out.append(_Candidate(tau, "near_upper", -1.0, math.acos(q), None, mirrored))
+            out.append(_Candidate(tau, "near_upper", -1.0, (l * q, l * stheta, q, stheta), mirrored))
 
     # Far family: pre-switch u = +1 leg, then the near leg after crossing the
     # switching curve.
     c_plus = x1 - 0.5 * x2 * x2  # constant of the u = +1 parabola through s
     if -c_plus > l:
         t = _solve_far_constant(l, -c_plus)
-        h = math.sqrt(1.0 + t * t)
-        tau = -t * (l / h + 2.0) - x2
+        anchor = _slope_anchor(l, t)
+        tau = -t * (2.0 - anchor[0]) - x2  # anchor[0] = -l/h
         tau_s = -t
         if tau >= tau_s - tau_tol * (1.0 + tau_s):
-            out.append(_Candidate(max(tau, tau_s), "far_upper", _far_u(tau, tau_s),
-                                  math.pi + math.atan(t), _circle_switch(l, t), mirrored))
+            out.append(_Candidate(max(tau, tau_s), "far_upper", _far_u(tau, tau_s), anchor, mirrored))
     return out
 
 
@@ -454,12 +449,12 @@ def _square_half(h: float, x1: float, x2: float, mirrored: bool) -> list[_Candid
         p = math.sqrt(rad)  # arrival x2 on the left side
         tau = p - x2
         if p <= h + _PARAM_TOL and tau >= -_TAU_TOL:
-            out.append(_Candidate(max(0.0, tau), "AB", 1.0, p, None, mirrored))
+            out.append(_Candidate(max(0.0, tau), "AB", 1.0, (-h, p, -1.0, 0.0), mirrored))
     p = x1 - 0.5 * (x2 * x2 - h * h)  # arrival x1 on the bottom side
     if -h - _PARAM_TOL <= p <= h + _PARAM_TOL:
         tau = -h - x2
         if tau >= -_TAU_TOL:
-            out.append(_Candidate(max(0.0, tau), "BC", 1.0, p, None, mirrored))
+            out.append(_Candidate(max(0.0, tau), "BC", 1.0, (p, -h, 0.0, -1.0), mirrored))
 
     # Corner family: approach on u = +1, switch on the A-curve, ride it into
     # the corner.  On the curve t = h - x2: the switch is the state itself,
@@ -472,10 +467,8 @@ def _square_half(h: float, x1: float, x2: float, mirrored: bool) -> list[_Candid
             tau = h - 2.0 * t - x2
             tau_s = -t
             if tau >= tau_s - _TAU_TOL * (1.0 + tau_s):
-                theta1 = min(max(math.pi + math.atan(t), _HALF_PI), math.pi)
-                x2_sw = h - t
-                out.append(_Candidate(max(tau, tau_s), "A_far", _far_u(tau, tau_s), theta1,
-                                      (_corner_a_x1(h, x2_sw), x2_sw), mirrored))
+                out.append(_Candidate(max(tau, tau_s), "A_far", _far_u(tau, tau_s),
+                                      (-h, h, -1.0, -t), mirrored))
     return out
 
 
@@ -582,6 +575,8 @@ _FAMILY_ORDER = {
 _TWIN = {"near_upper": "near_lower", "far_upper": "far_lower", "AB": "CD", "BC": "AD",
          "A_far": "C_far"}
 
+_FAR = ("far_upper", "A_far")  # the written families that meet their switch ahead
+
 
 def _order(c: _Candidate) -> tuple[float, int]:
     """Time-to-go, then the tie-break rank of the family the candidate stands for."""
@@ -605,21 +600,21 @@ def feedback(m: Manifold, params: Params, s: State) -> SynthesisResult:
 def _closed_form_feedback(m: Manifold, params: Params, s: State) -> SynthesisResult:
     """Feedback by characteristic inversion, at any alpha.
 
-    Solves the unit-authority problem at y = s/alpha (_invert) and adds the
-    terminal point and the locus flag.  On a switching curve the reported
-    control matches the post-switch arc (_far_u) so the closed loop does not
-    chatter.
+    Solves the unit-authority problem at y = s/alpha (_invert), reads the
+    winner's terminal point off its anchor and adds the locus flag.  On a
+    switching curve the reported control matches the post-switch arc
+    (_far_u) so the closed loop does not chatter.
     """
     size = _unit_size(m, params)
     _reject_interior(m, s)
     a = params.alpha
     best, u, switch = _invert(m, size, a, s.x1, s.x2)
-    if isinstance(m, Circle):
-        terminal: BoundaryPoint = CircleTheta(best.param)
-    elif best.family in ("AB", "BC"):
-        terminal = _side_point(best.family, a * best.param)
-    else:
-        terminal = SquareCorner("A", best.param)
+    y1, y2, n1, n2 = best.anchor
+    if best.family in ("AB", "BC"):  # a side's code is its free coordinate
+        terminal: BoundaryPoint = _side_point(best.family, a * (y2 if n1 else y1))
+    else:  # the angle of n: unit on the near family, (-1, -t) on the far ones
+        theta = math.acos(n1) if best.family == "near_upper" else math.pi + math.atan(n2 / n1)
+        terminal = _up_point("theta" if isinstance(m, Circle) else "corner_A", theta)
     if best.mirrored:
         terminal = antipode(m, terminal)
     return SynthesisResult(u, best.tau, terminal, None if switch is None else State(*switch),
@@ -630,7 +625,8 @@ def _invert(m: Manifold, size: float, a: float, x1: float,
             x2: float) -> tuple[_Candidate, float, tuple[float, float] | None]:
     """(winning candidate, its control, switch state as (x1, x2)) at (x1, x2)
     outside the target: the families inverted at y = x/alpha and their mirror
-    twins at -y.  Plain floats in and out, so that a rollout builds no State."""
+    twins at -y; the switch is the first far family's among best's ties.
+    Plain floats in and out, so that a rollout builds no State."""
     y1, y2 = x1 / a, x2 / a
     half = _circle_half if isinstance(m, Circle) else _square_half
     cands = half(size, y1, y2, False) + half(size, -y1, -y2, True)
@@ -643,11 +639,8 @@ def _invert(m: Manifold, size: float, a: float, x1: float,
     for c in cands:  # sorted by time-to-go, so the ties with best come first
         if c.tau > best.tau + _TIE_TOL * (1.0 + best.tau):
             break
-        if c.switch is not None:
-            g = -a if c.mirrored else a
-            switch = (g * c.switch[0], g * c.switch[1])
-            if not (math.isfinite(switch[0]) and math.isfinite(switch[1])):
-                State(*switch)  # raises State's DomainError: a rollout steps there
+        if c.family in _FAR:  # raises State's DomainError out of float range
+            switch = _switch_point(c.anchor, -a if c.mirrored else a)
             break
     return best, -best.u if best.mirrored else best.u, switch
 

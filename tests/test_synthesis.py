@@ -3,6 +3,7 @@
 import math
 import random
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -36,6 +37,7 @@ from mintime import (
 from mintime.manifold import _unit_size, antipode
 from mintime.oracle import _origin_time
 from mintime.synthesis import (
+    _TIE_TOL,
     _closed_form_feedback,
     _locus_half,
     _solve_far_constant,
@@ -185,6 +187,51 @@ def test_square_switching_curves():
         a.x1_of_x2(0.5)
     with pytest.raises(DomainError):
         switching_curve_square("B")
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+def test_square_switching_curves_match_the_exact_parabola(alpha):
+    """x1_of_x2 on branches A and C against -+(x2^2/alpha + 2 - 1/alpha)/2 in
+    exact arithmetic from the same float x2, from the anchor out to 1e6,
+    within 4 ulps."""
+    p = Params(alpha=alpha)
+    a, c = switching_curve_square("A", p), switching_curve_square("C", p)
+    inv = 1 / Fraction(alpha)
+    x2s = [1.0, math.nextafter(1.0, 2.0)] + [1.0 + 10.0 ** (k / 4) for k in range(-60, 25)]
+    for x2 in x2s:
+        ref = -(Fraction(x2) ** 2 * inv + 2 - inv) / 2
+        for x1, exact in ((a.x1_of_x2(x2), ref), (c.x1_of_x2(-x2), -ref)):
+            assert abs(Fraction(x1) - exact) <= 4 * Fraction(math.ulp(float(exact))), (x2, x1)
+
+
+@pytest.mark.parametrize("branch,x1,match", [
+    ("upper", -math.inf, "state must be finite"),
+    ("upper", math.nan, "upper branch needs x1 <= -l, got nan"),
+    ("lower", math.inf, "state must be finite"),
+    ("lower", math.nan, "lower branch needs x1 >= l, got nan"),
+])
+def test_circle_switching_curve_raises_off_its_domain_and_out_of_float_range(branch, x1, match):
+    """A NaN fails the domain test with the branch's own message, and a point
+    out of float range raises State's error, never nan or inf."""
+    for p in (P1, Params(alpha=0.5, l=2.0)):
+        with pytest.raises(DomainError, match=match):
+            switching_curve_circle(p, branch).x2_of_x1(x1)
+
+
+@pytest.mark.parametrize("branch,x2,match", [
+    ("A", 1e200, "state must be finite"),
+    ("A", math.inf, "state must be finite"),
+    ("A", math.nan, "branch A needs x2 >= 1, got nan"),
+    ("C", -1e200, "state must be finite"),
+    ("C", -math.inf, "state must be finite"),
+    ("C", math.nan, "branch C needs x2 <= -1, got nan"),
+])
+def test_square_switching_curve_raises_off_its_domain_and_out_of_float_range(branch, x2, match):
+    """As for the circle: NaN fails the domain test, and x1 beyond float range
+    raises State's error rather than answering -inf."""
+    for p in (P1, Params(alpha=2.0)):
+        with pytest.raises(DomainError, match=match):
+            switching_curve_square(branch, p).x1_of_x2(x2)
 
 
 # ── Touch-and-go curves ───────────────────────────────────────────────────────
@@ -464,6 +511,51 @@ def test_feedback_round_trip_through_closed_form(l, alpha, x1, x2):
     rm = _closed_form_feedback(m, p, -s)
     assert rm.time_to_go == r.time_to_go
     assert rm.u == -r.u
+
+
+def _replay_miss(m, p: Params, s: State) -> float:
+    """|signed distance| to the target, over R, of the endpoint of the answer's
+    bang-bang policy replayed in exact arithmetic: u until t_s = (x2_sw -
+    x2)/(alpha*u), then -u until time_to_go; u throughout when there is no
+    switch state or t_s is within the tie band (SynthesisResult's convention)."""
+    r = _closed_form_feedback(m, p, s)
+    a, u, t_f = Fraction(p.alpha), Fraction(r.u), Fraction(r.time_to_go)
+    x1, x2 = Fraction(s.x1), Fraction(s.x2)
+    legs = [(u, t_f)]
+    if r.switch_state is not None:
+        t_s = (Fraction(r.switch_state.x2) - x2) / (a * u)
+        if t_s > _TIE_TOL * (1 + t_f):
+            legs = [(u, t_s), (-u, t_f - t_s)]
+    for v, t in legs:
+        x1, x2 = x1 + x2 * t + a * v * t * t / 2, x2 + a * v * t
+    if isinstance(m, Circle):
+        d2 = x1 * x1 + x2 * x2
+        return abs(float(d2 - Fraction(m.l) ** 2)) / (m.l + math.sqrt(float(d2))) / m.l
+    return abs(float(max(abs(x1), abs(x2)) - 1))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("l", [0.05, 0.5, 1.0, 2.0, 3.0, None])
+def test_answers_replay_as_one_bang_bang_policy(l, alpha):
+    """The answer's (u, switch_state, time_to_go) is one policy, and replayed
+    exactly it ends within 1e-13*R of the target: on seeded exterior states,
+    half in the box of 5*max(R, alpha) and half from 1e-9*R to 3*R outside
+    the target, where the switch comes from the anchor's closed form."""
+    m = SQ if l is None else Circle(l)
+    p = Params(alpha=alpha, l=1.0 if l is None else l)
+    r_size = 1.0 if l is None else l
+    span = 5.0 * max(r_size, alpha)
+    rng = random.Random(32)
+    worst = 0.0
+    for k in range(1000):
+        if k % 2:
+            s = State(rng.uniform(-span, span), rng.uniform(-span, span))
+        else:
+            th, d = rng.uniform(0.0, 2.0 * math.pi), r_size * 10.0 ** rng.uniform(-9.0, 0.5)
+            s = State((r_size + d) * math.cos(th), (r_size + d) * math.sin(th))
+        if signed_distance(m, s) > 0.0:
+            worst = max(worst, _replay_miss(m, p, s))
+    assert worst <= 1e-13
 
 
 # ── General authority ─────────────────────────────────────────────────────────
