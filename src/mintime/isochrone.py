@@ -26,9 +26,6 @@ from .characteristics import _check_tau, _closed_form, _usable_anchor
 from .manifold import Circle, Manifold, Square, _nup_empty, _unit_size, _up_codes
 from .model import DomainError, Params
 
-_TWO_PI = 2.0 * math.pi
-_HALF_PI = 0.5 * math.pi
-
 
 @dataclass(frozen=True)
 class IsoPoint:
@@ -56,12 +53,12 @@ def isochrone_circle(params: Params, tau: float, n_samples: int) -> Isochrone:
         raise DomainError(f"need n_samples >= 2, got {n_samples}")
     phibar = math.atan(tau)
     branches = [
-        ("1", 0.0, _HALF_PI),
-        ("2", _HALF_PI, math.pi - phibar),
+        ("1", 0.0, math.pi / 2),
+        ("2", math.pi / 2, math.pi - phibar),
         ("3", math.pi - phibar, math.pi),
         ("4", math.pi, 1.5 * math.pi),
-        ("5", 1.5 * math.pi, _TWO_PI - phibar),
-        ("6", _TWO_PI - phibar, _TWO_PI),
+        ("5", 1.5 * math.pi, math.tau - phibar),
+        ("6", math.tau - phibar, math.tau),
     ]
     total = sum(hi - lo for _, lo, hi in branches)
     size, alpha = _unit_size(m, params), params.alpha

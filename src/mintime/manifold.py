@@ -33,9 +33,6 @@ from dataclasses import dataclass
 
 from .model import DomainError, InsideTarget, Params, State
 
-_TWO_PI = 2.0 * math.pi
-_HALF_PI = 0.5 * math.pi
-
 # BUP bound on each circle factor relative to its terms, and on the square's
 # minimum (half-side 1).  At l = alpha the factor is ~ -l*th^2/2, so usable
 # angles below ~2*sqrt(BUP_TOL) (~6e-7 rad) read BUP.
@@ -80,8 +77,8 @@ _SIDE_RANGES = {
 
 # Corner normal cones; closed endpoints are admitted so curves can anchor there.
 _CORNER_RANGES = {
-    "A": (_HALF_PI, math.pi),
-    "C": (1.5 * math.pi, _TWO_PI),
+    "A": (math.pi / 2, math.pi),
+    "C": (1.5 * math.pi, math.tau),
 }
 
 _CORNER_STATES = {"corner_A": (-1.0, 1.0), "corner_C": (1.0, -1.0)}
@@ -94,7 +91,7 @@ class CircleTheta:
     theta: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta) and 0.0 <= self.theta < _TWO_PI):
+        if not (math.isfinite(self.theta) and 0.0 <= self.theta < math.tau):
             raise DomainError(f"theta must lie in [0, 2*pi), got {self.theta!r}")
 
 
@@ -217,7 +214,7 @@ def boundary_point_of_state(m: Manifold, s: State) -> BoundaryPoint:
     are the central mirror images of states on the left side or bottom.
     """
     if isinstance(m, Circle):
-        return CircleTheta(math.atan2(s.x2, s.x1) % _TWO_PI)
+        return CircleTheta(math.atan2(s.x2, s.x1) % math.tau)
     near_x1 = abs(abs(s.x1) - 1.0)
     near_x2 = abs(abs(s.x2) - 1.0)
     corner = near_x1 < _CORNER_TOL and near_x2 < _CORNER_TOL
@@ -299,7 +296,7 @@ def up_intervals(m: Manifold, params: Params) -> list[ParamInterval]:
         theta_bar = _theta_bar(m, params)
         return [
             ParamInterval("theta", theta_bar, math.pi),
-            ParamInterval("theta", math.pi + theta_bar, _TWO_PI),
+            ParamInterval("theta", math.pi + theta_bar, math.tau),
         ]
     return [ParamInterval(side, lo, hi) for side, (lo, hi, _, _) in _SIDE_RANGES.items()] + [
         ParamInterval(f"corner_{corner}", lo, hi) for corner, (lo, hi) in _CORNER_RANGES.items()
@@ -420,7 +417,7 @@ def boundary_rows(m: Manifold, params: Params, n: int) -> list[tuple]:
     if n < 1:
         raise DomainError(f"need n >= 1 samples, got {n}")
     if isinstance(m, Circle):
-        thetas = {k * _TWO_PI / n for k in range(n)}
+        thetas = {k * math.tau / n for k in range(n)}
         thetas.update(bup_params(m, params))
         codes = [("theta", th) for th in sorted(thetas)]
     else:
@@ -444,7 +441,7 @@ def antipode(m: Manifold, b: BoundaryPoint) -> BoundaryPoint:
     if isinstance(b, CircleTheta):
         if b.theta >= math.pi:
             return CircleTheta(b.theta - math.pi)  # exact for theta in [pi, 2*pi)
-        return CircleTheta((b.theta + math.pi) % _TWO_PI)
+        return CircleTheta((b.theta + math.pi) % math.tau)
     if isinstance(b, SquareSide):
         pair = {"AB": "CD", "CD": "AB", "BC": "AD", "AD": "BC"}
         return SquareSide(pair[b.side], -b.s)

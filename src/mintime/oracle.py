@@ -105,7 +105,10 @@ def _nearest_endpoint(alpha: float, x1: float, x2: float, t_f: float) -> tuple[f
     squared radius is stationary where d^3 + p*d + q = 0, p = 2 - X1/a,
     q = -X2/a, so the minimum over [0, t_f] lies at an end or at a real root
     of that cubic, found by Cardano's formula (one real root) or the
-    trigonometric form (three).  The one-real-root branch can drop a close pair of roots,
+    trigonometric form (three).  Cardano's formula takes the cube root w of
+    -q/2 - sign(q)*sqrt(disc), the one that does not cancel, and its pair
+    from w*v = -p/3; an infinite disc gives a NaN root, as the sum of both
+    cube roots would.  The one-real-root branch can drop a close pair of roots,
     which lies near a turning point of the cubic, so the one at d > 0 is
     tried too.  Every candidate is an endpoint; `_gap_slack` bounds how far
     rounding can put the least computed radius above the true least radius.
@@ -120,11 +123,9 @@ def _nearest_endpoint(alpha: float, x1: float, x2: float, t_f: float) -> tuple[f
         q = -X2 / a
         disc = 0.25 * q * q + p * p * p / 27.0
         if disc > 0.0:
-            root = math.sqrt(disc)
-            c1 = -0.5 * q + root
-            c2 = -0.5 * q - root
-            y = math.copysign(abs(c1) ** (1.0 / 3.0), c1) + math.copysign(abs(c2) ** (1.0 / 3.0), c2)
-            cands = (y, 0.0, t_f)
+            c = -0.5 * q - math.copysign(math.sqrt(disc), q)
+            w = math.copysign(abs(c) ** (1.0 / 3.0), c)
+            cands = (w - p / (3.0 * w) if disc < math.inf else math.nan, 0.0, t_f)
         elif p == 0.0 and q == 0.0:
             cands = (0.0, 0.0, t_f)
         else:
@@ -334,10 +335,6 @@ def _gap_slack(alpha: float, x2: float, t_f: float, R: float, excess: float) -> 
       of a second translate, by u*(2*|X1| + 2*alpha) and u*|X2|, and
       evaluates the roots on the first: twice that.  The radius is
       stationary at a root, so the roots' own rounding costs second order.
-      One case escapes: where |p|^3 << q^2, Cardano's second cube root
-      cancels and can keep only a third of its digits.  In that thin band
-      the excess can exceed the distance by more than this slack (2e-10 at
-      r = 1.7, alpha = 1, in a scan), which moves t_clear by as much over b.
     - Square: d = q/(1 + sqrt(1 + q)), q = (X1 + X2)/a, is within 5.5 ulps of
       the translated curve's crossing, where the max-norm changes at most at
       2*alpha*max(1, t_f) per unit d: 11*u*alpha*(t_f^2 + t_f).

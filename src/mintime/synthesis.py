@@ -95,9 +95,6 @@ from .manifold import (
 )
 from .model import DomainError, Params, State
 
-_TWO_PI = 2.0 * math.pi
-_HALF_PI = 0.5 * math.pi
-
 _Q_TOL = 1e-12        # closure tolerance on cos(theta) roots at excluded endpoints
 _PARAM_TOL = 1e-9     # closure tolerance on square side parameters
 _TAU_TOL = 1e-9       # slack on time-to-go feasibility checks
@@ -172,11 +169,11 @@ class SwitchingCurve:
         if self.target != "circle":
             raise DomainError("point(theta) applies to circle branches")
         if self.branch == "upper":
-            if not _HALF_PI < theta <= math.pi:
+            if not math.pi / 2 < theta <= math.pi:
                 raise DomainError(f"upper branch needs theta in (pi/2, pi], got {theta!r}")
             a = self.alpha
         else:
-            if not 1.5 * math.pi < theta <= _TWO_PI:
+            if not 1.5 * math.pi < theta <= math.tau:
                 raise DomainError(f"lower branch needs theta in (3*pi/2, 2*pi], got {theta!r}")
             a, theta = -self.alpha, theta - math.pi
         return State(*_switch_point(_slope_anchor(self.size, math.tan(theta)), a))
@@ -319,7 +316,7 @@ def touch_and_go_curves(m: Manifold, params: Params) -> list[TouchAndGoCurve]:
         control, c = -1.0, 0.5 * (size * size + 1.0)
         t = _solve_far_constant(size, c)
         switch = State(*_switch_point(_slope_anchor(size, t), -1.0))  # on the lower branch
-        terminal = CircleTheta(_TWO_PI + math.atan(t))
+        terminal = CircleTheta(math.tau + math.atan(t))
     tg = TouchAndGoCurve(State(a * graze.x1, a * graze.x2), control, a * c, terminal,
                          State(a * switch.x1, a * switch.x2), a)
     mirror = TouchAndGoCurve(-tg.graze_state, -tg.control, -tg.c,
@@ -491,19 +488,16 @@ def _locus_half(m: Manifold, size: float) -> tuple[float, float]:
 def _depressed_cubic_roots(p: float, q: float) -> list[float]:
     """Real roots of w^3 + p*w + q."""
     disc = 0.25 * q * q + p * p * p / 27.0
-    if disc > 0.0:
-        root = math.sqrt(disc)
-        return [_cbrt(-0.5 * q + root) + _cbrt(-0.5 * q - root)]
+    if disc > 0.0:  # the cube root that does not cancel, and its pair from w*v = -p/3
+        c = -0.5 * q - math.copysign(math.sqrt(disc), q)
+        w = math.copysign(abs(c) ** (1.0 / 3.0), c)
+        return [w - p / (3.0 * w)]
     if p == 0.0 and q == 0.0:
         return [0.0]
     r = math.sqrt(max(0.0, -p * p * p / 27.0))
     phi = math.acos(min(1.0, max(-1.0, -0.5 * q / r))) if r > 0.0 else 0.0
     m2 = 2.0 * math.sqrt(max(0.0, -p / 3.0))
     return [m2 * math.cos((phi + 2.0 * math.pi * k) / 3.0) for k in range(3)]
-
-
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
 def _parabola_distance(x1: float, x2: float, c: float, w_edge: float) -> float:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import exact
 from mintime import (
     Circle,
     CircleTheta,
@@ -164,31 +165,6 @@ def test_closed_form_matches_numeric_at_general_alpha():
                     assert abs(s.x1 - sn.x1) <= 1e-6 and abs(s.x2 - sn.x2) <= 1e-6, (alpha, m, b, tau)
 
 
-def _exact_closed_form(m, b, p, tau):
-    """The characteristic from b at tau in exact rational arithmetic, from the
-    same float normal (cos, sin) the closed form reads."""
-    alpha, t = Fraction(p.alpha), Fraction(tau)
-    size = Fraction(m.l if isinstance(m, Circle) else 1.0) / alpha
-    if isinstance(b, SquareSide):
-        n1, n2 = {"AB": (-1, 0), "BC": (0, -1), "CD": (1, 0), "AD": (0, 1)}[b.side]
-        s = Fraction(b.s) / alpha
-        y1, y2 = (n1 * size, s) if n1 else (s, n2 * size)
-    else:
-        n1, n2 = Fraction(math.cos(b.theta)), Fraction(math.sin(b.theta))
-        if isinstance(b, CircleTheta):
-            y1, y2 = size * n1, size * n2
-        else:
-            y1, y2 = (-size, size) if b.corner == "A" else (size, -size)
-    u = -1 if (n2 if n2 else n1) > 0 else 1  # -sign(lambda2), lambda2 = a*n2 with a > 0
-    legs = [t]
-    if n1 * n2 < 0 and t > -n2 / n1:  # lambda2 = a*(n2 + n1*tau) changes sign
-        legs = [-n2 / n1, t + n2 / n1]
-    for d in legs:
-        y1, y2 = y1 - d * y2 + u * d * d / 2, y2 - u * d
-        u = -u
-    return alpha * y1, alpha * y2
-
-
 def test_closed_form_within_16_ulps_of_exact():
     """Every fan point lies within 16 ulps of max(|x1|, |x2|) of the exact
     evaluation from the same float normal."""
@@ -199,7 +175,7 @@ def test_closed_form_within_16_ulps_of_exact():
                 for k in range(39):  # tau = 0.173*k up to 6.7
                     tau = 0.173 * k
                     s = closed_form_state(m, b, p, tau)
-                    e1, e2 = _exact_closed_form(m, b, p, tau)
+                    e1, e2 = exact.closed_form(*point_code(b), l, alpha, tau)
                     ulp = Fraction(math.ulp(max(abs(float(e1)), abs(float(e2)))))
                     err = max(abs(Fraction(s.x1) - e1), abs(Fraction(s.x2) - e2))
                     assert err <= 16 * ulp, (alpha, m, b, tau, float(err / ulp))

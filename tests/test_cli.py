@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mintime
 from mintime.cli import main
 
 
@@ -12,6 +17,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_loads_no_numpy_decimal_or_fractions():
+    """A fresh `import mintime.cli`, the CLI's cold start, loads none of
+    numpy, decimal and fractions."""
+    src = str(Path(mintime.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, mintime.cli; print(sorted({'numpy', 'decimal', 'fractions'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_up_circle_emits_bup_rows(capsys):

@@ -2,12 +2,13 @@
 
 import math
 import random
-from decimal import Decimal, localcontext
+from decimal import Decimal
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import exact
 from mintime import (
     Circle,
     CircleTheta,
@@ -626,51 +627,6 @@ def test_lines_the_ascent_skips_are_infeasible(l, alpha, x1, x2):
         k = k_next
 
 
-def _decimal_gap(m, alpha, s0, t_f):
-    """Distance from the nearest endpoint at t_f to the circle, in 60 digits.
-
-    The nearest endpoint sits at an end of [0, t_f] or where the squared
-    radius P is stationary; its derivative's roots are found by bisection on
-    the pieces where that derivative is monotone.
-    """
-    with localcontext() as ctx:
-        ctx.prec = 60
-        x1, x2, T = Decimal(s0.x1), Decimal(s0.x2), Decimal(t_f)
-        R = Decimal(m.l)
-        best = None
-        for a in (Decimal(-alpha), Decimal(alpha)):
-            A0, A1, A2 = x1 + x2 * T - a * T * T / 2, 2 * a * T, -a
-            B0, B1 = x2 - a * T, 2 * a
-
-            def dP(t):  # dP/dt / 2
-                return (A0 + A1 * t + A2 * t * t) * (A1 + 2 * A2 * t) + (B0 + B1 * t) * B1
-
-            # d^2P/dt^2 / 2 = 6 A2^2 t^2 + 6 A1 A2 t + A1^2 + 2 A0 A2 + B1^2
-            qa, qb, qc = 6 * A2 * A2, 6 * A1 * A2, A1 * A1 + 2 * A0 * A2 + B1 * B1
-            cuts = [Decimal(0), T]
-            disc = qb * qb - 4 * qa * qc
-            if disc > 0:
-                for r in ((-qb - disc.sqrt()) / (2 * qa), (-qb + disc.sqrt()) / (2 * qa)):
-                    if 0 < r < T:
-                        cuts.append(r)
-            cuts.sort()
-            cands = list(cuts)
-            for lo, hi in zip(cuts, cuts[1:]):
-                if dP(lo) * dP(hi) < 0:
-                    for _ in range(130):
-                        mid = (lo + hi) / 2
-                        if (dP(mid) < 0) == (dP(lo) < 0):
-                            lo = mid
-                        else:
-                            hi = mid
-                    cands.append(lo)
-            for t in cands:
-                xf, yf = A0 + A1 * t + A2 * t * t, B0 + B1 * t
-                r2 = xf * xf + yf * yf
-                best = r2 if best is None else min(best, r2)
-        return best.sqrt() - R
-
-
 def _log_uniform(lo, hi, signed=False):
     """Magnitudes log-uniform in [lo, hi], of either sign if signed."""
     magnitude = st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
@@ -689,86 +645,47 @@ _gap_state = {
 }
 
 
-def _decimal_radius(alpha, s0, pol):
-    """Distance from the centre to a policy's endpoint, in 60 digits."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        a, t_sw = Decimal(alpha * pol.u0), Decimal(pol.t_switch)
-        d = Decimal(pol.t_final) - t_sw
-        x2s = Decimal(s0.x2) + a * t_sw
-        x1s = Decimal(s0.x1) + Decimal(s0.x2) * t_sw + a * t_sw * t_sw / 2
-        x1f, x2f = x1s + x2s * d - a * d * d / 2, x2s - a * d
-        return (x1f * x1f + x2f * x2f).sqrt()
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
+# Cardano's band, |p|^3 << q^2: a second cube root that cancelled put the
+# excess 2e-10 above the distance, against a slack of 2.5e-14.
+@example(l=0.01, alpha=1.0, x1=-8.19996704, x2=1.9000000000000004, t_f=3.0)
 @given(l=st.floats(1e-3, 10.0), **_gap_state)
 def test_disk_gap_never_exceeds_the_true_distance(l, alpha, x1, x2, t_f):
     """The disk's gap is no more than the 60-digit distance from the nearest
     endpoint to the circle.  The exact test r^2 <= l^2 agrees with that
     distance outside the slack, and a switch it returns ends within the
     slack of the disk in 60 digits."""
-    s = State(x1, x2)
     excess, hit = _probe(l, alpha, x1, x2, t_f)
     slack = _gap_slack(alpha, x2, t_f, l, excess)
-    gap = _decimal_gap(Circle(l), alpha, s, t_f)
+    gap = exact.circle_gap(l, alpha, x1, x2, t_f)
     assert Decimal(excess - slack) <= gap
     if gap < -slack:
         assert hit is not None
     if gap > slack:
         assert hit is None
     if hit is not None:
-        assert _decimal_radius(alpha, s, PolicyCandidate(hit[0], hit[1], t_f)) <= Decimal(l) + Decimal(slack)
+        x1f, x2f = exact.endpoint(x1, x2, alpha * hit[0], hit[1], t_f, Decimal)
+        with exact.sixty():
+            assert (x1f * x1f + x2f * x2f).sqrt() <= Decimal(l) + Decimal(slack)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(**_gap_state)
 def test_square_gap_never_exceeds_the_true_distance(alpha, x1, x2, t_f):
     """The square's gap (its least max-norm endpoint less 1, less the slack),
-    against the least max(|x1|, |x2|) over the endpoints at t_f, found in 60
-    digits by golden-section search: no more than that minimum less 1, which
-    is no more than the Euclidean distance from any endpoint to the square
-    (checked on 101 switch times per u0, squared).
-
-    For each u0 the endpoint is (X1 - a*d^2, X2 - 2*a*d) on d in [0, t_f];
-    |x1| and |x2| are each V-shaped in d, so their maximum is unimodal and
-    the search brackets its minimiser.  The maximum's slope is at most
-    L = 2*alpha*max(1, t_f), so its value at the bracket's midpoint less L
-    times the bracket's width is a lower bound on the minimum."""
+    against a 60-digit lower bound on the least max(|x1|, |x2|) over the
+    endpoints at t_f (`exact.square_least_norm`): no more than that minimum
+    less 1, which is no more than the Euclidean distance from any endpoint to
+    the square (checked on 101 switch times per u0, squared)."""
     excess = _square_endpoint(alpha, x1, x2, t_f)[0] - 1.0
     g = excess - _gap_slack(alpha, x2, t_f, 1.0, excess)
-    with localcontext() as ctx:
-        ctx.prec = 60
-        T = Decimal(t_f)
-        L = 2 * Decimal(alpha) * max(Decimal(1), T)
-        shrink = (Decimal(5).sqrt() - 1) / 2
-        least = dist2 = None
+    least = exact.square_least_norm(alpha, x1, x2, t_f)
+    with exact.sixty():
+        T, dist2 = Decimal(t_f), None
         for a in (Decimal(-alpha), Decimal(alpha)):
-            X1 = Decimal(x1) + (Decimal(x2) + a * T / 2) * T
-            X2 = Decimal(x2) + a * T
-
-            def cheb(d):
-                return max(abs(X1 - a * d * d), abs(X2 - 2 * a * d))
-
-            lo, hi = Decimal(0), T
-            c1, c2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-            f1, f2 = cheb(c1), cheb(c2)
-            for _ in range(130):
-                if f1 <= f2:
-                    hi, c2, f2 = c2, c1, f1
-                    c1 = hi - shrink * (hi - lo)
-                    f1 = cheb(c1)
-                else:
-                    lo, c1, f1 = c1, c2, f2
-                    c2 = lo + shrink * (hi - lo)
-                    f2 = cheb(c2)
-            low = cheb((lo + hi) / 2) - L * (hi - lo)
-            least = low if least is None else min(least, low)
             for k in range(101):
-                d = T * k / 100
-                e1 = max(abs(X1 - a * d * d) - 1, Decimal(0))
-                e2 = max(abs(X2 - 2 * a * d) - 1, Decimal(0))
-                r2 = e1 * e1 + e2 * e2
+                ends = exact.endpoint(x1, x2, a, T - T * k / 100, T, Decimal)
+                r2 = sum(max(abs(c) - 1, Decimal(0)) ** 2 for c in ends)
                 dist2 = r2 if dist2 is None else min(dist2, r2)
         assert Decimal(g) <= least - 1
         assert max(least - 1, Decimal(0)) ** 2 <= dist2
@@ -806,7 +723,7 @@ def test_circle_exact_test_agrees_with_60_digits(l, alpha, u0, t_f, f_sw, rho, p
     m, p = Circle(l), Params(alpha=alpha, l=l)
     scale = abs(s0.x1) + abs(s0.x2) + (abs(s0.x2) + alpha) * t_f + 4.0 * alpha * t_f * t_f
     slack = 1e-9 * (1.0 + l + scale)
-    gap = _decimal_gap(m, alpha, s0, t_f)
+    gap = exact.circle_gap(l, alpha, s0.x1, s0.x2, t_f)
     hit = _feasible(m, p, s0, t_f)
     if gap < -slack:
         assert hit is not None

@@ -2,13 +2,14 @@
 
 import math
 import random
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import exact
 from mintime import (
     Circle,
     CircleTheta,
@@ -130,30 +131,13 @@ def test_circle_switching_curve_explicit_form_matches_60_digits(l, alpha):
     up, lo = switching_curve_circle(p, "upper"), switching_curve_circle(p, "lower")
     for k in range(-14, 7):
         x1 = -(l + 10.0 ** k)
-        with localcontext() as ctx:
-            ctx.prec = 60
+        with exact.sixty():
             a = Decimal(alpha)
             ld, y1 = Decimal(l) / a, Decimal(x1) / a
             root = (ld * ld + 1 - 2 * y1).sqrt()
             ref = a * 2 ** Decimal("0.5") * root / (root - ld) * (ld * ld - y1 - ld * root).sqrt()
         assert abs(Decimal(up.x2_of_x1(x1)) - ref) <= Decimal("1e-14") * ref
         assert abs(Decimal(lo.x2_of_x1(-x1)) + ref) <= Decimal("1e-14") * ref
-
-
-def _sin_cos_60(x: float) -> tuple[Decimal, Decimal]:
-    """sin and cos of the float x (|x| <= 4) by their Taylor series, in 60-digit arithmetic."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        sin = cos = Decimal(0)
-        term, k = Decimal(1), 0
-        while abs(term) > Decimal("1e-75"):
-            if k % 2:
-                sin += term if k % 4 == 1 else -term
-            else:
-                cos += term if k % 4 == 0 else -term
-            k += 1
-            term = term * Decimal(x) / k
-        return +sin, +cos
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
@@ -167,9 +151,8 @@ def test_circle_switching_curve_point_matches_60_digits(alpha):
         curve = switching_curve_circle(Params(alpha=alpha, l=l), "upper")
         for th in thetas:
             pt = curve.point(th)
-            sin, cos = _sin_cos_60(th)
-            with localcontext() as ctx:
-                ctx.prec = 60
+            sin, cos = exact.sin_cos(th)
+            with exact.sixty():
                 a, r, tan = Decimal(alpha), Decimal(curve.size), sin / cos
                 ref1, ref2 = a * (r / cos - tan * tan / 2), a * (r * sin - tan)
                 err = ((Decimal(pt.x1) - ref1) ** 2 + (Decimal(pt.x2) - ref2) ** 2).sqrt()
@@ -191,17 +174,20 @@ def test_square_switching_curves():
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
 def test_square_switching_curves_match_the_exact_parabola(alpha):
-    """x1_of_x2 on branches A and C against -+(x2^2/alpha + 2 - 1/alpha)/2 in
-    exact arithmetic from the same float x2, from the anchor out to 1e6,
-    within 4 ulps."""
+    """x1_of_x2 on branches A and C against the exact switch point at the same
+    float x2: corner A's first leg run until y2 = x2/alpha, the parabola
+    x1 = -(x2^2/alpha + 2 - 1/alpha)/2, and its mirror; from the anchor out
+    to 1e6, within 4 ulps."""
     p = Params(alpha=alpha)
     a, c = switching_curve_square("A", p), switching_curve_square("C", p)
-    inv = 1 / Fraction(alpha)
+    # Every cone angle in (pi/2, pi) has n2 > 0, so corner A's first leg brakes.
+    y1, y2, n1, n2 = exact.anchor("corner_A", 0.75 * math.pi, 1.0, alpha)
+    u, fa = exact.first_control(n1, n2), Fraction(alpha)
     x2s = [1.0, math.nextafter(1.0, 2.0)] + [1.0 + 10.0 ** (k / 4) for k in range(-60, 25)]
     for x2 in x2s:
-        ref = -(Fraction(x2) ** 2 * inv + 2 - inv) / 2
-        for x1, exact in ((a.x1_of_x2(x2), ref), (c.x1_of_x2(-x2), -ref)):
-            assert abs(Fraction(x1) - exact) <= 4 * Fraction(math.ulp(float(exact))), (x2, x1)
+        ref = fa * exact.leg(y1, y2, u, (y2 - Fraction(x2) / fa) / u)[0]
+        for x1, want in ((a.x1_of_x2(x2), ref), (c.x1_of_x2(-x2), -ref)):
+            assert abs(Fraction(x1) - want) <= 4 * Fraction(math.ulp(float(want))), (x2, x1)
 
 
 @pytest.mark.parametrize("branch,x1,match", [
@@ -519,15 +505,13 @@ def _replay_miss(m, p: Params, s: State) -> float:
     x2)/(alpha*u), then -u until time_to_go; u throughout when there is no
     switch state or t_s is within the tie band (SynthesisResult's convention)."""
     r = _closed_form_feedback(m, p, s)
-    a, u, t_f = Fraction(p.alpha), Fraction(r.u), Fraction(r.time_to_go)
-    x1, x2 = Fraction(s.x1), Fraction(s.x2)
-    legs = [(u, t_f)]
+    a, t_f = Fraction(p.alpha) * Fraction(r.u), Fraction(r.time_to_go)
+    t_s = t_f
     if r.switch_state is not None:
-        t_s = (Fraction(r.switch_state.x2) - x2) / (a * u)
-        if t_s > _TIE_TOL * (1 + t_f):
-            legs = [(u, t_s), (-u, t_f - t_s)]
-    for v, t in legs:
-        x1, x2 = x1 + x2 * t + a * v * t * t / 2, x2 + a * v * t
+        t_s = (Fraction(r.switch_state.x2) - Fraction(s.x2)) / a
+        if t_s <= _TIE_TOL * (1 + t_f):
+            t_s = t_f
+    x1, x2 = exact.endpoint(s.x1, s.x2, a, t_s, t_f)
     if isinstance(m, Circle):
         d2 = x1 * x1 + x2 * x2
         return abs(float(d2 - Fraction(m.l) ** 2)) / (m.l + math.sqrt(float(d2))) / m.l
@@ -712,6 +696,23 @@ def test_discontinuity_flag_is_the_locus_distance_test(m, l, alpha):
     assert n_flagged >= 40
 
 
+@pytest.mark.parametrize("m", [Circle(0.5), C1, SQ], ids=["l0.5", "l1", "square"])
+def test_locus_distance_matches_60_digits_where_cardano_cancels(m):
+    """locus_distance against the 60-digit distance to both half-parabolas of
+    the same (c, w_edge), within 1e-15, in Cardano's band |p|^3 << q^2: x1
+    from 1e-2 down to 1e-11 off c - 1, where a cancelling second cube root
+    once lost up to 1.1e-9 (8.6e-10 at the first state, next to C1's loci)."""
+    c, w_edge = _locus_half(m, 1.0 if m is SQ else m.l)
+    states = [State(-8.726446975768407e-06, 1.3778753391537957)] if m is C1 else []
+    states += [State(c - 1.0 + sign * 10.0 ** -k, x2) for k in range(2, 12) for sign in (-1.0, 1.0)
+               for x2 in (0.5, 1.3778753391537957, 3.0, -2.0)]
+    p = Params(l=1.0 if m is SQ else m.l)
+    for s in states:
+        ref = min(exact.parabola_distance(s.x1, s.x2, c, w_edge),
+                  exact.parabola_distance(-s.x1, -s.x2, c, w_edge))
+        assert abs(Decimal(locus_distance(m, p, s)) - ref) <= Decimal("1e-15"), s
+
+
 def test_huge_states_get_answers_near_the_point_target_time():
     """Far from a circle of radius l the minimum time is the point-target time T0 less O(l)."""
     for l in (0.05, 1.0, 3.0):
@@ -735,19 +736,12 @@ def test_far_constant_solve_matches_a_decimal_bisection(log_r, log_gap):
     r = 10.0 ** log_r
     c = r + 10.0 ** log_gap
     t = _solve_far_constant(r, c)
-    with localcontext() as ctx:
-        ctx.prec = 45
+    with exact.sixty():
         rd, cd = Decimal(r), Decimal(c)
-        lo, hi = Decimal(-1), Decimal(0)
+        lo = Decimal(-1)
         while _far_constant_reference(rd, lo) < cd:
             lo *= 2
-        while hi - lo > -lo * Decimal("1e-30"):
-            mid = (lo + hi) / 2
-            if _far_constant_reference(rd, mid) >= cd:
-                lo = mid
-            else:
-                hi = mid
-        ref = float((lo + hi) / 2)
+        ref = float(exact.bisect(lambda t: _far_constant_reference(rd, t) - cd, lo, 0))
     assert abs(t - ref) <= 1e-14 * abs(ref)
     for below in (r, 0.5 * r, 0.0):
         with pytest.raises(DomainError):
@@ -761,23 +755,15 @@ def test_far_constant_solve_matches_a_decimal_bisection(log_r, log_gap):
 )
 def test_switching_curve_inverse_matches_a_decimal_bisection(log_r, log_y2):
     """The upper branch height y2 = v*(1 + r/sqrt(1 + v^2)), v = -tan(theta), solved
-    for v, against a 45-digit bisection; y2 = 0 is the anchor v = 0 exactly."""
+    for v, against a 60-digit bisection; y2 = 0 is the anchor v = 0 exactly."""
     r = 10.0 ** log_r
     if log_y2 is None:
         assert _upper_slope_of_y2(r, 0.0) == 0.0
         return
     y2 = 10.0 ** log_y2
     v = _upper_slope_of_y2(r, y2)
-    with localcontext() as ctx:
-        ctx.prec = 45
+    with exact.sixty():
         rd, yd = Decimal(r), Decimal(y2)
-        lo, hi = yd / (1 + rd), yd
-        while hi - lo > hi * Decimal("1e-30"):
-            mid = (lo + hi) / 2
-            if mid * (1 + rd / (1 + mid * mid).sqrt()) < yd:
-                lo = mid
-            else:
-                hi = mid
-        ref = float((lo + hi) / 2)
+        ref = float(exact.bisect(lambda v: v * (1 + rd / (1 + v * v).sqrt()) - yd, yd / (1 + rd), yd))
     assert abs(v - ref) <= 1e-13 * ref
 
