@@ -18,14 +18,11 @@ from .isochrone import Isochrone, isochrone_circle, isochrone_generic
 from .manifold import (
     BoundaryPoint,
     Circle,
-    CircleTheta,
     Manifold,
     Normal,
     ParamInterval,
     RegionClass,
     Square,
-    SquareCorner,
-    SquareSide,
     boundary_state,
     bup_params,
     classify,

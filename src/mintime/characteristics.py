@@ -50,7 +50,6 @@ from .manifold import (
     _unit_size,
     _up_codes,
     boundary_state,
-    point_code,
 )
 from .model import DomainError, Params, SingularInstant, State, _check_finite, validate_control
 
@@ -94,7 +93,7 @@ def terminal_costate(m: Manifold, b: BoundaryPoint, params: Params) -> Costate:
     circle BUP angles), where no terminating characteristic exists.
     """
     _check_kind(m, b)
-    return Costate(*_terminal_pair(m, params, *point_code(b)))
+    return Costate(*_terminal_pair(m, params, b.kind, b.param))
 
 
 def _terminal_pair(m: Manifold, params: Params, kind: str, p: float) -> tuple[float, float]:
@@ -126,7 +125,7 @@ def switch_tau(b: BoundaryPoint) -> float | None:
     and (3*pi/2, 2*pi), and corner anchors off their cone edge.  Side anchors
     never switch.
     """
-    _, _, n1, n2 = _anchor(*point_code(b), 1.0, 1.0)
+    _, _, n1, n2 = _anchor(b.kind, b.param, 1.0, 1.0)
     return -n2 / n1 if n1 * n2 < 0.0 else None
 
 
@@ -149,7 +148,7 @@ def closed_form_state(m: Manifold, b: BoundaryPoint, params: Params, tau: float)
     """Phase point at retrograde time tau along the characteristic from b."""
     _check_tau(tau)
     _check_kind(m, b)
-    anchor = _usable_anchor(m, params, *point_code(b), _unit_size(m, params), params.alpha)
+    anchor = _usable_anchor(m, params, b.kind, b.param, _unit_size(m, params), params.alpha)
     return State(*_closed_form(anchor, params.alpha, tau))
 
 

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import characteristics, isochrone, oracle, simulator, synthesis
-from .manifold import Circle, Manifold, Square, _nup_empty, boundary_rows, point_code, sample_up
+from .manifold import Circle, Manifold, Square, _nup_empty, boundary_rows, sample_up
 from .model import DomainError, Params, State, parse_scenario
 
 _USAGE_EXIT = 64
@@ -114,7 +114,7 @@ def _cmd_costate(args) -> int:
     rows = []
     for b in sample_up(m, params, args.samples):
         c = characteristics.terminal_costate(m, b, params)
-        rows.append((*point_code(b), c.lambda1, c.lambda2))
+        rows.append((b.kind, b.param, c.lambda1, c.lambda2))
     _emit_table(args, "costate", ["kind", "param", "lambda1", "lambda2"], rows)
     return 0
 
@@ -127,7 +127,8 @@ def _cmd_flow(args) -> int:
     steps = args.tau_max / args.tau_step
     _check_rows(max(1, args.samples) * (steps + 1.0), "--samples, --tau-max and --tau-step")
     n_steps = max(1, int(round(steps)))
-    taus = [k * args.tau_max / n_steps for k in range(n_steps + 1)]
+    # --tau-max 0 is the one tau 0.0, so each anchor gets one row
+    taus = [k * args.tau_max / n_steps for k in range(n_steps + 1 if args.tau_max else 1)]
     rows = characteristics.flow_rows(m, params, args.samples, taus)
     _emit_table(
         args,
@@ -182,8 +183,7 @@ def _cmd_isochrone(args) -> int:
 
 
 def _terminal_json(bp) -> dict:
-    kind, param = point_code(bp)
-    return {"kind": kind, "param": param}
+    return {"kind": bp.kind, "param": bp.param}
 
 
 def _cmd_feedback(args) -> int:

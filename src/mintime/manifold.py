@@ -23,6 +23,9 @@ UP is the upper half of AB (x2 in (0,1]), all of BC and AD, the lower half of
 CD (x2 in [-1,0)), plus normal cones at the corners A and C whose angles span
 the adjacent side normals.  B and D admit no terminating trajectories, so no
 corner cone exists there.
+
+A boundary point is its code BoundaryPoint(kind, param), which the CLI prints;
+one range table, _RANGES, checks it and spans the usable-part intervals.
 """
 
 from __future__ import annotations
@@ -67,81 +70,43 @@ Manifold = Circle | Square
 
 # ── Boundary points ────────────────────────────────────────────────────────────
 
-# Half-open parameter ranges for the square sides, (lo, hi, lo_closed, hi_closed).
-_SIDE_RANGES = {
+# Parameter range (lo, hi, lo_closed, hi_closed) of each boundary-point kind;
+# the corner cones are closed so that curves can anchor at their edges.
+_RANGES = {
+    "theta": (0.0, math.tau, True, False),
     "AB": (0.0, 1.0, False, True),    # x2 = s in (0, 1]
     "BC": (-1.0, 1.0, False, True),   # x1 = s in (-1, 1]
     "CD": (-1.0, 0.0, True, False),   # x2 = s in [-1, 0)
     "AD": (-1.0, 1.0, True, False),   # x1 = s in [-1, 1)
-}
-
-# Corner normal cones; closed endpoints are admitted so curves can anchor there.
-_CORNER_RANGES = {
-    "A": (math.pi / 2, math.pi),
-    "C": (1.5 * math.pi, math.tau),
+    "corner_A": (math.pi / 2, math.pi, True, True),
+    "corner_C": (1.5 * math.pi, math.tau, True, True),
 }
 
 _CORNER_STATES = {"corner_A": (-1.0, 1.0), "corner_C": (1.0, -1.0)}
 
 
 @dataclass(frozen=True)
-class CircleTheta:
-    """Circle boundary point at polar angle theta in [0, 2*pi)."""
-
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta) and 0.0 <= self.theta < math.tau):
-            raise DomainError(f"theta must lie in [0, 2*pi), got {self.theta!r}")
-
-
-@dataclass(frozen=True)
-class SquareSide:
-    """Point on a square side, parameterized by the free coordinate s."""
-
-    side: str
-    s: float
-
-    def __post_init__(self) -> None:
-        if self.side not in _SIDE_RANGES:
-            raise DomainError(f"side must be one of AB, BC, CD, AD, got {self.side!r}")
-        lo, hi, lo_closed, hi_closed = _SIDE_RANGES[self.side]
-        ok = math.isfinite(self.s)
-        ok = ok and (self.s >= lo if lo_closed else self.s > lo)
-        ok = ok and (self.s <= hi if hi_closed else self.s < hi)
-        if not ok:
-            lb, rb = "[" if lo_closed else "(", "]" if hi_closed else ")"
-            raise DomainError(
-                f"side {self.side} parameter must lie in {lb}{lo}, {hi}{rb}, got {self.s!r}"
-            )
-
-
-@dataclass(frozen=True)
-class SquareCorner:
-    """Corner A or C with a cone angle selecting one outward normal.
-
-    B and D are rejected: the penetration condition has no consistent sign
-    across their normal cones and no optimal trajectory terminates there.
+class BoundaryPoint:
+    """A boundary point as its code (kind, param): the circle's polar angle
+    ("theta"), a square side's free coordinate ("AB", "BC", "CD", "AD"), or
+    the outward-normal angle in a corner cone ("corner_A", "corner_C").  B
+    and D admit no terminating trajectory, so they carry no point.
     """
 
-    corner: str
-    theta: float
+    kind: str
+    param: float
 
     def __post_init__(self) -> None:
-        if self.corner in ("B", "D"):
+        if self.kind not in _RANGES:
             raise DomainError(
-                f"corner {self.corner} admits no terminating trajectories"
+                f"boundary kind must be one of {', '.join(_RANGES)}, got {self.kind!r}: "
+                "corners B and D admit no terminating trajectory"
             )
-        if self.corner not in _CORNER_RANGES:
-            raise DomainError(f"corner must be A or C, got {self.corner!r}")
-        lo, hi = _CORNER_RANGES[self.corner]
-        if not (math.isfinite(self.theta) and lo <= self.theta <= hi):
-            raise DomainError(
-                f"corner {self.corner} cone angle must lie in [{lo}, {hi}], got {self.theta!r}"
-            )
-
-
-BoundaryPoint = CircleTheta | SquareSide | SquareCorner
+        lo, hi, lo_closed, hi_closed = _RANGES[self.kind]
+        p = self.param
+        if not ((p >= lo if lo_closed else p > lo) and (p <= hi if hi_closed else p < hi)):  # also NaN, inf
+            lb, rb = "[" if lo_closed else "(", "]" if hi_closed else ")"
+            raise DomainError(f"{self.kind} parameter must lie in {lb}{lo}, {hi}{rb}, got {p!r}")
 
 
 class RegionClass(enum.Enum):
@@ -175,20 +140,19 @@ class ParamInterval:
 
 
 def _check_kind(m: Manifold, b: BoundaryPoint) -> None:
-    if isinstance(m, Circle) and not isinstance(b, CircleTheta):
-        raise DomainError(f"circle manifold cannot hold boundary point {b!r}")
-    if isinstance(m, Square) and isinstance(b, CircleTheta):
-        raise DomainError(f"square manifold cannot hold boundary point {b!r}")
+    if isinstance(m, Circle) != (b.kind == "theta"):
+        name = "circle" if isinstance(m, Circle) else "square"
+        raise DomainError(f"{name} manifold cannot hold boundary point {b!r}")
 
 
 def boundary_state(m: Manifold, b: BoundaryPoint) -> State:
     """Phase-plane point of a boundary point."""
     _check_kind(m, b)
-    return State(*_anchor(*point_code(b), _radius(m), 1.0)[:2])
+    return State(*_anchor(b.kind, b.param, _radius(m), 1.0)[:2])
 
 
 def _anchor(kind: str, p: float, size: float, alpha: float) -> tuple[float, float, float, float]:
-    """Boundary point (y1, y2) and outward normal (n1, n2) of the code (kind, p) (point_code).
+    """Boundary point (y1, y2) and outward normal (n1, n2) of BoundaryPoint(kind, p).
 
     size is the radius or half-side, and a side parameter p reads p/alpha:
     (_radius(m), 1.0) gives the point x, and (_unit_size(m, params),
@@ -214,7 +178,7 @@ def boundary_point_of_state(m: Manifold, s: State) -> BoundaryPoint:
     are the central mirror images of states on the left side or bottom.
     """
     if isinstance(m, Circle):
-        return CircleTheta(math.atan2(s.x2, s.x1) % math.tau)
+        return BoundaryPoint("theta", math.atan2(s.x2, s.x1) % math.tau)
     near_x1 = abs(abs(s.x1) - 1.0)
     near_x2 = abs(abs(s.x2) - 1.0)
     corner = near_x1 < _CORNER_TOL and near_x2 < _CORNER_TOL
@@ -224,18 +188,18 @@ def boundary_point_of_state(m: Manifold, s: State) -> BoundaryPoint:
     if not corner:
         return _side_point("AB", s.x2) if vertical else _side_point("BC", s.x1)
     if s.x2 > 0.0:
-        return SquareCorner("A", 0.75 * math.pi)
+        return BoundaryPoint("corner_A", 0.75 * math.pi)
     # B carries no boundary point; report the adjoining usable side.
     return _side_point("BC", -1.0)
 
 
-def _side_point(side: str, s: float) -> SquareSide:
+def _side_point(side: str, s: float) -> BoundaryPoint:
     """The point at s on a side, clamped into the side's range; an open end
     is approached to within _PARAM_EPS."""
-    lo, hi, lo_closed, hi_closed = _SIDE_RANGES[side]
+    lo, hi, lo_closed, hi_closed = _RANGES[side]
     lo = lo if lo_closed else lo + _PARAM_EPS
     hi = hi if hi_closed else hi - _PARAM_EPS
-    return SquareSide(side, min(max(s, lo), hi))
+    return BoundaryPoint(side, min(max(s, lo), hi))
 
 
 _SIDE_NORMALS = {
@@ -247,9 +211,9 @@ _SIDE_NORMALS = {
 
 
 def outward_normal(m: Manifold, b: BoundaryPoint) -> Normal:
-    """Outward unit normal; at a corner, the cone normal selected by b.theta."""
+    """Outward unit normal; at a corner, the cone normal at the angle b.param."""
     _check_kind(m, b)
-    return Normal(*_anchor(*point_code(b), 1.0, 1.0)[2:])
+    return Normal(*_anchor(b.kind, b.param, 1.0, 1.0)[2:])
 
 
 def classify(m: Manifold, b: BoundaryPoint, params: Params) -> RegionClass:
@@ -289,8 +253,8 @@ def up_intervals(m: Manifold, params: Params) -> list[ParamInterval]:
 
     Circle: two theta arcs, shrunk by thbar = arccos(alpha/l) when l/alpha
     exceeds 1.  Square: the four side pieces plus the corner cones at A and C.
-    Interval endpoints follow the open/closed conventions of the boundary
-    point types.
+    Interval endpoints follow the open/closed conventions of BoundaryPoint's
+    range table.
     """
     if isinstance(m, Circle):
         theta_bar = _theta_bar(m, params)
@@ -298,9 +262,7 @@ def up_intervals(m: Manifold, params: Params) -> list[ParamInterval]:
             ParamInterval("theta", theta_bar, math.pi),
             ParamInterval("theta", math.pi + theta_bar, math.tau),
         ]
-    return [ParamInterval(side, lo, hi) for side, (lo, hi, _, _) in _SIDE_RANGES.items()] + [
-        ParamInterval(f"corner_{corner}", lo, hi) for corner, (lo, hi) in _CORNER_RANGES.items()
-    ]
+    return [ParamInterval(kind, lo, hi) for kind, (lo, hi, _, _) in _RANGES.items() if kind != "theta"]
 
 
 def bup_params(m: Manifold, params: Params) -> list[float]:
@@ -368,11 +330,11 @@ def sample_up(m: Manifold, params: Params, n: int) -> list[BoundaryPoint]:
     interval count (6 on the square, 2 on the circle) gives one per interval,
     and an excess of rounding comes off the largest earlier shares.
     """
-    return [_up_point(kind, p) for kind, p in _up_codes(m, params, n)]
+    return [BoundaryPoint(kind, p) for kind, p in _up_codes(m, params, n)]
 
 
 def _up_codes(m: Manifold, params: Params, n: int) -> list[tuple[str, float]]:
-    """The (kind, param) codes of sample_up's points (point_code)."""
+    """The (kind, param) codes of sample_up's points, on plain values."""
     if n < 1:
         raise DomainError(f"need n >= 1 samples, got {n}")
     intervals = up_intervals(m, params)
@@ -387,24 +349,6 @@ def _up_codes(m: Manifold, params: Params, n: int) -> list[tuple[str, float]]:
         for iv, k in zip(intervals, ks)
         for j in range(k)
     ]
-
-
-def point_code(b: BoundaryPoint) -> tuple[str, float]:
-    """(kind, param) of a boundary point, as up_intervals names its parameter
-    intervals; _up_point decodes it."""
-    if isinstance(b, CircleTheta):
-        return "theta", b.theta
-    if isinstance(b, SquareSide):
-        return b.side, b.s
-    return f"corner_{b.corner}", b.theta
-
-
-def _up_point(kind: str, p: float) -> BoundaryPoint:
-    if kind == "theta":
-        return CircleTheta(p)
-    if kind.startswith("corner_"):
-        return SquareCorner(kind.removeprefix("corner_"), p)
-    return SquareSide(kind, p)
 
 
 def boundary_rows(m: Manifold, params: Params, n: int) -> list[tuple]:
@@ -423,11 +367,11 @@ def boundary_rows(m: Manifold, params: Params, n: int) -> list[tuple]:
     else:
         per_side = max(2, n // 4)
         codes = [
-            (side, lo + j * (hi - lo) / per_side)
-            for side, (lo, hi, _, _) in _SIDE_RANGES.items()
+            (kind, lo + j * (hi - lo) / per_side)
+            for kind, (lo, hi, _, _) in _RANGES.items() if kind in _SIDE_NORMALS
             for j in range(per_side + 1)
         ]
-        codes += [(f"corner_{c}", 0.5 * (lo + hi)) for c, (lo, hi) in _CORNER_RANGES.items()]
+        codes += [(kind, 0.5 * (lo + hi)) for kind, (lo, hi, _, _) in _RANGES.items() if kind in _CORNER_STATES]
     rows: list[tuple] = []
     for kind, p in codes:
         x1, x2, n1, n2 = _anchor(kind, p, _radius(m), 1.0)
@@ -435,16 +379,19 @@ def boundary_rows(m: Manifold, params: Params, n: int) -> list[tuple]:
     return rows
 
 
+# The kind of each point's central mirror image.
+_TWINS = {"theta": "theta", "AB": "CD", "BC": "AD", "CD": "AB", "AD": "BC",
+          "corner_A": "corner_C", "corner_C": "corner_A"}
+
+
 def antipode(m: Manifold, b: BoundaryPoint) -> BoundaryPoint:
     """Boundary point of the centrally mirrored state -x."""
     _check_kind(m, b)
-    if isinstance(b, CircleTheta):
-        if b.theta >= math.pi:
-            return CircleTheta(b.theta - math.pi)  # exact for theta in [pi, 2*pi)
-        return CircleTheta((b.theta + math.pi) % math.tau)
-    if isinstance(b, SquareSide):
-        pair = {"AB": "CD", "CD": "AB", "BC": "AD", "AD": "BC"}
-        return SquareSide(pair[b.side], -b.s)
-    other = "C" if b.corner == "A" else "A"
-    shift = math.pi if b.corner == "A" else -math.pi
-    return SquareCorner(other, b.theta + shift)
+    kind, p = b.kind, b.param
+    if kind in _SIDE_NORMALS:
+        p = -p
+    elif kind == "corner_C" or (kind == "theta" and p >= math.pi):
+        p -= math.pi  # exact for p in [pi, 2*pi)
+    else:
+        p = (p + math.pi) % math.tau if kind == "theta" else p + math.pi
+    return BoundaryPoint(_TWINS[kind], p)

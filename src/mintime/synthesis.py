@@ -80,16 +80,13 @@ from .characteristics import _switch_point
 from .manifold import (
     BoundaryPoint,
     Circle,
-    CircleTheta,
     Manifold,
     Square,
-    SquareCorner,
     _nup_empty,
     _reject_interior,
     _side_point,
     _theta_bar,
     _unit_size,
-    _up_point,
     antipode,
     boundary_point_of_state,
 )
@@ -301,22 +298,25 @@ def touch_and_go_curves(m: Manifold, params: Params) -> list[TouchAndGoCurve]:
     of the corner families, terminating at A (resp. C).  Circle with
     l/alpha > 1: the characteristics grazing the manifold at the BUP angles
     thbar and pi + thbar.  The second curve is the mirror image of the first.
+    Each grazing arc is a value-jump locus's parabola (_locus_half) continued
+    past the locus's edge: the circle's first, the square's mirrored one.
     """
     size = _unit_size(m, params)
     a = params.alpha
-    if isinstance(m, Square):  # through B, switching at A
+    c, _ = _locus_half(m, size)
+    if isinstance(m, Square):  # through B, switching at A: the mirrored locus's parabola
         graze, switch = State(-size, -size), State(-size, size)
-        control, c = 1.0, -size - 0.5 * size * size
-        terminal: BoundaryPoint = SquareCorner("A", math.pi)
+        control, c = 1.0, -c
+        terminal = BoundaryPoint("corner_A", math.pi)
     else:
         if _nup_empty(m, params):
             return []
         theta_bar = _theta_bar(m, params)
         graze = State(size * math.cos(theta_bar), size * math.sin(theta_bar))
-        control, c = -1.0, 0.5 * (size * size + 1.0)
+        control = -1.0
         t = _solve_far_constant(size, c)
         switch = State(*_switch_point(_slope_anchor(size, t), -1.0))  # on the lower branch
-        terminal = CircleTheta(math.tau + math.atan(t))
+        terminal = BoundaryPoint("theta", math.tau + math.atan(t))
     tg = TouchAndGoCurve(State(a * graze.x1, a * graze.x2), control, a * c, terminal,
                          State(a * switch.x1, a * switch.x2), a)
     mirror = TouchAndGoCurve(-tg.graze_state, -tg.control, -tg.c,
@@ -605,10 +605,10 @@ def _closed_form_feedback(m: Manifold, params: Params, s: State) -> SynthesisRes
     best, u, switch = _invert(m, size, a, s.x1, s.x2)
     y1, y2, n1, n2 = best.anchor
     if best.family in ("AB", "BC"):  # a side's code is its free coordinate
-        terminal: BoundaryPoint = _side_point(best.family, a * (y2 if n1 else y1))
+        terminal = _side_point(best.family, a * (y2 if n1 else y1))
     else:  # the angle of n: unit on the near family, (-1, -t) on the far ones
         theta = math.acos(n1) if best.family == "near_upper" else math.pi + math.atan(n2 / n1)
-        terminal = _up_point("theta" if isinstance(m, Circle) else "corner_A", theta)
+        terminal = BoundaryPoint("theta" if isinstance(m, Circle) else "corner_A", theta)
     if best.mirrored:
         terminal = antipode(m, terminal)
     return SynthesisResult(u, best.tau, terminal, None if switch is None else State(*switch),

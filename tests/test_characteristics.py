@@ -7,15 +7,13 @@ import pytest
 
 import exact
 from mintime import (
+    BoundaryPoint,
     Circle,
-    CircleTheta,
     Costate,
     DomainError,
     Params,
     SingularInstant,
     Square,
-    SquareCorner,
-    SquareSide,
     State,
     boundary_state,
     closed_form_state,
@@ -30,7 +28,7 @@ from mintime import (
     terminal_costate,
 )
 from mintime.characteristics import flow_rows
-from mintime.manifold import antipode, point_code
+from mintime.manifold import antipode
 
 P1 = Params(alpha=1.0, l=1.0)
 P2 = Params(alpha=1.0, l=2.0)
@@ -58,7 +56,7 @@ def test_optimal_control_sign_rule():
 
 
 def test_terminal_costate_circle_top():
-    c = terminal_costate(C1, CircleTheta(math.pi / 2), P1)
+    c = terminal_costate(C1, BoundaryPoint("theta", math.pi / 2), P1)
     assert c.lambda1 == pytest.approx(0.0, abs=1e-15)
     assert c.lambda2 == pytest.approx(1.0, abs=1e-15)
 
@@ -68,26 +66,26 @@ def test_terminal_costate_circle_23pi():
     th = 2.0 * math.pi / 3.0
     a = 1.0 / (math.sin(th) - math.sin(th) * math.cos(th))
     assert a == pytest.approx(4.0 / (3.0 * math.sqrt(3.0)), rel=1e-15)
-    c = terminal_costate(C1, CircleTheta(th), P1)
+    c = terminal_costate(C1, BoundaryPoint("theta", th), P1)
     assert c.lambda1 == pytest.approx(-0.5 * a, rel=1e-12)
     assert c.lambda2 == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
 def test_terminal_costate_square():
-    assert terminal_costate(SQ, SquareSide("AB", 0.5), P1) == Costate(-2.0, 0.0)
-    assert terminal_costate(SQ, SquareSide("BC", 0.3), P1) == Costate(0.0, -1.0)
-    assert terminal_costate(SQ, SquareSide("CD", -0.25), P1) == Costate(4.0, 0.0)
-    assert terminal_costate(SQ, SquareSide("AD", -0.9), P1) == Costate(0.0, 1.0)
-    c = terminal_costate(SQ, SquareCorner("A", 0.75 * math.pi), P1)
+    assert terminal_costate(SQ, BoundaryPoint("AB", 0.5), P1) == Costate(-2.0, 0.0)
+    assert terminal_costate(SQ, BoundaryPoint("BC", 0.3), P1) == Costate(0.0, -1.0)
+    assert terminal_costate(SQ, BoundaryPoint("CD", -0.25), P1) == Costate(4.0, 0.0)
+    assert terminal_costate(SQ, BoundaryPoint("AD", -0.9), P1) == Costate(0.0, 1.0)
+    c = terminal_costate(SQ, BoundaryPoint("corner_A", 0.75 * math.pi), P1)
     assert c.lambda1 == pytest.approx(-0.5, rel=1e-12)
     assert c.lambda2 == pytest.approx(0.5, rel=1e-12)
 
 
 def test_terminal_costate_rejects_non_anchoring():
     with pytest.raises(DomainError):
-        terminal_costate(C1, CircleTheta(0.0), P1)  # BUP
+        terminal_costate(C1, BoundaryPoint("theta", 0.0), P1)  # BUP
     with pytest.raises(DomainError):
-        terminal_costate(Circle(2.0), CircleTheta(math.pi / 6), P2)  # NUP
+        terminal_costate(Circle(2.0), BoundaryPoint("theta", math.pi / 6), P2)  # NUP
 
 
 def test_terminal_costate_scale_positive_dense():
@@ -97,7 +95,7 @@ def test_terminal_costate_scale_positive_dense():
         p = Params(alpha=1.0, l=l)
         for b in sample_up(m, p, 200):
             c = terminal_costate(m, b, p)
-            n = math.hypot(math.cos(b.theta), math.sin(b.theta))
+            n = math.hypot(math.cos(b.param), math.sin(b.param))
             a = math.hypot(c.lambda1, c.lambda2) / n
             assert a > 0.0
 
@@ -106,32 +104,32 @@ def test_terminal_costate_scale_positive_dense():
 
 
 def test_switch_tau_circle():
-    assert switch_tau(CircleTheta(3.0 * math.pi / 4)) == pytest.approx(1.0, abs=1e-12)
-    assert switch_tau(CircleTheta(math.pi / 4)) is None
-    assert switch_tau(CircleTheta(math.pi / 2)) is None
-    assert switch_tau(CircleTheta(4.5)) is None  # (pi, 3pi/2]
-    assert switch_tau(CircleTheta(1.9 * math.pi)) == pytest.approx(
+    assert switch_tau(BoundaryPoint("theta", 3.0 * math.pi / 4)) == pytest.approx(1.0, abs=1e-12)
+    assert switch_tau(BoundaryPoint("theta", math.pi / 4)) is None
+    assert switch_tau(BoundaryPoint("theta", math.pi / 2)) is None
+    assert switch_tau(BoundaryPoint("theta", 4.5)) is None  # (pi, 3pi/2]
+    assert switch_tau(BoundaryPoint("theta", 1.9 * math.pi)) == pytest.approx(
         -math.tan(1.9 * math.pi), abs=1e-15
     )
 
 
 def test_switch_tau_square():
-    assert switch_tau(SquareSide("AD", 0.0)) is None
-    assert switch_tau(SquareCorner("A", math.pi - math.atan(2.0))) == pytest.approx(2.0, abs=1e-12)
-    assert switch_tau(SquareCorner("A", math.pi / 2)) is None
-    assert switch_tau(SquareCorner("C", 1.5 * math.pi)) is None
+    assert switch_tau(BoundaryPoint("AD", 0.0)) is None
+    assert switch_tau(BoundaryPoint("corner_A", math.pi - math.atan(2.0))) == pytest.approx(2.0, abs=1e-12)
+    assert switch_tau(BoundaryPoint("corner_A", math.pi / 2)) is None
+    assert switch_tau(BoundaryPoint("corner_C", 1.5 * math.pi)) is None
 
 
 # ── Retrograde costates ───────────────────────────────────────────────────────
 
 
 def test_costate_retro_examples():
-    c = costate_retro(C1, CircleTheta(math.pi / 2), P1, 2.0)
+    c = costate_retro(C1, BoundaryPoint("theta", math.pi / 2), P1, 2.0)
     assert c.lambda2 == pytest.approx(1.0, abs=1e-15)
     assert c.lambda1 == pytest.approx(0.0, abs=1e-15)
-    c = costate_retro(SQ, SquareSide("AD", 0.0), P1, 3.0)
+    c = costate_retro(SQ, BoundaryPoint("AD", 0.0), P1, 3.0)
     assert (c.lambda1, c.lambda2) == (0.0, 1.0)
-    c = costate_retro(SQ, SquareSide("AB", 1.0), P1, 2.0)
+    c = costate_retro(SQ, BoundaryPoint("AB", 1.0), P1, 2.0)
     assert c.lambda2 == -2.0
 
 
@@ -139,15 +137,15 @@ def test_costate_retro_examples():
 
 
 def test_closed_form_circle_case1():
-    s = closed_form_state(C1, CircleTheta(math.pi / 2), P1, 1.0)
+    s = closed_form_state(C1, BoundaryPoint("theta", math.pi / 2), P1, 1.0)
     assert s.x1 == pytest.approx(-1.5, abs=1e-12)
     assert s.x2 == pytest.approx(2.0, abs=1e-12)
 
 
 def test_closed_form_square_side_and_corner():
-    s = closed_form_state(SQ, SquareSide("AD", 0.5), P1, 1.0)
+    s = closed_form_state(SQ, BoundaryPoint("AD", 0.5), P1, 1.0)
     assert (s.x1, s.x2) == (-1.0, 2.0)
-    s = closed_form_state(SQ, SquareCorner("C", 1.75 * math.pi), P1, 1.0)
+    s = closed_form_state(SQ, BoundaryPoint("corner_C", 1.75 * math.pi), P1, 1.0)
     assert s.x1 == pytest.approx(2.5, abs=1e-12)
     assert s.x2 == pytest.approx(-2.0, abs=1e-12)
 
@@ -175,16 +173,16 @@ def test_closed_form_within_16_ulps_of_exact():
                 for k in range(39):  # tau = 0.173*k up to 6.7
                     tau = 0.173 * k
                     s = closed_form_state(m, b, p, tau)
-                    e1, e2 = exact.closed_form(*point_code(b), l, alpha, tau)
+                    e1, e2 = exact.closed_form(b.kind, b.param, l, alpha, tau)
                     ulp = Fraction(math.ulp(max(abs(float(e1)), abs(float(e2)))))
                     err = max(abs(Fraction(s.x1) - e1), abs(Fraction(s.x2) - e2))
                     assert err <= 16 * ulp, (alpha, m, b, tau, float(err / ulp))
 
 
 def test_closed_form_continuous_at_switch():
-    for b in (CircleTheta(2.2), CircleTheta(5.6), SquareCorner("A", 2.0),
-              SquareCorner("C", 5.0)):
-        m = C1 if isinstance(b, CircleTheta) else SQ
+    for b in (BoundaryPoint("theta", 2.2), BoundaryPoint("theta", 5.6), BoundaryPoint("corner_A", 2.0),
+              BoundaryPoint("corner_C", 5.0)):
+        m = C1 if b.kind == "theta" else SQ
         ts = switch_tau(b)
         before = closed_form_state(m, b, P1, ts * (1.0 - 1e-12))
         after = closed_form_state(m, b, P1, ts * (1.0 + 1e-12))
@@ -235,17 +233,17 @@ def test_central_antisymmetry_of_characteristics():
 
 
 def test_numeric_matches_closed_form_spot():
-    s, _ = numeric_retro(C1, CircleTheta(math.pi / 2), P1, 1.0, 1e-3)
-    ref = closed_form_state(C1, CircleTheta(math.pi / 2), P1, 1.0)
+    s, _ = numeric_retro(C1, BoundaryPoint("theta", math.pi / 2), P1, 1.0, 1e-3)
+    ref = closed_form_state(C1, BoundaryPoint("theta", math.pi / 2), P1, 1.0)
     assert s.x1 == pytest.approx(ref.x1, abs=1e-9)
     assert s.x2 == pytest.approx(ref.x2, abs=1e-9)
-    s, _ = numeric_retro(SQ, SquareSide("BC", 0.0), P1, 2.0, 1e-3)
+    s, _ = numeric_retro(SQ, BoundaryPoint("BC", 0.0), P1, 2.0, 1e-3)
     assert s.x1 == pytest.approx(4.0, abs=1e-9)
     assert s.x2 == pytest.approx(-3.0, abs=1e-9)
 
 
 def test_numeric_zero_tau_exact():
-    b = SquareSide("AD", 0.25)
+    b = BoundaryPoint("AD", 0.25)
     s, c = numeric_retro(SQ, b, P1, 0.0, 1e-3)
     assert s == boundary_state(SQ, b)
     assert c == terminal_costate(SQ, b, P1)
@@ -256,11 +254,11 @@ def test_numeric_rejects_bad_step():
     DomainError (NaN used to pass both checks)."""
     for tau, step in ((1.0, 0.0), (1.0, math.nan), (math.nan, 1e-3), (math.inf, 1e-3)):
         with pytest.raises(DomainError):
-            numeric_retro(C1, CircleTheta(1.0), P1, tau, step)
+            numeric_retro(C1, BoundaryPoint("theta", 1.0), P1, tau, step)
 
 
 def test_numeric_dense_single_pass_consistent():
-    b = CircleTheta(2.3)
+    b = BoundaryPoint("theta", 2.3)
     taus = [0.1, 0.9, 1.7, 3.2]
     dense = numeric_retro_dense(C1, b, P1, taus, 1e-3)
     for tau, (s, c) in zip(taus, dense):
@@ -286,7 +284,7 @@ def test_numeric_general_alpha_annihilates_hamiltonian():
 
 def test_forward_control_switches_once():
     """Upper near legs brake; at the switch the control beyond it is reported."""
-    b = CircleTheta(2.5)
+    b = BoundaryPoint("theta", 2.5)
     ts = switch_tau(b)
     for tau in (0.0, 0.5 * ts, ts * (1.0 - 1e-12)):
         assert forward_control(C1, b, P1, tau) == -1.0
@@ -295,7 +293,7 @@ def test_forward_control_switches_once():
 
 
 def test_forward_control_without_switch():
-    b = SquareSide("BC", 0.5)
+    b = BoundaryPoint("BC", 0.5)
     assert switch_tau(b) is None
     for tau in (0.0, 1.0, 4.0):
         assert forward_control(SQ, b, P1, tau) == 1.0  # bottom-side entries accelerate upward
@@ -317,5 +315,5 @@ def test_flow_rows_are_the_closed_form_costate_and_control():
                 for t in taus:
                     s, c = closed_form_state(m, b, p, t), costate_retro(m, b, p, t)
                     u = forward_control(m, b, p, t)
-                    expected.append((*point_code(b), t, s.x1, s.x2, c.lambda1, c.lambda2, u))
+                    expected.append((b.kind, b.param, t, s.x1, s.x2, c.lambda1, c.lambda2, u))
             assert rows == expected

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import mintime
+from mintime import BoundaryPoint, Circle, DomainError, Square, boundary_state
 from mintime.cli import main
+from mintime.manifold import _check_kind
 
 
 def run(capsys, *argv):
@@ -125,6 +127,51 @@ def test_costate_and_flow_headers(capsys):
                        "--tau-max", "1", "--tau-step", "0.5")
     assert code == 0
     assert out.splitlines()[0] == "anchor_kind,anchor_param,tau,x1,x2,lambda1,lambda2,u"
+
+
+def test_flow_at_tau_max_0_gives_one_row_per_anchor(capsys):
+    """--tau-max 0 prints each anchor's tau = 0 row once: the anchors and
+    their order are costate's."""
+    for target in (["--target", "square"], ["--target", "circle", "--l", "2"]):
+        code, out, _ = run(capsys, "flow", *target, "--samples", "6", "--tau-max", "0")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        _, costate, _ = run(capsys, "costate", *target, "--samples", "6")
+        assert [r[:2] for r in rows] == [line.split(",")[:2] for line in costate.splitlines()[1:]]
+        assert len(rows) == 6 and {r[2] for r in rows} == {"0.0"}
+
+
+@pytest.mark.parametrize("target, m", [(["--target", "circle", "--l", "0.5"], Circle(0.5)),
+                                       (["--target", "circle", "--l", "2"], Circle(2.0)),
+                                       (["--target", "square"], Square())])
+def test_printed_codes_are_boundary_points(capsys, target, m):
+    """Every (kind, param) that up, costate, flow and feedback print builds a
+    BoundaryPoint, and up's x1, x2 are boundary_state of it bit for bit.  up
+    also sweeps the open side ends, the vertices B and D and the middles of
+    AB and CD, which carry no point: four rows on the square, none on a circle."""
+    for alpha in ("0.5", "1", "2"):
+        common = [*target, "--alpha", alpha]
+        _, out, _ = run(capsys, "up", *common, "--samples", "16")
+        n_open = 0
+        for line in out.splitlines()[1:]:
+            kind, param, x1, x2 = line.split(",")[:4]
+            if (kind, float(param)) in (("AB", 0.0), ("BC", -1.0), ("CD", 0.0), ("AD", 1.0)):
+                with pytest.raises(DomainError):
+                    BoundaryPoint(kind, float(param))
+                n_open += 1
+                continue
+            assert boundary_state(m, BoundaryPoint(kind, float(param))).as_tuple() == (float(x1), float(x2))
+        assert n_open == (4 if isinstance(m, Square) else 0)
+        for cmd in (["costate", "--samples", "16"], ["flow", "--samples", "16", "--tau-max", "1"]):
+            _, out, _ = run(capsys, *cmd, *common)
+            for line in out.splitlines()[1:]:
+                kind, param = line.split(",")[:2]
+                _check_kind(m, BoundaryPoint(kind, float(param)))
+        for x1, x2 in (("3", "1"), ("-3", "2"), ("0", "4"), ("5", "-5"), ("2.5", "-2.5"), ("-3", "0.5")):
+            code, out, _ = run(capsys, "feedback", *common, f"--x1={x1}", f"--x2={x2}")
+            assert code == 0
+            terminal = json.loads(out)["terminal"]
+            _check_kind(m, BoundaryPoint(terminal["kind"], terminal["param"]))
 
 
 def test_verify_small_grid_passes(capsys):

@@ -5,12 +5,11 @@ import math
 import pytest
 
 from mintime import (
+    BoundaryPoint,
     Circle,
-    CircleTheta,
     DomainError,
     Params,
     Square,
-    SquareSide,
     State,
     closed_form_state,
     isochrone_circle,
@@ -23,7 +22,6 @@ from mintime import (
     value,
 )
 from mintime.characteristics import flow_rows
-from mintime.manifold import _up_point, point_code
 from mintime.synthesis import _closed_form_feedback
 
 P1 = Params(alpha=1.0, l=1.0)
@@ -41,7 +39,7 @@ def test_zero_isochrone_is_the_usable_part():
 
 
 def test_branch_point_example():
-    x1, x2 = closed_form_state(C1, CircleTheta(math.pi / 2), P1, 1.0).as_tuple()
+    x1, x2 = closed_form_state(C1, BoundaryPoint("theta", math.pi / 2), P1, 1.0).as_tuple()
     assert x1 == pytest.approx(-1.5, abs=1e-12)
     assert x2 == pytest.approx(2.0, abs=1e-12)
 
@@ -50,8 +48,8 @@ def test_branch_partition_at_arctan_tau():
     """phibar(1) = pi/4: the post-switch branch starts at 3*pi/4."""
     assert math.atan(1.0) == pytest.approx(math.pi / 4, abs=1e-15)
     th = 3.0 * math.pi / 4
-    before = closed_form_state(C1, CircleTheta(th * (1.0 - 1e-9)), P1, 1.0).as_tuple()
-    after = closed_form_state(C1, CircleTheta(th * (1.0 + 1e-9)), P1, 1.0).as_tuple()
+    before = closed_form_state(C1, BoundaryPoint("theta", th * (1.0 - 1e-9)), P1, 1.0).as_tuple()
+    after = closed_form_state(C1, BoundaryPoint("theta", th * (1.0 + 1e-9)), P1, 1.0).as_tuple()
     assert before[0] == pytest.approx(after[0], abs=1e-6)
     assert before[1] == pytest.approx(after[1], abs=1e-6)
 
@@ -120,7 +118,7 @@ def test_generic_matches_rk4_propagation():
     for m, l in ((Circle(0.5), 0.5), (C1, 1.0), (Circle(2.0), 2.0), (SQ, 1.0)):
         for alpha in (0.5, 1.0, 2.0):
             p = Params(alpha=alpha, l=l)
-            anchors = {point_code(b): b for b in sample_up(m, p, 32)}
+            anchors = {(b.kind, b.param): b for b in sample_up(m, p, 32)}
             for tau in (0.5, 1.75, 3.0):
                 iso = isochrone_generic(m, p, tau, 32)
                 if isinstance(m, Circle):  # no circle anchor re-enters its target
@@ -163,18 +161,18 @@ def test_fans_are_the_public_closed_form_bit_for_bit(alpha):
         for tau in (0.0, 0.7, 2.5):
             iso = isochrone_generic(m, p, tau, 64)
             kept = [
-                point_code(b) for b in sample_up(m, p, 64)
-                if not (isinstance(b, SquareSide) and b.side in ("AB", "CD") and tau >= 2.0 * abs(b.s) / alpha)
+                (b.kind, b.param) for b in sample_up(m, p, 64)
+                if not (b.kind in ("AB", "CD") and tau >= 2.0 * abs(b.param) / alpha)
             ]
             assert [(pt.family, pt.param) for pt in iso.points] == kept
             for pt in iso.points:
-                s = closed_form_state(m, _up_point(pt.family, pt.param), p, tau)
+                s = closed_form_state(m, BoundaryPoint(pt.family, pt.param), p, tau)
                 assert (pt.x1, pt.x2) == s.as_tuple()
             if isinstance(m, Circle) and l <= alpha:
                 iso = isochrone_circle(p, tau, 64)
                 assert len(iso.points) >= 64
                 for pt in iso.points:
-                    assert (pt.x1, pt.x2) == closed_form_state(m, CircleTheta(pt.param), p, tau).as_tuple()
+                    assert (pt.x1, pt.x2) == closed_form_state(m, BoundaryPoint("theta", pt.param), p, tau).as_tuple()
 
 
 def test_overflowing_points_raise_the_state_error():
@@ -188,8 +186,8 @@ def test_overflowing_points_raise_the_state_error():
         (lambda: flow_rows(C1, p2, 4, [0.0, 1e200]), "(-inf, 1e+200)"),
         (lambda: flow_rows(SQ, p2, 4, [0.0, 1e200]), "(inf, -1e+200)"),
         (lambda: switching_curve_square("A").sample(5, 1e200), "(-inf, 2.5e+199)"),
-        (lambda: closed_form_state(C1, CircleTheta(1.25 * math.pi), p2, 1e200), "(inf, -1e+200)"),
-        (lambda: closed_form_state(SQ, SquareSide("AD", 0.5), p2, 1e200), "(-inf, 1e+200)"),
+        (lambda: closed_form_state(C1, BoundaryPoint("theta", 1.25 * math.pi), p2, 1e200), "(inf, -1e+200)"),
+        (lambda: closed_form_state(SQ, BoundaryPoint("AD", 0.5), p2, 1e200), "(-inf, 1e+200)"),
         # the unit-authority point is finite; alpha * y is not
         (lambda: isochrone_generic(C1, Params(alpha=1e300), 1e10, 8), "(-inf, inf)"),
     ]

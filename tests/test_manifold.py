@@ -5,14 +5,12 @@ import math
 import pytest
 
 from mintime import (
+    BoundaryPoint,
     Circle,
-    CircleTheta,
     DomainError,
     Params,
     RegionClass,
     Square,
-    SquareCorner,
-    SquareSide,
     State,
     boundary_state,
     bup_params,
@@ -23,7 +21,7 @@ from mintime import (
     terminal_costate,
     up_intervals,
 )
-from mintime.manifold import _up_point, antipode, boundary_point_of_state, boundary_rows, point_code
+from mintime.manifold import _up_codes, antipode, boundary_point_of_state, boundary_rows
 
 P1 = Params(alpha=1.0, l=1.0)
 P2 = Params(alpha=1.0, l=2.0)
@@ -33,31 +31,31 @@ P2 = Params(alpha=1.0, l=2.0)
 
 
 def test_boundary_state_circle_top():
-    s = boundary_state(Circle(1.0), CircleTheta(math.pi / 2))
+    s = boundary_state(Circle(1.0), BoundaryPoint("theta", math.pi / 2))
     assert s.x1 == pytest.approx(0.0, abs=1e-15)
     assert s.x2 == 1.0
 
 
 def test_boundary_state_square_side_and_corner():
-    assert boundary_state(Square(), SquareSide("AB", 0.5)) == State(-1.0, 0.5)
-    assert boundary_state(Square(), SquareCorner("A", 0.75 * math.pi)) == State(-1.0, 1.0)
-    assert boundary_state(Square(), SquareCorner("C", 1.75 * math.pi)) == State(1.0, -1.0)
+    assert boundary_state(Square(), BoundaryPoint("AB", 0.5)) == State(-1.0, 0.5)
+    assert boundary_state(Square(), BoundaryPoint("corner_A", 0.75 * math.pi)) == State(-1.0, 1.0)
+    assert boundary_state(Square(), BoundaryPoint("corner_C", 1.75 * math.pi)) == State(1.0, -1.0)
 
 
 def test_boundary_state_kind_mismatch():
     with pytest.raises(DomainError):
-        boundary_state(Circle(1.0), SquareSide("AB", 0.5))
+        boundary_state(Circle(1.0), BoundaryPoint("AB", 0.5))
     with pytest.raises(DomainError):
-        boundary_state(Square(), CircleTheta(0.1))
+        boundary_state(Square(), BoundaryPoint("theta", 0.1))
 
 
 def test_outward_normal_examples():
-    n = outward_normal(Circle(2.0), CircleTheta(math.pi))
+    n = outward_normal(Circle(2.0), BoundaryPoint("theta", math.pi))
     assert n.n1 == -1.0
     assert abs(n.n2) < 1e-15
-    n = outward_normal(Square(), SquareSide("AB", 0.3))
+    n = outward_normal(Square(), BoundaryPoint("AB", 0.3))
     assert (n.n1, n.n2) == (-1.0, 0.0)
-    n = outward_normal(Square(), SquareCorner("A", math.pi / 2))
+    n = outward_normal(Square(), BoundaryPoint("corner_A", math.pi / 2))
     assert n.n1 == pytest.approx(0.0, abs=1e-15)
     assert n.n2 == 1.0
 
@@ -65,53 +63,81 @@ def test_outward_normal_examples():
 def test_outward_normal_unit_length_dense():
     for k in range(64):
         th = 2.0 * math.pi * k / 64 + 0.01
-        n = outward_normal(Circle(1.7), CircleTheta(th % (2.0 * math.pi)))
+        n = outward_normal(Circle(1.7), BoundaryPoint("theta", th % (2.0 * math.pi)))
         assert n.n1 * n.n1 + n.n2 * n.n2 == pytest.approx(1.0, abs=1e-12)
 
 
 # ── boundary-point validation ─────────────────────────────────────────────────
 
+# Every kind's parameter range (lo, hi, lo_closed, hi_closed), written out
+# apart from manifold._RANGES.
+_KIND_RANGES = {
+    "theta": (0.0, 2.0 * math.pi, True, False),
+    "AB": (0.0, 1.0, False, True),
+    "BC": (-1.0, 1.0, False, True),
+    "CD": (-1.0, 0.0, True, False),
+    "AD": (-1.0, 1.0, True, False),
+    "corner_A": (0.5 * math.pi, math.pi, True, True),
+    "corner_C": (1.5 * math.pi, 2.0 * math.pi, True, True),
+}
+
 
 def test_square_side_parameter_ranges():
     with pytest.raises(DomainError):
-        SquareSide("AB", 0.0)  # open at 0: vertex B region
+        BoundaryPoint("AB", 0.0)  # open at 0: vertex B region
     with pytest.raises(DomainError):
-        SquareSide("BC", -1.0)  # open at -1: vertex B
+        BoundaryPoint("BC", -1.0)  # open at -1: vertex B
     with pytest.raises(DomainError):
-        SquareSide("CD", 0.0)  # open at 0
+        BoundaryPoint("CD", 0.0)  # open at 0
     with pytest.raises(DomainError):
-        SquareSide("AD", 1.0)  # open at 1: vertex D
-    SquareSide("AB", 1.0)
-    SquareSide("BC", 1.0)
-    SquareSide("CD", -1.0)
-    SquareSide("AD", -1.0)
+        BoundaryPoint("AD", 1.0)  # open at 1: vertex D
+    BoundaryPoint("AB", 1.0)
+    BoundaryPoint("BC", 1.0)
+    BoundaryPoint("CD", -1.0)
+    BoundaryPoint("AD", -1.0)
+    # Every kind: a closed end is accepted and the next float beyond it is
+    # not, an open end is rejected, and so are NaN and +-inf.
+    for kind, (lo, hi, lo_closed, hi_closed) in _KIND_RANGES.items():
+        for end, closed, beyond in ((lo, lo_closed, -math.inf), (hi, hi_closed, math.inf)):
+            outside = math.nextafter(end, beyond) if closed else end
+            if closed:
+                assert BoundaryPoint(kind, end).param == end
+            with pytest.raises(DomainError, match=f"^{kind} parameter must lie in"):
+                BoundaryPoint(kind, outside)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match=f"^{kind} parameter must lie in"):
+                BoundaryPoint(kind, bad)
 
 
 def test_corners_b_and_d_rejected():
     with pytest.raises(DomainError):
-        SquareCorner("B", 1.2 * math.pi)
+        BoundaryPoint("corner_B", 1.2 * math.pi)
     with pytest.raises(DomainError):
-        SquareCorner("D", 0.2)
+        BoundaryPoint("corner_D", 0.2)
     with pytest.raises(DomainError):
-        SquareCorner("A", 0.3)  # outside the cone
+        BoundaryPoint("corner_A", 0.3)  # outside the cone
+    # Kinds that carry no point: B and D, a bare corner letter, a misspelling.
+    for kind in ("corner_B", "corner_D", "A", "B", "C", "D", "ab", "circle"):
+        with pytest.raises(DomainError, match="corners B and D admit no terminating trajectory"):
+            BoundaryPoint(kind, 0.75 * math.pi)
 
 
 # ── classify ──────────────────────────────────────────────────────────────────
 
 
 def test_classify_circle_examples():
-    assert classify(Circle(1.0), CircleTheta(math.pi / 2), P1) is RegionClass.UP
-    assert classify(Circle(2.0), CircleTheta(math.pi / 6), P2) is RegionClass.NUP
-    assert classify(Circle(2.0), CircleTheta(math.pi / 3), P2) is RegionClass.BUP
+    assert classify(Circle(1.0), BoundaryPoint("theta", math.pi / 2), P1) is RegionClass.UP
+    assert classify(Circle(2.0), BoundaryPoint("theta", math.pi / 6), P2) is RegionClass.NUP
+    assert classify(Circle(2.0), BoundaryPoint("theta", math.pi / 3), P2) is RegionClass.BUP
 
 
 def test_classify_square_examples():
-    assert classify(Square(), SquareSide("AD", 0.0), P1) is RegionClass.UP
-    assert classify(Square(), SquareSide("BC", 0.0), P1) is RegionClass.UP
+    assert classify(Square(), BoundaryPoint("AD", 0.0), P1) is RegionClass.UP
+    assert classify(Square(), BoundaryPoint("BC", 0.0), P1) is RegionClass.UP
     # side limits toward vertex B
-    assert classify(Square(), SquareSide("AB", 1e-14), P1) is RegionClass.BUP
-    assert classify(Square(), SquareSide("AB", 1e-3), P1) is RegionClass.UP
-    assert classify(Square(), SquareCorner("A", 0.6 * math.pi), P1) is RegionClass.UP
+    assert classify(Square(), BoundaryPoint("AB", 1e-14), P1) is RegionClass.BUP
+    assert classify(Square(), BoundaryPoint("AB", 1e-3), P1) is RegionClass.UP
+    assert classify(Square(), BoundaryPoint("corner_A", 0.6 * math.pi), P1) is RegionClass.UP
 
 
 # ── up_intervals ──────────────────────────────────────────────────────────────
@@ -150,7 +176,7 @@ def test_classify_matches_up_intervals_dense():
         ivs = up_intervals(m, p)
         for k in range(720):
             th = 2.0 * math.pi * (k + 0.5) / 720
-            is_up = classify(m, CircleTheta(th), p) is RegionClass.UP
+            is_up = classify(m, BoundaryPoint("theta", th), p) is RegionClass.UP
             in_iv = any(iv.lo < th < iv.hi for iv in ivs)
             assert is_up == in_iv, f"l={l} theta={th}"
 
@@ -161,7 +187,7 @@ def test_nup_empty_when_target_small():
         p = Params(alpha=1.0, l=l)
         for k in range(720):
             th = 2.0 * math.pi * (k + 0.5) / 720
-            assert classify(m, CircleTheta(th), p) is not RegionClass.NUP
+            assert classify(m, BoundaryPoint("theta", th), p) is not RegionClass.NUP
 
 
 def test_near_bup_sweep_matches_exact_arithmetic():
@@ -177,9 +203,9 @@ def test_near_bup_sweep_matches_exact_arithmetic():
             bups = bup_params(m, p)
             assert len(bups) == (4 if tb else 2)
             for th in bups:
-                assert classify(m, CircleTheta(th), p) is RegionClass.BUP, (ratio, alpha, th)
+                assert classify(m, BoundaryPoint("theta", th), p) is RegionClass.BUP, (ratio, alpha, th)
                 for th_off in ((th - 1e-6) % (2.0 * math.pi), th + 1e-6):
-                    b = CircleTheta(th_off)
+                    b = BoundaryPoint("theta", th_off)
                     nup = 0.0 < th_off < tb or math.pi < th_off < math.pi + tb
                     want = RegionClass.NUP if nup else RegionClass.UP
                     assert classify(m, b, p) is want, (ratio, alpha, th_off)
@@ -188,21 +214,21 @@ def test_near_bup_sweep_matches_exact_arithmetic():
                     else:
                         with pytest.raises(DomainError):
                             terminal_costate(m, b, p)
-    assert classify(Circle(1.0), CircleTheta(1e-5), P1) is RegionClass.UP
-    terminal_costate(Circle(1.0), CircleTheta(1e-5), P1)
+    assert classify(Circle(1.0), BoundaryPoint("theta", 1e-5), P1) is RegionClass.UP
+    terminal_costate(Circle(1.0), BoundaryPoint("theta", 1e-5), P1)
 
 
 def test_usable_part_functions_reject_circle_radius_unlike_params():
     """A Circle whose radius differs from params.l is rejected, not answered
     from one of the two radii."""
-    m, b = Circle(2.0), CircleTheta(math.pi / 6)
+    m, b = Circle(2.0), BoundaryPoint("theta", math.pi / 6)
     calls = [
         lambda: classify(m, b, P1),
         lambda: up_intervals(m, P1),
         lambda: bup_params(m, P1),
         lambda: sample_up(m, P1, 8),
         lambda: boundary_rows(m, P1, 8),
-        lambda: terminal_costate(m, CircleTheta(2.0), P1),
+        lambda: terminal_costate(m, BoundaryPoint("theta", 2.0), P1),
     ]
     for call in calls:
         with pytest.raises(DomainError, match="disagrees with params.l"):
@@ -214,13 +240,13 @@ def test_classify_central_antisymmetry():
         p = Params(alpha=1.0, l=l)
         for k in range(180):
             th = 2.0 * math.pi * (k + 0.25) / 180
-            b = CircleTheta(th)
+            b = BoundaryPoint("theta", th)
             assert classify(m, b, p) is classify(m, antipode(m, b), p)
     m = Square()
     pts = (
-        [SquareSide("AB", s) for s in (0.2, 0.7, 1.0)]
-        + [SquareSide("BC", s) for s in (-0.5, 0.1, 1.0)]
-        + [SquareCorner("A", th) for th in (1.7, 2.4, 3.0)]
+        [BoundaryPoint("AB", s) for s in (0.2, 0.7, 1.0)]
+        + [BoundaryPoint("BC", s) for s in (-0.5, 0.1, 1.0)]
+        + [BoundaryPoint("corner_A", th) for th in (1.7, 2.4, 3.0)]
     )
     for b in pts:
         mirrored = antipode(m, b)
@@ -258,43 +284,42 @@ def test_sample_up_returns_n_points_from_the_interval_count():
         count = len(up_intervals(m, p))
         for n in range(1, 301):
             assert len(sample_up(m, p, n)) == max(n, count), (m, n)
-    kinds = [point_code(b)[0] for b in sample_up(Square(), P1, 7)]
+    kinds = [b.kind for b in sample_up(Square(), P1, 7)]
     assert [kinds.count(k) for k in ("AB", "BC", "CD", "AD", "corner_A", "corner_C")] == [1, 1, 1, 2, 1, 1]
-    kinds = [point_code(b)[0] for b in sample_up(Square(), P1, 64)]
+    kinds = [b.kind for b in sample_up(Square(), P1, 64)]
     assert [kinds.count(k) for k in ("AB", "BC", "CD", "AD", "corner_A", "corner_C")] == [7, 14, 7, 14, 11, 11]
 
 
-# ── Boundary-point codec and the state -> point map ──────────────────────────
+# ── Boundary-point codes and the state -> point map ──────────────────────────
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_point_code_and_state_map_invert_their_counterparts(alpha):
-    """_up_point decodes point_code exactly, and boundary_point_of_state
+    """sample_up's points are the codes (kind, param) that _up_codes gives
+    flow_rows and the isochrone fan, and boundary_point_of_state
     inverts boundary_state: to 1e-12 in theta or the side parameter, and to
     the cone midpoint at a corner, whose state alone does not fix the cone
     angle."""
     cases = [(Circle(l), Params(alpha=alpha, l=l)) for l in (0.5, 1.0, 2.0)]
     cases.append((Square(), Params(alpha=alpha)))
-    midpoint = {"A": 0.75 * math.pi, "C": 1.75 * math.pi}
+    midpoint = {"corner_A": 0.75 * math.pi, "corner_C": 1.75 * math.pi}
     for m, p in cases:
+        assert [(b.kind, b.param) for b in sample_up(m, p, 64)] == _up_codes(m, p, 64)
         for b in sample_up(m, p, 64):
-            assert _up_point(*point_code(b)) == b
             back = boundary_point_of_state(m, boundary_state(m, b))
-            assert type(back) is type(b)
-            if isinstance(b, SquareCorner):
-                assert back == SquareCorner(b.corner, midpoint[b.corner])
-            elif isinstance(b, SquareSide):
-                assert back.side == b.side and abs(back.s - b.s) <= 1e-12
+            assert back.kind == b.kind
+            if b.kind in midpoint:
+                assert back.param == midpoint[b.kind]
             else:
-                assert abs(back.theta - b.theta) <= 1e-12
+                assert abs(back.param - b.param) <= 1e-12
 
 
 def test_state_map_clamps_into_the_open_side_ranges():
     """Side ends that belong to no usable point are approached to within 1e-12:
     the middle of AB, and the corners B and D, which carry no boundary point."""
     sq = Square()
-    assert boundary_point_of_state(sq, State(-1.0, 0.0)) == SquareSide("AB", 1e-12)
-    assert boundary_point_of_state(sq, State(1.0, 0.0)) == SquareSide("CD", -1e-12)
-    assert boundary_point_of_state(sq, State(-1.0, -1.0)) == SquareSide("BC", -1.0 + 1e-12)
-    assert boundary_point_of_state(sq, State(1.0, 1.0)) == SquareSide("AD", 1.0 - 1e-12)
-    assert boundary_point_of_state(sq, State(-1.0 + 1e-8, 1.0)) == SquareCorner("A", 0.75 * math.pi)
+    assert boundary_point_of_state(sq, State(-1.0, 0.0)) == BoundaryPoint("AB", 1e-12)
+    assert boundary_point_of_state(sq, State(1.0, 0.0)) == BoundaryPoint("CD", -1e-12)
+    assert boundary_point_of_state(sq, State(-1.0, -1.0)) == BoundaryPoint("BC", -1.0 + 1e-12)
+    assert boundary_point_of_state(sq, State(1.0, 1.0)) == BoundaryPoint("AD", 1.0 - 1e-12)
+    assert boundary_point_of_state(sq, State(-1.0 + 1e-8, 1.0)) == BoundaryPoint("corner_A", 0.75 * math.pi)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import exact
 from mintime import (
+    BoundaryPoint,
     Circle,
-    CircleTheta,
     DomainError,
     HorizonExceeded,
     InsideTarget,
@@ -68,7 +68,7 @@ def test_oracle_circle_example():
 
 
 def test_oracle_zero_on_boundary():
-    s = boundary_state(C1, CircleTheta(2.2))
+    s = boundary_state(C1, BoundaryPoint("theta", 2.2))
     assert oracle_min_time(C1, P1, s) == 0.0
     assert oracle_min_time(SQ, P1, State(1.0, 0.5)) == 0.0  # non-usable boundary counts
 

@@ -8,14 +8,13 @@ from typing import NamedTuple
 import pytest
 
 from mintime import (
+    BoundaryPoint,
     Circle,
-    CircleTheta,
     DomainError,
     InsideTarget,
     Params,
     RegionClass,
     Square,
-    SquareCorner,
     State,
     boundary_state,
     classify,
@@ -39,12 +38,13 @@ def test_circle_rollout_matches_value():
     traj = simulate(C1, P1, State(-1.5, 2.0), 1e-3, 30.0)
     assert traj.termination.status == "reached"
     assert traj.termination.t_f == pytest.approx(1.0, abs=2e-3)
-    assert traj.termination.boundary.theta == pytest.approx(math.pi / 2, abs=2e-3)
+    assert traj.termination.boundary.kind == "theta"
+    assert traj.termination.boundary.param == pytest.approx(math.pi / 2, abs=2e-3)
     assert traj.n_switches == 0
 
 
 def test_rollout_from_usable_part_is_single_sample():
-    s0 = boundary_state(C1, CircleTheta(2.0))
+    s0 = boundary_state(C1, BoundaryPoint("theta", 2.0))
     traj = simulate(C1, P1, s0, 1e-3, 10.0)
     assert len(traj.samples) == 1
     assert traj.termination.t_f == 0.0
@@ -222,7 +222,7 @@ def test_start_on_the_manifold_takes_the_closed_form_control(alpha):
     """A start on the usable part has arrived; its one sample carries the
     closed form's control, which is odd under s -> -s, as at alpha = 1."""
     cases = [(C1, Params(alpha=alpha, l=1.0), State(0.0, -1.0)),
-             (C1, Params(alpha=alpha, l=1.0), boundary_state(C1, CircleTheta(2.2))),
+             (C1, Params(alpha=alpha, l=1.0), boundary_state(C1, BoundaryPoint("theta", 2.2))),
              (SQ, Params(alpha=alpha), State(-1.0, 0.5)),
              (SQ, Params(alpha=alpha), State(0.25, -1.0))]
     for m, p, s in cases:
@@ -289,7 +289,7 @@ def test_seeded_rollouts_arrive_at_the_value():
 def test_square_corner_arrivals_end_on_both_side_lines():
     n_corner = 0
     for m, s0, traj, _ in _seeded_rollouts():
-        if isinstance(traj.termination.boundary, SquareCorner):
+        if traj.termination.boundary.kind.startswith("corner_"):
             last = traj.samples[-1]
             assert abs(abs(last.x1) - 1.0) <= 1e-11 and abs(abs(last.x2) - 1.0) <= 1e-11, s0
             n_corner += 1
@@ -308,7 +308,7 @@ def test_rollout_from_the_square_curves_rides_into_the_corner(alpha):
             for s0, corner in ((State(x1, x2), "A"), (State(-x1, -x2), "C")):
                 traj = simulate(SQ, p, s0, dt, 30.0)
                 assert traj.termination.status == "reached", s0
-                assert traj.termination.boundary.corner == corner, s0
+                assert traj.termination.boundary.kind == f"corner_{corner}", s0
                 assert traj.n_switches <= 1, s0
                 v = _closed_form_feedback(SQ, p, s0).time_to_go
                 assert abs(traj.termination.t_f - v) <= 2.0 * dt, s0
@@ -398,7 +398,7 @@ def test_verify_rollout_accepts_optimal_loop():
 
 
 def test_verify_rollout_single_sample():
-    s0 = boundary_state(C1, CircleTheta(2.0))
+    s0 = boundary_state(C1, BoundaryPoint("theta", 2.0))
     traj = simulate(C1, P1, s0, 1e-3, 10.0)
     report = verify_rollout(traj, C1, P1)
     assert report.max_abs_deviation == pytest.approx(0.0, abs=1e-12)
@@ -417,7 +417,7 @@ def test_verify_rollout_flags_wrong_control():
     fake_tf = samples[-1].t + value(C1, P1, State(samples[-1].x1, samples[-1].x2))
     traj = Trajectory(
         tuple(samples),
-        Termination("reached", CircleTheta(math.pi / 2), fake_tf),
+        Termination("reached", BoundaryPoint("theta", math.pi / 2), fake_tf),
         dt,
     )
     report = verify_rollout(traj, C1, P1)

@@ -11,15 +11,13 @@ from hypothesis import strategies as st
 
 import exact
 from mintime import (
+    BoundaryPoint,
     Circle,
-    CircleTheta,
     DomainError,
     InsideTarget,
     Params,
     RegionClass,
     Square,
-    SquareCorner,
-    SquareSide,
     State,
     boundary_state,
     classify,
@@ -246,7 +244,7 @@ def test_circle_touch_and_go_grazes_and_terminates_on_up():
         # grazing point on the manifold, at the usable-part edge
         assert abs(signed_distance(C2, c.graze_state)) < 1e-12
         th = math.atan2(c.graze_state.x2, c.graze_state.x1) % (2.0 * math.pi)
-        assert classify(C2, CircleTheta(th), P2) is RegionClass.BUP
+        assert classify(C2, BoundaryPoint("theta", th), P2) is RegionClass.BUP
         # the grazing parabola passes through the grazing point
         assert c.x1_of_x2(c.graze_state.x2) == pytest.approx(c.graze_state.x1, abs=1e-12)
         # tangency: the parabola never enters the open disk
@@ -274,17 +272,15 @@ def test_feedback_square_far_corner_family():
     assert res.switch_state.x1 == pytest.approx(-2.0, abs=1e-12)
     assert res.switch_state.x2 == pytest.approx(math.sqrt(3.0), abs=1e-12)
     assert res.time_to_go == pytest.approx(2.0 * math.sqrt(3.0) - 2.0, abs=1e-12)
-    assert isinstance(res.terminal_point, SquareCorner)
-    assert res.terminal_point.corner == "A"
+    assert res.terminal_point.kind == "corner_A"
 
 
 def test_feedback_square_top_side():
     res = feedback(SQ, P1, State(-1.0, 2.0))
     assert res.u == -1.0
     assert res.time_to_go == pytest.approx(1.0, abs=1e-12)
-    assert isinstance(res.terminal_point, SquareSide)
-    assert res.terminal_point.side == "AD"
-    assert res.terminal_point.s == pytest.approx(0.5, abs=1e-12)
+    assert res.terminal_point.kind == "AD"
+    assert res.terminal_point.param == pytest.approx(0.5, abs=1e-12)
     assert res.switch_state is None
 
 
@@ -292,13 +288,14 @@ def test_feedback_circle_case1():
     res = feedback(C1, P1, State(-1.5, 2.0))
     assert res.u == -1.0
     assert res.time_to_go == pytest.approx(1.0, abs=1e-12)
-    assert res.terminal_point.theta == pytest.approx(math.pi / 2, abs=1e-12)
+    assert res.terminal_point.kind == "theta"
+    assert res.terminal_point.param == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_feedback_zero_on_usable_part():
-    s = boundary_state(C1, CircleTheta(math.pi / 2))
+    s = boundary_state(C1, BoundaryPoint("theta", math.pi / 2))
     assert value(C1, P1, s) == pytest.approx(0.0, abs=1e-12)
-    s = boundary_state(SQ, SquareSide("BC", -0.4))
+    s = boundary_state(SQ, BoundaryPoint("BC", -0.4))
     assert value(SQ, P1, s) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -324,7 +321,7 @@ def test_no_time_to_go_is_negative_zero(l, alpha):
     mirrored inversion reads x2 = -0.0; the clamp answers +0.0."""
     m, p = Circle(l), Params(alpha=alpha, l=l)
     states = [State(x1, x2) for x1 in (l, -l) for x2 in (0.0, -0.0)]
-    states += [boundary_state(m, CircleTheta(k * math.pi / 16)) for k in range(32)]
+    states += [boundary_state(m, BoundaryPoint("theta", k * math.pi / 16)) for k in range(32)]
     for s in states:
         assert math.copysign(1.0, _closed_form_feedback(m, p, s).time_to_go) == 1.0, s
     if alpha == 1.0:
@@ -623,6 +620,23 @@ def test_loci_of_a_tiny_circle_fill_the_span():
     for i, pa in enumerate(locus_a, start=17):
         assert pa.x2 == -span + i * (2.0 * span) / 32
         assert pa.x1 == l - 0.5 * pa.x2 * pa.x2
+
+
+@pytest.mark.parametrize("m, alpha", [(C2, 1.0), (Circle(1.5), 0.5), (Circle(3.0), 2.0),
+                                      (SQ, 0.5), (SQ, 1.0), (SQ, 2.0)])
+def test_touch_and_go_arcs_continue_the_loci(m, alpha):
+    """A touch-and-go grazing arc is a value-jump locus's parabola continued
+    past the locus's edge: every locus sample lies on its touch-and-go
+    parabola exactly.  The circle's first curve (u = -1) carries the upper
+    locus; the square's first curve, through B, carries the lower one."""
+    p = Params(alpha=alpha, l=m.l if isinstance(m, Circle) else 1.0)
+    curves = touch_and_go_curves(m, p)
+    if isinstance(m, Square):
+        curves.reverse()
+    for locus, tg in zip(discontinuity_loci(m, p), curves, strict=True):
+        assert locus
+        for pt in locus:
+            assert tg.x1_of_x2(pt.x2) == pt.x1, (tg, pt)
 
 
 _LOCI_CASES = [(Circle(l), l) for l in (0.5, 1.0, 2.0)] + [(SQ, 1.0)]
