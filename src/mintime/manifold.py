@@ -25,7 +25,8 @@ the adjacent side normals.  B and D admit no terminating trajectories, so no
 corner cone exists there.
 
 A boundary point is its code BoundaryPoint(kind, param), which the CLI prints;
-one range table, _RANGES, checks it and spans the usable-part intervals.
+one range table, _RANGES, checks it, spans the usable-part intervals and
+brings every computed parameter into range (_point).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ BUP_TOL = 1e-13
 
 _INTERIOR_TOL = 1e-12  # states this deep inside the target, relative to _radius, are rejected
 _CORNER_TOL = 1e-7     # a state this close to both side lines is at the corner
-_PARAM_EPS = 1e-12     # nudge applied when clamping a side parameter into its open range
+_PARAM_EPS = 1e-12     # nudge applied when clamping a parameter into an open end of its range
 
 
 # ── Manifolds ──────────────────────────────────────────────────────────────────
@@ -102,11 +103,30 @@ class BoundaryPoint:
                 f"boundary kind must be one of {', '.join(_RANGES)}, got {self.kind!r}: "
                 "corners B and D admit no terminating trajectory"
             )
-        lo, hi, lo_closed, hi_closed = _RANGES[self.kind]
-        p = self.param
-        if not ((p >= lo if lo_closed else p > lo) and (p <= hi if hi_closed else p < hi)):  # also NaN, inf
+        if not _in_range(self.kind, self.param):
+            lo, hi, lo_closed, hi_closed = _RANGES[self.kind]
             lb, rb = "[" if lo_closed else "(", "]" if hi_closed else ")"
-            raise DomainError(f"{self.kind} parameter must lie in {lb}{lo}, {hi}{rb}, got {p!r}")
+            raise DomainError(f"{self.kind} parameter must lie in {lb}{lo}, {hi}{rb}, got {self.param!r}")
+
+
+def _in_range(kind: str, p: float) -> bool:
+    """p lies in the range of kind; False on NaN and inf."""
+    lo, hi, lo_closed, hi_closed = _RANGES[kind]
+    return (p >= lo if lo_closed else p > lo) and (p <= hi if hi_closed else p < hi)
+
+
+def _point(kind: str, p: float) -> BoundaryPoint:
+    """The point of kind at a computed parameter p, brought into its range:
+    an angle is taken modulo tau (tau itself, the rounding of an angle just
+    below 0, reads 0.0); otherwise a closed end clamps and an open end is
+    approached to within _PARAM_EPS."""
+    if kind == "theta":
+        p %= math.tau
+        return BoundaryPoint(kind, 0.0 if p == math.tau else p)
+    lo, hi, lo_closed, hi_closed = _RANGES[kind]
+    lo = lo if lo_closed else lo + _PARAM_EPS
+    hi = hi if hi_closed else hi - _PARAM_EPS
+    return BoundaryPoint(kind, min(max(p, lo), hi))
 
 
 class RegionClass(enum.Enum):
@@ -174,32 +194,21 @@ def boundary_point_of_state(m: Manifold, s: State) -> BoundaryPoint:
     """Boundary point of a state on (or within event tolerance of) the
     manifold: the inverse of boundary_state.
 
-    On the square, states on the right side or top (corners C and D included)
-    are the central mirror images of states on the left side or bottom.
+    On the square the nearer side line, and the signs of x1 and x2, give the
+    side.  B and D carry no point; a state there reads as the end of the
+    horizontal side next to it.
     """
     if isinstance(m, Circle):
-        return BoundaryPoint("theta", math.atan2(s.x2, s.x1) % math.tau)
+        return _point("theta", math.atan2(s.x2, s.x1))
     near_x1 = abs(abs(s.x1) - 1.0)
     near_x2 = abs(abs(s.x2) - 1.0)
-    corner = near_x1 < _CORNER_TOL and near_x2 < _CORNER_TOL
-    vertical = corner or near_x1 <= near_x2
-    if (s.x1 > 0.0) if vertical else (s.x2 > 0.0):
-        return antipode(m, boundary_point_of_state(m, -s))
-    if not corner:
-        return _side_point("AB", s.x2) if vertical else _side_point("BC", s.x1)
-    if s.x2 > 0.0:
-        return BoundaryPoint("corner_A", 0.75 * math.pi)
-    # B carries no boundary point; report the adjoining usable side.
-    return _side_point("BC", -1.0)
-
-
-def _side_point(side: str, s: float) -> BoundaryPoint:
-    """The point at s on a side, clamped into the side's range; an open end
-    is approached to within _PARAM_EPS."""
-    lo, hi, lo_closed, hi_closed = _RANGES[side]
-    lo = lo if lo_closed else lo + _PARAM_EPS
-    hi = hi if hi_closed else hi - _PARAM_EPS
-    return BoundaryPoint(side, min(max(s, lo), hi))
+    if near_x1 < _CORNER_TOL and near_x2 < _CORNER_TOL:
+        if s.x1 > 0.0:
+            return BoundaryPoint("corner_C", 0.75 * math.pi + math.pi) if s.x2 < 0.0 else _point("AD", 1.0)
+        return BoundaryPoint("corner_A", 0.75 * math.pi) if s.x2 > 0.0 else _point("BC", -1.0)
+    if near_x1 <= near_x2:
+        return _point("CD" if s.x1 > 0.0 else "AB", s.x2)
+    return _point("AD" if s.x2 > 0.0 else "BC", s.x1)
 
 
 _SIDE_NORMALS = {
@@ -375,7 +384,10 @@ def boundary_rows(m: Manifold, params: Params, n: int) -> list[tuple]:
     rows: list[tuple] = []
     for kind, p in codes:
         x1, x2, n1, n2 = _anchor(kind, p, _radius(m), 1.0)
-        rows.append((kind, p, x1, x2, n1, n2, _region(m, params, x2, n1, n2)))
+        # An open end of a side (B, D, or the middle of AB or CD) carries no
+        # point: it bounds the usable part.
+        region = _region(m, params, x2, n1, n2) if _in_range(kind, p) else "BUP"
+        rows.append((kind, p, x1, x2, n1, n2, region))
     return rows
 
 

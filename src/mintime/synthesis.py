@@ -33,14 +33,6 @@ Circle: the upper family, anchored at th = pi + atan(t), t <= 0, with normal
 
     y1 = -r*h - t^2/2,   y2 = -r*t/h - t,   h = sqrt(1 + t^2).
 
-Eliminating t gives the explicit form
-
-    y2(y1) = sqrt(2) * sqrt(r^2+1-2y1) / (sqrt(r^2+1-2y1) - r)
-             * sqrt(r^2 - y1 - r*sqrt(r^2+1-2y1)),    y1 <= -r,
-
-which the code does not evaluate: its inner root cancels near the anchor.
-x2_of_x1 takes t from h - 1 = -2*(y1 + r)/(sqrt(r^2+1-2y1) + r + 1).
-
 Square: the corner-A family, anchored at (-h, h) with normal (-1, -t), switches
 on the parabola y1 = -(y2^2 + h*(2-h))/2, y2 >= h.
 
@@ -83,8 +75,8 @@ from .manifold import (
     Manifold,
     Square,
     _nup_empty,
+    _point,
     _reject_interior,
-    _side_point,
     _theta_bar,
     _unit_size,
     antipode,
@@ -174,21 +166,6 @@ class SwitchingCurve:
                 raise DomainError(f"lower branch needs theta in (3*pi/2, 2*pi], got {theta!r}")
             a, theta = -self.alpha, theta - math.pi
         return State(*_switch_point(_slope_anchor(self.size, math.tan(theta)), a))
-
-    def x2_of_x1(self, x1: float) -> float:
-        """Circle branches in explicit form; defined for |x1| >= l on the branch side."""
-        if self.target != "circle":
-            raise DomainError("x2_of_x1 applies to circle branches")
-        if self.branch == "upper":
-            if not x1 <= self.anchor_state.x1:  # also rejects NaN
-                raise DomainError(f"upper branch needs x1 <= -l, got {x1!r}")
-        elif not x1 >= self.anchor_state.x1:
-            raise DomainError(f"lower branch needs x1 >= l, got {x1!r}")
-        a = self.alpha if self.branch == "upper" else -self.alpha
-        l, y1 = self.size, x1 / a
-        # g = h - 1 from the offset to the anchor, taken before rescaling
-        g = 2.0 * (self.anchor_state.x1 - x1) / a / (math.sqrt(l * l + 1.0 - 2.0 * y1) + l + 1.0)
-        return _switch_point(_slope_anchor(l, -math.sqrt(g * (g + 2.0))), a)[1]
 
     def x1_of_x2(self, x2: float) -> float:
         """Square branches: x1 = -+(x2^2/alpha + 2 - 1/alpha)/2 with the stated x2 domain."""
@@ -314,9 +291,9 @@ def touch_and_go_curves(m: Manifold, params: Params) -> list[TouchAndGoCurve]:
         theta_bar = _theta_bar(m, params)
         graze = State(size * math.cos(theta_bar), size * math.sin(theta_bar))
         control = -1.0
-        t = _solve_far_constant(size, c)
+        t = _solve_far_constant(size, 0.5 * (size - 1.0) ** 2)  # c - r, which cancels in floats as r -> 1
         switch = State(*_switch_point(_slope_anchor(size, t), -1.0))  # on the lower branch
-        terminal = BoundaryPoint("theta", math.tau + math.atan(t))
+        terminal = _point("theta", math.atan(t))  # the lower anchor, at 2*pi + atan(t)
     tg = TouchAndGoCurve(State(a * graze.x1, a * graze.x2), control, a * c, terminal,
                          State(a * switch.x1, a * switch.x2), a)
     mirror = TouchAndGoCurve(-tg.graze_state, -tg.control, -tg.c,
@@ -360,10 +337,10 @@ _NEWTON_MAX = 60  # iteration cap of the Newton solves; each converges in under 
 
 
 @functools.lru_cache(maxsize=2)
-def _solve_far_constant(l: float, target: float) -> float:
-    """The t < 0 whose post-switch constant is target; requires target > l.
+def _solve_far_constant(l: float, d: float) -> float:
+    """The t < 0 whose post-switch constant exceeds l by d; requires d > 0.
 
-    Newton on u*g(u) = target - l in u = t^2 (see _far_constant).  The left
+    Newton on u*g(u) = d in u = t^2 (see _far_constant).  The left
     side is increasing and concave, so every tangent step lands at or left of
     the root (clamped at u = 0, where u*g(u) = 0), and from the left the
     iterates climb to the root monotonically.  The solve stops when a step
@@ -371,14 +348,13 @@ def _solve_far_constant(l: float, target: float) -> float:
 
     Cached, as the solve is pure: along a u = +1 arc the parabola constant is
     invariant and RK4 is exact for this plant, so a rollout's samples repeat
-    targets bit for bit.  _invert solves at most one far family per half.
+    excesses bit for bit.  _invert solves at most one far family per half.
     """
-    if target <= l:
+    if d <= 0.0:
         raise DomainError("no post-switch anchor: constant must exceed l")
-    if not math.isfinite(target):
+    if not math.isfinite(d):
         raise DomainError("post-switch anchor: the parabola constant overflows "
                           "(the state's x2^2 is beyond float range)")
-    d = target - l
     u = (math.sqrt(d + 1.5 * l * l) - l) ** 2
     excess, slope = _far_constant(l, u)
     u = max(0.0, u + (d - excess) / slope)
@@ -422,8 +398,9 @@ def _circle_half(l: float, x1: float, x2: float, mirrored: bool) -> list[_Candid
     # Far family: pre-switch u = +1 leg, then the near leg after crossing the
     # switching curve.
     c_plus = x1 - 0.5 * x2 * x2  # constant of the u = +1 parabola through s
-    if -c_plus > l:
-        t = _solve_far_constant(l, -c_plus)
+    d = -c_plus - l  # the post-switch constant's excess over l
+    if d > 0.0:
+        t = _solve_far_constant(l, d)
         anchor = _slope_anchor(l, t)
         tau = -t * (2.0 - anchor[0]) - x2  # anchor[0] = -l/h
         tau_s = -t
@@ -605,10 +582,10 @@ def _closed_form_feedback(m: Manifold, params: Params, s: State) -> SynthesisRes
     best, u, switch = _invert(m, size, a, s.x1, s.x2)
     y1, y2, n1, n2 = best.anchor
     if best.family in ("AB", "BC"):  # a side's code is its free coordinate
-        terminal = _side_point(best.family, a * (y2 if n1 else y1))
+        terminal = _point(best.family, a * (y2 if n1 else y1))
     else:  # the angle of n: unit on the near family, (-1, -t) on the far ones
         theta = math.acos(n1) if best.family == "near_upper" else math.pi + math.atan(n2 / n1)
-        terminal = BoundaryPoint("theta" if isinstance(m, Circle) else "corner_A", theta)
+        terminal = _point("theta" if isinstance(m, Circle) else "corner_A", theta)
     if best.mirrored:
         terminal = antipode(m, terminal)
     return SynthesisResult(u, best.tau, terminal, None if switch is None else State(*switch),

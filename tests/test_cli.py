@@ -148,20 +148,26 @@ def test_printed_codes_are_boundary_points(capsys, target, m):
     """Every (kind, param) that up, costate, flow and feedback print builds a
     BoundaryPoint, and up's x1, x2 are boundary_state of it bit for bit.  up
     also sweeps the open side ends, the vertices B and D and the middles of
-    AB and CD, which carry no point: four rows on the square, none on a circle."""
+    AB and CD, which carry no point: four rows on the square, none on a circle.
+    They bound the usable part, and on the square they are its only BUP rows."""
     for alpha in ("0.5", "1", "2"):
         common = [*target, "--alpha", alpha]
         _, out, _ = run(capsys, "up", *common, "--samples", "16")
-        n_open = 0
+        open_ends, bup = [], []
         for line in out.splitlines()[1:]:
-            kind, param, x1, x2 = line.split(",")[:4]
+            kind, param, x1, x2, *_, region = line.split(",")
+            if region == "BUP":
+                bup.append((kind, float(param)))
             if (kind, float(param)) in (("AB", 0.0), ("BC", -1.0), ("CD", 0.0), ("AD", 1.0)):
                 with pytest.raises(DomainError):
                     BoundaryPoint(kind, float(param))
-                n_open += 1
+                open_ends.append((kind, float(param)))
                 continue
             assert boundary_state(m, BoundaryPoint(kind, float(param))).as_tuple() == (float(x1), float(x2))
-        assert n_open == (4 if isinstance(m, Square) else 0)
+        if isinstance(m, Square):
+            assert sorted(open_ends) == sorted(bup) == [("AB", 0.0), ("AD", 1.0), ("BC", -1.0), ("CD", 0.0)]
+        else:
+            assert open_ends == []
         for cmd in (["costate", "--samples", "16"], ["flow", "--samples", "16", "--tau-max", "1"]):
             _, out, _ = run(capsys, *cmd, *common)
             for line in out.splitlines()[1:]:
@@ -172,6 +178,17 @@ def test_printed_codes_are_boundary_points(capsys, target, m):
             assert code == 0
             terminal = json.loads(out)["terminal"]
             _check_kind(m, BoundaryPoint(terminal["kind"], terminal["param"]))
+
+
+@pytest.mark.parametrize("cmd, alpha", [("simulate", "1"), ("feedback", "0.5"), ("feedback", "2")])
+def test_a_start_just_below_theta_0_ends_at_theta_0(capsys, cmd, alpha):
+    """(1, -1e-17) lies on Circle(1) at an angle that rounds to 2*pi: it
+    terminates at once, at theta = 0.0."""
+    code, out, err = run(capsys, cmd, "--target", "circle", "--l", "1", "--alpha", alpha,
+                         "--x1", "1", "--x2=-1e-17")
+    assert code == 0
+    answer = json.loads((err if cmd == "simulate" else out).strip().splitlines()[-1])
+    assert answer["terminal"] == {"kind": "theta", "param": 0.0}
 
 
 def test_verify_small_grid_passes(capsys):

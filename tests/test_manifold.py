@@ -1,6 +1,7 @@
 """Manifold geometry, normals, and usable-part classification."""
 
 import math
+import random
 
 import pytest
 
@@ -316,10 +317,32 @@ def test_point_code_and_state_map_invert_their_counterparts(alpha):
 
 def test_state_map_clamps_into_the_open_side_ranges():
     """Side ends that belong to no usable point are approached to within 1e-12:
-    the middle of AB, and the corners B and D, which carry no boundary point."""
+    the middle of AB, and the corners B and D, which carry no boundary point.
+    On the circle an angle just below 0, which rounds to 2*pi, reads 0.0."""
     sq = Square()
     assert boundary_point_of_state(sq, State(-1.0, 0.0)) == BoundaryPoint("AB", 1e-12)
     assert boundary_point_of_state(sq, State(1.0, 0.0)) == BoundaryPoint("CD", -1e-12)
     assert boundary_point_of_state(sq, State(-1.0, -1.0)) == BoundaryPoint("BC", -1.0 + 1e-12)
     assert boundary_point_of_state(sq, State(1.0, 1.0)) == BoundaryPoint("AD", 1.0 - 1e-12)
     assert boundary_point_of_state(sq, State(-1.0 + 1e-8, 1.0)) == BoundaryPoint("corner_A", 0.75 * math.pi)
+    for l in (1.0, 1e-13):
+        for x2 in (-1e-17 * l, -1e-300):
+            b = boundary_point_of_state(Circle(l), State(l, x2))
+            assert (b.kind, b.param.hex()) == ("theta", (0.0).hex())
+
+
+def test_state_map_commutes_with_the_central_mirror():
+    """boundary_point_of_state(-s) is antipode(boundary_point_of_state(s)) bit
+    for bit, on seeded square states within 2e-7 of every side and corner,
+    inside and out, and on the side ends and midpoints themselves."""
+    sq, rng = Square(), random.Random(35)
+    offsets = [0.0] + [sign * 10.0 ** rng.uniform(-17.0, math.log10(2e-7)) for sign in (1, -1) for _ in range(30)]
+    states = []
+    for d in offsets:
+        for e in offsets[::5]:
+            states += [State(c1 * (1.0 + d), c2 * (1.0 + e)) for c1 in (1, -1) for c2 in (1, -1)]
+        for q in [-1.0, -0.5, 0.0, 0.5, 1.0] + [rng.uniform(-1.0, 1.0) for _ in range(20)]:
+            states += [State(c * (1.0 + d), q) for c in (1, -1)] + [State(q, c * (1.0 + d)) for c in (1, -1)]
+    for s in states:
+        b, mirror = boundary_point_of_state(sq, -s), antipode(sq, boundary_point_of_state(sq, s))
+        assert (b.kind, b.param.hex()) == (mirror.kind, mirror.param.hex()), s

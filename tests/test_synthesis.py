@@ -105,39 +105,6 @@ def test_circle_switching_curve_parametric_value():
     assert pt.x2 == pytest.approx(math.sqrt(2.0) / 2.0 + 1.0, abs=1e-12)
 
 
-def test_circle_switching_curve_explicit_matches_parametric():
-    for l, branch in ((1.0, "upper"), (1.0, "lower"), (2.0, "upper")):
-        curve = switching_curve_circle(Params(alpha=1.0, l=l), branch)
-        thetas = (
-            [2.0, 2.4, 2.8, 3.1] if branch == "upper" else [4.9, 5.3, 5.8, 6.2]
-        )
-        for th in thetas:
-            pt = curve.point(th)
-            assert curve.x2_of_x1(pt.x1) == pytest.approx(pt.x2, abs=1e-9)
-    assert switching_curve_circle(P1, "upper").x2_of_x1(-1.0) == pytest.approx(0.0, abs=1e-12)
-    assert switching_curve_circle(P1, "lower").x2_of_x1(1.0) == pytest.approx(0.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("alpha", [1.0, 3.0])
-@pytest.mark.parametrize("l", [0.05, 1.0, 2.0])
-def test_circle_switching_curve_explicit_form_matches_60_digits(l, alpha):
-    """x2_of_x1 against the explicit root form in 60-digit arithmetic, from
-    1e-14 to 1e6 past the anchor on both branches, within 1e-14 relative:
-    evaluated in floats, that form's inner root cancels next to the anchor,
-    and so does y1 + l/alpha where x1/alpha and l/alpha round."""
-    p = Params(alpha=alpha, l=l)
-    up, lo = switching_curve_circle(p, "upper"), switching_curve_circle(p, "lower")
-    for k in range(-14, 7):
-        x1 = -(l + 10.0 ** k)
-        with exact.sixty():
-            a = Decimal(alpha)
-            ld, y1 = Decimal(l) / a, Decimal(x1) / a
-            root = (ld * ld + 1 - 2 * y1).sqrt()
-            ref = a * 2 ** Decimal("0.5") * root / (root - ld) * (ld * ld - y1 - ld * root).sqrt()
-        assert abs(Decimal(up.x2_of_x1(x1)) - ref) <= Decimal("1e-14") * ref
-        assert abs(Decimal(lo.x2_of_x1(-x1)) + ref) <= Decimal("1e-14") * ref
-
-
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_circle_switching_curve_point_matches_60_digits(alpha):
     """point(theta) against alpha*(l/cos th - tan^2 th/2, l sin th - tan th) in
@@ -188,20 +155,6 @@ def test_square_switching_curves_match_the_exact_parabola(alpha):
             assert abs(Fraction(x1) - want) <= 4 * Fraction(math.ulp(float(want))), (x2, x1)
 
 
-@pytest.mark.parametrize("branch,x1,match", [
-    ("upper", -math.inf, "state must be finite"),
-    ("upper", math.nan, "upper branch needs x1 <= -l, got nan"),
-    ("lower", math.inf, "state must be finite"),
-    ("lower", math.nan, "lower branch needs x1 >= l, got nan"),
-])
-def test_circle_switching_curve_raises_off_its_domain_and_out_of_float_range(branch, x1, match):
-    """A NaN fails the domain test with the branch's own message, and a point
-    out of float range raises State's error, never nan or inf."""
-    for p in (P1, Params(alpha=0.5, l=2.0)):
-        with pytest.raises(DomainError, match=match):
-            switching_curve_circle(p, branch).x2_of_x1(x1)
-
-
 @pytest.mark.parametrize("branch,x2,match", [
     ("A", 1e200, "state must be finite"),
     ("A", math.inf, "state must be finite"),
@@ -211,8 +164,8 @@ def test_circle_switching_curve_raises_off_its_domain_and_out_of_float_range(bra
     ("C", math.nan, "branch C needs x2 <= -1, got nan"),
 ])
 def test_square_switching_curve_raises_off_its_domain_and_out_of_float_range(branch, x2, match):
-    """As for the circle: NaN fails the domain test, and x1 beyond float range
-    raises State's error rather than answering -inf."""
+    """NaN fails the domain test with the branch's own message, and x1 beyond
+    float range raises State's error rather than answering -inf."""
     for p in (P1, Params(alpha=2.0)):
         with pytest.raises(DomainError, match=match):
             switching_curve_square(branch, p).x1_of_x2(x2)
@@ -253,12 +206,11 @@ def test_circle_touch_and_go_grazes_and_terminates_on_up():
             assert signed_distance(C2, State(c.x1_of_x2(w), w)) > -1e-9
         # terminates later on the usable part
         assert classify(C2, c.terminal_point, P2) is RegionClass.UP
-        # the switch point sits on the matching switching curve
+        # the switch point is the matching switching curve's point at the terminal angle
         branch = "lower" if c.control == -1.0 else "upper"
-        sw_curve = switching_curve_circle(P2, branch)
-        assert sw_curve.x2_of_x1(c.switch_state.x1) == pytest.approx(
-            c.switch_state.x2, abs=1e-9
-        )
+        pt = switching_curve_circle(P2, branch).point(c.terminal_point.param)
+        assert pt.x1 == pytest.approx(c.switch_state.x1, abs=1e-9)
+        assert pt.x2 == pytest.approx(c.switch_state.x2, abs=1e-9)
 
 
 # ── Feedback ──────────────────────────────────────────────────────────────────
@@ -554,7 +506,6 @@ def test_curves_at_general_alpha_are_scaled_unit_authority_curves():
                     pt, q = curve.point(th), unit.point(th)
                     assert pt.x1 == pytest.approx(alpha * q.x1, rel=1e-12)
                     assert pt.x2 == pytest.approx(alpha * q.x2, rel=1e-12)
-                    assert curve.x2_of_x1(pt.x1) == pytest.approx(pt.x2, rel=1e-9)
                 for pt, q in zip(curve.sample(9), unit.sample(9, 5.0 / alpha)):
                     assert pt.x1 == pytest.approx(alpha * q.x1, rel=1e-12)
                     assert pt.x2 == pytest.approx(alpha * q.x2, rel=1e-12)
@@ -747,19 +698,46 @@ def _far_constant_reference(r: Decimal, t: Decimal) -> Decimal:
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(log_r=st.floats(-4.0, 2.0), log_gap=st.floats(-12.0, 12.0))
 def test_far_constant_solve_matches_a_decimal_bisection(log_r, log_gap):
-    r = 10.0 ** log_r
-    c = r + 10.0 ** log_gap
-    t = _solve_far_constant(r, c)
+    r, d = 10.0 ** log_r, 10.0 ** log_gap
+    t = _solve_far_constant(r, d)
     with exact.sixty():
-        rd, cd = Decimal(r), Decimal(c)
+        rd = Decimal(r)
+        cd = rd + Decimal(d)
         lo = Decimal(-1)
         while _far_constant_reference(rd, lo) < cd:
             lo *= 2
         ref = float(exact.bisect(lambda t: _far_constant_reference(rd, t) - cd, lo, 0))
     assert abs(t - ref) <= 1e-14 * abs(ref)
-    for below in (r, 0.5 * r, 0.0):
+    for below in (0.0, -0.5 * r, -r):
         with pytest.raises(DomainError):
             _solve_far_constant(r, below)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_circle_touch_and_go_just_past_l_equal_alpha(alpha):
+    """At l/alpha = r = 1 + 10^-k the grazing constant c = (r^2 + 1)/2 exceeds r
+    by (r - 1)^2/2, which the float c - r loses: for k = 1 to 15 the curves
+    build, the first ends at its lower anchor (the angle 2*pi + atan(t) reads
+    0.0 once it rounds to 2*pi), and its switch state is the lower branch's
+    point at a 60-digit solve of the post-switch constant c."""
+    for k in range(1, 16):
+        r = 1.0 + 10.0 ** -k
+        p = Params(alpha=alpha, l=alpha * r)
+        tg = touch_and_go_curves(Circle(p.l), p)[0]
+        with exact.sixty():
+            rd = Decimal(r)
+            cd = (rd * rd + 1) / 2
+            t = exact.bisect(lambda t: _far_constant_reference(rd, t) - cd, -1, 0)
+            h, a = (1 + t * t).sqrt(), Decimal(alpha)
+            anchor = (a * rd / h, a * rd * t / h)
+            switch = (a * (rd * h + t * t / 2), a * (rd * t / h + t))
+        th = tg.terminal_point.param
+        assert th == 0.0 or 1.5 * math.pi < th < math.tau, k
+        end = boundary_state(Circle(p.l), tg.terminal_point)
+        for got, want in zip(end.as_tuple(), anchor):
+            assert abs(Decimal(got) - want) <= Decimal("2e-15") * a, k
+        for got, want in zip(tg.switch_state.as_tuple(), switch):
+            assert abs(Decimal(got) - want) <= Decimal("2e-15") * abs(want), k
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
