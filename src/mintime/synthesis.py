@@ -84,10 +84,13 @@ from .manifold import (
 )
 from .model import DomainError, Params, State
 
-_Q_TOL = 1e-12        # closure tolerance on cos(theta) roots at excluded endpoints
-_PARAM_TOL = 1e-9     # closure tolerance on square side parameters
-_TAU_TOL = 1e-9       # slack on time-to-go feasibility checks
-_TIE_TOL = 1e-9       # relative width of a time-to-go tie between families
+_Q_TOL = 1e-12        # closure tolerance on cos(theta) roots: a cosine, so without scale
+# The feasibility band of the inversion's tests, formed once in _invert as
+# _TAU_TOL*size below size 1: at y = x/alpha every length and time they test
+# scales with the radius or half-side size, and an absolute 1e-9 would admit
+# points 1e-9/size sizes off the target.
+_TAU_TOL = 1e-9
+_TIE_TOL = 1e-9       # relative width of a time-to-go tie between families: scaled by 1 + tau
 _LOCUS_FLAG_TOL = 1e-9  # distance band reported as "on a value-jump locus"
 
 
@@ -367,15 +370,16 @@ def _solve_far_constant(l: float, d: float) -> float:
     raise DomainError("post-switch anchor solve did not converge")
 
 
-def _circle_half(l: float, x1: float, x2: float, mirrored: bool) -> list[_Candidate]:
-    """Inversions of the upper circle families, which end with a u = -1 leg (at y)."""
+def _circle_half(l: float, x1: float, x2: float, mirrored: bool, tol: float) -> list[_Candidate]:
+    """Inversions of the upper circle families, which end with a u = -1 leg (at y),
+    feasible within the band tol (see _TAU_TOL)."""
     q_max = 1.0 / l if l > 1.0 else 1.0  # cos(thbar); 1 when the NUP is empty
-    tau_tol = _TAU_TOL * l if l < 1.0 else _TAU_TOL  # times scale with a radius below 1
     out: list[_Candidate] = []
 
     # Near family: one constant-control leg into the manifold, its cos(theta)
     # a root of a quadratic; the small root from the product of the roots,
-    # as 1 - root cancels.
+    # as 1 - root cancels.  Only the small root nears -1, where 1 - q*q
+    # cancels, so there sin(theta) takes 1 + q = 2*((x1 + l) + x2^2/2)/(l*(root + 1 + l)).
     c_minus = x1 + 0.5 * x2 * x2  # constant of the u = -1 parabola through s
     disc = 1.0 + l * l - 2.0 * c_minus
     if disc >= 0.0:
@@ -384,14 +388,16 @@ def _circle_half(l: float, x1: float, x2: float, mirrored: bool) -> list[_Candid
             if q > q_max + _Q_TOL or q < -1.0 - _Q_TOL:
                 continue
             q = min(max(q, -1.0), q_max)
-            stheta = math.sqrt(max(0.0, 1.0 - q * q))
+            s2 = ((1.0 - q) * (2.0 * ((x1 + l) + 0.5 * x2 * x2) / (l * (root + 1.0 + l)))
+                  if q < 0.0 else 1.0 - q * q)
+            stheta = math.sqrt(s2) if s2 > 0.0 else 0.0
             tau = x2 - l * stheta
-            if tau < -tau_tol:
+            if tau < -tol:
                 continue
             tau = max(0.0, tau)  # +0.0, not -0.0, at the manifold
             if q < 0.0:  # the anchor switches at tau_s; the near leg must end first
                 tau_s = stheta / -q
-                if tau > tau_s + tau_tol * (1.0 + tau_s):
+                if tau > tau_s + tol * (1.0 + tau_s):
                     continue
             out.append(_Candidate(tau, "near_upper", -1.0, (l * q, l * stheta, q, stheta), mirrored))
 
@@ -404,7 +410,7 @@ def _circle_half(l: float, x1: float, x2: float, mirrored: bool) -> list[_Candid
         anchor = _slope_anchor(l, t)
         tau = -t * (2.0 - anchor[0]) - x2  # anchor[0] = -l/h
         tau_s = -t
-        if tau >= tau_s - tau_tol * (1.0 + tau_s):
+        if tau >= tau_s - tol * (1.0 + tau_s):
             out.append(_Candidate(max(tau, tau_s), "far_upper", _far_u(tau, tau_s), anchor, mirrored))
     return out
 
@@ -412,9 +418,10 @@ def _circle_half(l: float, x1: float, x2: float, mirrored: bool) -> list[_Candid
 # ── Square family inversion ────────────────────────────────────────────────────
 
 
-def _square_half(h: float, x1: float, x2: float, mirrored: bool) -> list[_Candidate]:
+def _square_half(h: float, x1: float, x2: float, mirrored: bool, tol: float) -> list[_Candidate]:
     """Inversions of the families into side AB, side BC and corner A (at y, unclamped):
-    near legs into the sides and one far family, as on the circle."""
+    near legs into the sides and one far family, as on the circle, feasible
+    within the band tol (see _TAU_TOL)."""
     out: list[_Candidate] = []
 
     # Side families: one u = +1 leg into a side.
@@ -422,12 +429,12 @@ def _square_half(h: float, x1: float, x2: float, mirrored: bool) -> list[_Candid
     if rad >= 0.0:
         p = math.sqrt(rad)  # arrival x2 on the left side
         tau = p - x2
-        if p <= h + _PARAM_TOL and tau >= -_TAU_TOL:
+        if p <= h + tol and tau >= -tol:
             out.append(_Candidate(max(0.0, tau), "AB", 1.0, (-h, p, -1.0, 0.0), mirrored))
     p = x1 - 0.5 * (x2 * x2 - h * h)  # arrival x1 on the bottom side
-    if -h - _PARAM_TOL <= p <= h + _PARAM_TOL:
+    if -h - tol <= p <= h + tol:
         tau = -h - x2
-        if tau >= -_TAU_TOL:
+        if tau >= -tol:
             out.append(_Candidate(max(0.0, tau), "BC", 1.0, (p, -h, 0.0, -1.0), mirrored))
 
     # Corner family: approach on u = +1, switch on the A-curve, ride it into
@@ -436,11 +443,11 @@ def _square_half(h: float, x1: float, x2: float, mirrored: bool) -> list[_Candid
     disc = 0.5 * (x2 * x2 - 2.0 * x1 - h * (2.0 - h))
     if disc >= 0.0:
         t = h - math.sqrt(disc)
-        if t <= _PARAM_TOL:
+        if t <= tol:
             t = min(t, 0.0)
             tau = h - 2.0 * t - x2
             tau_s = -t
-            if tau >= tau_s - _TAU_TOL * (1.0 + tau_s):
+            if tau >= tau_s - tol * (1.0 + tau_s):
                 out.append(_Candidate(max(tau, tau_s), "A_far", _far_u(tau, tau_s),
                                       (-h, h, -1.0, -t), mirrored))
     return out
@@ -600,7 +607,8 @@ def _invert(m: Manifold, size: float, a: float, x1: float,
     Plain floats in and out, so that a rollout builds no State."""
     y1, y2 = x1 / a, x2 / a
     half = _circle_half if isinstance(m, Circle) else _square_half
-    cands = half(size, y1, y2, False) + half(size, -y1, -y2, True)
+    tol = _TAU_TOL * size if size < 1.0 else _TAU_TOL  # see _TAU_TOL; not min(), on the per-step path
+    cands = half(size, y1, y2, False, tol) + half(size, -y1, -y2, True, tol)
     if not cands:
         raise DomainError(f"no admissible characteristic reaches State(x1={x1!r}, x2={x2!r})")
     if len(cands) > 1:

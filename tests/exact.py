@@ -7,8 +7,8 @@ Each fact the tests check against exact arithmetic is written here once:
 - one policy endpoint: where a bang-bang policy (a, t_s, t_f) ends, exact on
   Fractions and to 60 digits on Decimals;
 - the 60-digit tools: the precision context, one bisection, sin and cos, the
-  circle's nearest-endpoint gap, the square's least max-norm endpoint and
-  the distance to a half-parabola.
+  circle's near-family inversion, the circle's nearest-endpoint gap, the
+  square's least max-norm endpoint and the distance to a half-parabola.
 
 The module imports nothing from mintime, so it stays independent of the
 code it checks.  Floats convert exactly: Fraction(x) and Decimal(x).
@@ -124,6 +124,31 @@ def sin_cos(x):
             k += 1
             term = term * Decimal(x) / k
         return +sin, +cos
+
+
+def circle_near(l, y1, y2):
+    """The upper near family of the circle of radius l at unit authority,
+    inverted at (y1, y2) in 60 digits: (q, tau) for each root q = cos(theta)
+    in [-1, min(1, 1/l)] whose u = -1 leg from l*(cos theta, sin theta),
+    sin theta >= 0, reaches (y1, y2) after tau >= 0, and where q < 0 before
+    the anchor's switch at tau_s = sin(theta)/-q; by increasing q.
+
+    The leg keeps y1 + y2^2/2 = l*q + l^2*(1 - q^2)/2, so q is a root of
+    that quadratic, and y2 = l*sin(theta) + tau.  No tie band.
+    """
+    with sixty():
+        l, y1, y2 = Decimal(l), Decimal(y1), Decimal(y2)
+        disc = 1 + l * l - 2 * (y1 + y2 * y2 / 2)
+        if disc < 0:
+            return []
+        out = []
+        for q in ((1 - disc.sqrt()) / l, (1 + disc.sqrt()) / l):
+            if -1 <= q <= min(1, 1 / l):
+                sin = (1 - q * q).sqrt()
+                tau = y2 - l * sin
+                if tau >= 0 and (q >= 0 or tau <= sin / -q):
+                    out.append((q, tau))
+        return out
 
 
 def circle_gap(l, alpha, x1, x2, t_f):

@@ -36,7 +36,9 @@ from mintime import (
 from mintime.manifold import _unit_size, antipode
 from mintime.oracle import _origin_time
 from mintime.synthesis import (
+    _TAU_TOL,
     _TIE_TOL,
+    _circle_half,
     _closed_form_feedback,
     _locus_half,
     _solve_far_constant,
@@ -489,6 +491,71 @@ def test_answers_replay_as_one_bang_bang_policy(l, alpha):
         if signed_distance(m, s) > 0.0:
             worst = max(worst, _replay_miss(m, p, s))
     assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [1e3, 1e7, 1e10])
+def test_square_answers_and_replays_at_large_alpha(alpha):
+    """At large alpha the half-side 1/alpha seen at y = x/alpha is tiny, and
+    the inversion's band scales with it: no exterior state answers 0, and each
+    answer replayed exactly ends within 1e-10*R of the square.  The states are
+    those of test_answers_replay_as_one_bang_bang_policy at alpha = 1: half in
+    [-5, 5]^2 and half at radius R + d, d from 1e-9*R to 3*R; the ones outside
+    the square are checked.  Its own span, 5*max(R, alpha), would put states
+    where rounding alone misses by more than 1e-10*R."""
+    p = Params(alpha=alpha, l=1.0)
+    rng = random.Random(32)
+    worst, checked = 0.0, 0
+    for k in range(1000):
+        if k % 2:
+            s = State(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+        else:
+            th, d = rng.uniform(0.0, 2.0 * math.pi), 10.0 ** rng.uniform(-9.0, 0.5)
+            s = State((1.0 + d) * math.cos(th), (1.0 + d) * math.sin(th))
+        if signed_distance(SQ, s) > 0.0:
+            assert _closed_form_feedback(SQ, p, s).time_to_go > 0.0, s
+            worst = max(worst, _replay_miss(SQ, p, s))
+            checked += 1
+    assert checked >= 500
+    assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("l", [0.05, 0.5, 1.0, 2.0])
+def test_circle_near_family_next_to_theta_pi(l):
+    """Next to theta = pi the near family's cos(theta) nears -1, where 1 - q^2
+    cancels; sin(theta) takes 1 + q from the query instead.
+
+    On-circle states d = 1e-12 to 1e-8 rad from theta = 0 and pi get an
+    answer within 2*l*d of their time 0 (at l > 1 the states above theta = 0
+    and below theta = pi lie on the non-usable part, and only the other sides
+    are drawn).  On seeded states strictly outside the circle on the near
+    characteristics of anchors 1e-12 to 1e-2 rad below theta = pi, the near
+    family's candidate time is within 1e-15*(|y2| + l) of its 60-digit
+    inversion.  The candidate, not the winner: there the far family's excess
+    d = -c_plus - l still cancels, and it can win by a rounding margin."""
+    m, p = Circle(l), Params(alpha=1.0, l=l)
+    rng = random.Random(36)
+    signs = (-1.0, 1.0) if l <= 1.0 else (-1.0,)
+    for k in range(2000):
+        d = 10.0 ** rng.uniform(-12.0, -8.0)
+        th = (0.0, math.pi)[k % 2] + rng.choice(signs) * d
+        s = State(l * math.cos(th), l * math.sin(th))
+        assert 0.0 <= _closed_form_feedback(m, p, s).time_to_go <= 2.0 * l * d, s
+    tol = _TAU_TOL * min(1.0, l)
+    checked = 0
+    for _ in range(1000):
+        th = math.pi - 10.0 ** rng.uniform(-12.0, -2.0)
+        c, sn = math.cos(th), math.sin(th)
+        tau = rng.uniform(0.0, 1.0) * sn / -c  # before the anchor's switch
+        s = State(l * c - tau * l * sn - 0.5 * tau * tau, l * sn + tau)
+        ref = [t for q, t in exact.circle_near(l, s.x1, s.x2) if q < 0]
+        if signed_distance(m, s) <= 0.0 or not ref:
+            continue
+        got = [cand.tau for cand in _circle_half(l, s.x1, s.x2, False, tol)
+               if cand.family == "near_upper" and cand.anchor[2] < 0.0]
+        assert len(got) == 1, s
+        assert abs(Decimal(got[0]) - ref[0]) <= Decimal("1e-15") * (abs(Decimal(s.x2)) + Decimal(l)), s
+        checked += 1
+    assert checked >= 500
 
 
 # ── General authority ─────────────────────────────────────────────────────────
