@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .model import DomainError, InsideTarget, Params, State
@@ -57,8 +58,10 @@ class Circle:
     l: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.l) and self.l > 0.0):
-            raise DomainError(f"circle radius must be finite and > 0, got {self.l!r}")
+        # Membership compares squares, so l*l must be a normal float.
+        if not (self.l > 0.0 and sys.float_info.min <= self.l * self.l < math.inf):
+            raise DomainError("circle radius must be > 0 with l*l a normal float "
+                              f"(about 1.5e-154 <= l <= 1.3e154), got {self.l!r}")
 
 
 @dataclass(frozen=True)

@@ -85,12 +85,12 @@ from .manifold import (
 from .model import DomainError, Params, State
 
 _Q_TOL = 1e-12        # closure tolerance on cos(theta) roots: a cosine, so without scale
-# The feasibility band of the inversion's tests, formed once in _invert as
-# _TAU_TOL*size below size 1: at y = x/alpha every length and time they test
-# scales with the radius or half-side size, and an absolute 1e-9 would admit
-# points 1e-9/size sizes off the target.
+# The one band of the inversion, formed once in _invert as _TAU_TOL*size
+# below size 1: its feasibility tests, its ties between families and the
+# switch it reports (scaled by 1 + tau there) all read it.  At y = x/alpha
+# every length and time they test scales with the radius or half-side size,
+# and an absolute 1e-9 would admit points 1e-9/size sizes off the target.
 _TAU_TOL = 1e-9
-_TIE_TOL = 1e-9       # relative width of a time-to-go tie between families: scaled by 1 + tau
 _LOCUS_FLAG_TOL = 1e-9  # distance band reported as "on a value-jump locus"
 
 
@@ -101,8 +101,8 @@ _LOCUS_FLAG_TOL = 1e-9  # distance band reported as "on a value-jump locus"
 class SynthesisResult:
     """Feedback answer at one state.
 
-    u: current optimal control; within the tie band of a switching curve
-    (_TIE_TOL) it is the post-switch control; time_to_go: minimal time to the
+    u: current optimal control; within the band of a switching curve
+    (_invert's tol) it is the post-switch control; time_to_go: minimal time to the
     usable part; terminal_point: where the optimal trajectory terminates;
     switch_state: the upcoming switching-curve crossing, if any;
     discontinuity_flag: the query sits within a hair of a value-jump locus,
@@ -110,8 +110,9 @@ class SynthesisResult:
 
     The answer is one policy: u until t_s = (x2_sw - x2)/(alpha*u), then -u
     until time_to_go; u throughout if switch_state is None or t_s <=
-    _TIE_TOL*(1 + time_to_go), as on a curve or at a tie with a runner-up whose
-    switch has passed (the square at alpha = 1 at (2.5, -2): BC wins, C_far ties).
+    tol*(1 + time_to_go), tol = _TAU_TOL*min(1, size) the band of _invert, as
+    on a curve or at a tie with a runner-up whose switch has passed (the
+    square at alpha = 1 at (2.5, -2): BC wins, C_far ties).
     """
 
     u: float
@@ -307,14 +308,14 @@ def touch_and_go_curves(m: Manifold, params: Params) -> list[TouchAndGoCurve]:
 # ── Circle family inversion ────────────────────────────────────────────────────
 
 
-def _far_u(tau: float, tau_s: float) -> float:
+def _far_u(tau: float, tau_s: float, tol: float) -> float:
     """Control of a far-family candidate (u = +1 leg, switch at tau_s, then u = -1).
 
-    The switch is ahead while tau exceeds tau_s by more than the tie band;
-    within the band the state is on the switching curve, and the control is
-    the post-switch one.
+    The switch is ahead while tau exceeds tau_s by more than the band
+    tol*(1 + tau), tol that of _invert; within it the state is on the
+    switching curve, and the control is the post-switch one.
     """
-    return 1.0 if tau > tau_s + _TIE_TOL * (1.0 + tau) else -1.0
+    return 1.0 if tau > tau_s + tol * (1.0 + tau) else -1.0
 
 
 def _far_constant(l: float, u: float) -> tuple[float, float]:
@@ -411,7 +412,7 @@ def _circle_half(l: float, x1: float, x2: float, mirrored: bool, tol: float) -> 
         tau = -t * (2.0 - anchor[0]) - x2  # anchor[0] = -l/h
         tau_s = -t
         if tau >= tau_s - tol * (1.0 + tau_s):
-            out.append(_Candidate(max(tau, tau_s), "far_upper", _far_u(tau, tau_s), anchor, mirrored))
+            out.append(_Candidate(max(tau, tau_s), "far_upper", _far_u(tau, tau_s, tol), anchor, mirrored))
     return out
 
 
@@ -448,7 +449,7 @@ def _square_half(h: float, x1: float, x2: float, mirrored: bool, tol: float) -> 
             tau = h - 2.0 * t - x2
             tau_s = -t
             if tau >= tau_s - tol * (1.0 + tau_s):
-                out.append(_Candidate(max(tau, tau_s), "A_far", _far_u(tau, tau_s),
+                out.append(_Candidate(max(tau, tau_s), "A_far", _far_u(tau, tau_s, tol),
                                       (-h, h, -1.0, -t), mirrored))
     return out
 
@@ -591,8 +592,7 @@ def _closed_form_feedback(m: Manifold, params: Params, s: State) -> SynthesisRes
     if best.family in ("AB", "BC"):  # a side's code is its free coordinate
         terminal = _point(best.family, a * (y2 if n1 else y1))
     else:  # the angle of n: unit on the near family, (-1, -t) on the far ones
-        theta = math.acos(n1) if best.family == "near_upper" else math.pi + math.atan(n2 / n1)
-        terminal = _point("theta" if isinstance(m, Circle) else "corner_A", theta)
+        terminal = _point("theta" if isinstance(m, Circle) else "corner_A", math.atan2(n2, n1))
     if best.mirrored:
         terminal = antipode(m, terminal)
     return SynthesisResult(u, best.tau, terminal, None if switch is None else State(*switch),
@@ -616,7 +616,7 @@ def _invert(m: Manifold, size: float, a: float, x1: float,
     best = cands[0]
     switch = None
     for c in cands:  # sorted by time-to-go, so the ties with best come first
-        if c.tau > best.tau + _TIE_TOL * (1.0 + best.tau):
+        if c.tau > best.tau + tol * (1.0 + best.tau):
             break
         if c.family in _FAR:  # raises State's DomainError out of float range
             switch = _switch_point(c.anchor, -a if c.mirrored else a)

@@ -265,6 +265,11 @@ def test_domain_error_exits_2(capsys):
         # States whose oracle search horizon overflows to inf.
         ("value", "--alpha", "2", "--x1", "41", "--x2", "1e200"),
         ("verify", "--target", "circle", "--l", "7", "--grid", "5", "--span", "1e200"),
+        # A circle size l/alpha that underflows, with a radius the circle takes.
+        ("value", "--l", "1e-150", "--alpha", "1e300", "--x1", "3", "--x2", "1"),
+        # Radii whose square is not a normal float: membership compares squares.
+        ("value", "--l", "1e-200", "--alpha", "2", "--x1", "3e-200", "--x2", "0"),
+        ("value", "--l", "1e160", "--alpha", "2", "--x1", "3e160", "--x2", "5e159"),
     ],
 )
 def test_out_of_range_numbers_exit_2(capsys, argv):

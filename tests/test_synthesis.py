@@ -37,7 +37,6 @@ from mintime.manifold import _unit_size, antipode
 from mintime.oracle import _origin_time
 from mintime.synthesis import (
     _TAU_TOL,
-    _TIE_TOL,
     _circle_half,
     _closed_form_feedback,
     _locus_half,
@@ -454,13 +453,13 @@ def _replay_miss(m, p: Params, s: State) -> float:
     """|signed distance| to the target, over R, of the endpoint of the answer's
     bang-bang policy replayed in exact arithmetic: u until t_s = (x2_sw -
     x2)/(alpha*u), then -u until time_to_go; u throughout when there is no
-    switch state or t_s is within the tie band (SynthesisResult's convention)."""
+    switch state or t_s is within the band (SynthesisResult's convention)."""
     r = _closed_form_feedback(m, p, s)
     a, t_f = Fraction(p.alpha) * Fraction(r.u), Fraction(r.time_to_go)
     t_s = t_f
     if r.switch_state is not None:
         t_s = (Fraction(r.switch_state.x2) - Fraction(s.x2)) / a
-        if t_s <= _TIE_TOL * (1 + t_f):
+        if t_s <= _TAU_TOL * min(1.0, _unit_size(m, p)) * (1 + t_f):
             t_s = t_f
     x1, x2 = exact.endpoint(s.x1, s.x2, a, t_s, t_f)
     if isinstance(m, Circle):
@@ -501,7 +500,9 @@ def test_square_answers_and_replays_at_large_alpha(alpha):
     those of test_answers_replay_as_one_bang_bang_policy at alpha = 1: half in
     [-5, 5]^2 and half at radius R + d, d from 1e-9*R to 3*R; the ones outside
     the square are checked.  Its own span, 5*max(R, alpha), would put states
-    where rounding alone misses by more than 1e-10*R."""
+    where rounding alone misses by more than 1e-10*R.  Then 1000 states at d
+    outside a side, uniform along it, where the ties between the side and
+    corner families read the same band."""
     p = Params(alpha=alpha, l=1.0)
     rng = random.Random(32)
     worst, checked = 0.0, 0
@@ -516,7 +517,41 @@ def test_square_answers_and_replays_at_large_alpha(alpha):
             worst = max(worst, _replay_miss(SQ, p, s))
             checked += 1
     assert checked >= 500
+    for _ in range(1000):
+        d, w = 1.0 + 10.0 ** rng.uniform(-9.0, math.log10(3.0)), rng.uniform(-1.0, 1.0)
+        s = State(*((-d, w), (w, -d), (d, w), (w, d))[rng.randrange(4)])
+        assert _closed_form_feedback(SQ, p, s).time_to_go > 0.0, s
+        worst = max(worst, _replay_miss(SQ, p, s))
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("l, alpha, bound", [(None, 10.0, 1e-7), (None, 1e3, 1e-7),
+                                             (0.05, 1.0, 1.2e-13), (0.05, 2.0, 4e-13)])
+def test_answers_next_to_the_curves_below_size_1_replay(l, alpha, bound):
+    """Below size 1 the band is _TAU_TOL*size, and the control next to a
+    switching curve reads it too: a state whose switch is more than the band
+    ahead keeps the pre-switch control.  On 1500 seeded states offset in x1 by
+    span*10^U(-14, -3), either sign, from points of both curves, span =
+    5*max(R, alpha), each answer replayed exactly ends within bound*R of the
+    target.  With an absolute 1e-9 band for the ties the worst misses are
+    2.9e-7*R (square, alpha = 10), 2.9e-5*R (alpha = 1e3), 1.8e-13*R and
+    8.0e-13*R (Circle(0.05), alpha = 1 and 2)."""
+    m = SQ if l is None else Circle(l)
+    p = Params(alpha=alpha, l=1.0 if l is None else l)
+    span = 5.0 * max(1.0 if l is None else l, alpha)
+    curves = ([switching_curve_square(b, p) for b in "AC"] if l is None
+              else [switching_curve_circle(p, b) for b in ("upper", "lower")])
+    points = [q for c in curves for q in c.sample(300, span)]
+    rng = random.Random(37)
+    worst, checked = 0.0, 0
+    for _ in range(1500):
+        q = rng.choice(points)
+        s = State(q.x1 + rng.choice((-1.0, 1.0)) * span * 10.0 ** rng.uniform(-14.0, -3.0), q.x2)
+        if signed_distance(m, s) > 0.0:
+            worst = max(worst, _replay_miss(m, p, s))
+            checked += 1
+    assert checked >= 1400
+    assert worst <= bound
 
 
 @pytest.mark.parametrize("l", [0.05, 0.5, 1.0, 2.0])
@@ -531,15 +566,26 @@ def test_circle_near_family_next_to_theta_pi(l):
     characteristics of anchors 1e-12 to 1e-2 rad below theta = pi, the near
     family's candidate time is within 1e-15*(|y2| + l) of its 60-digit
     inversion.  The candidate, not the winner: there the far family's excess
-    d = -c_plus - l still cancels, and it can win by a rounding margin."""
+    d = -c_plus - l still cancels, and it can win by a rounding margin.
+
+    A positive answer there ends on the usable part, as the terminal angle is
+    the atan2 of (cos(theta), sin(theta)) rather than acos(cos(theta)), which
+    reads pi once cos(theta) rounds to -1: at the moved-out states and at the
+    on-circle states below theta = 0 and pi.  Above them (drawn at l <= 1)
+    the winner's cos(theta) rounds to +1, where 1 - q^2 cancels, and its
+    answer still ends at the BUP point."""
     m, p = Circle(l), Params(alpha=1.0, l=l)
     rng = random.Random(36)
     signs = (-1.0, 1.0) if l <= 1.0 else (-1.0,)
     for k in range(2000):
         d = 10.0 ** rng.uniform(-12.0, -8.0)
-        th = (0.0, math.pi)[k % 2] + rng.choice(signs) * d
+        side = rng.choice(signs)
+        th = (0.0, math.pi)[k % 2] + side * d
         s = State(l * math.cos(th), l * math.sin(th))
-        assert 0.0 <= _closed_form_feedback(m, p, s).time_to_go <= 2.0 * l * d, s
+        r = _closed_form_feedback(m, p, s)
+        assert 0.0 <= r.time_to_go <= 2.0 * l * d, s
+        if side < 0.0 and r.time_to_go > 0.0:
+            assert classify(m, r.terminal_point, p) is RegionClass.UP, s
     tol = _TAU_TOL * min(1.0, l)
     checked = 0
     for _ in range(1000):
@@ -554,6 +600,9 @@ def test_circle_near_family_next_to_theta_pi(l):
                if cand.family == "near_upper" and cand.anchor[2] < 0.0]
         assert len(got) == 1, s
         assert abs(Decimal(got[0]) - ref[0]) <= Decimal("1e-15") * (abs(Decimal(s.x2)) + Decimal(l)), s
+        r = _closed_form_feedback(m, p, s)
+        if r.time_to_go > 0.0:
+            assert classify(m, r.terminal_point, p) is RegionClass.UP, s
         checked += 1
     assert checked >= 500
 
