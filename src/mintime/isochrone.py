@@ -19,6 +19,7 @@ can be segmented at family boundaries.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,18 +88,32 @@ def isochrone_generic(m: Manifold, params: Params, tau: float, n_samples: int) -
     entry and no longer optimal, so it does not belong to the level set.
     Only the square's left and right side families re-enter (through the
     non-usable half of their own side, at tau = 2*|s|).
+
+    One memo (_fan) holds the fan for the last (m, params, n_samples) asked,
+    so the levels of one target share it.  The answer is the same as
+    without it: no entry of the fan depends on tau.
     """
     _check_tau(tau)
-    codes = _up_codes(m, params, n_samples)
+    alpha = params.alpha
+    return Isochrone(tau, tuple(
+        IsoPoint(p, *_closed_form(anchor, alpha, tau), kind)
+        for kind, p, limit, anchor in _fan(m, params, n_samples)
+        if limit is None or tau < limit
+    ))
+
+
+@functools.lru_cache(maxsize=1)
+def _fan(m: Manifold, params: Params,
+         n: int) -> tuple[tuple[str, float, float | None, tuple[float, float, float, float]], ...]:
+    """(kind, param, shadow limit, anchor) of each of the n usable-part codes
+    of isochrone_generic's fan: every caller asks one target's levels back
+    to back, so one entry serves them all."""
+    codes = _up_codes(m, params, n)
     size, alpha = _unit_size(m, params), params.alpha
-    points: list[IsoPoint] = []
-    for kind, p in codes:
-        limit = _shadow_limit(m, kind, p, params)
-        if limit is not None and tau >= limit:
-            continue
-        anchor = _usable_anchor(m, params, kind, p, size, alpha)
-        points.append(IsoPoint(p, *_closed_form(anchor, alpha, tau), kind))
-    return Isochrone(tau, tuple(points))
+    return tuple(
+        (kind, p, _shadow_limit(m, kind, p, params), _usable_anchor(m, params, kind, p, size, alpha))
+        for kind, p in codes
+    )
 
 
 def _shadow_limit(m: Manifold, kind: str, p: float, params: Params) -> float | None:

@@ -180,30 +180,63 @@ class SwitchingCurve:
                 raise DomainError(f"branch A needs x2 >= 1, got {x2!r}")
         elif not x2 <= -1.0:
             raise DomainError(f"branch C needs x2 <= -1, got {x2!r}")
-        a, h = (self.alpha if self.branch == "A" else -self.alpha), self.size
-        return _switch_point((-h, h, -1.0, x2 / a - h), a)[0]
+        return _square_x1(self.size, self.alpha if self.branch == "A" else -self.alpha, x2)
 
     def sample(self, n: int, x2_max: float = 5.0) -> list[State]:
-        """n curve points at uniform |x2| from the anchor (the first) outward."""
+        """n curve points at uniform |x2| from the anchor (the first) outward.
+
+        One memo (_written_points) holds the written branch's points, upper
+        or A, for the last (target, size, alpha, n, x2_max) asked, and the
+        twin answers them negated: both branches take the same points y at
+        unit authority, and the twin's x = -alpha*y is the exact negation of
+        alpha*y.  Each branch keeps its own anchor state, as (-l, 0.0)
+        negates to (l, -0.0).  A point out of float range raises this
+        branch's own error, at the same point as without the memo.
+        """
         if n < 2:
             raise DomainError(f"need n >= 2 sample points, got {n}")
         if not abs(self.anchor_state.x2) < x2_max < math.inf:
             raise DomainError(f"x2_max must be finite and beyond the anchor's |x2|, got {x2_max!r}")
-        if self.target == "square":
-            sgn = 1.0 if self.branch == "A" else -1.0
-            out = []
-            for j in range(n):
-                x2 = sgn * (1.0 + j * (x2_max - 1.0) / (n - 1))
-                out.append(State(self.x1_of_x2(x2), x2))
-            return out
-        # Each point from its slope v = -tan(theta): theta itself rounds to
-        # pi/2 once v passes ~1e16.
-        l, a = self.size, (1.0 if self.branch == "upper" else -1.0) * self.alpha
-        out = [self.anchor_state]
-        for j in range(1, n):
-            v = _upper_slope_of_y2(l, j * x2_max / (n - 1) / self.alpha)
-            out.append(State(*_switch_point(_slope_anchor(l, -v), a)))
-        return out
+        first = 1 if self.target == "circle" else 0  # the circle's point 0 is its anchor state
+        pts = _written_points(self.target, self.size, self.alpha, n, x2_max)
+        a = self.alpha if self.branch in ("upper", "A") else -self.alpha
+        if first + len(pts) < n:  # raises, named at this branch's sign
+            _curve_point(self.target, self.size, a, n, x2_max, first + len(pts))
+        out = [State(x1, x2) for x1, x2 in pts] if a > 0.0 else [State(-x1, -x2) for x1, x2 in pts]
+        return [self.anchor_state, *out] if first else out
+
+
+@functools.lru_cache(maxsize=1, typed=True)  # typed: j*x2_max is exact for an int, rounded for its equal float
+def _written_points(target: str, size: float, alpha: float, n: int,
+                    x2_max: float) -> tuple[tuple[float, float], ...]:
+    """SwitchingCurve.sample's computed points (x1, x2) on the upper or A
+    branch, up to the first that raises: every caller asks one target's two
+    branches back to back, so one entry serves the pair."""
+    out = []
+    for j in range(1 if target == "circle" else 0, n):
+        try:
+            out.append(_curve_point(target, size, alpha, n, x2_max, j))
+        except DomainError:  # the same point raises on both branches; sample names it
+            break
+    return tuple(out)
+
+
+def _curve_point(target: str, size: float, a: float, n: int, x2_max: float,
+                 j: int) -> tuple[float, float]:
+    """Point j of sample(n, x2_max) on the branch of a = +-alpha (upper or A
+    at a > 0), at the uniform height j/(n - 1) of the way out."""
+    if target == "square":
+        x2 = math.copysign(1.0 + j * (x2_max - 1.0) / (n - 1), a)
+        return _square_x1(size, a, x2), x2
+    # Each point from its slope v = -tan(theta): theta itself rounds to
+    # pi/2 once v passes ~1e16.
+    v = _upper_slope_of_y2(size, j * x2_max / (n - 1) / abs(a))
+    return _switch_point(_slope_anchor(size, -v), a)
+
+
+def _square_x1(h: float, a: float, x2: float) -> float:
+    """x1 of the square's curve at x2, corner A's family switching there (a = -alpha: C's)."""
+    return _switch_point((-h, h, -1.0, x2 / a - h), a)[0]
 
 
 def _slope_anchor(l: float, t: float) -> tuple[float, float, float, float]:

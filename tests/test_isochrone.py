@@ -22,7 +22,8 @@ from mintime import (
     value,
 )
 from mintime.characteristics import flow_rows
-from mintime.synthesis import _closed_form_feedback
+from mintime.isochrone import _fan
+from mintime.synthesis import _closed_form_feedback, _written_points
 
 P1 = Params(alpha=1.0, l=1.0)
 C1 = Circle(1.0)
@@ -178,7 +179,9 @@ def test_fans_are_the_public_closed_form_bit_for_bit(alpha):
 def test_overflowing_points_raise_the_state_error():
     """A point out of float range raises State's DomainError, never yields inf.
     The message shows the anchor's own unit-authority point when that
-    overflows (before the scaling by alpha), else the point."""
+    overflows (before the scaling by alpha), else the point.  The memos of
+    isochrone_generic and sample change no message: each case raises the
+    same from cleared memos and after the memos hold its own key."""
     p2 = Params(alpha=2.0, l=1.0)
     cases = [
         (lambda: isochrone_generic(C1, p2, 1e200, 8), "(-inf, 1e+200)"),
@@ -186,12 +189,52 @@ def test_overflowing_points_raise_the_state_error():
         (lambda: flow_rows(C1, p2, 4, [0.0, 1e200]), "(-inf, 1e+200)"),
         (lambda: flow_rows(SQ, p2, 4, [0.0, 1e200]), "(inf, -1e+200)"),
         (lambda: switching_curve_square("A").sample(5, 1e200), "(-inf, 2.5e+199)"),
+        (lambda: switching_curve_square("C").sample(5, 1e200), "(-inf, 2.5e+199)"),
         (lambda: closed_form_state(C1, BoundaryPoint("theta", 1.25 * math.pi), p2, 1e200), "(inf, -1e+200)"),
         (lambda: closed_form_state(SQ, BoundaryPoint("AD", 0.5), p2, 1e200), "(-inf, 1e+200)"),
         # the unit-authority point is finite; alpha * y is not
         (lambda: isochrone_generic(C1, Params(alpha=1e300), 1e10, 8), "(-inf, inf)"),
+        # x1 = alpha*y1 overflows at the second point, y1 at the third: each
+        # branch names its own point, whichever filled the memo
+        (lambda: switching_curve_square("A", p2).sample(3, 6.2e154), "(-inf, 3.1e+154)"),
+        (lambda: switching_curve_square("C", p2).sample(3, 6.2e154), "(inf, -3.1e+154)"),
     ]
-    for call, pair in cases:
-        with pytest.raises(DomainError) as info:
-            call()
-        assert str(info.value) == f"state must be finite, got {pair}"
+    for warm in (False, True):
+        for k, (call, pair) in enumerate(cases):
+            _fan.cache_clear()
+            _written_points.cache_clear()
+            if warm:  # the same key, filled by this case and by its neighbours
+                for c, _ in cases[max(0, k - 1):k + 2]:
+                    with pytest.raises(DomainError):
+                        c()
+            with pytest.raises(DomainError) as info:
+                call()
+            assert str(info.value) == f"state must be finite, got {pair}"
+            assert _fan.cache_info().currsize <= 1
+            assert _written_points.cache_info().currsize <= 1
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_fan_memo_answers_the_same_in_any_call_order(alpha):
+    """isochrone_generic is closed_form_state at each kept code, field for
+    field, from a cleared memo, level after level, and after another
+    target's fan in between; the square's sides are pruned where tau crosses
+    2*|s|/alpha.  The memo holds at most one entry."""
+    targets = [(Circle(l), l) for l in (0.05, 0.5, 1.0, 2.0)] + [(SQ, 1.0)]
+    taus = (0.0, 0.7, 1.9, 3.0)
+    for k, (m, l) in enumerate(targets):
+        p = Params(alpha=alpha, l=l)
+        other_m, other_l = targets[k - 1]
+        for order in (taus, taus[::-1]):
+            _fan.cache_clear()
+            for i, tau in enumerate(order):
+                if i == 2:
+                    isochrone_generic(other_m, Params(alpha=alpha, l=other_l), 1.0, 64)
+                want = [
+                    (b.param.hex(), *(x.hex() for x in closed_form_state(m, b, p, tau).as_tuple()), b.kind)
+                    for b in sample_up(m, p, 64)
+                    if not (b.kind in ("AB", "CD") and tau >= 2.0 * abs(b.param) / alpha)
+                ]
+                got = [(q.param.hex(), q.x1.hex(), q.x2.hex(), q.family) for q in isochrone_generic(m, p, tau, 64).points]
+                assert got == want
+                assert _fan.cache_info().currsize == 1

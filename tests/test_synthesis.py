@@ -39,9 +39,11 @@ from mintime.synthesis import (
     _TAU_TOL,
     _circle_half,
     _closed_form_feedback,
+    _curve_point,
     _locus_half,
     _solve_far_constant,
     _upper_slope_of_y2,
+    _written_points,
 )
 
 P1 = Params(alpha=1.0, l=1.0)
@@ -79,6 +81,76 @@ def test_lower_switching_curves_are_the_negated_upper_ones(alpha):
             assert lo.point(th).as_tuple() == (-q.x1, -q.x2)
     a, c = switching_curve_square("A", Params(alpha=alpha)), switching_curve_square("C", Params(alpha=alpha))
     assert [q.as_tuple() for q in c.sample(30, 6.0)] == [(-q.x1, -q.x2) for q in a.sample(30, 6.0)]
+
+
+def _curve_pairs(alpha: float, radii) -> list[tuple]:
+    """(target, params, written branch, twin) on circles of the given radii and the square."""
+    pairs = []
+    for l in radii:
+        p = Params(alpha=alpha, l=l)
+        pairs.append((Circle(l), p, switching_curve_circle(p, "upper"), switching_curve_circle(p, "lower")))
+    p = Params(alpha=alpha)
+    return pairs + [(SQ, p, switching_curve_square("A", p), switching_curve_square("C", p))]
+
+
+def _bits(points: list[State]) -> list[tuple[str, str]]:
+    """The points' exact floats, signed zeros apart."""
+    return [(q.x1.hex(), q.x2.hex()) for q in points]
+
+
+def _unmemoised_sample(curve, n: int, x2_max: float) -> list[State]:
+    """sample's points computed one by one at the branch's own sign, with no memo."""
+    a = curve.alpha if curve.branch in ("upper", "A") else -curve.alpha
+    first = 1 if curve.target == "circle" else 0
+    pts = [State(*_curve_point(curve.target, curve.size, a, n, x2_max, j)) for j in range(first, n)]
+    return [curve.anchor_state, *pts] if first else pts
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_sample_memo_answers_the_same_in_any_call_order(alpha):
+    """Each branch's sample is its unmemoised points bit for bit from a
+    cleared memo, after its twin, and after another target's call in between,
+    whichever branch is asked first; the memo holds at most one entry."""
+    pairs = [pair[2:] for pair in _curve_pairs(alpha, (0.05, 0.5, 1.0, 2.0))]
+    for k, pair in enumerate(pairs):
+        other = pairs[k - 1][0]
+        for first, second in (pair, pair[::-1]):
+            want = {c.branch: _bits(_unmemoised_sample(c, 40, 6.0)) for c in pair}
+            _written_points.cache_clear()
+            assert _bits(first.sample(40, 6.0)) == want[first.branch]
+            assert _bits(second.sample(40, 6.0)) == want[second.branch]
+            other.sample(40, 6.0)
+            assert _bits(second.sample(40, 6.0)) == want[second.branch]
+            assert _bits(first.sample(40, 6.0)) == want[first.branch]
+            assert _written_points.cache_info().currsize == 1
+    first.sample(40, 6.0).clear()  # sample returns a fresh list
+    assert _bits(first.sample(40, 6.0)) == want[first.branch]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_curve_points_are_where_the_law_switches(alpha):
+    """Each non-anchor sample point q sits at its asked height |x2|, and just
+    before q, on the arc that reaches it, the law answers the pre-switch
+    control and q itself as its switch state.
+
+    The state is eps = 1e-6*max(1, |q|) of time back from q under u = +1 on
+    the upper and A branches (the arc into q speeds up; the arc from q brakes
+    into the target) and u = -1 on their twins."""
+    for m, p, written, twin in _curve_pairs(alpha, (0.5, 1.0, 2.0)):
+        for curve, u in ((written, 1.0), (twin, -1.0)):
+            pts = curve.sample(100)
+            for j, q in enumerate(pts):
+                asked = j * 5.0 / 99 if curve.target == "circle" else 1.0 + j * 4.0 / 99
+                if j == 0 and curve.target == "circle":
+                    continue  # the anchor state
+                assert abs(u * q.x2 - asked) <= 1e-12 * asked
+                scale = max(1.0, math.hypot(q.x1, q.x2))
+                eps = 1e-6 * scale
+                s = State(q.x1 - q.x2 * eps + 0.5 * alpha * u * eps * eps, q.x2 - alpha * u * eps)
+                res = _closed_form_feedback(m, p, s)
+                assert res.u == u, (curve.target, curve.branch, q)
+                sw = res.switch_state
+                assert sw is not None and math.hypot(sw.x1 - q.x1, sw.x2 - q.x2) <= 1e-9 * scale, (curve.branch, q, sw)
 
 
 @pytest.mark.parametrize("branch", ["upper", "lower"])
