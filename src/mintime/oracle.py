@@ -126,9 +126,7 @@ def _nearest_endpoint(alpha: float, x1: float, x2: float, t_f: float) -> tuple[f
             c = -0.5 * q - math.copysign(math.sqrt(disc), q)
             w = math.copysign(abs(c) ** (1.0 / 3.0), c)
             cands = (w - p / (3.0 * w) if disc < math.inf else math.nan, 0.0, t_f)
-        elif p == 0.0 and q == 0.0:
-            cands = (0.0, 0.0, t_f)
-        else:
+        else:  # at p = q = 0 the three roots are +-0.0, which pick the same d as 0.0
             r = -p * p * p / 27.0
             r = math.sqrt(r) if r > 0.0 else 0.0
             phi = 0.0
@@ -180,8 +178,9 @@ def _square_endpoint(alpha: float, x1: float, x2: float, t_f: float) -> tuple[fl
         q = (X1 + X2) / a
         if q <= 0.0:
             d = 0.0
-        elif q < t_f * (t_f + 2.0):
+        elif q < t_f * (t_f + 2.0):  # the root can round above t_f for q just below the bound
             d = q / (1.0 + math.sqrt(1.0 + q))
+            d = d if d < t_f else t_f
         else:
             d = t_f
         e1, e2 = abs(X1 - a * d * d), abs(X2 - 2.0 * a * d)
@@ -260,7 +259,7 @@ def oracle_policy(m: Manifold, params: Params, s0: State) -> PolicyCandidate:
             lo = max((k - 1) * grid, t_box)
             lo_excess = last_excess if lo == last_t else None
             t_final, (u0, t_sw) = _refine(l, alpha, x1, x2, lo, lo_excess, t_f, excess, hit)
-            return PolicyCandidate(u0, min(t_sw, t_final), t_final)
+            return PolicyCandidate(u0, t_sw, t_final)
         last_t, last_excess = t_f, excess
     raise HorizonExceeded(
         f"no candidate policy reaches the target from {s0!r} within t = {horizon}"

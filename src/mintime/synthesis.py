@@ -411,29 +411,26 @@ def _circle_half(l: float, x1: float, x2: float, mirrored: bool, tol: float) -> 
     out: list[_Candidate] = []
 
     # Near family: one constant-control leg into the manifold, its cos(theta)
-    # a root of a quadratic; the small root from the product of the roots,
-    # as 1 - root cancels.  Only the small root nears -1, where 1 - q*q
-    # cancels, so there sin(theta) takes 1 + q = 2*((x1 + l) + x2^2/2)/(l*(root + 1 + l)).
+    # the small root of a quadratic, from the product of the roots, as 1 - root
+    # cancels.  The other root, (1 + root)/l >= 1/l >= q_max, passes the range
+    # test only where disc rounds to 0, and there it repeats this candidate or
+    # trails its tau by a rounding of 1 + l*l, which moves the band's edge by as
+    # much.  Near q = -1, 1 - q*q cancels: sin(theta) takes 1 + q = 2*((x1 + l) + x2^2/2)/(l*(root + 1 + l)).
     c_minus = x1 + 0.5 * x2 * x2  # constant of the u = -1 parabola through s
     disc = 1.0 + l * l - 2.0 * c_minus
     if disc >= 0.0:
         root = math.sqrt(disc)
-        for q in ((2.0 * c_minus - l * l) / (l * (1.0 + root)), (1.0 + root) / l):
-            if q > q_max + _Q_TOL or q < -1.0 - _Q_TOL:
-                continue
+        q = (2.0 * c_minus - l * l) / (l * (1.0 + root))
+        if not (q > q_max + _Q_TOL or q < -1.0 - _Q_TOL):
             q = min(max(q, -1.0), q_max)
             s2 = ((1.0 - q) * (2.0 * ((x1 + l) + 0.5 * x2 * x2) / (l * (root + 1.0 + l)))
                   if q < 0.0 else 1.0 - q * q)
             stheta = math.sqrt(s2) if s2 > 0.0 else 0.0
             tau = x2 - l * stheta
-            if tau < -tol:
-                continue
-            tau = max(0.0, tau)  # +0.0, not -0.0, at the manifold
-            if q < 0.0:  # the anchor switches at tau_s; the near leg must end first
-                tau_s = stheta / -q
-                if tau > tau_s + tol * (1.0 + tau_s):
-                    continue
-            out.append(_Candidate(tau, "near_upper", -1.0, (l * q, l * stheta, q, stheta), mirrored))
+            tau_s = stheta / -q if q < 0.0 else math.inf  # the anchor's switch: the near leg ends first
+            if -tol <= tau <= tau_s + tol * (1.0 + tau_s):
+                out.append(_Candidate(max(0.0, tau), "near_upper", -1.0,  # +0.0, not -0.0, at the manifold
+                                      (l * q, l * stheta, q, stheta), mirrored))
 
     # Far family: pre-switch u = +1 leg, then the near leg after crossing the
     # switching curve.
@@ -510,8 +507,6 @@ def _depressed_cubic_roots(p: float, q: float) -> list[float]:
         c = -0.5 * q - math.copysign(math.sqrt(disc), q)
         w = math.copysign(abs(c) ** (1.0 / 3.0), c)
         return [w - p / (3.0 * w)]
-    if p == 0.0 and q == 0.0:
-        return [0.0]
     r = math.sqrt(max(0.0, -p * p * p / 27.0))
     phi = math.acos(min(1.0, max(-1.0, -0.5 * q / r))) if r > 0.0 else 0.0
     m2 = 2.0 * math.sqrt(max(0.0, -p / 3.0))
@@ -575,24 +570,16 @@ def discontinuity_loci(
 
 # ── Feedback and value ─────────────────────────────────────────────────────────
 
-_FAMILY_ORDER = {
-    name: i
-    for i, name in enumerate(
-        ["near_upper", "near_lower", "AB", "BC", "CD", "AD",
-         "far_upper", "far_lower", "A_far", "C_far"]
-    )
-}
-
-# Each family written out above, and its twin through x -> -x.
-_TWIN = {"near_upper": "near_lower", "far_upper": "far_lower", "AB": "CD", "BC": "AD",
-         "A_far": "C_far"}
+# Tie-break rank of each written family, and (mirrored) of its twin through x -> -x:
+# near_upper, near_lower, AB, BC, CD, AD, far_upper, far_lower, A_far, C_far rank 0 to 9.
+_RANK = {"near_upper": (0, 1), "AB": (2, 4), "BC": (3, 5), "far_upper": (6, 7), "A_far": (8, 9)}
 
 _FAR = ("far_upper", "A_far")  # the written families that meet their switch ahead
 
 
 def _order(c: _Candidate) -> tuple[float, int]:
     """Time-to-go, then the tie-break rank of the family the candidate stands for."""
-    return c.tau, _FAMILY_ORDER[_TWIN[c.family] if c.mirrored else c.family]
+    return c.tau, _RANK[c.family][c.mirrored]
 
 
 def feedback(m: Manifold, params: Params, s: State) -> SynthesisResult:

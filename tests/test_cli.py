@@ -242,6 +242,8 @@ def test_domain_error_exits_2(capsys):
         ("flow", "--tau-step", "0"),
         ("isochrone", "--tau", "nan"),
         ("isochrone", "--target", "square", "--tau", "inf"),
+        ("isochrone", "--tau", "1,x"),
+        ("isochrone", "--tau", ","),
         ("flow", "--tau-max", "nan"),
         ("flow", "--tau-max", "inf"),
         ("verify", "--tol", "nan"),
@@ -278,6 +280,19 @@ def test_out_of_range_numbers_exit_2(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("--alpha", "2", "--x1", "1.1748548721827956", "--x2=-1.3036178461233117"), 0.15180892306165583),
+    (("--alpha", "3", "--x1", "1.1788882527583815", "--x2=-1.439906079072621"), 0.1466353596908736),
+    (("--alpha", "10", "--x1=-1.1364587948059806", "--x2", "1.9311074273896862"), 0.09311074273896858),
+])
+def test_square_value_next_to_its_switching_curves(capsys, argv, want):
+    """States whose oracle crossing once rounded past t_final answer one value."""
+    code, out, err = run(capsys, "value", "--target", "square", *argv)
+    assert code == 0, err
+    assert len(out.splitlines()) == 1
+    assert float(out) == pytest.approx(want, abs=1e-8)
 
 
 def test_scenario_merge_flags_win(tmp_path, capsys):

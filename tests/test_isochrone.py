@@ -59,6 +59,8 @@ def test_isochrone_rejects_large_target_and_alpha():
     """l > alpha is refused; l <= alpha is served at any alpha, on its level."""
     with pytest.raises(DomainError):
         isochrone_circle(Params(alpha=1.0, l=2.0), 1.0, 8)
+    with pytest.raises(DomainError, match="need n_samples >= 2, got 1"):
+        isochrone_circle(Params(alpha=1.0, l=1.0), 1.0, 1)
     p = Params(alpha=2.0, l=1.0)
     for q in isochrone_circle(p, 1.0, 8).points:
         assert _closed_form_feedback(C1, p, State(q.x1, q.x2)).time_to_go == pytest.approx(1.0, abs=1e-6)

@@ -9,6 +9,7 @@ from mintime import (
     BoundaryPoint,
     Circle,
     DomainError,
+    Normal,
     Params,
     RegionClass,
     Square,
@@ -59,6 +60,8 @@ def test_outward_normal_examples():
     n = outward_normal(Square(), BoundaryPoint("corner_A", math.pi / 2))
     assert n.n1 == pytest.approx(0.0, abs=1e-15)
     assert n.n2 == 1.0
+    with pytest.raises(DomainError, match="is not unit length"):
+        Normal(0.6, 0.6)
 
 
 def test_outward_normal_unit_length_dense():
@@ -167,6 +170,8 @@ def test_bup_params_circle():
     bups = bup_params(Circle(2.0), P2)
     assert bups[1] == pytest.approx(math.pi / 3, abs=1e-12)
     assert bups[3] == pytest.approx(math.pi + math.pi / 3, abs=1e-12)
+    with pytest.raises(DomainError, match="defined for the circle"):
+        bup_params(Square(), P1)
 
 
 def test_classify_matches_up_intervals_dense():
@@ -279,7 +284,8 @@ def test_sample_up_points_are_usable():
 def test_sample_up_returns_n_points_from_the_interval_count():
     """Exactly n points for every n >= the number of UP intervals, one per
     interval below it.  On the square at n = 7 the rounded shares of the
-    first five intervals already sum to 7, and the largest gives one up."""
+    first five intervals already sum to 7, and the largest gives one up.
+    n = 0 is refused."""
     cases = [(Circle(l), Params(alpha=1.0, l=l)) for l in (0.5, 2.0)] + [(Square(), P1)]
     for m, p in cases:
         count = len(up_intervals(m, p))
@@ -289,6 +295,9 @@ def test_sample_up_returns_n_points_from_the_interval_count():
     assert [kinds.count(k) for k in ("AB", "BC", "CD", "AD", "corner_A", "corner_C")] == [1, 1, 1, 2, 1, 1]
     kinds = [b.kind for b in sample_up(Square(), P1, 64)]
     assert [kinds.count(k) for k in ("AB", "BC", "CD", "AD", "corner_A", "corner_C")] == [7, 14, 7, 14, 11, 11]
+    for m, p in cases:
+        with pytest.raises(DomainError, match="need n >= 1 samples, got 0"):
+            sample_up(m, p, 0)
 
 
 # ── Boundary-point codes and the state -> point map ──────────────────────────

@@ -94,3 +94,7 @@ def test_parse_scenario_rejects_unknown_keys_and_bad_values():
         parse_scenario('{"alpha": "one", "target": "circle"}')
     with pytest.raises(DomainError):
         parse_scenario("not json")
+    with pytest.raises(DomainError, match="must be a JSON object"):
+        parse_scenario("[1]")
+    with pytest.raises(DomainError, match='"l" must be a number'):
+        parse_scenario('{"l": "two", "target": "circle"}')

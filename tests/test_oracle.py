@@ -33,6 +33,7 @@ from mintime.oracle import (
     _box_entry_time,
     _clear_until,
     _gap_slack,
+    _nearest_endpoint,
     _origin_time,
     _probe,
     _refine,
@@ -101,6 +102,66 @@ def test_oracle_policy_is_feasible():
     end = policy_endpoint(State(-3.0, 1.0), pol, 1.0)
     assert max(abs(end.x1), abs(end.x2)) <= 1.0 + 1e-9
     assert pol.u0 == 1.0  # accelerate toward the corner switch
+
+
+def test_policy_candidate_rejects_a_control_or_switch_it_cannot_apply():
+    with pytest.raises(DomainError, match="u0 must be -1 or"):
+        PolicyCandidate(0.5, 0.0, 1.0)
+    with pytest.raises(DomainError, match="need 0 <= t_switch <= t_final"):
+        PolicyCandidate(1.0, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("alpha, x1, x2", [
+    (2.0, 1.1748548721827956, -1.3036178461233117),
+    (3.0, 1.1788882527583815, -1.439906079072621),
+    (10.0, -1.1364587948059806, 1.9311074273896862),
+])
+def test_square_oracle_next_to_its_switching_curves(alpha, x1, x2):
+    """States where the square's crossing d once rounded above t_final, which
+    made t_switch negative and PolicyCandidate raise, agree with the closed form."""
+    p = Params(alpha=alpha)
+    want = _invert(SQ, _unit_size(SQ, p), alpha, x1, x2)[0].tau
+    assert abs(oracle_min_time(SQ, p, State(x1, x2)) - want) <= 1e-8
+
+
+def test_square_crossing_stays_in_the_final_time():
+    """At q = (X1 + X2)/a one float below t_f*(t_f + 2), where the crossing
+    d = q/(1 + sqrt(1 + q)) can round above t_f, the switch time stays in
+    [0, t_f].  The states put X2 = 0 on the u0 = +1 branch, so q = X1/a."""
+    hit = 0
+    for alpha in (0.5, 1.0, 2.0, 10.0):
+        for k in range(-24, 25):
+            t_f = 10.0 ** (k / 4)
+            q_want = math.nextafter(t_f * (t_f + 2.0), 0.0)
+            x2, x1 = -alpha * t_f, alpha * q_want + 0.5 * alpha * t_f * t_f
+            for _ in range(100):
+                q = (x1 + (x2 + 0.5 * alpha * t_f) * t_f + (x2 + alpha * t_f)) / alpha
+                if q == q_want:
+                    break
+                x1 = math.nextafter(x1, math.inf if q < q_want else -math.inf)
+            else:
+                continue
+            hit += 1
+            t_sw = _square_endpoint(alpha, x1, x2, t_f)[2]
+            assert 0.0 <= t_sw <= t_f, (alpha, t_f)
+    assert hit >= 100
+
+
+def test_nearest_endpoint_where_the_cubic_is_w_cubed():
+    """At alpha = 1, t_f = 0 from (2, 0) the u0 = +1 cubic has p = q = 0: its
+    three roots are +-0.0, and the gap agrees with 60 digits."""
+    r2, _, t_sw = _nearest_endpoint(1.0, 2.0, 0.0, 0.0)
+    assert (r2, t_sw) == (4.0, 0.0)
+    for l in (0.5, 1.0, 1.5):
+        gap = exact.circle_gap(l, 1.0, 2.0, 0.0, 0.0)
+        assert abs(Decimal(math.sqrt(r2) - l) - gap) <= Decimal(_gap_slack(1.0, 0.0, 0.0, l, 2.0 - l))
+
+
+def test_probe_kernels_answer_nan_past_float_range():
+    """An infinite cubic discriminant on the circle, and an endpoint coordinate
+    inf - inf on the square, leave the least distance unknown: NaN."""
+    assert math.isnan(_nearest_endpoint(1.0, 0.0, 1e200, 0.0)[0])
+    assert math.isnan(_square_endpoint(1.0, 0.0, 0.0, 1e200)[0])
 
 
 def test_oracle_central_symmetry_exact():

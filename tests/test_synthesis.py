@@ -244,6 +244,23 @@ def test_square_switching_curve_raises_off_its_domain_and_out_of_float_range(bra
             switching_curve_square(branch, p).x1_of_x2(x2)
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: switching_curve_square("A").point(2.0), "applies to circle branches"),
+    (lambda: switching_curve_circle(P1, "upper").point(1.0), r"upper branch needs theta in \(pi/2, pi\]"),
+    (lambda: switching_curve_circle(P1, "upper").point(math.pi / 2), "upper branch needs theta"),
+    (lambda: switching_curve_circle(P1, "lower").point(4.0), r"lower branch needs theta in \(3\*pi/2, 2\*pi\]"),
+    (lambda: switching_curve_circle(P1, "lower").point(7.0), "lower branch needs theta"),
+    (lambda: switching_curve_circle(P1, "upper").x1_of_x2(2.0), "applies to square branches"),
+    (lambda: switching_curve_circle(P1, "upper").sample(1), "need n >= 2 sample points, got 1"),
+    (lambda: switching_curve_square("A").sample(1), "need n >= 2 sample points, got 1"),
+    (lambda: switching_curve_circle(P1, "A"), 'circle branch must be "upper" or "lower"'),
+])
+def test_switching_curve_calls_off_their_branch_raise(call, match):
+    """Each curve method refuses a branch or an argument it does not serve."""
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
 # ── Touch-and-go curves ───────────────────────────────────────────────────────
 
 
