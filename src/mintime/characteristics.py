@@ -238,9 +238,7 @@ def numeric_retro_dense(
 
 
 def _rk4_leg(x1: float, x2: float, accel: float, length: float, step: float) -> tuple[float, float]:
-    """RK4 for (dx1/dtau, dx2/dtau) = (-x2, accel) over one constant-sign leg."""
-    if length <= 0.0:
-        return x1, x2
+    """RK4 for (dx1/dtau, dx2/dtau) = (-x2, accel) over one constant-sign leg of length > 0."""
     n = max(1, math.ceil(length / step))
     h = length / n
     half = 0.5 * h

@@ -7,8 +7,9 @@ Each fact the tests check against exact arithmetic is written here once:
 - one policy endpoint: where a bang-bang policy (a, t_s, t_f) ends, exact on
   Fractions and to 60 digits on Decimals;
 - the 60-digit tools: the precision context, one bisection, sin and cos, the
-  circle's near-family inversion, the circle's nearest-endpoint gap, the
-  square's least max-norm endpoint and the distance to a half-parabola.
+  circle's near- and far-family inversions, the circle's nearest-endpoint
+  gap, the square's least max-norm endpoint and the distance to a
+  half-parabola.
 
 The module imports nothing from mintime, so it stays independent of the
 code it checks.  Floats convert exactly: Fraction(x) and Decimal(x).
@@ -149,6 +150,33 @@ def circle_near(l, y1, y2):
                 if tau >= 0 and (q >= 0 or tau <= sin / -q):
                     out.append((q, tau))
         return out
+
+
+def circle_far(l, y1, y2):
+    """The upper far family of the circle of radius l at unit authority,
+    inverted at (y1, y2) in 60 digits: (t, tau), or None where it does not
+    reach (y1, y2).
+
+    Its anchor at theta = pi + atan(t), t <= 0, puts the post-switch u = -1
+    parabola at the constant l*(1 + 2t^2)/h + t^2 + l^2*t^2/(2*(1 + t^2)),
+    h = sqrt(1 + t^2), which rises from l at t = 0 by at least t^2; the u = +1
+    leg through (y1, y2) has the constant's negative, y1 - y2^2/2.  The time
+    is -t*(2 + l/h) - y2, kept when it is at least the switch's, -t.  No tie
+    band.
+    """
+    with sixty():
+        l, y1, y2 = Decimal(l), Decimal(y1), Decimal(y2)
+        c = y2 * y2 / 2 - y1
+        if c <= l:
+            return None
+
+        def excess(t):
+            u = t * t
+            return l * (1 + 2 * u) / (1 + u).sqrt() + u + l * l * u / (2 * (1 + u)) - c
+
+        t = bisect(excess, -(c - l).sqrt(), 0)
+        tau = -t * (2 + l / (1 + t * t).sqrt()) - y2
+        return (t, tau) if tau >= -t else None
 
 
 def circle_gap(l, alpha, x1, x2, t_f):

@@ -5,10 +5,12 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
+import exact
 import mintime
 from mintime import BoundaryPoint, Circle, DomainError, Square, boundary_state
 from mintime.cli import main
@@ -293,6 +295,25 @@ def test_square_value_next_to_its_switching_curves(capsys, argv, want):
     assert code == 0, err
     assert len(out.splitlines()) == 1
     assert float(out) == pytest.approx(want, abs=1e-8)
+
+
+@pytest.mark.parametrize("l, x1, x2, want", [
+    ("0.5", "-0.5000000000000056", "1.2945482846707237e-07", 8.603316579666649e-08),
+    ("1", "-1.0000000000000013", "7.360450024792309e-08", 3.650269976839019e-08),
+    ("2", "-2.0000000000000004", "3.570971203955055e-08", 1.7997667386964596e-08),
+])
+def test_circle_value_next_to_theta_pi(capsys, l, x1, x2, want):
+    """States next to theta = pi, where the far family's excess over l cancels
+    unless it is formed from the query (a time 28% short at l = 2): each value
+    is the 60-digit minimum over both families and both halves (want, quoted
+    to 17 digits) within 1e-15."""
+    code, out, err = run(capsys, "value", "--target", "circle", "--l", l, f"--x1={x1}", "--x2", x2)
+    assert code == 0, err
+    y1, y2, r = float(x1), float(x2), float(l)
+    best = min([tau for _, tau in exact.circle_near(r, y1, y2) + exact.circle_near(r, -y1, -y2)]
+               + [f[1] for f in (exact.circle_far(r, y1, y2), exact.circle_far(r, -y1, -y2)) if f])
+    assert abs(best - Decimal(want)) <= Decimal("1e-15") * best
+    assert abs(Decimal(float(out)) - best) <= Decimal("1e-15") * best
 
 
 def test_scenario_merge_flags_win(tmp_path, capsys):

@@ -654,8 +654,7 @@ def test_circle_near_family_next_to_theta_pi(l):
     are drawn).  On seeded states strictly outside the circle on the near
     characteristics of anchors 1e-12 to 1e-2 rad below theta = pi, the near
     family's candidate time is within 1e-15*(|y2| + l) of its 60-digit
-    inversion.  The candidate, not the winner: there the far family's excess
-    d = -c_plus - l still cancels, and it can win by a rounding margin.
+    inversion; the far family's is checked by the next test.
 
     A positive answer there ends on the usable part, as the terminal angle is
     the atan2 of (cos(theta), sin(theta)) rather than acos(cos(theta)), which
@@ -694,6 +693,39 @@ def test_circle_near_family_next_to_theta_pi(l):
             assert classify(m, r.terminal_point, p) is RegionClass.UP, s
         checked += 1
     assert checked >= 500
+
+
+@pytest.mark.parametrize("l", [0.05, 0.5, 1.0, 2.0])
+def test_circle_far_family_against_60_digits(l):
+    """The far family's candidate time is within 1e-13*(|y2| + l) of its
+    60-digit inversion (exact.circle_far), in the box and next to theta = pi.
+
+    Next to pi, x1 = -l*(1 + 10^-k), the excess of the post-switch constant
+    over l must be formed from the query as (-l - x1) + x2^2/2: rounding
+    x1 - x2^2/2 first cancels there, by up to ~1e-8 of |y2| + l.
+    Where the reference does not reach the state, the band may still keep a
+    candidate, but only on the switching curve, with the post-switch control.
+    """
+    tol = _TAU_TOL * min(1.0, l)
+    rng = random.Random(40)
+    checked = 0
+    for k in range(240):
+        if k % 2:
+            y1, y2 = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
+        else:
+            y1 = -l * (1.0 + 10.0 ** -rng.uniform(3.0, 15.0))
+            y2 = 0.1 * l * 10.0 ** -rng.uniform(0.0, 10.0)
+        if y1 * y1 + y2 * y2 <= l * l:
+            continue
+        ref = exact.circle_far(l, y1, y2)
+        far = [c for c in _circle_half(l, y1, y2, False, tol) if c.family == "far_upper"]
+        if ref is None:
+            assert all(c.u == -1.0 for c in far), (y1, y2)
+            continue
+        assert len(far) == 1, (y1, y2)
+        assert abs(Decimal(far[0].tau) - ref[1]) <= Decimal("1e-13") * (abs(Decimal(y2)) + Decimal(l)), (y1, y2)
+        checked += 1
+    assert checked >= 100
 
 
 # ── General authority ─────────────────────────────────────────────────────────
