@@ -328,9 +328,9 @@ def touch_and_go_curves(m: Manifold, params: Params) -> list[TouchAndGoCurve]:
         theta_bar = _theta_bar(m, params)
         graze = State(size * math.cos(theta_bar), size * math.sin(theta_bar))
         control = -1.0
-        t = _solve_far_constant(size, 0.5 * (size - 1.0) ** 2)  # c - r, which cancels in floats as r -> 1
-        switch = State(*_switch_point(_slope_anchor(size, t), -1.0))  # on the lower branch
-        terminal = _point("theta", math.atan(t))  # the lower anchor, at 2*pi + atan(t)
+        anchor = _far_anchor(size, 0.5 * (size - 1.0) ** 2)  # c - r, which cancels in floats as r -> 1
+        switch = State(*_switch_point(anchor, -1.0))  # on the lower branch
+        terminal = _point("theta", math.atan(-anchor[3]))  # the lower anchor, at 2*pi + atan(t)
     tg = TouchAndGoCurve(State(a * graze.x1, a * graze.x2), control, a * c, terminal,
                          State(a * switch.x1, a * switch.x2), a)
     mirror = TouchAndGoCurve(-tg.graze_state, -tg.control, -tg.c,
@@ -372,15 +372,19 @@ def _far_constant(l: float, u: float) -> tuple[float, float]:
     """
     w = 1.0 + u
     h = math.sqrt(w)
-    excess = u * (l * (2.0 - 1.0 / (1.0 + h)) / h + 1.0 + 0.5 * l * l / w)
     slope = l * (1.0 + 0.5 / w) / h + 1.0 + 0.5 * l * l / (w * w)
-    return excess, slope
+    return u * _far_g(l, u), slope
+
+
+def _far_g(l: float, u: float) -> float:
+    """g(u) of _far_constant: the post-switch constant less l, over u."""
+    h = math.sqrt(1.0 + u)
+    return l * (2.0 - 1.0 / (1.0 + h)) / h + 1.0 + 0.5 * l * l / (1.0 + u)
 
 
 _NEWTON_MAX = 60  # iteration cap of the Newton solves; each converges in under 10
 
 
-@functools.lru_cache(maxsize=2)
 def _solve_far_constant(l: float, d: float) -> float:
     """The t < 0 whose post-switch constant exceeds l by d; requires d > 0.
 
@@ -389,11 +393,6 @@ def _solve_far_constant(l: float, d: float) -> float:
     the root (clamped at u = 0, where u*g(u) = 0), and from the left the
     iterates climb to the root monotonically.  The solve stops when a step
     from the left no longer moves u, and returns t = -sqrt(u).
-
-    Cached, as the solve is pure: along a u = +1 arc the parabola constant is
-    invariant, so a rollout's samples often round to an excess already
-    solved; on the closed_loop benchmark's rollouts (seed 4242) 53.8% of
-    the solves hit.  _invert solves at most one far family per half.
     """
     if d <= 0.0:
         raise DomainError("no post-switch anchor: constant must exceed l")
@@ -412,11 +411,53 @@ def _solve_far_constant(l: float, d: float) -> float:
     raise DomainError("post-switch anchor solve did not converge")
 
 
-def _circle_half(l: float, x1: float, x2: float, mirrored: bool, tol: float) -> list[_Candidate]:
-    """Inversions of the upper circle families, which end with a u = -1 leg (at y),
-    feasible within the band tol (see _TAU_TOL)."""
+@functools.lru_cache(maxsize=2)
+def _far_anchor(l: float, d: float) -> tuple[float, float, float, float]:
+    """Anchor of the upper far characteristic whose post-switch constant
+    exceeds l by d (_solve_far_constant, _slope_anchor); requires d > 0.
+
+    Cached, as the anchor is pure: along a u = +1 arc the parabola constant
+    is invariant, so a rollout's samples often round to an excess already
+    solved.  On the closed_loop benchmark's rollouts (seed 4242) 71.7% of
+    the anchors asked hit, as _far_reaches leaves out 54,587 of the 219,756
+    far families without one; 53.7% hit when every family was solved.
+    _invert asks at most one far anchor per half.
+    """
+    return _slope_anchor(l, _solve_far_constant(l, d))
+
+
+def _far_reaches(l: float, d: float, y2: float, tol: float) -> bool:
+    """False only when the far family of excess d cannot reach height y2 by
+    its switch, so that _far would drop it: no solve is needed to know.
+
+    The root u* of u*g(u) = d (_far_constant) is at most u_hi = d/g(d): g
+    is decreasing with g >= 1, so u* <= d and then u* = d/g(u*) <= d/g(d).
+    The switch height y2a + tau_s = l*sqrt(u/(1 + u)) + sqrt(u) and the
+    band tol*(1 + tau_s) both increase in u, and _far keeps the family iff
+    their sum reaches y2, so a sum at u_hi below y2 decides.  The margin is
+    relative, with every term positive: the solve lands each tangent step
+    at or left of the root for d off by a few ulps, so its u exceeds u* of
+    d*(1 + 20*2^-53) by a few ulps at most; u_hi has elasticity at most 2
+    in d, as g's in u is at most 1, and the height has elasticity at most
+    1/2 in u; this test and _far round each term and their sums by a few
+    ulps more.  1e-12 covers all of it many times over.  The sum is
+    positive, so the test fires only where y2 > 0.  An infinite d gives a
+    NaN bound, which does not decide: the solve then raises its overflow
+    error.
+    """
+    u = d / _far_g(l, d)
+    s = math.sqrt(u)
+    bound = l * s / math.sqrt(1.0 + u) + s + tol * (1.0 + s)
+    if bound * (1.0 + 1e-12) < y2:
+        return False
+    return True  # also where the bound is NaN: the solve decides, or raises
+
+
+def _circle_half(out: list[_Candidate], l: float, x1: float, x2: float, mirrored: bool,
+                 tol: float) -> None:
+    """Add to out the inversions of the upper circle families, which end with a
+    u = -1 leg (at y), feasible within the band tol (see _TAU_TOL)."""
     q_max = 1.0 / l if l > 1.0 else 1.0  # cos(thbar); 1 when the NUP is empty
-    out: list[_Candidate] = []
 
     # Near family: one constant-control leg into the manifold, its cos(theta)
     # the small root of a quadratic, from the product of the roots, as 1 - root
@@ -443,20 +484,20 @@ def _circle_half(l: float, x1: float, x2: float, mirrored: bool, tol: float) -> 
     # Far family (_far): its post-switch constant is minus x1 - x2^2/2, the
     # u = +1 parabola's through s, and d its excess over l.  -l - x1 is exact
     # next to theta = pi, where rounding x1 - x2^2/2 first would cancel.
+    # _far_reaches can rule the family out only where x2 > 0.
     d = (-l - x1) + 0.5 * x2 * x2
-    if d > 0.0:
-        _far(out, "far_upper", _slope_anchor(l, _solve_far_constant(l, d)), x2, mirrored, tol)
-    return out
+    if d > 0.0 and (x2 <= 0.0 or _far_reaches(l, d, x2, tol)):
+        _far(out, "far_upper", _far_anchor(l, d), x2, mirrored, tol)
 
 
 # ── Square family inversion ────────────────────────────────────────────────────
 
 
-def _square_half(h: float, x1: float, x2: float, mirrored: bool, tol: float) -> list[_Candidate]:
-    """Inversions of the families into side AB, side BC and corner A (at y, unclamped):
-    near legs into the sides and one far family, as on the circle, feasible
-    within the band tol (see _TAU_TOL)."""
-    out: list[_Candidate] = []
+def _square_half(out: list[_Candidate], h: float, x1: float, x2: float, mirrored: bool,
+                 tol: float) -> None:
+    """Add to out the inversions of the families into side AB, side BC and
+    corner A (at y, unclamped): near legs into the sides and one far family,
+    as on the circle, feasible within the band tol (see _TAU_TOL)."""
 
     # Side families: one u = +1 leg into a side.
     rad = x2 * x2 - 2.0 * (x1 + h)  # x1 + h first: it keeps x2^2 next to the side
@@ -479,7 +520,6 @@ def _square_half(h: float, x1: float, x2: float, mirrored: bool, tol: float) -> 
         t = h - math.sqrt(disc)
         if t <= tol:
             _far(out, "A_far", (-h, h, -1.0, -min(t, 0.0)), x2, mirrored, tol)
-    return out
 
 
 # ── Value-jump loci ────────────────────────────────────────────────────────────
@@ -626,7 +666,9 @@ def _invert(m: Manifold, size: float, a: float, x1: float,
     y1, y2 = x1 / a, x2 / a
     half = _circle_half if isinstance(m, Circle) else _square_half
     tol = _TAU_TOL * size if size < 1.0 else _TAU_TOL  # see _TAU_TOL; not min(), on the per-step path
-    cands = half(size, y1, y2, False, tol) + half(size, -y1, -y2, True, tol)
+    cands: list[_Candidate] = []
+    half(cands, size, y1, y2, False, tol)
+    half(cands, size, -y1, -y2, True, tol)
     if not cands:
         raise DomainError(f"no admissible characteristic reaches State(x1={x1!r}, x2={x2!r})")
     if len(cands) > 1:

@@ -27,7 +27,7 @@ from mintime import (
 from mintime import simulator
 from mintime.manifold import _INTERIOR_TOL, boundary_point_of_state
 from mintime.simulator import Termination, Trajectory, TrajectorySample
-from mintime.synthesis import _closed_form_feedback, _solve_far_constant
+from mintime.synthesis import _closed_form_feedback, _far_anchor
 
 P1 = Params(alpha=1.0, l=1.0)
 C1 = Circle(1.0)
@@ -113,9 +113,9 @@ def test_rollout_is_the_same_with_the_anchor_cache_warm_or_cleared():
     for m, p, s0 in ((C1, P1, State(-2.0, 3.0)), (Circle(2.0), p2, State(3.5, 2.0))):
         first = simulate(m, p, s0, 1e-3, 30.0)
         assert simulate(m, p, s0, 1e-3, 30.0) == first
-        _solve_far_constant.cache_clear()
+        _far_anchor.cache_clear()
         assert simulate(m, p, s0, 1e-3, 30.0) == first
-        assert _solve_far_constant.cache_info().hits > 0
+        assert _far_anchor.cache_info().hits > 0
 
 
 def _rk4_state(s, accel, h):

@@ -28,11 +28,14 @@ from mintime import (
     locus_distance,
     oracle_min_time,
     signed_distance,
+    simulate,
     switching_curve_circle,
     switching_curve_square,
     touch_and_go_curves,
     value,
 )
+from mintime import synthesis
+from mintime.characteristics import _switch_point
 from mintime.manifold import _unit_size, antipode
 from mintime.oracle import _origin_time
 from mintime.synthesis import (
@@ -40,7 +43,10 @@ from mintime.synthesis import (
     _circle_half,
     _closed_form_feedback,
     _curve_point,
+    _far_anchor,
+    _invert,
     _locus_half,
+    _slope_anchor,
     _solve_far_constant,
     _upper_slope_of_y2,
     _written_points,
@@ -684,8 +690,9 @@ def test_circle_near_family_next_to_theta_pi(l):
         ref = [t for q, t in exact.circle_near(l, s.x1, s.x2) if q < 0]
         if signed_distance(m, s) <= 0.0 or not ref:
             continue
-        got = [cand.tau for cand in _circle_half(l, s.x1, s.x2, False, tol)
-               if cand.family == "near_upper" and cand.anchor[2] < 0.0]
+        cands = []
+        _circle_half(cands, l, s.x1, s.x2, False, tol)
+        got = [cand.tau for cand in cands if cand.family == "near_upper" and cand.anchor[2] < 0.0]
         assert len(got) == 1, s
         assert abs(Decimal(got[0]) - ref[0]) <= Decimal("1e-15") * (abs(Decimal(s.x2)) + Decimal(l)), s
         r = _closed_form_feedback(m, p, s)
@@ -718,7 +725,9 @@ def test_circle_far_family_against_60_digits(l):
         if y1 * y1 + y2 * y2 <= l * l:
             continue
         ref = exact.circle_far(l, y1, y2)
-        far = [c for c in _circle_half(l, y1, y2, False, tol) if c.family == "far_upper"]
+        cands = []
+        _circle_half(cands, l, y1, y2, False, tol)
+        far = [c for c in cands if c.family == "far_upper"]
         if ref is None:
             assert all(c.u == -1.0 for c in far), (y1, y2)
             continue
@@ -948,6 +957,55 @@ def test_far_constant_solve_matches_a_decimal_bisection(log_r, log_gap):
     for below in (0.0, -0.5 * r, -r):
         with pytest.raises(DomainError):
             _solve_far_constant(r, below)
+
+
+def _answers_next_to_the_circle_curves(n: int) -> list[str]:
+    """_invert's answers, by repr, at n seeded states next to a circle's
+    switching curves: radii 1e-6 to 1e8, alpha 0.01 to 100, each state a
+    point of the upper curve moved 1e-16 to 1e-3 of its unit time either way
+    along its u = +1 parabola, and half of them mirrored onto the lower curve."""
+    rng = random.Random(41)
+    out = []
+    for k in range(n):
+        l, a = 10.0 ** rng.uniform(-6.0, 8.0), 10.0 ** rng.uniform(-2.0, 2.0)
+        x1, x2 = _switch_point(_slope_anchor(l / a, -(10.0 ** rng.uniform(-4.0, 4.0))), a)
+        dt = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16.0, -3.0) * max(1.0, abs(x2) / a)
+        x1, x2 = x1 + x2 * dt + 0.5 * a * dt * dt, x2 + a * dt
+        if k % 2:
+            x1, x2 = -x1, -x2
+        try:
+            out.append(repr(_invert(Circle(l), l / a, a, x1, x2)))
+        except DomainError as exc:  # a state moved inside the target, which _invert does not reject
+            out.append(repr(exc))
+    return out
+
+
+def test_far_pretest_leaves_every_answer_as_the_solve_gives_it(monkeypatch):
+    """_far_reaches skips only far families whose solve _far would drop: with
+    the pre-test switched off, _invert answers the same bits next to both
+    switching curves, and seeded rollouts give the same samples.  The
+    pre-test must fire on those rollouts, or the comparison shows nothing."""
+    skipped = []
+    reaches = synthesis._far_reaches
+
+    def counted(*args):
+        if reaches(*args):
+            return True
+        skipped.append(args)
+        return False
+
+    monkeypatch.setattr(synthesis, "_far_reaches", counted)
+    starts = [(Circle(l), Params(alpha=alpha, l=l), State(x1, x2))
+              for l, alpha, x1, x2 in ((0.05, 1.0, -2.0, 3.0), (1.0, 1.0, 3.0, -1.5),
+                                       (2.0, 1.0, 3.5, 2.0), (1.0, 0.5, -4.0, 0.5), (3.0, 2.0, 1.0, 4.0))]
+    rollouts = [repr(simulate(m, p, s0, 1e-3, 20.0)) for m, p, s0 in starts]
+    fired = len(skipped)
+    answers = _answers_next_to_the_circle_curves(20000)
+    assert fired > 1000 and len(skipped) - fired > 1000
+    monkeypatch.setattr(synthesis, "_far_reaches", lambda *args: True)
+    _far_anchor.cache_clear()
+    assert [repr(simulate(m, p, s0, 1e-3, 20.0)) for m, p, s0 in starts] == rollouts
+    assert _answers_next_to_the_circle_curves(20000) == answers
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0])
