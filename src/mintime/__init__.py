@@ -6,11 +6,9 @@ from .characteristics import (
     Costate,
     closed_form_state,
     costate_retro,
-    forward_control,
     hamiltonian,
     numeric_retro,
     numeric_retro_dense,
-    optimal_control,
     switch_tau,
     terminal_costate,
 )
@@ -38,7 +36,6 @@ from .model import (
     InsideTarget,
     Params,
     PhysicalParams,
-    SingularInstant,
     State,
     dynamics,
     nondimensionalize,

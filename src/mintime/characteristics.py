@@ -51,7 +51,7 @@ from .manifold import (
     _up_codes,
     boundary_state,
 )
-from .model import DomainError, Params, SingularInstant, State, _check_finite, validate_control
+from .model import DomainError, Params, State, _check_finite, validate_control
 
 
 # ── Types ──────────────────────────────────────────────────────────────────────
@@ -65,22 +65,13 @@ class Costate:
     lambda2: float
 
 
-# ── Hamiltonian and control ────────────────────────────────────────────────────
+# ── Hamiltonian ────────────────────────────────────────────────────────────────
 
 
 def hamiltonian(s: State, c: Costate, u: float, params: Params) -> float:
     """H = 1 + lambda1*x2 + lambda2*alpha*u."""
     validate_control(u)
     return 1.0 + c.lambda1 * s.x2 + c.lambda2 * params.alpha * u
-
-
-def optimal_control(c: Costate) -> float:
-    """u* = -sign(lambda2); raises SingularInstant at lambda2 = 0."""
-    if c.lambda2 > 0.0:
-        return -1.0
-    if c.lambda2 < 0.0:
-        return 1.0
-    raise SingularInstant("lambda2 = 0: take the control from the arc interior")
 
 
 # ── Terminal costates ──────────────────────────────────────────────────────────
@@ -254,19 +245,9 @@ def _rk4_leg(x1: float, x2: float, accel: float, length: float, step: float) -> 
 # ── Flow export ────────────────────────────────────────────────────────────────
 
 
-def forward_control(m: Manifold, b: BoundaryPoint, params: Params, tau: float) -> float:
-    """Forward-time control on the characteristic from b at retrograde tau.
-
-    At a lambda2 = 0 instant (the switch, or tau = 0 on the square's left and
-    right sides) the control of the leg just beyond tau is reported; lambda2
-    has the sign of lambda1 there.
-    """
-    c = costate_retro(m, b, params, tau)
-    return _forward_u(c.lambda1, c.lambda2)
-
-
 def _forward_u(lambda1: float, lambda2: float) -> float:
-    lam2 = lambda2 if lambda2 != 0.0 else lambda1  # forward_control from the costate at tau
+    """u* = -sign(lambda2); at lambda2 = 0 the leg beyond's, where lambda2 takes lambda1's sign."""
+    lam2 = lambda2 if lambda2 != 0.0 else lambda1
     return -1.0 if lam2 >= 0.0 else 1.0
 
 
@@ -275,7 +256,7 @@ def flow_rows(
 ) -> list[tuple]:
     """Rows (anchor_kind, anchor_param, tau, x1, x2, lambda1, lambda2, u) over a
     fan of UP anchors, for phase-portrait export: closed_form_state,
-    costate_retro and forward_control at each anchor and tau, on floats."""
+    costate_retro and their control _forward_u at each anchor and tau, on floats."""
     codes = _up_codes(m, params, n_anchors)
     for t in taus:
         _check_tau(t)

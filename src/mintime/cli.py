@@ -328,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if exc.code is not None else _USAGE_EXIT
+        return exc.code
     try:
         return args.fn(args)
     except DomainError as exc:

@@ -27,14 +27,6 @@ class DomainError(ValueError):
     """Input outside an operation's documented domain."""
 
 
-class SingularInstant(DomainError):
-    """Control sign queried at an instant where lambda2 = 0.
-
-    The sign rule u* = -sign(lambda2) is undefined there; callers resolve the
-    control from the interior of the surrounding arc.
-    """
-
-
 class InsideTarget(DomainError):
     """State strictly inside the target set: already terminated."""
 
@@ -121,10 +113,9 @@ def nondimensionalize(p: PhysicalParams, l: float = 1.0) -> Params:
     return Params(alpha=alpha, l=l)
 
 
-def validate_control(u: float) -> float:
+def validate_control(u: float) -> None:
     if not (math.isfinite(u) and -1.0 <= u <= 1.0):
         raise DomainError(f"control must satisfy -1 <= u <= 1, got {u!r}")
-    return u
 
 
 def dynamics(s: State, u: float, params: Params) -> tuple[float, float]:

@@ -374,7 +374,7 @@ def _clear_until(m: Manifold, alpha: float, t_f: float, g: float) -> float | Non
     is that root, shrunk far beyond the rounding of this computation and of
     the grid lines.
     """
-    if not 0.0 < g < math.inf:
+    if not 0.0 < g:  # also NaN; an infinite excess makes the slack, and so g, NaN
         return None
     b = math.hypot(m.l, alpha) if isinstance(m, Circle) else max(1.0, alpha)
     d = 2.0 * g / (b + math.sqrt(b * b + 2.0 * alpha * g))

@@ -76,7 +76,7 @@ def _rk4_forward(x1: float, x2: float, accel: float, h: float) -> tuple[float, f
     k2 = x2 + 0.5 * h * accel
     k4 = x2 + h * accel
     nx1 = x1 + (h / 6.0) * (x2 + 4.0 * k2 + k4)
-    if not (math.isfinite(nx1) and math.isfinite(k4)):
+    if not math.isfinite(nx1):  # a k4 beyond float range makes nx1 inf or NaN too
         State(nx1, k4)  # raises State's own DomainError
     return nx1, k4
 

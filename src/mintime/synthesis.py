@@ -11,9 +11,8 @@ h = 1/alpha (manifold._unit_size).  Each constant-control arc obeys
 y1 = u*y2^2/2 + const, so the inversions reduce to quadratics in cos(theta)
 or the side parameters, plus one scalar solve for the post-switch circle
 families: Newton in u = tan^2(theta), where the parabola constant less r is
-u*g(u), increasing and concave (_far_constant).  On a concave increasing
-function every tangent step lands at or left of the root and the iterates
-then climb to it monotonically, so the solve converges from any start.
+u*g(u), increasing and concave (_far_constant), so the solve climbs to the
+root from the left and stops from any start (_solve_far_constant).
 
 Central symmetry
 ----------------
@@ -77,7 +76,6 @@ from .manifold import (
     _nup_empty,
     _point,
     _reject_interior,
-    _theta_bar,
     _unit_size,
     antipode,
     boundary_point_of_state,
@@ -250,19 +248,19 @@ def _upper_slope_of_y2(l: float, y2: float) -> float:
     """v = -tan(theta) >= 0 of the upper-branch point at unit-authority height y2.
 
     Along the branch y2 = v*(1 + l/sqrt(1 + v^2)), increasing and concave in
-    v, so Newton from v = y2/(1 + l), at or left of the root, climbs to it
-    monotonically (as in _solve_far_constant).  The solve stops when a step
-    no longer moves v.  A height y2 <= 0 answers the anchor, v = 0.
+    v, so Newton steps from v = y2/(1 + l) land at or left of the root, up to
+    one evaluation's rounding.  The loop goes on only while v strictly
+    increases, so the iterates are floats climbing to a bound and they stop;
+    a NaN step fails nxt > v.  A height y2 <= 0 answers the anchor, v = 0.
     """
     v = max(0.0, y2 / (1.0 + l))
-    for _ in range(_NEWTON_MAX):
+    while True:
         w = 1.0 + v * v
         h = math.sqrt(w)
         nxt = v + (y2 - v * (1.0 + l / h)) / (1.0 + l / (w * h))
         if not nxt > v:
             return v
         v = nxt
-    raise DomainError("switching-curve anchor solve did not converge")
 
 
 def switching_curve_circle(params: Params, branch: str) -> SwitchingCurve:
@@ -313,11 +311,12 @@ def touch_and_go_curves(m: Manifold, params: Params) -> list[TouchAndGoCurve]:
     l/alpha > 1: the characteristics grazing the manifold at the BUP angles
     thbar and pi + thbar.  The second curve is the mirror image of the first.
     Each grazing arc is a value-jump locus's parabola (_locus_half) continued
-    past the locus's edge: the circle's first, the square's mirrored one.
+    past the locus's edge: the circle's first, grazing at that edge (1, w_edge)
+    at unit authority; the square's mirrored one.
     """
     size = _unit_size(m, params)
     a = params.alpha
-    c, _ = _locus_half(m, size)
+    c, w_edge = _locus_half(m, size)
     if isinstance(m, Square):  # through B, switching at A: the mirrored locus's parabola
         graze, switch = State(-size, -size), State(-size, size)
         control, c = 1.0, -c
@@ -325,8 +324,7 @@ def touch_and_go_curves(m: Manifold, params: Params) -> list[TouchAndGoCurve]:
     else:
         if _nup_empty(m, params):
             return []
-        theta_bar = _theta_bar(m, params)
-        graze = State(size * math.cos(theta_bar), size * math.sin(theta_bar))
+        graze = State(1.0, w_edge)
         control = -1.0
         anchor = _far_anchor(size, 0.5 * (size - 1.0) ** 2)  # c - r, which cancels in floats as r -> 1
         switch = State(*_switch_point(anchor, -1.0))  # on the lower branch
@@ -382,17 +380,15 @@ def _far_g(l: float, u: float) -> float:
     return l * (2.0 - 1.0 / (1.0 + h)) / h + 1.0 + 0.5 * l * l / (1.0 + u)
 
 
-_NEWTON_MAX = 60  # iteration cap of the Newton solves; each converges in under 10
-
-
 def _solve_far_constant(l: float, d: float) -> float:
     """The t < 0 whose post-switch constant exceeds l by d; requires d > 0.
 
-    Newton on u*g(u) = d in u = t^2 (see _far_constant).  The left
-    side is increasing and concave, so every tangent step lands at or left of
-    the root (clamped at u = 0, where u*g(u) = 0), and from the left the
-    iterates climb to the root monotonically.  The solve stops when a step
-    from the left no longer moves u, and returns t = -sqrt(u).
+    Newton on u*g(u) = d in u = t^2 (see _far_constant).  The left side is
+    increasing and concave, so every tangent step lands at or left of the
+    root up to one evaluation's rounding (clamped at u = 0, where u*g(u) = 0).
+    The loop goes on only while u strictly increases, so its iterates are
+    increasing floats bounded above and it stops; a NaN step fails nxt > u
+    and stops it too.  It returns t = -sqrt(u).
     """
     if d <= 0.0:
         raise DomainError("no post-switch anchor: constant must exceed l")
@@ -402,13 +398,12 @@ def _solve_far_constant(l: float, d: float) -> float:
     u = (math.sqrt(d + 1.5 * l * l) - l) ** 2
     excess, slope = _far_constant(l, u)
     u = max(0.0, u + (d - excess) / slope)
-    for _ in range(_NEWTON_MAX):
+    while True:
         excess, slope = _far_constant(l, u)
         nxt = u + (d - excess) / slope
         if not nxt > u:
             return -math.sqrt(u)
         u = nxt
-    raise DomainError("post-switch anchor solve did not converge")
 
 
 @functools.lru_cache(maxsize=2)
@@ -448,9 +443,7 @@ def _far_reaches(l: float, d: float, y2: float, tol: float) -> bool:
     u = d / _far_g(l, d)
     s = math.sqrt(u)
     bound = l * s / math.sqrt(1.0 + u) + s + tol * (1.0 + s)
-    if bound * (1.0 + 1e-12) < y2:
-        return False
-    return True  # also where the bound is NaN: the solve decides, or raises
+    return not bound * (1.0 + 1e-12) < y2  # True at a NaN bound: the solve decides, or raises
 
 
 def _circle_half(out: list[_Candidate], l: float, x1: float, x2: float, mirrored: bool,
@@ -528,13 +521,13 @@ def _square_half(out: list[_Candidate], h: float, x1: float, x2: float, mirrored
 def _locus_half(m: Manifold, size: float) -> tuple[float, float]:
     """(c, w_edge) of the jump half-parabola {y1 = c - w^2/2 : w >= w_edge}.
 
-    Unit authority with radius or half-side size; w is the y2 coordinate and
-    the other locus is the central mirror image.
+    Unit authority with radius or half-side size, w the y2 coordinate; the
+    other locus is the mirror image.  w_edge = sqrt((size - 1)*(size + 1)): no cancellation.
     """
     if isinstance(m, Circle):
         if size <= 1.0:
             return size, 0.0
-        return 0.5 * (size * size + 1.0), math.sqrt(size * size - 1.0)
+        return 0.5 * (size * size + 1.0), math.sqrt((size - 1.0) * (size + 1.0))
     return size + 0.5 * size * size, size
 
 

@@ -12,17 +12,14 @@ from mintime import (
     Costate,
     DomainError,
     Params,
-    SingularInstant,
     Square,
     State,
     boundary_state,
     closed_form_state,
     costate_retro,
-    forward_control,
     hamiltonian,
     numeric_retro,
     numeric_retro_dense,
-    optimal_control,
     sample_up,
     switch_tau,
     terminal_costate,
@@ -36,20 +33,18 @@ SQ = Square()
 C1 = Circle(1.0)
 
 
-# ── Hamiltonian and control sign ──────────────────────────────────────────────
+def _flow_u(m, p, n, b, taus):
+    """The u column of flow_rows' rows at anchor b of its n-anchor fan, one per tau."""
+    return [row[7] for row in flow_rows(m, p, n, taus) if row[:2] == (b.kind, b.param)]
+
+
+# ── Hamiltonian ───────────────────────────────────────────────────────────────
 
 
 def test_hamiltonian_examples():
     assert hamiltonian(State(0.0, 1.0), Costate(1.0, 0.0), 0.3, P1) == 2.0
     assert hamiltonian(State(0.0, 0.0), Costate(0.0, 1.0), -1.0, P1) == 0.0
     assert hamiltonian(State(0.0, 2.0), Costate(1.0, -3.0), 1.0, Params(alpha=2.0)) == -3.0
-
-
-def test_optimal_control_sign_rule():
-    assert optimal_control(Costate(0.0, 0.5)) == -1.0
-    assert optimal_control(Costate(3.0, -2.0)) == 1.0
-    with pytest.raises(SingularInstant):
-        optimal_control(Costate(1.0, 0.0))
 
 
 # ── Terminal costates ─────────────────────────────────────────────────────────
@@ -200,9 +195,8 @@ def test_arc_parabola_identity():
                     continue
                 taus = [lo + (k + 0.25) * (hi - lo) / 8 for k in range(8)]
                 consts = []
-                for t in taus:
+                for t, u in zip(taus, _flow_u(m, p, 24, b, taus)):
                     s = closed_form_state(m, b, p, t)
-                    u = forward_control(m, b, p, t)
                     consts.append(s.x1 - u * 0.5 * s.x2 * s.x2)
                 assert max(consts) - min(consts) < 1e-9
 
@@ -257,6 +251,11 @@ def test_numeric_rejects_bad_step():
             numeric_retro(C1, BoundaryPoint("theta", 1.0), P1, tau, step)
 
 
+def test_numeric_dense_rejects_decreasing_taus():
+    with pytest.raises(DomainError, match="non-decreasing"):
+        numeric_retro_dense(C1, BoundaryPoint("theta", 2.3), P1, [1.0, 0.5], 1e-3)
+
+
 def test_numeric_dense_single_pass_consistent():
     b = BoundaryPoint("theta", 2.3)
     taus = [0.1, 0.9, 1.7, 3.2]
@@ -283,28 +282,43 @@ def test_numeric_general_alpha_annihilates_hamiltonian():
 
 
 def test_forward_control_switches_once():
-    """Upper near legs brake; at the switch the control beyond it is reported."""
-    b = BoundaryPoint("theta", 2.5)
-    ts = switch_tau(b)
-    for tau in (0.0, 0.5 * ts, ts * (1.0 - 1e-12)):
-        assert forward_control(C1, b, P1, tau) == -1.0
-    for tau in (ts, ts * (1.0 + 1e-12), ts + 1.0, 5.0):
-        assert forward_control(C1, b, P1, tau) == 1.0
+    """The u column of flow_rows flips once, at switch_tau, and at the switch
+    the control beyond it is reported; upper near legs brake."""
+    braking = 0
+    for b in sample_up(C1, P1, 16):
+        ts = switch_tau(b)
+        if ts is None:
+            continue
+        taus = [0.0, 0.5 * ts, ts * (1.0 - 1e-12), ts, ts * (1.0 + 1e-12), ts + 1.0, 2.0 * ts + 5.0]
+        u = _flow_u(C1, P1, 16, b, taus)
+        assert u == [u[0]] * 3 + [-u[0]] * 4
+        if math.pi / 2 < b.param < math.pi:
+            assert u[0] == -1.0
+            braking += 1
+    assert braking
 
 
 def test_forward_control_without_switch():
-    b = BoundaryPoint("BC", 0.5)
-    assert switch_tau(b) is None
-    for tau in (0.0, 1.0, 4.0):
-        assert forward_control(SQ, b, P1, tau) == 1.0  # bottom-side entries accelerate upward
+    """Side anchors never switch: side AB and bottom BC entries accelerate
+    upward throughout, CD and AD downward, also at tau = 0, where lambda2 = 0
+    on the left and right sides."""
+    kinds = set()
+    for b in sample_up(SQ, P1, 16):
+        if b.kind.startswith("corner"):
+            continue
+        assert switch_tau(b) is None
+        kinds.add(b.kind)
+        assert _flow_u(SQ, P1, 16, b, [0.0, 1.0, 4.0]) == [1.0 if b.kind in ("AB", "BC") else -1.0] * 3
+    assert kinds == {"AB", "BC", "CD", "AD"}
     for tau in (-1.0, math.nan):
         with pytest.raises(DomainError):
-            forward_control(SQ, b, P1, tau)
+            flow_rows(SQ, P1, 16, [tau])
 
 
 def test_flow_rows_are_the_closed_form_costate_and_control():
-    """Each row is closed_form_state, costate_retro and forward_control at its
-    anchor and tau, exactly."""
+    """Each row is closed_form_state, costate_retro and that costate's control
+    -sign(lambda2) at its anchor and tau, exactly; where lambda2 = 0 the
+    control is the leg's beyond, -sign(lambda1)."""
     taus = [0.0, 0.3, 1.0, 2.5]
     for m, l in ((Circle(0.5), 0.5), (Circle(2.0), 2.0), (SQ, 1.0)):
         for alpha in (0.5, 1.0, 2.0):
@@ -314,6 +328,6 @@ def test_flow_rows_are_the_closed_form_costate_and_control():
             for b in sample_up(m, p, 12):
                 for t in taus:
                     s, c = closed_form_state(m, b, p, t), costate_retro(m, b, p, t)
-                    u = forward_control(m, b, p, t)
+                    u = -1.0 if (c.lambda2 or c.lambda1) >= 0.0 else 1.0
                     expected.append((b.kind, b.param, t, s.x1, s.x2, c.lambda1, c.lambda2, u))
             assert rows == expected

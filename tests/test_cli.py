@@ -70,6 +70,15 @@ def test_isochrone_eight_levels(capsys):
     assert taus == {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0}
 
 
+def test_isochrone_of_a_circle_with_a_nup_takes_the_generic_fan(capsys):
+    """Circle(2) at alpha = 1 has a non-usable part: its rows are isochrone_generic's."""
+    code, out, _ = run(capsys, "isochrone", "--target", "circle", "--l", "2", "--tau", "1", "--samples", "8")
+    assert code == 0
+    iso = mintime.isochrone_generic(Circle(2.0), mintime.Params(l=2.0), 1.0, 8)
+    want = [f"1.0,{p.param!r},{p.x1!r},{p.x2!r},{p.family}" for p in iso.points]
+    assert out.splitlines()[1:] == want
+
+
 def test_feedback_json(capsys):
     code, out, _ = run(capsys, "feedback", "--target", "square", "--x1", "-3", "--x2", "1")
     assert code == 0
@@ -97,6 +106,12 @@ def test_simulate_csv(capsys):
     summary = json.loads(err.strip().splitlines()[-1])
     assert summary["status"] == "reached"
     assert summary["t_f"] == pytest.approx(1.0, abs=0.02)
+
+
+def test_simulate_that_runs_out_of_time_names_no_terminal(capsys):
+    code, _, err = run(capsys, "simulate", "--x1", "3", "--x2", "1", "--tmax", "0.01")
+    assert code == 0
+    assert json.loads(err) == {"status": "max_time", "t_f": None}
 
 
 def test_loci_csv(capsys):
@@ -274,6 +289,9 @@ def test_domain_error_exits_2(capsys):
         # Radii whose square is not a normal float: membership compares squares.
         ("value", "--l", "1e-200", "--alpha", "2", "--x1", "3e-200", "--x2", "0"),
         ("value", "--l", "1e160", "--alpha", "2", "--x1", "3e160", "--x2", "5e159"),
+        # An infinite tolerance, and a step of 0, which simulate itself refuses.
+        ("verify", "--tol", "inf"),
+        ("simulate", "--x1", "3", "--x2", "1", "--dt", "0"),
     ],
 )
 def test_out_of_range_numbers_exit_2(capsys, argv):

@@ -284,13 +284,15 @@ def test_sample_up_points_are_usable():
 def test_sample_up_returns_n_points_from_the_interval_count():
     """Exactly n points for every n >= the number of UP intervals, one per
     interval below it.  On the square at n = 7 the rounded shares of the
-    first five intervals already sum to 7, and the largest gives one up.
-    n = 0 is refused."""
+    first five intervals already sum to 7, and the largest gives one up; at
+    n = 1 to 5 every share is 1 and none gives up.  n = 0 is refused."""
     cases = [(Circle(l), Params(alpha=1.0, l=l)) for l in (0.5, 2.0)] + [(Square(), P1)]
     for m, p in cases:
         count = len(up_intervals(m, p))
         for n in range(1, 301):
             assert len(sample_up(m, p, n)) == max(n, count), (m, n)
+    for n in range(1, 6):
+        assert [b.kind for b in sample_up(Square(), P1, n)] == ["AB", "BC", "CD", "AD", "corner_A", "corner_C"]
     kinds = [b.kind for b in sample_up(Square(), P1, 7)]
     assert [kinds.count(k) for k in ("AB", "BC", "CD", "AD", "corner_A", "corner_C")] == [1, 1, 1, 2, 1, 1]
     kinds = [b.kind for b in sample_up(Square(), P1, 64)]
@@ -355,3 +357,9 @@ def test_state_map_commutes_with_the_central_mirror():
     for s in states:
         b, mirror = boundary_point_of_state(sq, -s), antipode(sq, boundary_point_of_state(sq, s))
         assert (b.kind, b.param.hex()) == (mirror.kind, mirror.param.hex()), s
+
+
+def test_circle_rejects_a_radius_whose_square_is_not_a_positive_normal_float():
+    for l in (0.0, -1.0, math.nan, 1e-160, 1e160, math.inf):
+        with pytest.raises(DomainError, match="radius"):
+            Circle(l)

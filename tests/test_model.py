@@ -13,6 +13,7 @@ from mintime import (
     nondimensionalize,
     parse_scenario,
 )
+from mintime.model import _check_finite
 
 
 def test_nondimensionalize_all_ones_identity():
@@ -31,6 +32,9 @@ def test_nondimensionalize_rejects_nonpositive():
         PhysicalParams(mass=1.0, f_max=0.0, length=1.0, velocity=1.0)
     with pytest.raises(DomainError):
         PhysicalParams(mass=-1.0, f_max=1.0, length=1.0, velocity=1.0)
+    for v in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="length must be finite and > 0"):
+            PhysicalParams(mass=1.0, f_max=1.0, length=v, velocity=1.0)
 
 
 def test_dynamics_examples():
@@ -41,8 +45,10 @@ def test_dynamics_examples():
 
 
 def test_dynamics_rejects_large_control():
-    with pytest.raises(DomainError):
-        dynamics(State(0.0, 0.0), 1.5, Params())
+    """Above 1, below -1 and NaN are refused."""
+    for u in (1.5, -1.5, math.nan):
+        with pytest.raises(DomainError, match="control must satisfy"):
+            dynamics(State(0.0, 0.0), u, Params())
 
 
 def test_dynamics_linear_in_control():
@@ -71,8 +77,21 @@ def test_params_validation():
         Params(alpha=0.0)
     with pytest.raises(DomainError):
         Params(l=-1.0)
+    with pytest.raises(DomainError, match="alpha must be finite"):
+        Params(alpha=math.inf)
+    with pytest.raises(DomainError, match="l must be finite"):
+        Params(l=math.nan)
     with pytest.raises(DomainError):
         State(math.nan, 0.0)
+    with pytest.raises(DomainError, match="state must be finite"):
+        State(0.0, math.inf)
+
+
+def test_check_finite_raises_states_error_for_either_coordinate():
+    _check_finite(1.0, -2.0)
+    for x1, x2 in ((math.inf, 0.0), (0.0, math.nan)):
+        with pytest.raises(DomainError, match="state must be finite"):
+            _check_finite(x1, x2)
 
 
 def test_parse_scenario_roundtrip():
@@ -98,3 +117,8 @@ def test_parse_scenario_rejects_unknown_keys_and_bad_values():
         parse_scenario("[1]")
     with pytest.raises(DomainError, match='"l" must be a number'):
         parse_scenario('{"l": "two", "target": "circle"}')
+    # JSON true is a Python bool, an int subclass: refused as a number.
+    with pytest.raises(DomainError, match='"alpha" must be a number, got True'):
+        parse_scenario('{"alpha": true, "target": "circle"}')
+    with pytest.raises(DomainError, match='"l" must be a number, got False'):
+        parse_scenario('{"l": false, "target": "circle"}')

@@ -109,6 +109,8 @@ def test_policy_candidate_rejects_a_control_or_switch_it_cannot_apply():
         PolicyCandidate(0.5, 0.0, 1.0)
     with pytest.raises(DomainError, match="need 0 <= t_switch <= t_final"):
         PolicyCandidate(1.0, 2.0, 1.0)
+    with pytest.raises(DomainError, match="need 0 <= t_switch <= t_final"):
+        PolicyCandidate(1.0, -0.5, 1.0)
 
 
 @pytest.mark.parametrize("alpha, x1, x2", [
@@ -157,11 +159,26 @@ def test_nearest_endpoint_where_the_cubic_is_w_cubed():
         assert abs(Decimal(math.sqrt(r2) - l) - gap) <= Decimal(_gap_slack(1.0, 0.0, 0.0, l, 2.0 - l))
 
 
+@pytest.mark.parametrize("x1, x2", [(7.5, -3.0), (3.5, 1.0)])
+def test_nearest_endpoint_where_the_cubic_has_a_double_root(x1, x2):
+    """At alpha = 1, t_f = 1 the u0 = +1 cubic is d^3 - 3*d + 2 from (7.5, -3)
+    and d^3 - 3*d - 2 from (3.5, 1): a double root, where the trigonometric
+    form's cosine is exactly -1, or 1, and the clamps keep it.  The gap agrees
+    with 60 digits."""
+    r2 = _nearest_endpoint(1.0, x1, x2, 1.0)[0]
+    gap = exact.circle_gap(1.0, 1.0, x1, x2, 1.0)
+    excess = math.sqrt(r2) - 1.0
+    assert abs(Decimal(excess) - gap) <= Decimal(_gap_slack(1.0, x2, 1.0, 1.0, excess))
+
+
 def test_probe_kernels_answer_nan_past_float_range():
     """An infinite cubic discriminant on the circle, and an endpoint coordinate
-    inf - inf on the square, leave the least distance unknown: NaN."""
+    inf - inf on the square, leave the least distance unknown: NaN.  From
+    (0, 1e308) at alpha = 2, t_f = 1e308 the u0 = -1 endpoint keeps x1 finite
+    before the switch and its x2 is inf - inf."""
     assert math.isnan(_nearest_endpoint(1.0, 0.0, 1e200, 0.0)[0])
     assert math.isnan(_square_endpoint(1.0, 0.0, 0.0, 1e200)[0])
+    assert math.isnan(_square_endpoint(2.0, 0.0, 1e308, 1e308)[0])
 
 
 def test_oracle_central_symmetry_exact():
@@ -646,6 +663,34 @@ def test_refined_time_is_within_its_bracket_width_of_the_minimum():
         assert lo <= t <= hi + 1e-9 * max(1.0, hi)
         checked += 1
     assert checked >= 2000
+
+
+def test_a_box_bound_within_the_refinement_width_of_the_line_is_the_bracket():
+    """The braking arc from this state crosses x2 = 1 at t = 100 - 5e-8, the box
+    bound, 3e-8 short of the unit circle's x1 = 0: the bound is infeasible
+    and already within 1e-9*100 of the feasible line at 100, so the line is
+    the answer with no refinement step."""
+    t_box = 100.0 - 5e-8
+    x2 = 1.0 + t_box
+    s = State(-3e-8 - x2 * t_box + 0.5 * t_box * t_box, x2)
+    assert _box_entry_time(C1, 1.0, s) == t_box
+    assert oracle_min_time(C1, P1, s) == 100.0
+    lo, hi = _bisected_minimum(C1, P1, s, 10000)
+    assert lo <= 100.0 <= hi + 1e-9 * 100.0
+
+
+@pytest.mark.parametrize("l, alpha, x1, x2", [
+    (0.5, 0.5, 0.48348585698458174, 0.1285073656076512),
+    (0.5, 1.0, 0.4327856058045413, 0.36664531688120217),
+])
+def test_refinement_next_to_a_tangent_entry(l, alpha, x1, x2):
+    """Along a grazing entry both bracket ends can round to an excess of 0.0:
+    the secant is undefined and the step bisects.  t_final is still within
+    the refinement width of the minimum."""
+    m, p, s = Circle(l), Params(alpha=alpha, l=l), State(x1, x2)
+    t = oracle_min_time(m, p, s)
+    lo, hi = _bisected_minimum(m, p, s, math.ceil(t / DEFAULT_GRID))
+    assert lo <= t <= hi + 1e-9 * max(1.0, hi)
 
 
 _target_and_alpha = {

@@ -339,11 +339,32 @@ def test_value_decreases_at_unit_rate_along_rollout():
         assert dv / dt == pytest.approx(-1.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("m, p", [(C1, P1), (SQ, P1), (Circle(2.0), Params(alpha=2.0, l=2.0))])
+def test_a_step_ending_in_the_switching_band_flips_at_its_end(m, p):
+    """From dt + 1e-11 before the law's switch state along its arc, the step
+    ends inside the switching band, where the law already flips, while the
+    switch state lies beyond the step: the flip is taken at the step's end."""
+    dt, a = 1e-3, p.alpha
+    res = _closed_form_feedback(m, p, State(3.0, 1.0))
+    u, sw = res.u, res.switch_state
+    t = dt + 1e-11
+    x2 = sw.x2 - a * u * t
+    s0 = State(sw.x1 - x2 * t - 0.5 * a * u * t * t, x2)
+    traj = simulate(m, p, s0, dt, 10.0)
+    assert (traj.samples[1].t, traj.samples[1].u) == (dt, -u)
+    assert traj.n_switches == 1
+    assert abs(traj.termination.t_f - value(m, p, s0)) <= 2.0 * dt
+
+
 def test_simulate_validations():
     with pytest.raises(InsideTarget):
         simulate(C1, P1, State(0.0, 0.0), 1e-3, 1.0)
     with pytest.raises(DomainError):
         simulate(C1, P1, State(-2.0, 0.0), 0.0, 1.0)
+    with pytest.raises(DomainError, match="dt must be finite"):
+        simulate(C1, P1, State(-2.0, 0.0), math.inf, 1.0)
+    with pytest.raises(DomainError, match="t_max must be finite"):
+        simulate(C1, P1, State(-2.0, 0.0), 1e-3, math.inf)
     traj = simulate(C1, P1, State(-5.0, -5.0), 1e-3, 0.05)
     assert traj.termination.status == "max_time"
 

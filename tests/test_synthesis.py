@@ -254,11 +254,13 @@ def test_square_switching_curve_raises_off_its_domain_and_out_of_float_range(bra
     (lambda: switching_curve_square("A").point(2.0), "applies to circle branches"),
     (lambda: switching_curve_circle(P1, "upper").point(1.0), r"upper branch needs theta in \(pi/2, pi\]"),
     (lambda: switching_curve_circle(P1, "upper").point(math.pi / 2), "upper branch needs theta"),
+    (lambda: switching_curve_circle(P1, "upper").point(3.5), "upper branch needs theta in .*, got 3.5"),
     (lambda: switching_curve_circle(P1, "lower").point(4.0), r"lower branch needs theta in \(3\*pi/2, 2\*pi\]"),
     (lambda: switching_curve_circle(P1, "lower").point(7.0), "lower branch needs theta"),
     (lambda: switching_curve_circle(P1, "upper").x1_of_x2(2.0), "applies to square branches"),
     (lambda: switching_curve_circle(P1, "upper").sample(1), "need n >= 2 sample points, got 1"),
     (lambda: switching_curve_square("A").sample(1), "need n >= 2 sample points, got 1"),
+    (lambda: switching_curve_circle(P1, "upper").sample(5, math.inf), "x2_max must be finite"),
     (lambda: switching_curve_circle(P1, "A"), 'circle branch must be "upper" or "lower"'),
 ])
 def test_switching_curve_calls_off_their_branch_raise(call, match):
