@@ -47,7 +47,8 @@ radius, or None for the square.
 
 The oracle shares no code with the synthesis: it has its own cubic solver, and
 only the grid report imports the synthesis, to compare against its closed
-form (synthesis._invert) at every alpha.  Like every entry point, it checks
+form's time-to-go (synthesis._invert), which forms no switch state, at
+every alpha.  Like every entry point, it checks
 the target against params with the shared model code (manifold._unit_size),
 which rejects a Circle whose radius differs from params.l.
 

@@ -3,7 +3,11 @@
 The loop is sampled-data: the feedback law is re-evaluated every step and held
 constant across it, integrated with fixed-step RK4.  At every alpha and at
 every sample, the first too, it is the closed form, asked only for the
-control and switch state (synthesis._invert).
+control and the far candidate that decides the switch (synthesis._invert).
+Its switch state (synthesis._switch_state) is formed at the first sample,
+so that a start whose switch state leaves float range raises as feedback
+does, and after that only where the control flips, the one place a step
+reads it.
 Each step carries (x1, x2) as plain floats, and raises State's error when
 they leave float range.
 Two kinds of events land inside a step rather than on the grid:
@@ -37,7 +41,7 @@ from .manifold import (_INTERIOR_TOL, BoundaryPoint, Manifold, _radius, _reject_
 from .model import DomainError, Params, State
 # feedback is not called here; the benchmark's tracer test checks that its
 # wrapper replaces this binding too (perfbench/test_perfbench.py).
-from .synthesis import _invert, feedback  # noqa: F401
+from .synthesis import _invert, _switch_state, feedback  # noqa: F401
 
 
 class TrajectorySample(NamedTuple):
@@ -93,7 +97,8 @@ def simulate(m: Manifold, params: Params, s0: State, dt: float, t_max: float) ->
     a = params.alpha
     t = 0.0
     x1, x2 = s0.x1, s0.x2
-    _, u, sw = _invert(m, size, a, x1, x2)
+    _, u, far = _invert(m, size, a, x1, x2)
+    _switch_state(far, a)  # raises State's error out of float range, as feedback does
     samples = [TrajectorySample(0.0, x1, x2, u)]
     if _signed_distance(m, x1, x2) <= on_tol:
         return Trajectory(tuple(samples), Termination("reached", boundary_point_of_state(m, s0), 0.0), dt)
@@ -107,16 +112,17 @@ def simulate(m: Manifold, params: Params, s0: State, dt: float, t_max: float) ->
             samples.append(TrajectorySample(t, x1, x2, u))
             final = boundary_point_of_state(m, State(x1, x2))
             return Trajectory(tuple(samples), Termination("reached", final, t), dt)
-        _, nxt_u, nxt_sw = _invert(m, size, a, n1, n2)
-        if nxt_u != u and sw is not None and 0.0 < (h := (sw[1] - x2) / accel) < dt:
+        _, nxt_u, nxt_far = _invert(m, size, a, n1, n2)
+        if (nxt_u != u and (sw := _switch_state(far, a)) is not None
+                and 0.0 < (h := (sw[1] - x2) / accel) < dt):
             # x2 is linear under constant control, so h reaches the law's own
             # switch state; it is taken only if the law flips there too.
-            _, sw_u, sw_sw = _invert(m, size, a, *sw)
+            _, sw_u, sw_far = _invert(m, size, a, *sw)
             if sw_u != u:
-                (x1, x2), t, u, sw = sw, t + h, sw_u, sw_sw
+                (x1, x2), t, u, far = sw, t + h, sw_u, sw_far
                 samples.append(TrajectorySample(t, x1, x2, u))
                 continue
-        x1, x2, t, u, sw = n1, n2, t + dt, nxt_u, nxt_sw
+        x1, x2, t, u, far = n1, n2, t + dt, nxt_u, nxt_far
         samples.append(TrajectorySample(t, x1, x2, u))
     return Trajectory(tuple(samples), Termination("max_time", None, None), dt)
 

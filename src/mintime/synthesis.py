@@ -102,7 +102,8 @@ class SynthesisResult:
     u: current optimal control; within the band of a switching curve
     (_invert's tol) it is the post-switch control; time_to_go: minimal time to the
     usable part; terminal_point: where the optimal trajectory terminates;
-    switch_state: the upcoming switching-curve crossing, if any;
+    switch_state: the upcoming switching-curve crossing, if any: the switch
+    of _invert's far candidate (_switch_state);
     discontinuity_flag: the query sits within a hair of a value-jump locus,
     and the smaller-time side is reported.
 
@@ -413,34 +414,43 @@ def _far_anchor(l: float, d: float) -> tuple[float, float, float, float]:
 
     Cached, as the anchor is pure: along a u = +1 arc the parabola constant
     is invariant, so a rollout's samples often round to an excess already
-    solved.  On the closed_loop benchmark's rollouts (seed 4242) 71.7% of
-    the anchors asked hit, as _far_reaches leaves out 54,587 of the 219,756
+    solved.  On the closed_loop benchmark's rollouts (seed 4242) 77.6% of
+    the anchors asked hit, as _far_reaches leaves out 67,138 of the 219,756
     far families without one; 53.7% hit when every family was solved.
     _invert asks at most one far anchor per half.
     """
     return _slope_anchor(l, _solve_far_constant(l, d))
 
 
+def _far_root_bound(l: float, d: float) -> float:
+    """An upper bound on the root u* of u*g(u) = d (_far_constant): two steps
+    of u -> d/g(u) from u = d.  g is decreasing with g >= 1, so u* <= d and
+    then u* = d/g(u*) <= d/g(d) = u1; a step from any u >= u* lands at
+    d/g(u) >= d/g(u*) = u*, and from u1 <= d at d/g(u1) <= d/g(d) = u1, so
+    the second step stays at or above u* and never grows."""
+    return d / _far_g(l, d / _far_g(l, d))
+
+
 def _far_reaches(l: float, d: float, y2: float, tol: float) -> bool:
     """False only when the far family of excess d cannot reach height y2 by
     its switch, so that _far would drop it: no solve is needed to know.
 
-    The root u* of u*g(u) = d (_far_constant) is at most u_hi = d/g(d): g
-    is decreasing with g >= 1, so u* <= d and then u* = d/g(u*) <= d/g(d).
     The switch height y2a + tau_s = l*sqrt(u/(1 + u)) + sqrt(u) and the
     band tol*(1 + tau_s) both increase in u, and _far keeps the family iff
-    their sum reaches y2, so a sum at u_hi below y2 decides.  The margin is
-    relative, with every term positive: the solve lands each tangent step
-    at or left of the root for d off by a few ulps, so its u exceeds u* of
-    d*(1 + 20*2^-53) by a few ulps at most; u_hi has elasticity at most 2
-    in d, as g's in u is at most 1, and the height has elasticity at most
-    1/2 in u; this test and _far round each term and their sums by a few
-    ulps more.  1e-12 covers all of it many times over.  The sum is
-    positive, so the test fires only where y2 > 0.  An infinite d gives a
-    NaN bound, which does not decide: the solve then raises its overflow
-    error.
+    their sum reaches y2, so a sum at _far_root_bound's u_hi >= u* below y2
+    decides.  The margin is relative, with every term positive: the solve
+    lands each tangent step at or left of the root for d off by a few ulps,
+    so its u exceeds u* of d*(1 + 20*2^-53) by a few ulps at most; g's
+    elasticity in u is at most 1, so d/g(d) has elasticity at most 2 in d
+    and the second step d/g(d/g(d)) at most 3, and the height has
+    elasticity at most 1/2 in u; this test and _far round each term and
+    their sums by a few ulps more.  1e-12 covers all of it many times over.
+    The sum is positive, so the test fires only where y2 > 0.  On the
+    closed_loop benchmark's rollouts (seed 4242) it rules out 67,138 of the
+    219,756 far families, and 34,193 are solved.  An infinite d gives a NaN
+    bound, which does not decide: the solve then raises its overflow error.
     """
-    u = d / _far_g(l, d)
+    u = _far_root_bound(l, d)
     s = math.sqrt(u)
     bound = l * s / math.sqrt(1.0 + u) + s + tol * (1.0 + s)
     return not bound * (1.0 + 1e-12) < y2  # True at a NaN bound: the solve decides, or raises
@@ -449,7 +459,23 @@ def _far_reaches(l: float, d: float, y2: float, tol: float) -> bool:
 def _circle_half(out: list[_Candidate], l: float, x1: float, x2: float, mirrored: bool,
                  tol: float) -> None:
     """Add to out the inversions of the upper circle families, which end with a
-    u = -1 leg (at y), feasible within the band tol (see _TAU_TOL)."""
+    u = -1 leg (at y), feasible within the band tol (see _TAU_TOL).
+
+    The near family's disc = 1 + l^2 - 2*c_minus, c_minus = x1 + x2^2/2,
+    vanishes on the parabola that grazes the circle at q = 1/l (at l = 1 the
+    value-jump locus through (1, 0), where no other family answers).  With
+    u = 2^-53 and S = 1 + l^2 + 2*|x1| + x2^2, to first order in u:
+    - x2*x2 is off by u*x2^2, and c_minus by u*(|x1| + x2^2) in all: x1 and
+      x2^2/2 can cancel, so the bound is on their magnitudes, not c_minus's;
+    - 2*c_minus is exact, 1 + l*l is off by u*(1 + 2*l^2), and the
+      difference by u*|disc|.
+    That is at most 2*u*S + u*|disc|, so a state on the grazing parabola
+    gives a disc no lower than -2*u*S(1 + u).  A disc < 0 within 8*u*S of 0,
+    four times that, which covers the |disc| term, the second order and the
+    band's own rounding, reads 0, and the state is answered as on the
+    parabola, which it is within rounding: at l = 1 c_minus rounds to
+    1 + 2^-52 on the locus, and disc reads -2^-51.
+    """
     q_max = 1.0 / l if l > 1.0 else 1.0  # cos(thbar); 1 when the NUP is empty
 
     # Near family: one constant-control leg into the manifold, its cos(theta)
@@ -460,6 +486,8 @@ def _circle_half(out: list[_Candidate], l: float, x1: float, x2: float, mirrored
     # much.  Near q = -1, 1 - q*q cancels: sin(theta) takes 1 + q = 2*((x1 + l) + x2^2/2)/(l*(root + 1 + l)).
     c_minus = x1 + 0.5 * x2 * x2  # constant of the u = -1 parabola through s
     disc = 1.0 + l * l - 2.0 * c_minus
+    if disc < 0.0 and -disc <= 2.0 ** -50 * (1.0 + l * l + 2.0 * abs(x1) + x2 * x2):
+        disc = 0.0  # within its own rounding of 0: see the docstring
     if disc >= 0.0:
         root = math.sqrt(disc)
         q = (2.0 * c_minus - l * l) / (l * (1.0 + root))
@@ -638,7 +666,8 @@ def _closed_form_feedback(m: Manifold, params: Params, s: State) -> SynthesisRes
     size = _unit_size(m, params)
     _reject_interior(m, s)
     a = params.alpha
-    best, u, switch = _invert(m, size, a, s.x1, s.x2)
+    best, u, far = _invert(m, size, a, s.x1, s.x2)
+    switch = _switch_state(far, a)
     y1, y2, n1, n2 = best.anchor
     if best.family in ("AB", "BC"):  # a side's code is its free coordinate
         terminal = _point(best.family, a * (y2 if n1 else y1))
@@ -651,11 +680,14 @@ def _closed_form_feedback(m: Manifold, params: Params, s: State) -> SynthesisRes
 
 
 def _invert(m: Manifold, size: float, a: float, x1: float,
-            x2: float) -> tuple[_Candidate, float, tuple[float, float] | None]:
-    """(winning candidate, its control, switch state as (x1, x2)) at (x1, x2)
-    outside the target: the families inverted at y = x/alpha and their mirror
-    twins at -y; the switch is the first far family's among best's ties.
-    Plain floats in and out, so that a rollout builds no State."""
+            x2: float) -> tuple[_Candidate, float, _Candidate | None]:
+    """(winning candidate, its control, far candidate) at (x1, x2) outside
+    the target: the families inverted at y = x/alpha and their mirror twins
+    at -y.  The far candidate is the first far family among best's ties, or
+    None; its switch state is formed only where an answer reads it
+    (_switch_state).  Plain floats in and out, so that a rollout builds no
+    State.  On the closed_loop benchmark's rollouts (seed 4242, 272,014
+    samples) simulate forms 90 switch states, at its starts and flips."""
     y1, y2 = x1 / a, x2 / a
     half = _circle_half if isinstance(m, Circle) else _square_half
     tol = _TAU_TOL * size if size < 1.0 else _TAU_TOL  # see _TAU_TOL; not min(), on the per-step path
@@ -667,14 +699,20 @@ def _invert(m: Manifold, size: float, a: float, x1: float,
     if len(cands) > 1:
         cands.sort(key=_order)
     best = cands[0]
-    switch = None
+    far = None
     for c in cands:  # sorted by time-to-go, so the ties with best come first
         if c.tau > best.tau + tol * (1.0 + best.tau):
             break
-        if c.family in _FAR:  # raises State's DomainError out of float range
-            switch = _switch_point(c.anchor, -a if c.mirrored else a)
+        if c.family in _FAR:
+            far = c
             break
-    return best, -best.u if best.mirrored else best.u, switch
+    return best, -best.u if best.mirrored else best.u, far
+
+
+def _switch_state(far: _Candidate | None, a: float) -> tuple[float, float] | None:
+    """The switch state (x1, x2) of _invert's far candidate at alpha a, or
+    None without one; raises State's DomainError out of float range."""
+    return None if far is None else _switch_point(far.anchor, -a if far.mirrored else a)
 
 
 def value(m: Manifold, params: Params, s: State) -> float:

@@ -27,7 +27,7 @@ from mintime import (
 from mintime import simulator
 from mintime.manifold import _INTERIOR_TOL, boundary_point_of_state
 from mintime.simulator import Termination, Trajectory, TrajectorySample
-from mintime.synthesis import _closed_form_feedback, _far_anchor
+from mintime.synthesis import _Candidate, _closed_form_feedback, _far_anchor
 
 P1 = Params(alpha=1.0, l=1.0)
 C1 = Circle(1.0)
@@ -63,8 +63,9 @@ def test_square_rollout_switches_once_on_the_curve():
 
 def test_rollout_advances_when_the_law_flips_on_every_call(monkeypatch):
     """A law whose control flips on every call and whose switch state is the
-    query state gives no step inside a sampling interval: the control flips
-    at each sample and the rollout still advances by dt."""
+    query state (a far candidate anchored there, switching at once: alpha is
+    1) gives no step inside a sampling interval: the control flips at each
+    sample and the rollout still advances by dt."""
     calls = []
 
     def flipping_law(m, size, a, x1, x2):
@@ -72,7 +73,7 @@ def test_rollout_advances_when_the_law_flips_on_every_call(monkeypatch):
         if len(calls) > 1000:
             raise RuntimeError("the rollout stopped advancing")
         u = 1.0 if len(calls) % 2 else -1.0
-        return None, u, (x1, x2)
+        return None, u, _Candidate(0.0, "far_upper", u, (x1, x2, -1.0, 0.0), False)
 
     monkeypatch.setattr(simulator, "_invert", flipping_law)
     dt, t_max = 1e-3, 0.05

@@ -48,6 +48,7 @@ from mintime.synthesis import (
     _locus_half,
     _slope_anchor,
     _solve_far_constant,
+    _switch_state,
     _upper_slope_of_y2,
     _written_points,
 )
@@ -926,6 +927,36 @@ def test_locus_distance_matches_60_digits_where_cardano_cancels(m):
         assert abs(Decimal(locus_distance(m, p, s)) - ref) <= Decimal("1e-15"), s
 
 
+def test_the_size_one_value_jump_locus_answers():
+    """On the value-jump locus through (1, 0) at size 1, c_minus = x1 +
+    x2^2/2 rounds to 1 + 2^-52 and the near family's disc to -2^-51,
+    within its own rounding of 0 (_circle_half's band): the law answers
+    there, at l = alpha = 1 and at l = alpha = 0.5 alike, within 1e-5 of
+    the oracle (the value's gradient blows up on this locus), and the
+    rollout starts.  Seeded states whose c_minus lies within a few ulps of
+    (1 + l^2)/2 answer at l = 0.5, 1 and 2, some with disc inside the band."""
+    for m, p, s in ((C1, P1, State(-1.6411336766723792, 2.298318375104885)),
+                    (Circle(0.5), Params(alpha=0.5, l=0.5), State(-0.8205668383361896, 1.1491591875524425))):
+        got = _closed_form_feedback(m, p, s).time_to_go
+        assert abs(got - oracle_min_time(m, p, s)) <= 1e-5
+        assert simulate(m, p, s, 1e-2, 5.0).termination.status == "reached"
+    rng = random.Random(43)
+    banded = 0
+    for l in (0.5, 1.0, 2.0):
+        m = Circle(l)
+        for _ in range(2000):
+            x2 = rng.uniform(-5.0, 5.0)
+            x1 = 0.5 * (1.0 + l * l) - 0.5 * x2 * x2
+            for _ in range(rng.randint(0, 4)):
+                x1 = math.nextafter(x1, rng.choice((-math.inf, math.inf)))
+            if contains(m, State(x1, x2)):
+                continue
+            disc = 1.0 + l * l - 2.0 * (x1 + 0.5 * x2 * x2)
+            banded += disc < 0.0
+            _invert(m, l, 1.0, x1, x2)  # raises "no admissible characteristic" if nothing answers
+    assert banded > 100
+
+
 def test_huge_states_get_answers_near_the_point_target_time():
     """Far from a circle of radius l the minimum time is the point-target time T0 less O(l)."""
     for l in (0.05, 1.0, 3.0):
@@ -961,11 +992,35 @@ def test_far_constant_solve_matches_a_decimal_bisection(log_r, log_gap):
             _solve_far_constant(r, below)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(log_l=st.floats(-6.0, 8.0), log_d=st.floats(-12.0, 12.0))
+def test_far_pretest_bound_is_at_or_above_the_root(log_l, log_d):
+    """_far_reaches' u_hi, two steps of u -> d/g(u) from u = d, against the
+    60-digit root u* of u*g(u) = d (g from the constant in its original
+    form): in exact steps u* <= u2 <= u1 = d/g(d), and the float bound is
+    at or above u* but for a few ulps of its own rounding, where the steps
+    have converged, which the pre-test's 1e-12 margin covers."""
+    l, d = 10.0 ** log_l, 10.0 ** log_d
+    bound = synthesis._far_root_bound(l, d)
+    with exact.sixty():
+        rd, dd = Decimal(l), Decimal(d)
+
+        def excess(u):  # u*g(u), the post-switch constant less l
+            return _far_constant_reference(rd, -u.sqrt()) - rd
+
+        root = exact.bisect(lambda u: excess(u) - dd, 0, dd, steps=200)  # u* <= d, as g >= 1
+        u1 = dd * dd / excess(dd)
+        u2 = dd * u1 / excess(u1)
+        assert root * (1 - Decimal("1e-40")) <= u2 <= u1 * (1 + Decimal("1e-40"))
+        assert Decimal(bound) >= root * (1 - Decimal(2.0 ** -50))
+
+
 def _answers_next_to_the_circle_curves(n: int) -> list[str]:
-    """_invert's answers, by repr, at n seeded states next to a circle's
-    switching curves: radii 1e-6 to 1e8, alpha 0.01 to 100, each state a
-    point of the upper curve moved 1e-16 to 1e-3 of its unit time either way
-    along its u = +1 parabola, and half of them mirrored onto the lower curve."""
+    """_invert's answers and the switch states they form, by repr, at n
+    seeded states next to a circle's switching curves: radii 1e-6 to 1e8,
+    alpha 0.01 to 100, each state a point of the upper curve moved 1e-16 to
+    1e-3 of its unit time either way along its u = +1 parabola, and half of
+    them mirrored onto the lower curve."""
     rng = random.Random(41)
     out = []
     for k in range(n):
@@ -976,7 +1031,8 @@ def _answers_next_to_the_circle_curves(n: int) -> list[str]:
         if k % 2:
             x1, x2 = -x1, -x2
         try:
-            out.append(repr(_invert(Circle(l), l / a, a, x1, x2)))
+            best, u, far = _invert(Circle(l), l / a, a, x1, x2)
+            out.append(repr((best, u, far, _switch_state(far, a))))
         except DomainError as exc:  # a state moved inside the target, which _invert does not reject
             out.append(repr(exc))
     return out
@@ -986,14 +1042,20 @@ def test_far_pretest_leaves_every_answer_as_the_solve_gives_it(monkeypatch):
     """_far_reaches skips only far families whose solve _far would drop: with
     the pre-test switched off, _invert answers the same bits next to both
     switching curves, and seeded rollouts give the same samples.  The
-    pre-test must fire on those rollouts, or the comparison shows nothing."""
-    skipped = []
+    pre-test must fire on those rollouts, or the comparison shows nothing,
+    and its two-step bound must rule out more families there than one step
+    of u -> d/g(u) from u = d did."""
+    skipped, one_step = [], []
     reaches = synthesis._far_reaches
 
-    def counted(*args):
-        if reaches(*args):
+    def counted(l, d, y2, tol):
+        u = d / synthesis._far_g(l, d)  # the one-step bound, in the test's own terms
+        s = math.sqrt(u)
+        if (l * s / math.sqrt(1.0 + u) + s + tol * (1.0 + s)) * (1.0 + 1e-12) < y2:
+            one_step.append((l, d, y2, tol))
+        if reaches(l, d, y2, tol):
             return True
-        skipped.append(args)
+        skipped.append((l, d, y2, tol))
         return False
 
     monkeypatch.setattr(synthesis, "_far_reaches", counted)
@@ -1002,6 +1064,7 @@ def test_far_pretest_leaves_every_answer_as_the_solve_gives_it(monkeypatch):
                                        (2.0, 1.0, 3.5, 2.0), (1.0, 0.5, -4.0, 0.5), (3.0, 2.0, 1.0, 4.0))]
     rollouts = [repr(simulate(m, p, s0, 1e-3, 20.0)) for m, p, s0 in starts]
     fired = len(skipped)
+    assert set(one_step) <= set(skipped) and fired > 1.1 * len(one_step)
     answers = _answers_next_to_the_circle_curves(20000)
     assert fired > 1000 and len(skipped) - fired > 1000
     monkeypatch.setattr(synthesis, "_far_reaches", lambda *args: True)
