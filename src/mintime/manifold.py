@@ -353,7 +353,12 @@ def _up_codes(m: Manifold, params: Params, n: int) -> list[tuple[str, float]]:
     weights = [iv.hi - iv.lo for iv in intervals]
     total = sum(weights)
     ks = [max(1, round(n * w / total)) for w in weights[:-1]]
-    while sum(ks) >= n and max(ks) > 1:
+    # One decrement leaves room for the last share.  The circle's one earlier
+    # share, of half the weight, is below n for n > 1.  The square's five
+    # earlier shares sum to at most n*(1 - pi/(2*total)) + 5/2, below n from
+    # n = 15 on; below that they reach n with a share above 1 only at n = 7,
+    # and only by one.
+    if sum(ks) >= n and max(ks) > 1:
         ks[ks.index(max(ks))] -= 1
     ks.append(max(1, n - sum(ks)))
     return [

@@ -106,13 +106,19 @@ def _nearest_endpoint(alpha: float, x1: float, x2: float, t_f: float) -> tuple[f
     squared radius is stationary where d^3 + p*d + q = 0, p = 2 - X1/a,
     q = -X2/a, so the minimum over [0, t_f] lies at an end or at a real root
     of that cubic, found by Cardano's formula (one real root) or the
-    trigonometric form (three).  Cardano's formula takes the cube root w of
-    -q/2 - sign(q)*sqrt(disc), the one that does not cancel, and its pair
-    from w*v = -p/3; an infinite disc gives a NaN root, as the sum of both
-    cube roots would.  The one-real-root branch can drop a close pair of roots,
-    which lies near a turning point of the cubic, so the one at d > 0 is
-    tried too.  Every candidate is an endpoint; `_gap_slack` bounds how far
-    rounding can put the least computed radius above the true least radius.
+    trigonometric form (three).  Of three real roots only the largest,
+    m2*cos(phi/3), is tried: the cubic has no d^2 term, so the roots sum to
+    0 and the smallest is below 0, outside [0, t_f], unless all three are 0;
+    the squared radius falls up to the smallest root, rises to the middle
+    one and falls to the largest, so the middle root is a local maximum,
+    never below the value at 0 or at the largest root.  Cardano's formula
+    takes the cube root w of -q/2 - sign(q)*sqrt(disc), the one that does
+    not cancel, and its pair from w*v = -p/3; an infinite disc gives a NaN
+    root, as the sum of both cube roots would.  The one-real-root branch
+    can drop a close pair of roots, which lies near a turning point of the
+    cubic, so the one at d > 0 is tried too.  Every candidate is an
+    endpoint; `_gap_slack` bounds how far rounding can put the least
+    computed radius above the true least radius.
     A NaN root leaves the minimum unknown, and r2 is NaN.
     """
     best_r2, best_u0, best_sw = math.inf, 1.0, 0.0
@@ -127,7 +133,7 @@ def _nearest_endpoint(alpha: float, x1: float, x2: float, t_f: float) -> tuple[f
             c = -0.5 * q - math.copysign(math.sqrt(disc), q)
             w = math.copysign(abs(c) ** (1.0 / 3.0), c)
             cands = (w - p / (3.0 * w) if disc < math.inf else math.nan, 0.0, t_f)
-        else:  # at p = q = 0 the three roots are +-0.0, which pick the same d as 0.0
+        else:  # at p = q = 0 the root is 0.0
             r = -p * p * p / 27.0
             r = math.sqrt(r) if r > 0.0 else 0.0
             phi = 0.0
@@ -137,8 +143,7 @@ def _nearest_endpoint(alpha: float, x1: float, x2: float, t_f: float) -> tuple[f
                 phi = math.acos(w if w < 1.0 else 1.0)
             m2 = -p / 3.0
             m2 = 2.0 * math.sqrt(m2) if m2 > 0.0 else 0.0
-            cands = (m2 * math.cos(phi / 3.0), m2 * math.cos((phi + math.tau) / 3.0),
-                     m2 * math.cos((phi + 2.0 * math.tau) / 3.0), 0.0, t_f)
+            cands = (m2 * math.cos(phi / 3.0), 0.0, t_f)
         if p < 0.0:
             cands += (math.sqrt(-p / 3.0),)
         for d in cands:

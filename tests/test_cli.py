@@ -23,14 +23,35 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _python(*argv):
+    """A fresh interpreter run with this mintime first on its path."""
+    src = str(Path(mintime.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True)
+
+
 def test_cli_import_loads_no_numpy_decimal_or_fractions():
     """A fresh `import mintime.cli`, the CLI's cold start, loads none of
     numpy, decimal and fractions."""
-    src = str(Path(mintime.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, mintime.cli; print(sorted({'numpy', 'decimal', 'fractions'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = _python("-c", code)
+    assert out.returncode == 0
+    assert out.stdout.strip() == b"[]"
+
+
+def test_module_entry_point_exits_with_the_code_of_main(capsys):
+    """`python -m mintime.cli` prints main's bytes and exits with its code:
+    0 with the in-process stdout, 3 for a verify that compares no state, and
+    2 with one error line for a negative radius."""
+    argv = ("value", "--target", "circle", "--l", "1", "--x1", "-1.5", "--x2", "2")
+    out = _python("-m", "mintime.cli", *argv)
+    assert out.returncode == 0
+    assert out.stdout == run(capsys, *argv)[1].encode()
+    assert _python("-m", "mintime.cli", "verify", "--grid", "0").returncode == 3
+    out = _python("-m", "mintime.cli", "value", "--l", "-1", "--x1", "3", "--x2", "1")
+    assert out.returncode == 2
+    assert out.stdout == b""
+    assert [line.startswith(b"error:") for line in out.stderr.splitlines()] == [True]
 
 
 def test_up_circle_emits_bup_rows(capsys):
@@ -136,7 +157,17 @@ def test_loci_at_alpha_2_samples_every_level(capsys):
     assert b == [(-x1, -x2) for x1, x2 in reversed(a)]
 
 
+_PORTRAIT_TARGETS = [
+    [*target, "--alpha", alpha]
+    for target in (["--target", "circle", "--l", "0.5"], ["--target", "circle", "--l", "2"], ["--target", "square"])
+    for alpha in ("0.5", "1", "2")
+]
+
+
 def test_costate_and_flow_headers(capsys):
+    """costate and flow print their headers, and each figure command prints
+    its header and at least one row on circles 0.5 and 2 and the square at
+    alpha 0.5, 1 and 2."""
     code, out, _ = run(capsys, "costate", "--target", "square", "--samples", "12")
     assert code == 0
     assert out.splitlines()[0] == "kind,param,lambda1,lambda2"
@@ -144,12 +175,26 @@ def test_costate_and_flow_headers(capsys):
                        "--tau-max", "1", "--tau-step", "0.5")
     assert code == 0
     assert out.splitlines()[0] == "anchor_kind,anchor_param,tau,x1,x2,lambda1,lambda2,u"
+    commands = [
+        (["isochrone", "--tau", "1,2.5", "--samples", "16"], "tau,theta_or_param,x1,x2,family"),
+        (["switch-curves", "--points", "20"], "curve_id,x1,x2"),
+        (["flow", "--samples", "8", "--tau-max", "2", "--tau-step", "0.5"],
+         "anchor_kind,anchor_param,tau,x1,x2,lambda1,lambda2,u"),
+        (["loci", "--levels", "9"], "curve_id,x1,x2"),
+    ]
+    for target in _PORTRAIT_TARGETS:
+        for cmd, header in commands:
+            code, out, _ = run(capsys, *cmd, *target)
+            assert code == 0, (cmd, target)
+            lines = out.splitlines()
+            assert lines[0] == header and len(lines) >= 2, (cmd, target)
 
 
 def test_flow_at_tau_max_0_gives_one_row_per_anchor(capsys):
     """--tau-max 0 prints each anchor's tau = 0 row once: the anchors and
-    their order are costate's."""
-    for target in (["--target", "square"], ["--target", "circle", "--l", "2"]):
+    their order are costate's, on circles 0.5 and 2 and the square at alpha
+    0.5, 1 and 2."""
+    for target in _PORTRAIT_TARGETS:
         code, out, _ = run(capsys, "flow", *target, "--samples", "6", "--tau-max", "0")
         assert code == 0
         rows = [line.split(",") for line in out.splitlines()[1:]]
@@ -292,6 +337,10 @@ def test_domain_error_exits_2(capsys):
         # An infinite tolerance, and a step of 0, which simulate itself refuses.
         ("verify", "--tol", "inf"),
         ("simulate", "--x1", "3", "--x2", "1", "--dt", "0"),
+        # The centre of a tiny circle lies a whole radius inside it.
+        ("feedback", "--l", "1e-13", "--x1", "0", "--x2", "0"),
+        # A fan point out of float range: one error line, never an inf row.
+        ("isochrone", "--target", "circle", "--l", "1", "--alpha", "2", "--tau", "1e200"),
     ],
 )
 def test_out_of_range_numbers_exit_2(capsys, argv):
@@ -324,7 +373,10 @@ def test_circle_value_next_to_theta_pi(capsys, l, x1, x2, want):
     """States next to theta = pi, where the far family's excess over l cancels
     unless it is formed from the query (a time 28% short at l = 2): each value
     is the 60-digit minimum over both families and both halves (want, quoted
-    to 17 digits) within 1e-15."""
+    to 17 digits) within 1e-15.  The states 2e-9 below (l, 0) and (-l, 0),
+    where the near family's cos(theta) nears +-1, answer one value with
+    opposite controls, and each ends on the usable part, off the BUP points
+    0 and pi."""
     code, out, err = run(capsys, "value", "--target", "circle", "--l", l, f"--x1={x1}", "--x2", x2)
     assert code == 0, err
     y1, y2, r = float(x1), float(x2), float(l)
@@ -332,6 +384,10 @@ def test_circle_value_next_to_theta_pi(capsys, l, x1, x2, want):
                + [f[1] for f in (exact.circle_far(r, y1, y2), exact.circle_far(r, -y1, -y2)) if f])
     assert abs(best - Decimal(want)) <= Decimal("1e-15") * best
     assert abs(Decimal(float(out)) - best) <= Decimal("1e-15") * best
+    a, b = (json.loads(run(capsys, "feedback", "--target", "circle", "--l", l, f"--x1={s1}", f"--x2={s2}")[1])
+            for s1, s2 in ((l, "-2e-9"), (f"-{l}", "2e-9")))
+    assert a["value"] == b["value"] and a["u"] == -b["u"]
+    assert a["terminal"]["param"] > 1.5 * math.pi and b["terminal"]["param"] < math.pi
 
 
 def test_scenario_merge_flags_win(tmp_path, capsys):

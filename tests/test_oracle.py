@@ -40,6 +40,7 @@ from mintime.oracle import (
     _square_endpoint,
     policy_endpoint,
 )
+from mintime.cli import main
 from mintime.manifold import _radius, _unit_size
 from mintime.synthesis import _closed_form_feedback, _invert, locus_distance
 
@@ -280,7 +281,13 @@ def test_grid_report_at_general_alpha_checks_the_closed_form(l, alpha):
     (SQ, Params(alpha=1.0)),
     (Circle(0.5), Params(alpha=2.0, l=0.5)),
     (SQ, Params(alpha=0.5)),
-], ids=["l1", "l2", "square", "l0.5-alpha2", "square-alpha0.5"])
+    (C1, Params(alpha=0.5, l=1.0)),
+    (C1, Params(alpha=2.0, l=1.0)),
+    (Circle(2.0), Params(alpha=0.5, l=2.0)),
+    (Circle(2.0), Params(alpha=2.0, l=2.0)),
+    (SQ, Params(alpha=2.0)),
+], ids=["l1", "l2", "square", "l0.5-alpha2", "square-alpha0.5",
+        "l1-alpha0.5", "l1-alpha2", "l2-alpha0.5", "l2-alpha2", "square-alpha2"])
 def test_grid_report_on_the_acceptance_grid_is_within_the_refinement_width(m, p):
     """The refined oracle and the closed form agree to 1e-7 on the 41 x 41
     grid, far inside the acceptance tolerance, and are still two computations."""
@@ -611,7 +618,12 @@ def test_oracle_answers_large_states(monkeypatch, alpha):
     slack stays a few ulps of the endpoint's terms, so the ascent clears
     most of the way and a search takes under 2,000 probes.  The answer is
     the closed form's within the refinement's width 1e-9*max(1, V) and the
-    closed form's rounding."""
+    closed form's rounding.  `verify --grid 5 --span 1e6 --tol 1e-2` passes
+    on Circle(1) and the square: the times reach ~5e6, and the refinement's
+    width is 1e-9 of the time."""
+    for target in (["--target", "circle", "--l", "1"], ["--target", "square"]):
+        argv = ["verify", "--grid", "5", "--span", "1e6", "--tol", "1e-2", "--alpha", repr(alpha), *target]
+        assert main(argv) == 0, argv
     cases = [(Circle(l), Params(alpha=alpha, l=l), State(0.0, x2))
              for l in (0.05, 1.0, 3.0) for x2 in (1e6, -1e6)]
     cases += [(SQ, Params(alpha=alpha), s) for s in (State(1e12, 0.0), State(-1e12, 0.0), State(0.0, 1e6))]

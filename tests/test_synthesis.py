@@ -492,18 +492,19 @@ def test_feedback_central_symmetry_at_general_alpha(m, alpha):
     """The public law at alpha != 1, which answers from the oracle search,
     gives -s the opposite control and the same time-to-go as s, also where
     a one-arc policy and a switch from the same feasible window both reach
-    the square at that time."""
+    the square at that time: the first state is one where the square's
+    search at alpha = 0.5 once answered u = -1 at both s and -s."""
     rng = random.Random(25)
     p = Params(alpha=alpha, l=1.0)
-    checked = 0
-    while checked < 150:
+    states = [State(-3.53538259600654, 2.1883547276178987)]
+    while len(states) < 151:
         s = State(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
-        if contains(m, s):
-            continue
+        if not contains(m, s):
+            states.append(s)
+    for s in states:
         r, rm = feedback(m, p, s), feedback(m, p, -s)
         assert rm.u == -r.u, s
         assert rm.time_to_go == r.time_to_go, s
-        checked += 1
 
 
 def test_feedback_rejects_circle_radius_unlike_params():
@@ -566,19 +567,36 @@ def _replay_miss(m, p: Params, s: State) -> float:
     return abs(float(max(abs(x1), abs(x2)) - 1))
 
 
+# Fixed replay states: each target's switching-curve point at x2 = 2 for
+# alpha = 1 moved 1e-7 up and down in x2, that point's mirror on the lower
+# curve, and states in each quadrant.  On the square (-1.5, 0) and (2.5, -2)
+# tie a side with a corner family.
+_REPLAY_STATES = {
+    0.5: [(3.0, 1.0), (-3.0, 2.0), (0.0, 4.0), (5.0, -5.0), (-2.178504409022411, 2.0000001),
+          (-2.178504409022411, 1.9999999), (2.178504409022411, -2.0), (0.7, 0.1)],
+    2.0: [(3.0, 1.0), (-4.0, 3.0), (0.0, 4.0), (6.0, -5.0), (-2.830484461690294, 2.0000001),
+          (-2.830484461690294, 1.9999999), (2.830484461690294, -2.0), (-3.0, 0.0)],
+    None: [(3.0, 1.0), (-3.0, 1.0), (0.0, 4.0), (5.0, -5.0), (-2.5, 2.0000001),
+           (-2.5, 1.9999999), (2.5, -2.0), (-1.5, 0.0)],
+}
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("l", [0.05, 0.5, 1.0, 2.0, 3.0, None])
 def test_answers_replay_as_one_bang_bang_policy(l, alpha):
     """The answer's (u, switch_state, time_to_go) is one policy, and replayed
-    exactly it ends within 1e-13*R of the target: on seeded exterior states,
-    half in the box of 5*max(R, alpha) and half from 1e-9*R to 3*R outside
-    the target, where the switch comes from the anchor's closed form."""
+    exactly it ends within 1e-13*R of the target: on the fixed states of
+    _REPLAY_STATES and on seeded exterior states, half in the box of
+    5*max(R, alpha) and half from 1e-9*R to 3*R outside the target, where the
+    switch comes from the anchor's closed form."""
     m = SQ if l is None else Circle(l)
     p = Params(alpha=alpha, l=1.0 if l is None else l)
     r_size = 1.0 if l is None else l
     span = 5.0 * max(r_size, alpha)
+    fixed = _REPLAY_STATES.get(l, [])
+    assert all(signed_distance(m, State(*xy)) > 0.0 for xy in fixed)
+    worst = max((_replay_miss(m, p, State(*xy)) for xy in fixed), default=0.0)
     rng = random.Random(32)
-    worst = 0.0
     for k in range(1000):
         if k % 2:
             s = State(rng.uniform(-span, span), rng.uniform(-span, span))
