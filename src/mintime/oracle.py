@@ -39,11 +39,14 @@ R*d + alpha*d^2/2 and x2 by at most alpha*d, so it covers at most
 b*d + alpha*d^2/2, with b = hypot(R, alpha) for the circle and
 max(R, alpha) for the square.  Every line closer than the d where that
 reaches g is infeasible and the ascent jumps past them.  Where g is not
-positive the same endpoint tests the line exactly, so a circle line costs
-one cubic solve and a square line none.  The ascent lands on the same first
-feasible line and refines the same bracket as a line-by-line ascent.  The
-probe kernel works on plain floats: the state's (x1, x2) and the circle's
-radius, or None for the square.
+positive the same endpoint tests the line exactly, so a square line costs
+no cubic solve and a circle line ~1.2, not two: the chord between the
+endpoints of u = +1 and u = -1 held throughout parts the two arcs, and
+the arc across it from the centre is solved only where the chord's
+distance from the centre does not rule that arc out.  The ascent lands on
+the same first feasible line and refines the same bracket as a
+line-by-line ascent.  The probe kernel works on plain floats: the state's
+(x1, x2) and the circle's radius, or None for the square.
 
 The oracle shares no code with the synthesis: it has its own cubic solver, and
 only the grid report imports the synthesis, to compare against its closed
@@ -99,8 +102,45 @@ def policy_endpoint(s0: State, pol: PolicyCandidate, alpha: float) -> State:
 
 
 def _nearest_endpoint(alpha: float, x1: float, x2: float, t_f: float) -> tuple[float, float, float]:
-    """(r2, u0, t_switch): the endpoint at t_f nearest the origin, over both u0
-    and every t_switch in [0, t_f], and its squared radius r2.
+    """(r2, u0, t_switch): the endpoint at t_f >= 0 nearest the origin, over
+    both u0 and every t_switch in [0, t_f], and its squared radius r2.
+
+    Both arcs (`_arc_nearest`) join the endpoints of u = +1 and u = -1 held
+    throughout, and the chord between those parts them: (t_f, 2) crossed with
+    the endpoint at d is s - 2*a*d*(t_f - d), s = -2*x1 - x2*t_f.  So the
+    origin lies on the u0 = sign(s) arc's side, and the other arc at least
+    b = |s|/sqrt(t_f^2 + 4) from it.  That arc is tried only where b less two
+    `_gap_slack`s (r = b) does not clear the first arc's least radius: one
+    bounds the other arc's rounding, as its terms hold at every d in [0, t_f],
+    and one b's, u*(6*b + |x2|*t_f/2), and its square's; so no tie changes.
+    A skip needs the first arc's bulge toward the origin,
+    alpha*t_f^2/(2*sqrt(t_f^2 + 4)), to clear the slack, so t_f < 2e14 and
+    b < 1e29*alpha; the first arc's points bound the other's |X2| by
+    b + 2*alpha*t_f and, where its p > 0, its |X1| by b, so its discriminant
+    is finite and its root not NaN.  b > 1e-150 keeps the squares normal.
+    At s = 0, at t_f = 0 (b is |x1| less the slack) and where b is not
+    finite, both arcs are combined as a loop over u0 = -1, +1 would: the
+    first NaN root returns, and u0 = -1 wins ties.
+    """
+    u0 = 1.0 if (s := -2.0 * x1 - x2 * t_f) > 0.0 else -1.0
+    r2, t_sw = near = _arc_nearest(alpha * u0, x1, x2, t_f)
+    b = abs(s) / math.sqrt(t_f * t_f + 4.0)
+    b -= 2.0 * _gap_slack(alpha, x2, t_f, 0.0, b)
+    if b > 1e-150 and b * b > r2:
+        return r2, u0, t_sw
+    other = _arc_nearest(-alpha * u0, x1, x2, t_f)
+    (rm, sm), (rp, sp) = (near, other) if u0 < 0.0 else (other, near)
+    if rm != rm:
+        return rm, -1.0, 0.0
+    if rp != rp or rp < rm or rm == math.inf:
+        return rp, 1.0, sp
+    return rm, -1.0, sm
+
+
+def _arc_nearest(a: float, x1: float, x2: float, t_f: float) -> tuple[float, float]:
+    """(r2, t_switch): the least squared radius r2 over the endpoints of the
+    arc of u0 = sign(a) at t_f, and their switch time; (inf, 0.0) where no
+    r2 is below inf, and (nan, 0.0) where the root is NaN.
 
     In d = t_f - t_switch the endpoint is (X1 - a*d^2, X2 - 2*a*d).  Its
     squared radius is stationary where d^3 + p*d + q = 0, p = 2 - X1/a,
@@ -118,45 +158,46 @@ def _nearest_endpoint(alpha: float, x1: float, x2: float, t_f: float) -> tuple[f
     can drop a close pair of roots, which lies near a turning point of the
     cubic, so the one at d > 0 is tried too.  Every candidate is an
     endpoint; `_gap_slack` bounds how far rounding can put the least
-    computed radius above the true least radius.
-    A NaN root leaves the minimum unknown, and r2 is NaN.
+    computed radius above the true least radius.  The first least r2 in the
+    order root, 0, t_f, turning point wins; a root outside [0, t_f] repeats
+    d = 0, where r2 is X1^2 + X2^2, and a NaN r2 makes every r2 inf or NaN.
     """
-    best_r2, best_u0, best_sw = math.inf, 1.0, 0.0
-    for u0 in (-1.0, 1.0):
-        a = alpha * u0
-        X1 = x1 + (x2 + 0.5 * a * t_f) * t_f
-        X2 = x2 + a * t_f
-        p = 2.0 - X1 / a
-        q = -X2 / a
-        disc = 0.25 * q * q + p * p * p / 27.0
-        if disc > 0.0:
-            c = -0.5 * q - math.copysign(math.sqrt(disc), q)
-            w = math.copysign(abs(c) ** (1.0 / 3.0), c)
-            cands = (w - p / (3.0 * w) if disc < math.inf else math.nan, 0.0, t_f)
-        else:  # at p = q = 0 the root is 0.0
-            r = -p * p * p / 27.0
-            r = math.sqrt(r) if r > 0.0 else 0.0
-            phi = 0.0
-            if r > 0.0:
-                w = -0.5 * q / r
-                w = w if w > -1.0 else -1.0
-                phi = math.acos(w if w < 1.0 else 1.0)
-            m2 = -p / 3.0
-            m2 = 2.0 * math.sqrt(m2) if m2 > 0.0 else 0.0
-            cands = (m2 * math.cos(phi / 3.0), 0.0, t_f)
-        if p < 0.0:
-            cands += (math.sqrt(-p / 3.0),)
-        for d in cands:
-            if not 0.0 <= d <= t_f:
-                if d != d:
-                    return math.nan, u0, 0.0
-                continue
-            x1f = X1 - a * d * d
-            x2f = X2 - 2.0 * a * d
-            r2 = x1f * x1f + x2f * x2f
-            if r2 < best_r2:
-                best_r2, best_u0, best_sw = r2, u0, t_f - d
-    return best_r2, best_u0, best_sw
+    X1 = x1 + (x2 + 0.5 * a * t_f) * t_f
+    X2 = x2 + a * t_f
+    p = 2.0 - X1 / a
+    q = -X2 / a
+    disc = 0.25 * q * q + p * p * p / 27.0
+    if disc > 0.0:
+        c = -0.5 * q - math.copysign(math.sqrt(disc), q)
+        w = math.copysign(abs(c) ** (1.0 / 3.0), c)
+        d = w - p / (3.0 * w) if disc < math.inf else math.nan
+    else:  # at p = q = 0 the root is 0.0
+        r = -p * p * p / 27.0
+        r = math.sqrt(r) if r > 0.0 else 0.0
+        phi = 0.0
+        if r > 0.0:
+            w = -0.5 * q / r
+            w = w if w > -1.0 else -1.0
+            phi = math.acos(w if w < 1.0 else 1.0)
+        m2 = -p / 3.0
+        m2 = 2.0 * math.sqrt(m2) if m2 > 0.0 else 0.0
+        d = m2 * math.cos(phi / 3.0)
+    if not 0.0 <= d <= t_f:  # out of range, the root repeats d = 0
+        if d != d:
+            return math.nan, 0.0
+        d = 0.0
+    x1f, x2f = X1 - a * d * d, X2 - 2.0 * a * d
+    best_r2, best_sw = x1f * x1f + x2f * x2f, t_f - d
+    if (r2 := X1 * X1 + X2 * X2) < best_r2:
+        best_r2, best_sw = r2, t_f
+    x1f, x2f = X1 - a * t_f * t_f, X2 - 2.0 * a * t_f
+    if (r2 := x1f * x1f + x2f * x2f) < best_r2:
+        best_r2, best_sw = r2, 0.0
+    if p < 0.0 and (d := math.sqrt(-p / 3.0)) <= t_f:
+        x1f, x2f = X1 - a * d * d, X2 - 2.0 * a * d
+        if (r2 := x1f * x1f + x2f * x2f) < best_r2:
+            best_r2, best_sw = r2, t_f - d
+    return (best_r2, best_sw) if best_r2 < math.inf else (math.inf, 0.0)
 
 
 def _square_endpoint(alpha: float, x1: float, x2: float, t_f: float) -> tuple[float, float, float]:

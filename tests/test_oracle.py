@@ -30,6 +30,7 @@ from mintime import (
 from mintime import oracle
 from mintime.oracle import (
     DEFAULT_GRID,
+    _arc_nearest,
     _box_entry_time,
     _clear_until,
     _gap_slack,
@@ -160,12 +161,21 @@ def test_nearest_endpoint_where_the_cubic_is_w_cubed():
         assert abs(Decimal(math.sqrt(r2) - l) - gap) <= Decimal(_gap_slack(1.0, 0.0, 0.0, l, 2.0 - l))
 
 
-@pytest.mark.parametrize("x1, x2", [(7.5, -3.0), (3.5, 1.0)])
-def test_nearest_endpoint_where_the_cubic_has_a_double_root(x1, x2):
+@pytest.mark.parametrize("x1, x2, arc", [
+    pytest.param(7.5, -3.0, (29.0, 1.0), id="7.5--3.0"),
+    pytest.param(3.5, 1.0, (16.0, 0.0), id="3.5-1.0"),
+    pytest.param(2.5000000000230305, -1.0, (4.000000000092121, 0.9999972292921228), id="2.5000000000230305--1.0"),
+])
+def test_nearest_endpoint_where_the_cubic_has_a_double_root(x1, x2, arc):
     """At alpha = 1, t_f = 1 the u0 = +1 cubic is d^3 - 3*d + 2 from (7.5, -3)
     and d^3 - 3*d - 2 from (3.5, 1): a double root, where the trigonometric
-    form's cosine is exactly -1, or 1, and the clamps keep it.  The gap agrees
-    with 60 digits."""
+    form's cosine is exactly -1, or 1, and the clamps keep it; the radius
+    only grows from d = 0, and only falls to d = t_f.  From
+    (2.5000000000230305, -1) it has a close pair of roots next to its turning
+    point d = 2.77e-6, where the radius reads one ulp below d = 0's, so that
+    arc answers its turning point.  The arc is asked directly, as the chord
+    test may skip it.  The gap agrees with 60 digits."""
+    assert _arc_nearest(1.0, x1, x2, 1.0) == arc
     r2 = _nearest_endpoint(1.0, x1, x2, 1.0)[0]
     gap = exact.circle_gap(1.0, 1.0, x1, x2, 1.0)
     excess = math.sqrt(r2) - 1.0
@@ -180,6 +190,112 @@ def test_probe_kernels_answer_nan_past_float_range():
     assert math.isnan(_nearest_endpoint(1.0, 0.0, 1e200, 0.0)[0])
     assert math.isnan(_square_endpoint(1.0, 0.0, 0.0, 1e200)[0])
     assert math.isnan(_square_endpoint(2.0, 0.0, 1e308, 1e308)[0])
+
+
+def _both_arcs_endpoint(alpha, x1, x2, t_f):
+    """The circle's probe kernel before the chord test, the reference that
+    `_nearest_endpoint` matches bit for bit: the arcs of u0 = -1 and +1, in
+    that order, every candidate of each tried in one loop, a strict < so
+    that u0 = -1 wins ties, and the first NaN root returned."""
+    best_r2, best_u0, best_sw = math.inf, 1.0, 0.0
+    for u0 in (-1.0, 1.0):
+        a = alpha * u0
+        X1 = x1 + (x2 + 0.5 * a * t_f) * t_f
+        X2 = x2 + a * t_f
+        p = 2.0 - X1 / a
+        q = -X2 / a
+        disc = 0.25 * q * q + p * p * p / 27.0
+        if disc > 0.0:
+            c = -0.5 * q - math.copysign(math.sqrt(disc), q)
+            w = math.copysign(abs(c) ** (1.0 / 3.0), c)
+            cands = (w - p / (3.0 * w) if disc < math.inf else math.nan, 0.0, t_f)
+        else:  # at p = q = 0 the root is 0.0
+            r = -p * p * p / 27.0
+            r = math.sqrt(r) if r > 0.0 else 0.0
+            phi = 0.0
+            if r > 0.0:
+                w = -0.5 * q / r
+                w = w if w > -1.0 else -1.0
+                phi = math.acos(w if w < 1.0 else 1.0)
+            m2 = -p / 3.0
+            m2 = 2.0 * math.sqrt(m2) if m2 > 0.0 else 0.0
+            cands = (m2 * math.cos(phi / 3.0), 0.0, t_f)
+        if p < 0.0:
+            cands += (math.sqrt(-p / 3.0),)
+        for d in cands:
+            if not 0.0 <= d <= t_f:
+                if d != d:
+                    return math.nan, u0, 0.0
+                continue
+            x1f = X1 - a * d * d
+            x2f = X2 - 2.0 * a * d
+            r2 = x1f * x1f + x2f * x2f
+            if r2 < best_r2:
+                best_r2, best_u0, best_sw = r2, u0, t_f - d
+    return best_r2, best_u0, best_sw
+
+
+def _identity_probes(rng, n):
+    """n seeded probes (alpha, x1, x2, t_f) of each of six kinds, alpha
+    log-uniform in [1e-8, 1e8] but where named: ordinary states at alpha in
+    [0.1, 10]; |x| up to 1e12 with t_f up to 1e7; |x| up to 1e200 with t_f
+    up to 1e50, where cubics overflow; the centre on the normal to the chord
+    at one of its ends, where the chord test is nearest its margin; s = 0;
+    and, in turn, t_f = 0 or x = 0, where the two arcs tie, or both radii
+    past float range with finite discriminants at alpha in [1e6, 1e8]."""
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    def signed(lo, hi):
+        return rng.choice((-1.0, 1.0)) * log_uniform(lo, hi) if rng.random() < 0.9 else 0.0
+
+    probes = []
+    for _ in range(n):
+        alpha = log_uniform(1e-8, 1e8)
+        probes.append((log_uniform(0.1, 10.0), rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0),
+                       rng.uniform(0.0, 60.0)))
+        probes.append((alpha, signed(1e-3, 1e12), signed(1e-3, 1e12), log_uniform(1e-3, 1e7)))
+        probes.append((alpha, signed(1e-3, 1e200), signed(1e-3, 1e200),
+                       log_uniform(1e-6, 1e50) if rng.random() < 0.95 else 0.0))
+        # The held endpoint of u0 = +-1 at mu*(2, -t_f), normal to the chord's (t_f, 2).
+        t_f, mu, a = log_uniform(1e-9, 1e3), signed(1e-3, 1e3), rng.choice((-alpha, alpha))
+        x2 = -mu * t_f - a * t_f
+        probes.append((alpha, 2.0 * mu - x2 * t_f - 0.5 * a * t_f * t_f, x2, t_f))
+        x2, t_f = signed(1e-3, 1e12), log_uniform(1e-3, 1e7)
+        probes.append((alpha, -0.5 * (x2 * t_f), x2, t_f))  # s = 0 exactly
+        tie = rng.randrange(3)
+        if tie == 0:
+            probes.append((alpha, signed(1e-3, 1e200), signed(1e-3, 1e200), 0.0))
+        elif tie == 1:
+            probes.append((alpha, 0.0, 0.0, log_uniform(1e-6, 1e50)))
+        else:  # both radii overflow, and neither discriminant does
+            x2 = rng.choice((-1.0, 1.0)) * log_uniform(1.4e154, 1e158)
+            probes.append((log_uniform(1e6, 1e8), signed(1e-3, 1e3), x2, rng.choice((0.0, log_uniform(1e-300, 1e-60)))))
+    return probes
+
+
+def test_nearest_endpoint_answers_as_both_arcs_do(monkeypatch):
+    """The chord test changes no answer: `_nearest_endpoint` is the both-arc
+    kernel by repr of every field on 210,000 seeded probes, which reach
+    every return: a NaN root of either arc, two infinite radii, an exact
+    tie and the skip (and at s = 0, t_f = 0 and x = 0 no skip)."""
+    arcs = _counting(monkeypatch, "_arc_nearest")
+    seen = {"skip": 0, "nan -1": 0, "nan +1": 0, "inf": 0, "tie": 0}
+    for i, (alpha, x1, x2, t_f) in enumerate(_identity_probes(random.Random(4545), 35_000)):
+        arcs.clear()
+        got = _nearest_endpoint(alpha, x1, x2, t_f)
+        assert repr(got) == repr(_both_arcs_endpoint(alpha, x1, x2, t_f)), (alpha, x1, x2, t_f)
+        r2, u0, _ = got
+        seen["skip"] += len(arcs) == 1
+        seen["nan -1"] += math.isnan(r2) and u0 == -1.0
+        seen["nan +1"] += math.isnan(r2) and u0 == 1.0
+        seen["inf"] += r2 == math.inf
+        if i % 6 == 5 or -2.0 * x1 - x2 * t_f == 0.0:
+            assert len(arcs) == 2, (alpha, x1, x2, t_f)
+            seen["tie"] += _arc_nearest(-alpha, x1, x2, t_f)[0] == _arc_nearest(alpha, x1, x2, t_f)[0] < math.inf
+    assert seen["skip"] > 20_000 and seen["tie"] > 10_000, seen
+    assert min(seen.values()) >= 100, seen
 
 
 def test_oracle_central_symmetry_exact():
@@ -578,18 +694,18 @@ def test_square_ascent_decides_its_first_feasible_line_with_one_exact_test(monke
     assert got == _plain_policy(SQ, p, s)
 
 
-def _counting_probe(monkeypatch, limit=math.inf):
-    """The list of t_f that oracle._probe is called with; past limit calls, raise."""
+def _counting(monkeypatch, name="_probe", limit=math.inf):
+    """The argument tuples oracle.<name> is called with; past limit calls, raise."""
     calls = []
-    probe = oracle._probe
+    wrapped = getattr(oracle, name)
 
     def counted(*args):
-        calls.append(args[-1])
+        calls.append(args)
         if len(calls) > limit:
-            raise RuntimeError(f"the search made more than {limit} probes")
-        return probe(*args)
+            raise RuntimeError(f"the search made more than {limit} calls of {name}")
+        return wrapped(*args)
 
-    monkeypatch.setattr(oracle, "_probe", counted)
+    monkeypatch.setattr(oracle, name, counted)
     return calls
 
 
@@ -598,8 +714,11 @@ def test_probes_per_search_on_the_acceptance_grid(monkeypatch):
     the two axes' speeds.  Over the 41 x 41 grid's exterior states outside
     the locus band, on circles l = 1 and 2 and the square at alpha = 1 and
     on Circle(0.5) at alpha = 2, a search takes 9.71 probes on the mean,
-    against 11.77 with the added speeds."""
-    calls = _counting_probe(monkeypatch)
+    against 11.77 with the added speeds.  A circle probe solves 1.21 arcs on
+    the mean, not both: the chord between the full-bang endpoints rules the
+    other out."""
+    probes = _counting(monkeypatch)
+    arcs = _counting(monkeypatch, "_arc_nearest")
     searches = 0
     for m, p in ((C1, P1), (Circle(2.0), Params(alpha=1.0, l=2.0)), (SQ, P1),
                  (Circle(0.5), Params(alpha=2.0, l=0.5))):
@@ -609,7 +728,8 @@ def test_probes_per_search_on_the_acceptance_grid(monkeypatch):
             oracle_policy(m, p, s)
             searches += 1
     assert searches > 6000
-    assert len(calls) / searches < 10.0
+    assert len(probes) / searches < 10.0
+    assert len(arcs) / sum(args[0] is not None for args in probes) <= 1.3
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
@@ -627,7 +747,7 @@ def test_oracle_answers_large_states(monkeypatch, alpha):
     cases = [(Circle(l), Params(alpha=alpha, l=l), State(0.0, x2))
              for l in (0.05, 1.0, 3.0) for x2 in (1e6, -1e6)]
     cases += [(SQ, Params(alpha=alpha), s) for s in (State(1e12, 0.0), State(-1e12, 0.0), State(0.0, 1e6))]
-    calls = _counting_probe(monkeypatch, limit=2000)
+    calls = _counting(monkeypatch, limit=2000)
     for m, p, s in cases:
         calls.clear()
         t = oracle_min_time(m, p, s)
