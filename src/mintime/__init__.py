@@ -9,7 +9,6 @@ from .characteristics import (
     hamiltonian,
     numeric_retro,
     numeric_retro_dense,
-    switch_tau,
     terminal_costate,
 )
 from .isochrone import Isochrone, isochrone_circle, isochrone_generic
@@ -17,7 +16,6 @@ from .manifold import (
     BoundaryPoint,
     Circle,
     Manifold,
-    Normal,
     ParamInterval,
     RegionClass,
     Square,
@@ -25,7 +23,6 @@ from .manifold import (
     bup_params,
     classify,
     contains,
-    outward_normal,
     sample_up,
     signed_distance,
     up_intervals,
@@ -37,7 +34,6 @@ from .model import (
     Params,
     PhysicalParams,
     State,
-    dynamics,
     nondimensionalize,
     parse_scenario,
 )

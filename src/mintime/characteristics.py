@@ -109,17 +109,6 @@ def _usable_anchor(
     return anchor
 
 
-def switch_tau(b: BoundaryPoint) -> float | None:
-    """Retrograde switch time -n2/n1 where the outward normal has n1*n2 < 0.
-
-    lambda2 = a*(n2 + n1*tau) crosses zero there: circle anchors in (pi/2, pi)
-    and (3*pi/2, 2*pi), and corner anchors off their cone edge.  Side anchors
-    never switch.
-    """
-    _, _, n1, n2 = _anchor(b.kind, b.param, 1.0, 1.0)
-    return -n2 / n1 if n1 * n2 < 0.0 else None
-
-
 def costate_retro(m: Manifold, b: BoundaryPoint, params: Params, tau: float) -> Costate:
     """Costate at retrograde time tau: lambda1 constant, lambda2 linear."""
     _check_tau(tau)
@@ -150,7 +139,7 @@ def _closed_form(
     manifold._anchor: the point y and its outward normal n, on floats.
 
     Each leg is dy1/dtau = -y2, dy2/dtau = -u.  The first has u = -sign(lambda2)
-    = -sign(n2) (-sign(n1) at n2 = 0); past switch_tau's time the same leg runs
+    = -sign(n2) (-sign(n1) at n2 = 0); past the switch -n2/n1 the same leg runs
     on with -u.  n need not be unit: u reads its signs, the switch -n2/n1, and
     the costate a*n (a from H = 0) is free of its scale.  alpha < 0 gives -x.
     Out of float range, State's DomainError names y if it overflows, else x.
@@ -199,6 +188,10 @@ def numeric_retro_dense(
 ) -> list[tuple[State, Costate]]:
     """States and costates at each requested tau, in one integration pass.
 
+    The legs split where the costate's own lambda2 = lambda20 + lambda1*tau
+    crosses zero, at -lambda20/lambda1 where lambda1*lambda20 < 0, the rule
+    its mid-leg control reads too: the check borrows no switch time from the
+    closed form's -n2/n1.
     taus must be finite, non-decreasing and non-negative.
     """
     if not step > 0.0:
@@ -208,18 +201,16 @@ def numeric_retro_dense(
             raise DomainError("taus must be finite, non-decreasing and >= 0")
     c0 = terminal_costate(m, b, params)
     s0 = boundary_state(m, b)
-    ts = switch_tau(b)
 
     alpha = params.alpha
     lam1, lam20 = c0.lambda1, c0.lambda2
+    ts = -lam20 / lam1 if lam1 * lam20 < 0.0 else math.inf
     x1, x2 = s0.x1, s0.x2
     now = 0.0
     out: list[tuple[State, Costate]] = []
     for target in taus:
         while target > now:
-            leg_end = target
-            if ts is not None and now < ts < target:
-                leg_end = ts
+            leg_end = ts if now < ts < target else target
             # sign(lambda2) = -u at mid-leg; zero only on a zero-length leg
             sigma = -_forward_u(lam1, lam20 + lam1 * (0.5 * (now + leg_end)))
             x1, x2 = _rk4_leg(x1, x2, sigma * alpha, leg_end - now, step)

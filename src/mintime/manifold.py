@@ -139,18 +139,6 @@ class RegionClass(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Normal:
-    """Outward unit normal (n1, n2); unit length within 1e-12."""
-
-    n1: float
-    n2: float
-
-    def __post_init__(self) -> None:
-        if abs(self.n1 * self.n1 + self.n2 * self.n2 - 1.0) > 1e-12:
-            raise DomainError(f"normal ({self.n1!r}, {self.n2!r}) is not unit length")
-
-
-@dataclass(frozen=True)
 class ParamInterval:
     """One interval of boundary parameters, labeled by the parameter kind."""
 
@@ -222,16 +210,11 @@ _SIDE_NORMALS = {
 }
 
 
-def outward_normal(m: Manifold, b: BoundaryPoint) -> Normal:
-    """Outward unit normal; at a corner, the cone normal at the angle b.param."""
-    _check_kind(m, b)
-    return Normal(*_anchor(b.kind, b.param, 1.0, 1.0)[2:])
-
-
 def classify(m: Manifold, b: BoundaryPoint, params: Params) -> RegionClass:
     """UP / BUP / NUP by the sign of min_u <n, f> at the boundary state."""
-    s, n = boundary_state(m, b), outward_normal(m, b)
-    return RegionClass(_region(m, params, s.x2, n.n1, n.n2))
+    _check_kind(m, b)
+    _, x2, n1, n2 = _anchor(b.kind, b.param, _radius(m), 1.0)
+    return RegionClass(_region(m, params, x2, n1, n2))
 
 
 def _region(m: Manifold, params: Params, x2: float, n1: float, n2: float) -> str:

@@ -1,4 +1,4 @@
-"""Problem constants, double-integrator dynamics, and non-dimensional scaling.
+"""Problem constants, the double-integrator plant, and non-dimensional scaling.
 
 A point mass on a line is driven by a bounded force. After scaling position
 by the tolerance length L, velocity by the tolerance velocity V, and time by
@@ -89,9 +89,6 @@ class State:
     def __neg__(self) -> "State":
         return State(-self.x1, -self.x2)
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.x1, self.x2)
-
 
 # ── Operations ─────────────────────────────────────────────────────────────────
 
@@ -116,12 +113,6 @@ def nondimensionalize(p: PhysicalParams, l: float = 1.0) -> Params:
 def validate_control(u: float) -> None:
     if not (math.isfinite(u) and -1.0 <= u <= 1.0):
         raise DomainError(f"control must satisfy -1 <= u <= 1, got {u!r}")
-
-
-def dynamics(s: State, u: float, params: Params) -> tuple[float, float]:
-    """Right-hand side of the plant: (dx1/dt, dx2/dt) = (x2, alpha*u)."""
-    validate_control(u)
-    return (s.x2, params.alpha * u)
 
 
 # ── Scenario files ─────────────────────────────────────────────────────────────

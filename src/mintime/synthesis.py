@@ -559,28 +559,32 @@ def _locus_half(m: Manifold, size: float) -> tuple[float, float]:
     return size + 0.5 * size * size, size
 
 
-def _depressed_cubic_roots(p: float, q: float) -> list[float]:
-    """Real roots of w^3 + p*w + q."""
+def _largest_cubic_root(p: float, q: float) -> float:
+    """The largest real root of w^3 + p*w + q."""
     disc = 0.25 * q * q + p * p * p / 27.0
     if disc > 0.0:  # the cube root that does not cancel, and its pair from w*v = -p/3
         c = -0.5 * q - math.copysign(math.sqrt(disc), q)
         w = math.copysign(abs(c) ** (1.0 / 3.0), c)
-        return [w - p / (3.0 * w)]
+        return w - p / (3.0 * w)
     r = math.sqrt(max(0.0, -p * p * p / 27.0))
     phi = math.acos(min(1.0, max(-1.0, -0.5 * q / r))) if r > 0.0 else 0.0
-    m2 = 2.0 * math.sqrt(max(0.0, -p / 3.0))
-    return [m2 * math.cos((phi + 2.0 * math.pi * k) / 3.0) for k in range(3)]
+    return 2.0 * math.sqrt(max(0.0, -p / 3.0)) * math.cos(phi / 3.0)
 
 
 def _parabola_distance(x1: float, x2: float, c: float, w_edge: float) -> float:
     """Distance from (x1, x2) to {x1 = c - w^2/2 : w >= w_edge}.
 
-    The squared distance is quartic in w; its stationary points solve a cubic.
+    The squared distance is quartic in w, and its stationary points solve a
+    cubic with no w^2 term.  Only w_edge and the largest real root are
+    tried.  The roots sum to 0, so of three the smallest is below 0 <= w_edge
+    unless all three are 0.  The squared distance falls up to the smallest,
+    rises to the middle one and falls to the largest, so the middle root is
+    a local maximum: where it lies at or past w_edge, the rise from w_edge
+    makes it no nearer than w_edge.
     """
     # d/dw [(w - x2)^2 + (c - w^2/2 - x1)^2] = w^3 + 2*(1 - (c - x1))*w - 2*x2
-    roots = _depressed_cubic_roots(2.0 * (1.0 - (c - x1)), -2.0 * x2)
     best = math.inf
-    for w in (w_edge, *roots):
+    for w in (w_edge, _largest_cubic_root(2.0 * (1.0 - (c - x1)), -2.0 * x2)):
         if w < w_edge:
             continue
         dx = c - 0.5 * w * w - x1

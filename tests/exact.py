@@ -2,8 +2,9 @@
 
 Each fact the tests check against exact arithmetic is written here once:
 
-- one characteristic: the anchor of a (kind, p) code, its legs and the
-  closed form, in Fraction from the same float normal the code reads;
+- one characteristic: the anchor of a (kind, p) code, its switch time, its
+  legs and the closed form, in Fraction from the same float normal the code
+  reads;
 - one policy endpoint: where a bang-bang policy (a, t_s, t_f) ends, exact on
   Fractions and to 60 digits on Decimals;
 - the 60-digit tools: the precision context, one bisection, sin and cos, the
@@ -59,15 +60,22 @@ def leg(y1, y2, u, d):
     return y1 - d * y2 + u * d * d / 2, y2 - u * d
 
 
+def switch(kind, p):
+    """The retrograde switch time tau_s = -n2/n1 of (kind, p), where its
+    normal has n1*n2 < 0 (lambda2 = a*(n2 + n1*tau) changes sign there);
+    None where it has none."""
+    _, _, n1, n2 = anchor(kind, p, 1, 1)
+    return -n2 / n1 if n1 * n2 < 0 else None
+
+
 def closed_form(kind, p, size, alpha, tau):
     """(x1, x2) on the characteristic of (kind, p) at retrograde time tau: the
-    first leg, and past the switch tau_s = -n2/n1 (lambda2 = a*(n2 + n1*tau)
-    changes sign there) the leg with -u."""
+    first leg, and past the switch the leg with -u."""
     y1, y2, n1, n2 = anchor(kind, p, size, alpha)
-    u, t = first_control(n1, n2), Fraction(tau)
+    u, t, ts = first_control(n1, n2), Fraction(tau), switch(kind, p)
     legs = [t]
-    if n1 * n2 < 0 and t > -n2 / n1:
-        legs = [-n2 / n1, t + n2 / n1]
+    if ts is not None and t > ts:
+        legs = [ts, t - ts]
     for d in legs:
         y1, y2 = leg(y1, y2, u, d)
         u = -u

@@ -21,7 +21,6 @@ from mintime import (
     numeric_retro,
     numeric_retro_dense,
     sample_up,
-    switch_tau,
     terminal_costate,
 )
 from mintime.characteristics import flow_rows
@@ -31,6 +30,12 @@ P1 = Params(alpha=1.0, l=1.0)
 P2 = Params(alpha=1.0, l=2.0)
 SQ = Square()
 C1 = Circle(1.0)
+
+
+def _switch_tau(b):
+    """b's retrograde switch time, from the normal exact.anchor returns; None where it has none."""
+    ts = exact.switch(b.kind, b.param)
+    return None if ts is None else float(ts)
 
 
 def _flow_u(m, p, n, b, taus):
@@ -45,6 +50,9 @@ def test_hamiltonian_examples():
     assert hamiltonian(State(0.0, 1.0), Costate(1.0, 0.0), 0.3, P1) == 2.0
     assert hamiltonian(State(0.0, 0.0), Costate(0.0, 1.0), -1.0, P1) == 0.0
     assert hamiltonian(State(0.0, 2.0), Costate(1.0, -3.0), 1.0, Params(alpha=2.0)) == -3.0
+    for u in (1.5, -1.5, math.nan):  # above 1, below -1 and NaN are refused
+        with pytest.raises(DomainError, match="control must satisfy"):
+            hamiltonian(State(0.0, 0.0), Costate(1.0, 0.0), u, P1)
 
 
 # ── Terminal costates ─────────────────────────────────────────────────────────
@@ -98,21 +106,30 @@ def test_terminal_costate_scale_positive_dense():
 # ── Switch times ──────────────────────────────────────────────────────────────
 
 
+def _check_switch(m, b, want):
+    """The RK4 pass's costate lambda2 = lambda20 + lambda1*tau keeps its sign
+    up to want, vanishes there and flips past it; with want None it keeps its
+    sign throughout.  The reference agrees: exact.anchor's normal gives want."""
+    assert _switch_tau(b) == (None if want is None else pytest.approx(want, abs=1e-12))
+    taus = [0.0, 1.0, 10.0, 100.0] if want is None else [0.0, want * (1.0 - 1e-9), want, want * (1.0 + 1e-9)]
+    lam = [c.lambda2 for _, c in numeric_retro_dense(m, b, P1, taus, 1e-2)]
+    if want is None:
+        assert min(lam) >= 0.0 or max(lam) <= 0.0, (b, lam)
+    else:
+        assert lam[0] * lam[1] > 0.0 > lam[0] * lam[3], (b, lam)
+        assert abs(lam[2]) <= 1e-12 * abs(lam[0]), (b, lam)
+
+
 def test_switch_tau_circle():
-    assert switch_tau(BoundaryPoint("theta", 3.0 * math.pi / 4)) == pytest.approx(1.0, abs=1e-12)
-    assert switch_tau(BoundaryPoint("theta", math.pi / 4)) is None
-    assert switch_tau(BoundaryPoint("theta", math.pi / 2)) is None
-    assert switch_tau(BoundaryPoint("theta", 4.5)) is None  # (pi, 3pi/2]
-    assert switch_tau(BoundaryPoint("theta", 1.9 * math.pi)) == pytest.approx(
-        -math.tan(1.9 * math.pi), abs=1e-15
-    )
+    for th, want in ((3.0 * math.pi / 4, 1.0), (math.pi / 4, None), (math.pi / 2, None),
+                     (4.5, None), (1.9 * math.pi, -math.tan(1.9 * math.pi))):  # 4.5 in (pi, 3pi/2]
+        _check_switch(C1, BoundaryPoint("theta", th), want)
 
 
 def test_switch_tau_square():
-    assert switch_tau(BoundaryPoint("AD", 0.0)) is None
-    assert switch_tau(BoundaryPoint("corner_A", math.pi - math.atan(2.0))) == pytest.approx(2.0, abs=1e-12)
-    assert switch_tau(BoundaryPoint("corner_A", math.pi / 2)) is None
-    assert switch_tau(BoundaryPoint("corner_C", 1.5 * math.pi)) is None
+    for b, want in ((BoundaryPoint("AD", 0.0), None), (BoundaryPoint("corner_A", math.pi - math.atan(2.0)), 2.0),
+                    (BoundaryPoint("corner_A", math.pi / 2), None), (BoundaryPoint("corner_C", 1.5 * math.pi), None)):
+        _check_switch(SQ, b, want)
 
 
 # ── Retrograde costates ───────────────────────────────────────────────────────
@@ -178,7 +195,7 @@ def test_closed_form_continuous_at_switch():
     for b in (BoundaryPoint("theta", 2.2), BoundaryPoint("theta", 5.6), BoundaryPoint("corner_A", 2.0),
               BoundaryPoint("corner_C", 5.0)):
         m = C1 if b.kind == "theta" else SQ
-        ts = switch_tau(b)
+        ts = _switch_tau(b)
         before = closed_form_state(m, b, P1, ts * (1.0 - 1e-12))
         after = closed_form_state(m, b, P1, ts * (1.0 + 1e-12))
         assert before.x1 == pytest.approx(after.x1, abs=1e-9)
@@ -189,7 +206,7 @@ def test_arc_parabola_identity():
     """x1 - u*x2^2/2 is conserved along each constant-control arc."""
     for m, p in ((C1, P1), (Circle(2.0), P2), (SQ, P1)):
         for b in sample_up(m, p, 24):
-            ts = switch_tau(b)
+            ts = _switch_tau(b)
             for lo, hi in ([(0.0, ts), (ts, ts + 4.0)] if ts else [(0.0, 5.0)]):
                 if hi - lo < 1e-9:
                     continue
@@ -282,11 +299,11 @@ def test_numeric_general_alpha_annihilates_hamiltonian():
 
 
 def test_forward_control_switches_once():
-    """The u column of flow_rows flips once, at switch_tau, and at the switch
+    """The u column of flow_rows flips once, at the switch time, and at the switch
     the control beyond it is reported; upper near legs brake."""
     braking = 0
     for b in sample_up(C1, P1, 16):
-        ts = switch_tau(b)
+        ts = _switch_tau(b)
         if ts is None:
             continue
         taus = [0.0, 0.5 * ts, ts * (1.0 - 1e-12), ts, ts * (1.0 + 1e-12), ts + 1.0, 2.0 * ts + 5.0]
@@ -306,7 +323,7 @@ def test_forward_control_without_switch():
     for b in sample_up(SQ, P1, 16):
         if b.kind.startswith("corner"):
             continue
-        assert switch_tau(b) is None
+        assert _switch_tau(b) is None
         kinds.add(b.kind)
         assert _flow_u(SQ, P1, 16, b, [0.0, 1.0, 4.0]) == [1.0 if b.kind in ("AB", "BC") else -1.0] * 3
     assert kinds == {"AB", "BC", "CD", "AD"}

@@ -12,7 +12,7 @@ import pytest
 
 import exact
 import mintime
-from mintime import BoundaryPoint, Circle, DomainError, Square, boundary_state
+from mintime import BoundaryPoint, Circle, DomainError, Square, State, boundary_state
 from mintime.cli import main
 from mintime.manifold import _check_kind
 
@@ -225,7 +225,7 @@ def test_printed_codes_are_boundary_points(capsys, target, m):
                     BoundaryPoint(kind, float(param))
                 open_ends.append((kind, float(param)))
                 continue
-            assert boundary_state(m, BoundaryPoint(kind, float(param))).as_tuple() == (float(x1), float(x2))
+            assert boundary_state(m, BoundaryPoint(kind, float(param))) == State(float(x1), float(x2))
         if isinstance(m, Square):
             assert sorted(open_ends) == sorted(bup) == [("AB", 0.0), ("AD", 1.0), ("BC", -1.0), ("CD", 0.0)]
         else:

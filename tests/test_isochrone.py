@@ -40,19 +40,19 @@ def test_zero_isochrone_is_the_usable_part():
 
 
 def test_branch_point_example():
-    x1, x2 = closed_form_state(C1, BoundaryPoint("theta", math.pi / 2), P1, 1.0).as_tuple()
-    assert x1 == pytest.approx(-1.5, abs=1e-12)
-    assert x2 == pytest.approx(2.0, abs=1e-12)
+    s = closed_form_state(C1, BoundaryPoint("theta", math.pi / 2), P1, 1.0)
+    assert s.x1 == pytest.approx(-1.5, abs=1e-12)
+    assert s.x2 == pytest.approx(2.0, abs=1e-12)
 
 
 def test_branch_partition_at_arctan_tau():
     """phibar(1) = pi/4: the post-switch branch starts at 3*pi/4."""
     assert math.atan(1.0) == pytest.approx(math.pi / 4, abs=1e-15)
     th = 3.0 * math.pi / 4
-    before = closed_form_state(C1, BoundaryPoint("theta", th * (1.0 - 1e-9)), P1, 1.0).as_tuple()
-    after = closed_form_state(C1, BoundaryPoint("theta", th * (1.0 + 1e-9)), P1, 1.0).as_tuple()
-    assert before[0] == pytest.approx(after[0], abs=1e-6)
-    assert before[1] == pytest.approx(after[1], abs=1e-6)
+    before = closed_form_state(C1, BoundaryPoint("theta", th * (1.0 - 1e-9)), P1, 1.0)
+    after = closed_form_state(C1, BoundaryPoint("theta", th * (1.0 + 1e-9)), P1, 1.0)
+    assert before.x1 == pytest.approx(after.x1, abs=1e-6)
+    assert before.x2 == pytest.approx(after.x2, abs=1e-6)
 
 
 def test_isochrone_rejects_large_target_and_alpha():
@@ -170,12 +170,12 @@ def test_fans_are_the_public_closed_form_bit_for_bit(alpha):
             assert [(pt.family, pt.param) for pt in iso.points] == kept
             for pt in iso.points:
                 s = closed_form_state(m, BoundaryPoint(pt.family, pt.param), p, tau)
-                assert (pt.x1, pt.x2) == s.as_tuple()
+                assert State(pt.x1, pt.x2) == s
             if isinstance(m, Circle) and l <= alpha:
                 iso = isochrone_circle(p, tau, 64)
                 assert len(iso.points) >= 64
                 for pt in iso.points:
-                    assert (pt.x1, pt.x2) == closed_form_state(m, BoundaryPoint("theta", pt.param), p, tau).as_tuple()
+                    assert State(pt.x1, pt.x2) == closed_form_state(m, BoundaryPoint("theta", pt.param), p, tau)
 
 
 def test_overflowing_points_raise_the_state_error():
@@ -233,9 +233,10 @@ def test_fan_memo_answers_the_same_in_any_call_order(alpha):
                 if i == 2:
                     isochrone_generic(other_m, Params(alpha=alpha, l=other_l), 1.0, 64)
                 want = [
-                    (b.param.hex(), *(x.hex() for x in closed_form_state(m, b, p, tau).as_tuple()), b.kind)
+                    (b.param.hex(), s.x1.hex(), s.x2.hex(), b.kind)
                     for b in sample_up(m, p, 64)
                     if not (b.kind in ("AB", "CD") and tau >= 2.0 * abs(b.param) / alpha)
+                    for s in [closed_form_state(m, b, p, tau)]
                 ]
                 got = [(q.param.hex(), q.x1.hex(), q.x2.hex(), q.family) for q in isochrone_generic(m, p, tau, 64).points]
                 assert got == want

@@ -9,7 +9,6 @@ from mintime import (
     BoundaryPoint,
     Circle,
     DomainError,
-    Normal,
     Params,
     RegionClass,
     Square,
@@ -18,7 +17,6 @@ from mintime import (
     bup_params,
     classify,
     contains,
-    outward_normal,
     sample_up,
     terminal_costate,
     up_intervals,
@@ -29,7 +27,7 @@ P1 = Params(alpha=1.0, l=1.0)
 P2 = Params(alpha=1.0, l=2.0)
 
 
-# ── boundary_state / outward_normal ───────────────────────────────────────────
+# ── boundary_state / outward normals ──────────────────────────────────────────
 
 
 def test_boundary_state_circle_top():
@@ -52,23 +50,24 @@ def test_boundary_state_kind_mismatch():
 
 
 def test_outward_normal_examples():
-    n = outward_normal(Circle(2.0), BoundaryPoint("theta", math.pi))
-    assert n.n1 == -1.0
-    assert abs(n.n2) < 1e-15
-    n = outward_normal(Square(), BoundaryPoint("AB", 0.3))
-    assert (n.n1, n.n2) == (-1.0, 0.0)
-    n = outward_normal(Square(), BoundaryPoint("corner_A", math.pi / 2))
-    assert n.n1 == pytest.approx(0.0, abs=1e-15)
-    assert n.n2 == 1.0
-    with pytest.raises(DomainError, match="is not unit length"):
-        Normal(0.6, 0.6)
+    """boundary_rows' (n1, n2) columns: (-1, 0) at theta = pi, each side's own
+    normal all along it, and the cone normal (cos p, sin p) at a corner."""
+    normals = {(kind, p): (n1, n2) for kind, p, _, _, n1, n2, _ in boundary_rows(Circle(2.0), P2, 4)}
+    n1, n2 = normals[("theta", math.pi)]
+    assert n1 == -1.0
+    assert abs(n2) < 1e-15
+    sides = {"AB": (-1.0, 0.0), "BC": (0.0, -1.0), "CD": (1.0, 0.0), "AD": (0.0, 1.0)}
+    kinds = set()
+    for kind, p, _, _, n1, n2, _ in boundary_rows(Square(), P1, 40):
+        kinds.add(kind)
+        assert (n1, n2) == sides.get(kind, (math.cos(p), math.sin(p))), (kind, p)
+    assert kinds == {*sides, "corner_A", "corner_C"}
 
 
 def test_outward_normal_unit_length_dense():
-    for k in range(64):
-        th = 2.0 * math.pi * k / 64 + 0.01
-        n = outward_normal(Circle(1.7), BoundaryPoint("theta", th % (2.0 * math.pi)))
-        assert n.n1 * n.n1 + n.n2 * n.n2 == pytest.approx(1.0, abs=1e-12)
+    for m, p in ((Circle(1.7), Params(alpha=1.0, l=1.7)), (Square(), P1)):
+        for *_, n1, n2, _ in boundary_rows(m, p, 64):
+            assert n1 * n1 + n2 * n2 == pytest.approx(1.0, abs=1e-12)
 
 
 # ── boundary-point validation ─────────────────────────────────────────────────

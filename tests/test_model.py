@@ -1,4 +1,4 @@
-"""Plant constants, dynamics, and scenario parsing."""
+"""Plant constants, scaling, and scenario parsing."""
 
 import math
 
@@ -9,7 +9,6 @@ from mintime import (
     Params,
     PhysicalParams,
     State,
-    dynamics,
     nondimensionalize,
     parse_scenario,
 )
@@ -35,41 +34,6 @@ def test_nondimensionalize_rejects_nonpositive():
     for v in (math.inf, math.nan):
         with pytest.raises(DomainError, match="length must be finite and > 0"):
             PhysicalParams(mass=1.0, f_max=1.0, length=v, velocity=1.0)
-
-
-def test_dynamics_examples():
-    p = Params(alpha=1.0, l=1.0)
-    assert dynamics(State(0.0, 0.0), 1.0, p) == (0.0, 1.0)
-    assert dynamics(State(1.0, 2.0), -1.0, p) == (2.0, -1.0)
-    assert dynamics(State(0.0, 1.0), 0.5, Params(alpha=2.0, l=1.0)) == (1.0, 1.0)
-
-
-def test_dynamics_rejects_large_control():
-    """Above 1, below -1 and NaN are refused."""
-    for u in (1.5, -1.5, math.nan):
-        with pytest.raises(DomainError, match="control must satisfy"):
-            dynamics(State(0.0, 0.0), u, Params())
-
-
-def test_dynamics_linear_in_control():
-    p = Params(alpha=1.7, l=1.0)
-    s = State(0.3, -2.1)
-    u1, u2 = -0.8, 0.6
-    for a in (0.0, 0.25, 0.5, 0.9, 1.0):
-        u = a * u1 + (1.0 - a) * u2
-        d = dynamics(s, u, p)
-        d1 = dynamics(s, u1, p)
-        d2 = dynamics(s, u2, p)
-        assert d[0] == pytest.approx(a * d1[0] + (1.0 - a) * d2[0], abs=1e-15)
-        assert d[1] == pytest.approx(a * d1[1] + (1.0 - a) * d2[1], abs=1e-15)
-
-
-def test_dynamics_central_symmetry():
-    p = Params(alpha=0.9, l=1.0)
-    for s, u in [(State(1.0, -2.0), 0.7), (State(-0.4, 0.2), -1.0), (State(3.0, 5.0), 0.0)]:
-        d = dynamics(s, u, p)
-        dm = dynamics(-s, -u, p)
-        assert dm == (-d[0], -d[1])
 
 
 def test_params_validation():

@@ -370,6 +370,19 @@ def test_simulate_validations():
     assert traj.termination.status == "max_time"
 
 
+def test_start_on_the_arrival_band_edge_has_arrived():
+    """At l = 5000e12 * 2^-52, x1 = l + 1e-12*l lies exactly 1e-12*R outside
+    Circle(l), on the arrival band's edge: a start there has arrived, in one
+    sample at t = 0, and a start one ulp further out has not."""
+    l = 5000 * 10 ** 12 * 2.0 ** -52
+    m, p, x1 = Circle(l), Params(l=l), l + _INTERIOR_TOL * l
+    assert signed_distance(m, State(x1, 0.0)) == _INTERIOR_TOL * l
+    traj = simulate(m, p, State(x1, 0.0), 1e-3, 1.0)
+    assert (traj.termination.status, traj.termination.t_f, len(traj.samples)) == ("reached", 0.0, 1)
+    traj = simulate(m, p, State(math.nextafter(x1, math.inf), 0.0), 1e-3, 1.0)
+    assert traj.termination.t_f > 0.0 and len(traj.samples) > 1
+
+
 def test_rollout_to_a_tiny_target_does_not_arrive_at_its_start():
     """The distance bands scale with the target: five radii out of
     Circle(1e-13) is not on the manifold, and the centre is inside.  At this

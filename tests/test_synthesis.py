@@ -82,12 +82,11 @@ def test_lower_switching_curves_are_the_negated_upper_ones(alpha):
     for l in (0.5, 1.0, 2.0):
         p = Params(alpha=alpha, l=l)
         up, lo = switching_curve_circle(p, "upper"), switching_curve_circle(p, "lower")
-        assert [q.as_tuple() for q in lo.sample(40, 6.0)] == [(-q.x1, -q.x2) for q in up.sample(40, 6.0)]
+        assert lo.sample(40, 6.0) == [-q for q in up.sample(40, 6.0)]
         for th in (1.6 * math.pi, 1.75 * math.pi, 1.9 * math.pi, 2.0 * math.pi):
-            q = up.point(th - math.pi)
-            assert lo.point(th).as_tuple() == (-q.x1, -q.x2)
+            assert lo.point(th) == -up.point(th - math.pi)
     a, c = switching_curve_square("A", Params(alpha=alpha)), switching_curve_square("C", Params(alpha=alpha))
-    assert [q.as_tuple() for q in c.sample(30, 6.0)] == [(-q.x1, -q.x2) for q in a.sample(30, 6.0)]
+    assert c.sample(30, 6.0) == [-q for q in a.sample(30, 6.0)]
 
 
 def _curve_pairs(alpha: float, radii) -> list[tuple]:
@@ -933,16 +932,55 @@ def test_locus_distance_matches_60_digits_where_cardano_cancels(m):
     """locus_distance against the 60-digit distance to both half-parabolas of
     the same (c, w_edge), within 1e-15, in Cardano's band |p|^3 << q^2: x1
     from 1e-2 down to 1e-11 off c - 1, where a cancelling second cube root
-    once lost up to 1.1e-9 (8.6e-10 at the first state, next to C1's loci)."""
+    once lost up to 1.1e-9 (8.6e-10 at the first state, next to C1's loci).
+    Also next to the cubic's double root, where its discriminant is 0 and
+    it has three real roots or one by rounding: x1 = c - 1 - k and
+    x2 = -(2k/3)^(3/2), a few ulps either way, for k from 1 down to 1e-8."""
     c, w_edge = _locus_half(m, 1.0 if m is SQ else m.l)
     states = [State(-8.726446975768407e-06, 1.3778753391537957)] if m is C1 else []
     states += [State(c - 1.0 + sign * 10.0 ** -k, x2) for k in range(2, 12) for sign in (-1.0, 1.0)
                for x2 in (0.5, 1.3778753391537957, 3.0, -2.0)]
+    for k in range(9):
+        x2 = -(2.0 * 10.0 ** -k / 3.0) ** 1.5
+        for step in (-3, -1, 0, 1, 3):
+            states.append(State(c - 1.0 - 10.0 ** -k, x2 + step * math.ulp(x2)))
     p = Params(l=1.0 if m is SQ else m.l)
     for s in states:
         ref = min(exact.parabola_distance(s.x1, s.x2, c, w_edge),
                   exact.parabola_distance(-s.x1, -s.x2, c, w_edge))
         assert abs(Decimal(locus_distance(m, p, s)) - ref) <= Decimal("1e-15"), s
+
+
+def test_near_winner_ends_on_the_usable_arc_where_the_parabola_grazes():
+    """At l > 1 the near family's cos(theta) is clamped to cos(thbar) = 1/l.
+    On the parabola that grazes the circle at cos(theta) = 1/l, and within
+    2^-40 of it, the small root can round above 1/l, which would put the
+    terminal point inside the non-usable arc: at l = 2.906195855740398 and
+    y = (-0.7937628087112885, 3.3216712614804678) it reads
+    0.3440924320447207 against 1/l = 0.34409243204472006.  Every near winner
+    on seeded states there keeps cos(theta) <= 1/l."""
+    rng = random.Random(46)
+    for l in (1.5, 2.0, 2.906195855740398, 4.0, 10.0):
+        m, edge = Circle(l), math.sqrt((l - 1.0) * (l + 1.0))
+        states = [(-0.7937628087112885, 3.3216712614804678)] if l == 2.906195855740398 else []
+        for _ in range(1500):
+            x2 = edge + rng.uniform(0.0, 3.0)
+            x1 = 0.5 * (1.0 + l * l) - 0.5 * x2 * x2
+            if rng.random() < 0.5:
+                x1 += rng.uniform(-1.0, 1.0) * 2.0 ** -40
+            else:
+                for _ in range(rng.randint(0, 4)):
+                    x1 = math.nextafter(x1, rng.choice((-math.inf, math.inf)))
+            states.append((x1, x2))
+        near = 0
+        for x1, x2 in states:
+            if contains(m, State(x1, x2)):
+                continue
+            best, _, _ = _invert(m, l, 1.0, x1, x2)
+            if best.family == "near_upper":
+                near += 1
+                assert best.anchor[2] <= 1.0 / l, (l, x1, x2, best)
+        assert near > 500, (l, near)
 
 
 def test_the_size_one_value_jump_locus_answers():
@@ -1112,9 +1150,9 @@ def test_circle_touch_and_go_just_past_l_equal_alpha(alpha):
         th = tg.terminal_point.param
         assert th == 0.0 or 1.5 * math.pi < th < math.tau, k
         end = boundary_state(Circle(p.l), tg.terminal_point)
-        for got, want in zip(end.as_tuple(), anchor):
+        for got, want in zip((end.x1, end.x2), anchor):
             assert abs(Decimal(got) - want) <= Decimal("2e-15") * a, k
-        for got, want in zip(tg.switch_state.as_tuple(), switch):
+        for got, want in zip((tg.switch_state.x1, tg.switch_state.x2), switch):
             assert abs(Decimal(got) - want) <= Decimal("2e-15") * abs(want), k
 
 
