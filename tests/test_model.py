@@ -12,7 +12,7 @@ from mintime import (
     nondimensionalize,
     parse_scenario,
 )
-from mintime.model import _check_finite
+from mintime.model import _check_finite, validate_control
 
 
 def test_nondimensionalize_all_ones_identity():
@@ -34,6 +34,15 @@ def test_nondimensionalize_rejects_nonpositive():
     for v in (math.inf, math.nan):
         with pytest.raises(DomainError, match="length must be finite and > 0"):
             PhysicalParams(mass=1.0, f_max=1.0, length=v, velocity=1.0)
+
+
+def test_dynamics_rejects_large_control():
+    """The plant's control bound |u| <= 1: above 1, below -1 and NaN are refused."""
+    for u in (1.5, -1.5, math.nan):
+        with pytest.raises(DomainError, match="control must satisfy"):
+            validate_control(u)
+    for u in (-1.0, 0.0, 1.0):
+        validate_control(u)
 
 
 def test_params_validation():
