@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import characteristics, isochrone, oracle, simulator, synthesis
-from .manifold import Circle, Manifold, Square, _nup_empty, boundary_rows, sample_up
+from .manifold import Circle, Manifold, Square, _nup_empty, boundary_rows
 from .model import DomainError, Params, State, parse_scenario
 
 _USAGE_EXIT = 64
@@ -100,27 +100,22 @@ def _taus(text: str) -> list[float]:
 # ── Commands ───────────────────────────────────────────────────────────────────
 
 
-def _cmd_up(args) -> int:
-    params, m = _scenario(args)
+def _cmd_up(args, params: Params, m: Manifold) -> int:
     _check_rows(args.samples, "--samples")
     rows = boundary_rows(m, params, args.samples)
     _emit_table(args, "up", ["kind", "param", "x1", "x2", "n1", "n2", "class"], rows)
     return 0
 
 
-def _cmd_costate(args) -> int:
-    params, m = _scenario(args)
+def _cmd_costate(args, params: Params, m: Manifold) -> int:
     _check_rows(args.samples, "--samples")
-    rows = []
-    for b in sample_up(m, params, args.samples):
-        c = characteristics.terminal_costate(m, b, params)
-        rows.append((b.kind, b.param, c.lambda1, c.lambda2))
+    # flow's tau = 0 rows, reduced to (kind, param, lambda1, lambda2)
+    rows = [r[:2] + r[5:7] for r in characteristics.flow_rows(m, params, args.samples, [0.0])]
     _emit_table(args, "costate", ["kind", "param", "lambda1", "lambda2"], rows)
     return 0
 
 
-def _cmd_flow(args) -> int:
-    params, m = _scenario(args)
+def _cmd_flow(args, params: Params, m: Manifold) -> int:
     if not args.tau_step > 0.0:
         raise DomainError(f"--tau-step must be > 0, got {args.tau_step!r}")
     characteristics._check_tau(args.tau_max)
@@ -139,8 +134,7 @@ def _cmd_flow(args) -> int:
     return 0
 
 
-def _cmd_switch_curves(args) -> int:
-    params, m = _scenario(args)
+def _cmd_switch_curves(args, params: Params, m: Manifold) -> int:
     _check_rows(2 * args.points, "--points")
     rows = []
     if isinstance(m, Circle):
@@ -154,8 +148,7 @@ def _cmd_switch_curves(args) -> int:
     return 0
 
 
-def _cmd_loci(args) -> int:
-    params, m = _scenario(args)
+def _cmd_loci(args, params: Params, m: Manifold) -> int:
     _check_rows(args.levels, "--levels")
     loci = synthesis.discontinuity_loci(m, params, span=args.span, n_levels=args.levels)
     rows = []
@@ -166,8 +159,7 @@ def _cmd_loci(args) -> int:
     return 0
 
 
-def _cmd_isochrone(args) -> int:
-    params, m = _scenario(args)
+def _cmd_isochrone(args, params: Params, m: Manifold) -> int:
     taus = _taus(args.tau)
     _check_rows(len(taus) * args.samples, "--tau and --samples")
     rows = []
@@ -186,8 +178,7 @@ def _terminal_json(bp) -> dict:
     return {"kind": bp.kind, "param": bp.param}
 
 
-def _cmd_feedback(args) -> int:
-    params, m = _scenario(args)
+def _cmd_feedback(args, params: Params, m: Manifold) -> int:
     res = synthesis.feedback(m, params, State(args.x1, args.x2))
     payload = {
         "u": res.u,
@@ -202,14 +193,12 @@ def _cmd_feedback(args) -> int:
     return 0
 
 
-def _cmd_value(args) -> int:
-    params, m = _scenario(args)
+def _cmd_value(args, params: Params, m: Manifold) -> int:
     sys.stdout.write(_fmt(synthesis.value(m, params, State(args.x1, args.x2))) + "\n")
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    params, m = _scenario(args)
+def _cmd_simulate(args, params: Params, m: Manifold) -> int:
     if args.dt > 0.0 and math.isfinite(args.tmax):  # bad values keep simulate's own message
         _check_rows(args.tmax / args.dt, "--tmax and --dt")
     traj = simulator.simulate(m, params, State(args.x1, args.x2), args.dt, args.tmax)
@@ -223,8 +212,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    params, m = _scenario(args)
+def _cmd_verify(args, params: Params, m: Manifold) -> int:
     if not 0.0 <= args.tol < math.inf:
         raise DomainError(f"--tol must be finite and >= 0, got {args.tol!r}")
     _check_rows(args.grid * args.grid, "--grid")
@@ -252,13 +240,14 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="mintime", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p: _Parser, samples_default: int | None = None) -> None:
+    def common(p: _Parser, samples_default: int | None = None, table: bool = True) -> None:
         p.add_argument("--target", choices=("circle", "square"), default=None)
         p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--l", type=float, default=None)
         p.add_argument("--scenario", type=str, default=None, help="JSON scenario file; flags win")
-        p.add_argument("--out", type=str, default=None, help="directory for file output")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if table:  # the options _emit_table reads
+            p.add_argument("--out", type=str, default=None, help="directory for file output")
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         if samples_default is not None:
             p.add_argument("--samples", type=int, default=samples_default)
 
@@ -294,13 +283,13 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_isochrone)
 
     p = sub.add_parser("feedback", help="optimal feedback at one state (JSON)")
-    common(p)
+    common(p, table=False)
     p.add_argument("--x1", type=float, required=True)
     p.add_argument("--x2", type=float, required=True)
     p.set_defaults(fn=_cmd_feedback)
 
     p = sub.add_parser("value", help="time-to-go at one state")
-    common(p)
+    common(p, table=False)
     p.add_argument("--x1", type=float, required=True)
     p.add_argument("--x2", type=float, required=True)
     p.set_defaults(fn=_cmd_value)
@@ -330,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code
     try:
-        return args.fn(args)
+        return args.fn(args, *_scenario(args))
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return _DOMAIN_EXIT

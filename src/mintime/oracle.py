@@ -279,6 +279,10 @@ def oracle_policy(m: Manifold, params: Params, s0: State) -> PolicyCandidate:
     skips only lines that are infeasible and finds the same first feasible
     line and bracket as a line-by-line ascent from 0.  The search stops one
     grid line past the minimum time to the origin, which both targets contain.
+    The line indices are ints of horizon/grid and t_box/grid.  Where either
+    quotient overflows (a horizon or box bound past the largest float times
+    the grid, or a box bound that is itself inf) there is no line to start or
+    stop at, so the search raises DomainError, as an infinite horizon does.
     """
     _unit_size(m, params)
     _reject_interior(m, s0)
@@ -290,8 +294,11 @@ def oracle_policy(m: Manifold, params: Params, s0: State) -> PolicyCandidate:
     horizon = _origin_time(alpha, s0) + grid
     if not math.isfinite(horizon):
         raise DomainError(f"the search horizon t = {horizon} from {s0!r} is not finite")
-    n = int(round(horizon / grid))
     t_box = _box_entry_time(m, alpha, s0)
+    t_end = max(horizon, t_box)
+    if not t_end / grid < math.inf:
+        raise DomainError(f"the search from {s0!r} to t = {t_end} has too many grid lines")
+    n = int(round(horizon / grid))
     k = max(0, int(t_box / grid) - 1)
     last_t = last_excess = math.nan  # the last line probed and its excess
     while k <= n:

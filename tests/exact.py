@@ -68,6 +68,12 @@ def switch(kind, p):
     return -n2 / n1 if n1 * n2 < 0 else None
 
 
+def switch_tau(b):
+    """switch(b.kind, b.param) of the BoundaryPoint b as a float; None where it has none."""
+    ts = switch(b.kind, b.param)
+    return None if ts is None else float(ts)
+
+
 def closed_form(kind, p, size, alpha, tau):
     """(x1, x2) on the characteristic of (kind, p) at retrograde time tau: the
     first leg, and past the switch the leg with -u."""

@@ -32,12 +32,6 @@ SQ = Square()
 C1 = Circle(1.0)
 
 
-def _switch_tau(b):
-    """b's retrograde switch time, from the normal exact.anchor returns; None where it has none."""
-    ts = exact.switch(b.kind, b.param)
-    return None if ts is None else float(ts)
-
-
 def _flow_u(m, p, n, b, taus):
     """The u column of flow_rows' rows at anchor b of its n-anchor fan, one per tau."""
     return [row[7] for row in flow_rows(m, p, n, taus) if row[:2] == (b.kind, b.param)]
@@ -110,7 +104,7 @@ def _check_switch(m, b, want):
     """The RK4 pass's costate lambda2 = lambda20 + lambda1*tau keeps its sign
     up to want, vanishes there and flips past it; with want None it keeps its
     sign throughout.  The reference agrees: exact.anchor's normal gives want."""
-    assert _switch_tau(b) == (None if want is None else pytest.approx(want, abs=1e-12))
+    assert exact.switch_tau(b) == (None if want is None else pytest.approx(want, abs=1e-12))
     taus = [0.0, 1.0, 10.0, 100.0] if want is None else [0.0, want * (1.0 - 1e-9), want, want * (1.0 + 1e-9)]
     lam = [c.lambda2 for _, c in numeric_retro_dense(m, b, P1, taus, 1e-2)]
     if want is None:
@@ -195,7 +189,7 @@ def test_closed_form_continuous_at_switch():
     for b in (BoundaryPoint("theta", 2.2), BoundaryPoint("theta", 5.6), BoundaryPoint("corner_A", 2.0),
               BoundaryPoint("corner_C", 5.0)):
         m = C1 if b.kind == "theta" else SQ
-        ts = _switch_tau(b)
+        ts = exact.switch_tau(b)
         before = closed_form_state(m, b, P1, ts * (1.0 - 1e-12))
         after = closed_form_state(m, b, P1, ts * (1.0 + 1e-12))
         assert before.x1 == pytest.approx(after.x1, abs=1e-9)
@@ -206,7 +200,7 @@ def test_arc_parabola_identity():
     """x1 - u*x2^2/2 is conserved along each constant-control arc."""
     for m, p in ((C1, P1), (Circle(2.0), P2), (SQ, P1)):
         for b in sample_up(m, p, 24):
-            ts = _switch_tau(b)
+            ts = exact.switch_tau(b)
             for lo, hi in ([(0.0, ts), (ts, ts + 4.0)] if ts else [(0.0, 5.0)]):
                 if hi - lo < 1e-9:
                     continue
@@ -303,7 +297,7 @@ def test_forward_control_switches_once():
     the control beyond it is reported; upper near legs brake."""
     braking = 0
     for b in sample_up(C1, P1, 16):
-        ts = _switch_tau(b)
+        ts = exact.switch_tau(b)
         if ts is None:
             continue
         taus = [0.0, 0.5 * ts, ts * (1.0 - 1e-12), ts, ts * (1.0 + 1e-12), ts + 1.0, 2.0 * ts + 5.0]
@@ -323,7 +317,7 @@ def test_forward_control_without_switch():
     for b in sample_up(SQ, P1, 16):
         if b.kind.startswith("corner"):
             continue
-        assert _switch_tau(b) is None
+        assert exact.switch_tau(b) is None
         kinds.add(b.kind)
         assert _flow_u(SQ, P1, 16, b, [0.0, 1.0, 4.0]) == [1.0 if b.kind in ("AB", "BC") else -1.0] * 3
     assert kinds == {"AB", "BC", "CD", "AD"}

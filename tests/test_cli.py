@@ -1,8 +1,11 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import argparse
+import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -13,6 +16,7 @@ import pytest
 import exact
 import mintime
 from mintime import BoundaryPoint, Circle, DomainError, Square, State, boundary_state
+from mintime import cli
 from mintime.cli import main
 from mintime.manifold import _check_kind
 
@@ -191,16 +195,22 @@ def test_costate_and_flow_headers(capsys):
 
 
 def test_flow_at_tau_max_0_gives_one_row_per_anchor(capsys):
-    """--tau-max 0 prints each anchor's tau = 0 row once: the anchors and
-    their order are costate's, on circles 0.5 and 2 and the square at alpha
-    0.5, 1 and 2."""
+    """--tau-max 0 prints each anchor's tau = 0 row once: the anchors, their
+    order and their lambda1, lambda2 bytes are costate's, on circles 0.5 and
+    2 and the square at alpha 0.5, 1 and 2.  Each costate row is the repr of
+    terminal_costate at its anchor."""
     for target in _PORTRAIT_TARGETS:
         code, out, _ = run(capsys, "flow", *target, "--samples", "6", "--tau-max", "0")
         assert code == 0
         rows = [line.split(",") for line in out.splitlines()[1:]]
         _, costate, _ = run(capsys, "costate", *target, "--samples", "6")
-        assert [r[:2] for r in rows] == [line.split(",")[:2] for line in costate.splitlines()[1:]]
+        costate_rows = [line.split(",") for line in costate.splitlines()[1:]]
+        assert [r[:2] + r[5:7] for r in rows] == costate_rows
         assert len(rows) == 6 and {r[2] for r in rows} == {"0.0"}
+        params, m = cli._scenario(cli._build_parser().parse_args(["costate", *target]))
+        for kind, param, lam1, lam2 in costate_rows:
+            c = mintime.terminal_costate(m, BoundaryPoint(kind, float(param)), params)
+            assert [lam1, lam2] == [repr(c.lambda1), repr(c.lambda2)]
 
 
 @pytest.mark.parametrize("target, m", [(["--target", "circle", "--l", "0.5"], Circle(0.5)),
@@ -287,6 +297,36 @@ def test_unknown_flag_exits_64(capsys):
     assert code == 64
     code, _, _ = run(capsys, "no-such-command")
     assert code == 64
+    # feedback and value print one answer and write no table, so the table
+    # options are unknown to them: one error line and nothing on stdout.
+    for cmd in ("feedback", "value"):
+        for option in (("--out", "."), ("--format", "csv"), ("--format", "json")):
+            code, out, err = run(capsys, cmd, "--x1", "3", "--x2", "1", *option)
+            assert code == 64
+            assert out == ""
+            assert [line.startswith("error: ") for line in err.splitlines()].count(True) == 1
+
+
+def test_every_accepted_option_is_read():
+    """Each option a command accepts is read by its handler: through
+    _scenario (which main calls for every command), through _emit_table (for
+    a handler that writes a table) or as args.<dest> in the handler itself."""
+    def reads(fn):
+        return set(re.findall(r"\bargs\.(\w+)", inspect.getsource(fn)))
+
+    def calls(fn, callee):
+        return re.search(rf"\b{callee}\(\s*args\b", inspect.getsource(fn)) is not None
+
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, p in sub.choices.items():
+        fn = p.get_default("fn")
+        read = reads(fn)
+        if calls(cli.main, "_scenario") or calls(fn, "_scenario"):
+            read |= reads(cli._scenario)
+        if calls(fn, "_emit_table"):
+            read |= reads(cli._emit_table)
+        accepted = {a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)}
+        assert accepted <= read, (name, sorted(accepted - read))
 
 
 def test_domain_error_exits_2(capsys):
@@ -341,6 +381,11 @@ def test_domain_error_exits_2(capsys):
         ("feedback", "--l", "1e-13", "--x1", "0", "--x2", "0"),
         # A fan point out of float range: one error line, never an inf row.
         ("isochrone", "--target", "circle", "--l", "1", "--alpha", "2", "--tau", "1e200"),
+        # Oracle searches whose grid-line count leaves float range: a horizon
+        # past the largest float times the grid, and an infinite box bound.
+        ("value", "--x1", "1", "--x2", "1e6", "--alpha", "1e-300"),
+        ("value", "--x1", "2", "--x2", "1e6", "--alpha", "1e-300", "--l", "0.5"),
+        ("value", "--x1", "1e154", "--x2", "0", "--alpha", "1e154"),
     ],
 )
 def test_out_of_range_numbers_exit_2(capsys, argv):

@@ -22,12 +22,6 @@ P1 = Params(alpha=1.0, l=1.0)
 SQ = Square()
 
 
-def _switch_tau(b):
-    """b's retrograde switch time, from the normal exact.anchor returns; None where it has none."""
-    ts = exact.switch(b.kind, b.param)
-    return None if ts is None else float(ts)
-
-
 def _samples(lo, hi, n=7):
     return [lo + (k + 0.5) * (hi - lo) / n for k in range(n)]
 
@@ -39,7 +33,7 @@ def test_circle_upper_family_relations(l):
     theta_lo = math.acos(min(1.0, 1.0 / l))
     for th in _samples(theta_lo + 1e-6, math.pi - 1e-3):
         st, ct = math.sin(th), math.cos(th)
-        ts = _switch_tau(BoundaryPoint("theta", th))
+        ts = exact.switch_tau(BoundaryPoint("theta", th))
         for tau in _samples(0.0, ts if ts is not None else 4.0):
             s = closed_form_state(m, BoundaryPoint("theta", th), p, tau)
             want = -0.5 * s.x2 * s.x2 + l * ct + 0.5 * l * l * st * st
@@ -63,7 +57,7 @@ def test_circle_lower_family_relations(l):
     theta_lo = math.pi + math.acos(min(1.0, 1.0 / l))
     for th in _samples(theta_lo + 1e-6, 2.0 * math.pi - 1e-3):
         st, ct = math.sin(th), math.cos(th)
-        ts = _switch_tau(BoundaryPoint("theta", th))
+        ts = exact.switch_tau(BoundaryPoint("theta", th))
         for tau in _samples(0.0, ts if ts is not None else 4.0):
             s = closed_form_state(m, BoundaryPoint("theta", th), p, tau)
             want = 0.5 * s.x2 * s.x2 + l * ct - 0.5 * l * l * st * st
@@ -106,7 +100,7 @@ def test_square_side_family_relations():
 def test_square_corner_family_relations():
     for th1 in _samples(0.5 * math.pi + 0.15, math.pi - 0.05):
         b = BoundaryPoint("corner_A", th1)
-        ts = _switch_tau(b)
+        ts = exact.switch_tau(b)
         tt = math.tan(th1)
         for tau in _samples(0.0, ts):
             s = closed_form_state(SQ, b, P1, tau)
@@ -119,7 +113,7 @@ def test_square_corner_family_relations():
             assert s.x2 <= 1.0 - tt + 1e-12
     for th2 in _samples(1.5 * math.pi + 0.15, 2.0 * math.pi - 0.05):
         b = BoundaryPoint("corner_C", th2)
-        ts = _switch_tau(b)
+        ts = exact.switch_tau(b)
         tt = math.tan(th2)
         for tau in _samples(0.0, ts):
             s = closed_form_state(SQ, b, P1, tau)
