@@ -22,14 +22,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .characteristics import _check_tau, _closed_form, _usable_anchor
 from .manifold import Circle, Manifold, Square, _nup_empty, _unit_size, _up_codes
 from .model import DomainError, Params
 
 
-@dataclass(frozen=True)
-class IsoPoint:
+class IsoPoint(NamedTuple):
     param: float
     x1: float
     x2: float

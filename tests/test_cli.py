@@ -442,8 +442,11 @@ def test_scenario_merge_flags_win(tmp_path, capsys):
                        "--x1", "-1.5", "--x2", "2", "--l", "1")
     assert code == 0
     assert float(out.strip()) == pytest.approx(1.0, abs=1e-12)  # flag l=1 wins
-    code, _, _ = run(capsys, "up", "--scenario", str(tmp_path / "missing.json"))
-    assert code in (2, 64) or code != 0
+    code, out, err = run(capsys, "up", "--scenario", str(tmp_path / "missing.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read scenario file")
+    assert len(err.splitlines()) == 1
 
 
 def test_scenario_unknown_key_exits_2(tmp_path, capsys):

@@ -22,7 +22,7 @@ from mintime import (
     value,
 )
 from mintime.characteristics import flow_rows
-from mintime.isochrone import _fan
+from mintime.isochrone import IsoPoint, _fan
 from mintime.synthesis import _closed_form_feedback, _written_points
 
 P1 = Params(alpha=1.0, l=1.0)
@@ -176,6 +176,15 @@ def test_fans_are_the_public_closed_form_bit_for_bit(alpha):
                 assert len(iso.points) >= 64
                 for pt in iso.points:
                     assert State(pt.x1, pt.x2) == closed_form_state(m, BoundaryPoint("theta", pt.param), p, tau)
+
+
+def test_iso_point_fields_repr_and_immutability():
+    pt = IsoPoint(0.5, -1.0, 2.0, "AB")
+    assert IsoPoint._fields == ("param", "x1", "x2", "family")
+    assert (pt.param, pt.x1, pt.x2, pt.family) == (0.5, -1.0, 2.0, "AB")
+    assert repr(pt) == "IsoPoint(param=0.5, x1=-1.0, x2=2.0, family='AB')"
+    with pytest.raises(AttributeError):
+        pt.x1 = 0.0
 
 
 def test_overflowing_points_raise_the_state_error():

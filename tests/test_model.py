@@ -1,5 +1,6 @@
 """Plant constants, scaling, and scenario parsing."""
 
+import dataclasses
 import math
 
 import pytest
@@ -58,6 +59,26 @@ def test_params_validation():
         State(math.nan, 0.0)
     with pytest.raises(DomainError, match="state must be finite"):
         State(0.0, math.inf)
+
+
+def test_state_is_a_frozen_value():
+    """State's hand-written __init__ keeps what the generated frozen one gave:
+    no assignment, equality and hash by value, the field repr, replace,
+    negation and the DomainError text for either non-finite coordinate."""
+    s = State(1.0, -0.0)
+    with pytest.raises(AttributeError):
+        s.x1 = 2.0
+    assert s == State(1.0, 0.0) and hash(s) == hash(State(1.0, 0.0))
+    assert s != State(1.0, 1.0) and s != (1.0, -0.0)
+    assert repr(s) == "State(x1=1.0, x2=-0.0)"
+    assert dataclasses.replace(State(1.0, 2.0), x2=3.0) == State(1.0, 3.0)
+    assert [f.name for f in dataclasses.fields(State)] == ["x1", "x2"]
+    assert repr(-State(1.0, -2.0)) == "State(x1=-1.0, x2=2.0)"
+    for x1, x2, text in ((math.inf, 0.0, "(inf, 0.0)"), (1.0, math.nan, "(1.0, nan)"),
+                         (-math.inf, math.nan, "(-inf, nan)")):
+        with pytest.raises(DomainError) as info:
+            State(x1, x2)
+        assert str(info.value) == f"state must be finite, got {text}"
 
 
 def test_check_finite_raises_states_error_for_either_coordinate():
