@@ -18,7 +18,6 @@ import math
 import sys
 from pathlib import Path
 
-from . import characteristics, isochrone, oracle, simulator, synthesis
 from .manifold import Circle, Manifold, Square, _nup_empty, boundary_rows
 from .model import DomainError, Params, State, parse_scenario
 
@@ -98,6 +97,9 @@ def _taus(text: str) -> list[float]:
 
 
 # ── Commands ───────────────────────────────────────────────────────────────────
+# Each command imports what it runs from the defining module, never through the
+# package namespace, whose first read loads every module: a cold start loads
+# only what the command runs.
 
 
 def _cmd_up(args, params: Params, m: Manifold) -> int:
@@ -108,23 +110,25 @@ def _cmd_up(args, params: Params, m: Manifold) -> int:
 
 
 def _cmd_costate(args, params: Params, m: Manifold) -> int:
+    from .characteristics import flow_rows
     _check_rows(args.samples, "--samples")
     # flow's tau = 0 rows, reduced to (kind, param, lambda1, lambda2)
-    rows = [r[:2] + r[5:7] for r in characteristics.flow_rows(m, params, args.samples, [0.0])]
+    rows = [r[:2] + r[5:7] for r in flow_rows(m, params, args.samples, [0.0])]
     _emit_table(args, "costate", ["kind", "param", "lambda1", "lambda2"], rows)
     return 0
 
 
 def _cmd_flow(args, params: Params, m: Manifold) -> int:
+    from .characteristics import _check_tau, flow_rows
     if not args.tau_step > 0.0:
         raise DomainError(f"--tau-step must be > 0, got {args.tau_step!r}")
-    characteristics._check_tau(args.tau_max)
+    _check_tau(args.tau_max)
     steps = args.tau_max / args.tau_step
     _check_rows(max(1, args.samples) * (steps + 1.0), "--samples, --tau-max and --tau-step")
     n_steps = max(1, int(round(steps)))
     # --tau-max 0 is the one tau 0.0, so each anchor gets one row
     taus = [k * args.tau_max / n_steps for k in range(n_steps + 1 if args.tau_max else 1)]
-    rows = characteristics.flow_rows(m, params, args.samples, taus)
+    rows = flow_rows(m, params, args.samples, taus)
     _emit_table(
         args,
         "flow",
@@ -135,12 +139,13 @@ def _cmd_flow(args, params: Params, m: Manifold) -> int:
 
 
 def _cmd_switch_curves(args, params: Params, m: Manifold) -> int:
+    from .synthesis import switching_curve_circle, switching_curve_square
     _check_rows(2 * args.points, "--points")
     rows = []
     if isinstance(m, Circle):
-        curves = [synthesis.switching_curve_circle(params, b) for b in ("upper", "lower")]
+        curves = [switching_curve_circle(params, b) for b in ("upper", "lower")]
     else:
-        curves = [synthesis.switching_curve_square(b, params) for b in ("A", "C")]
+        curves = [switching_curve_square(b, params) for b in ("A", "C")]
     for curve in curves:
         for p in curve.sample(args.points, args.x2_max):
             rows.append((curve.branch, p.x1, p.x2))
@@ -149,8 +154,9 @@ def _cmd_switch_curves(args, params: Params, m: Manifold) -> int:
 
 
 def _cmd_loci(args, params: Params, m: Manifold) -> int:
+    from .synthesis import discontinuity_loci
     _check_rows(args.levels, "--levels")
-    loci = synthesis.discontinuity_loci(m, params, span=args.span, n_levels=args.levels)
+    loci = discontinuity_loci(m, params, span=args.span, n_levels=args.levels)
     rows = []
     for curve_id, pts in zip(("a", "b"), loci):
         for p in pts:
@@ -160,14 +166,15 @@ def _cmd_loci(args, params: Params, m: Manifold) -> int:
 
 
 def _cmd_isochrone(args, params: Params, m: Manifold) -> int:
+    from .isochrone import isochrone_circle, isochrone_generic
     taus = _taus(args.tau)
     _check_rows(len(taus) * args.samples, "--tau and --samples")
     rows = []
     for tau in taus:
         if isinstance(m, Circle) and _nup_empty(m, params):
-            iso = isochrone.isochrone_circle(params, tau, args.samples)
+            iso = isochrone_circle(params, tau, args.samples)
         else:
-            iso = isochrone.isochrone_generic(m, params, tau, args.samples)
+            iso = isochrone_generic(m, params, tau, args.samples)
         for p in iso.points:
             rows.append((tau, p.param, p.x1, p.x2, p.family))
     _emit_table(args, "isochrone", ["tau", "theta_or_param", "x1", "x2", "family"], rows)
@@ -179,7 +186,8 @@ def _terminal_json(bp) -> dict:
 
 
 def _cmd_feedback(args, params: Params, m: Manifold) -> int:
-    res = synthesis.feedback(m, params, State(args.x1, args.x2))
+    from .synthesis import feedback
+    res = feedback(m, params, State(args.x1, args.x2))
     payload = {
         "u": res.u,
         "value": res.time_to_go,
@@ -194,14 +202,16 @@ def _cmd_feedback(args, params: Params, m: Manifold) -> int:
 
 
 def _cmd_value(args, params: Params, m: Manifold) -> int:
-    sys.stdout.write(_fmt(synthesis.value(m, params, State(args.x1, args.x2))) + "\n")
+    from .synthesis import value
+    sys.stdout.write(_fmt(value(m, params, State(args.x1, args.x2))) + "\n")
     return 0
 
 
 def _cmd_simulate(args, params: Params, m: Manifold) -> int:
+    from .simulator import simulate
     if args.dt > 0.0 and math.isfinite(args.tmax):  # bad values keep simulate's own message
         _check_rows(args.tmax / args.dt, "--tmax and --dt")
-    traj = simulator.simulate(m, params, State(args.x1, args.x2), args.dt, args.tmax)
+    traj = simulate(m, params, State(args.x1, args.x2), args.dt, args.tmax)
     rows = [(s.t, s.x1, s.x2, s.u) for s in traj.samples]
     _emit_table(args, "simulate", ["t", "x1", "x2", "u"], rows)
     term = traj.termination
@@ -213,11 +223,12 @@ def _cmd_simulate(args, params: Params, m: Manifold) -> int:
 
 
 def _cmd_verify(args, params: Params, m: Manifold) -> int:
+    from .oracle import acceptance_grid, oracle_grid_report
     if not 0.0 <= args.tol < math.inf:
         raise DomainError(f"--tol must be finite and >= 0, got {args.tol!r}")
     _check_rows(args.grid * args.grid, "--grid")
-    states = oracle.acceptance_grid(span=args.span, n=args.grid)
-    report = oracle.oracle_grid_report(m, params, states)
+    states = acceptance_grid(span=args.span, n=args.grid)
+    report = oracle_grid_report(m, params, states)
     rows = list(report.rows)
     _emit_table(args, "verify", ["x1", "x2", "oracle", "synthesis", "abs_err"], rows)
     summary = {

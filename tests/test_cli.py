@@ -36,11 +36,28 @@ def _python(*argv):
 
 def test_cli_import_loads_no_numpy_decimal_or_fractions():
     """A fresh `import mintime.cli`, the CLI's cold start, loads none of
-    numpy, decimal and fractions."""
-    code = "import sys, mintime.cli; print(sorted({'numpy', 'decimal', 'fractions'} & set(sys.modules)))"
+    numpy, decimal and fractions, and of mintime only the package, the CLI
+    and the two modules it parses with; `mintime value` adds the two it
+    runs, and no oracle, isochrone or simulator."""
+    code = ("import sys, mintime.cli; print(sorted({'numpy', 'decimal', 'fractions'} & set(sys.modules)));"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mintime'))")
     out = _python("-c", code)
     assert out.returncode == 0
-    assert out.stdout.strip() == b"[]"
+    assert out.stdout.splitlines() == [b"[]", b"['mintime', 'mintime.cli', 'mintime.manifold', 'mintime.model']"]
+    # runpy runs the module as `python -m` does; -X importtime would not list
+    # the modules that the package's loader imports through importlib
+    code = """if 1:
+        import runpy, sys
+        sys.argv = ["mintime", "value", "--x1", "-1.5", "--x2", "2"]
+        try:
+            runpy.run_module("mintime.cli", run_name="__main__", alter_sys=True)
+        finally:
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "mintime"), file=sys.stderr)
+    """
+    out = _python("-c", code)
+    assert (out.returncode, out.stdout) == (0, b"1.0\n")
+    assert out.stderr.strip() == (b"['mintime', 'mintime.characteristics', 'mintime.manifold', 'mintime.model', "
+                                  b"'mintime.synthesis']")
 
 
 def test_module_entry_point_exits_with_the_code_of_main(capsys):

@@ -55,7 +55,7 @@ def test_the_exact_reference_imports_nothing_from_mintime():
 def test_the_problem_layers_import_no_solution_layer(name):
     """model, manifold and characteristics import nothing from synthesis,
     oracle, isochrone, simulator or cli: of mintime they take only each
-    other, never the package, which imports every module."""
+    other, never the package, whose first read imports every module."""
     allowed = {f"mintime.{low}" for low in _LOWER}
     inside = [mod for mod, _ in _module_imports(name) if mod.split(".")[0] == "mintime"]
     assert set(inside) <= allowed, name
@@ -64,3 +64,33 @@ def test_the_problem_layers_import_no_solution_layer(name):
 def test_the_oracle_takes_from_the_synthesis_only_the_grid_report_comparison():
     taken = [names for mod, names in _module_imports("oracle") if mod == "mintime.synthesis"]
     assert all(names and set(names) <= {"_invert", "locus_distance"} for names in taken)
+
+
+def _package_reads_at_import(source: str) -> list[int]:
+    """Lines of the imports that source runs at module level, outside any
+    function, and that read the mintime package: `from . import x` and
+    `from mintime import x`."""
+    found = []
+    todo = list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, None), (0, "mintime")):
+            found.append(node.lineno)
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_the_finder_sees_package_reads_at_module_level_only():
+    src = ("from . import model\nfrom .model import State\nimport mintime.model\n"
+           "if True:\n    from mintime import oracle\nclass C:\n    from . import x\n"
+           "def f():\n    from . import oracle\n")
+    assert sorted(_package_reads_at_import(src)) == [1, 5, 7]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_reads_the_package_at_import(path):
+    """A package read while a module runs its body would enter the package's
+    loader, which imports every module, with that module half made."""
+    assert _package_reads_at_import(path.read_text()) == [], path.name
