@@ -26,20 +26,24 @@ minimum, and `_refine` narrows that bracket to a width of
 excess over the target, which is continuous in t_final.
 
 Two exact shortcuts leave every answer unchanged.  The ascent starts one grid
-line below a proven lower bound on the minimum time: every target lies in the
-box |x1|, |x2| <= R (R = l for the circle, 1 for the square), and no control
-brings x2 or x1 into [-R, R] sooner than full braking does, so every skipped
-line is infeasible.  At each line it visits, the ascent takes that same
-nearest endpoint's distance to the target (in the max-norm for the square,
-never more than the Euclidean one), less `_gap_slack`, a bound on its
-rounding of a few ulps of each term, as a lower bound g on the distance from
-every endpoint to the target.  A policy that ends in the target d later
-passes one of those endpoints at t_f and after it moves x1 by at most
-R*d + alpha*d^2/2 and x2 by at most alpha*d, so it covers at most
-b*d + alpha*d^2/2, with b = hypot(R, alpha) for the circle and
-max(R, alpha) for the square.  Every line closer than the d where that
-reaches g is infeasible and the ascent jumps past them.  Where g is not
-positive the same endpoint tests the line exactly, so a square line costs
+line below a proven lower bound on the minimum time, the larger of two: every
+target lies in the box |x1|, |x2| <= R (R = l for the circle, 1 for the
+square), and no control brings x2 or x1 into [-R, R] sooner than full
+braking does; and every point of that box reaches the origin within
+(R + 2*sqrt(alpha*R + R^2/2))/alpha, so no control reaches the target
+sooner than the state's time to the origin less that.  So every skipped
+line is infeasible, and the refinement's floor stays the box bound.  At each
+line it visits, the ascent takes that same nearest endpoint's distance to the
+target (in the max-norm for the square, never more than the Euclidean one),
+less `_gap_slack`, a bound on its rounding of a few ulps of each term, as a
+lower bound g on the distance from every endpoint to the target.  A policy
+that ends in the target d later passes one of those endpoints at t_f and
+after it moves x1 by at most R*d + alpha*d^2/2 and x2 by at most alpha*d,
+so it covers at most b*d + alpha*d^2/2, with the reach speed
+b = hypot(R, alpha) for the circle and max(R, alpha) for the square, formed
+once per search.  Every line closer than the d where that reaches g is
+infeasible and the ascent jumps past them.  Where g is not positive the
+same endpoint tests the line exactly, so a square line costs
 no cubic solve and a circle line ~1.2, not two: the chord between the
 endpoints of u = +1 and u = -1 held throughout parts the two arcs, and
 the arc across it from the centre is solved only where the chord's
@@ -51,9 +55,11 @@ line-by-line ascent.  The probe kernel works on plain floats: the state's
 The oracle shares no code with the synthesis: it has its own cubic solver, and
 only the grid report imports the synthesis, to compare against its closed
 form's time-to-go (synthesis._invert), which forms no switch state, at
-every alpha.  Like every entry point, it checks
-the target against params with the shared model code (manifold._unit_size),
-which rejects a Circle whose radius differs from params.l.
+every alpha, and to exclude the band around its value-jump loci
+(synthesis._clear_of_loci, and locus_distance where that certifies
+nothing).  Like every entry point, it checks the target against params
+with the shared model code (manifold._unit_size), which rejects a Circle
+whose radius differs from params.l.
 
 The single-switch family is an assumption the oracle does not check itself.
 The test suite searches a coarse three-arc family and compares it against the
@@ -67,7 +73,7 @@ from dataclasses import dataclass
 
 from .manifold import Circle, Manifold, _radius, _reject_interior, _unit_size, contains
 from .model import DomainError, HorizonExceeded, Params, State
-from .synthesis import _invert, locus_distance  # for the grid report's comparison only
+from .synthesis import _clear_of_loci, _invert, locus_distance  # for the grid report's comparison only
 
 DEFAULT_GRID = 1e-2
 
@@ -270,15 +276,19 @@ def oracle_policy(m: Manifold, params: Params, s0: State) -> PolicyCandidate:
     bracket t*, and `_refine` returns the feasible end of that bracket
     narrowed to 1e-9*max(1, t*), so t_final lies in [t*, t* + 1e-9*max(1, t*)]
     up to the exact test's rounding.  The ascent starts one grid line below
-    `_box_entry_time`, a lower bound on t*.  At each line it visits,
-    `_probe` finds the endpoint nearest the target's centre (the least radius
-    on the circle, the least max-norm on the square, with no cubic solve);
-    that endpoint against the target is the exact test, and its distance less
-    `_gap_slack` bounds the distance from every endpoint to the target, so
-    the ascent jumps past every line `_clear_until` proves infeasible.  So it
-    skips only lines that are infeasible and finds the same first feasible
-    line and bracket as a line-by-line ascent from 0.  The search stops one
-    grid line past the minimum time to the origin, which both targets contain.
+    the larger of `_box_entry_time` and `_origin_bound`, each a lower bound
+    on t*; the bracket's floor stays `_box_entry_time`, and where the line
+    below the first feasible one was not probed, `_refine` probes it itself.
+    At each line it visits, `_probe` finds the endpoint nearest the target's
+    centre (the least radius on the circle, the least max-norm on the
+    square, with no cubic solve); that endpoint against the target is the
+    exact test, and its distance less `_gap_slack` bounds the distance from
+    every endpoint to the target, so the ascent jumps past every line
+    `_clear_until` proves infeasible at the search's one reach speed b.  So
+    it skips only lines that are infeasible and finds the same first
+    feasible line and bracket as a line-by-line ascent from 0.  The search
+    stops one grid line past the minimum time to the origin, which both
+    targets contain.
     The line indices are ints of horizon/grid and t_box/grid.  Where either
     quotient overflows (a horizon or box bound past the largest float times
     the grid, or a box bound that is itself inf) there is no line to start or
@@ -289,9 +299,13 @@ def oracle_policy(m: Manifold, params: Params, s0: State) -> PolicyCandidate:
     if contains(m, s0):
         return PolicyCandidate(1.0, 0.0, 0.0)
     alpha, R, grid = params.alpha, _radius(m), DEFAULT_GRID
-    l = m.l if isinstance(m, Circle) else None
+    if isinstance(m, Circle):
+        l, b = m.l, math.hypot(m.l, alpha)
+    else:
+        l, b = None, max(1.0, alpha)
     x1, x2 = s0.x1, s0.x2
-    horizon = _origin_time(alpha, s0) + grid
+    t_origin = _origin_time(alpha, s0)
+    horizon = t_origin + grid
     if not math.isfinite(horizon):
         raise DomainError(f"the search horizon t = {horizon} from {s0!r} is not finite")
     t_box = _box_entry_time(m, alpha, s0)
@@ -299,12 +313,12 @@ def oracle_policy(m: Manifold, params: Params, s0: State) -> PolicyCandidate:
     if not t_end / grid < math.inf:
         raise DomainError(f"the search from {s0!r} to t = {t_end} has too many grid lines")
     n = int(round(horizon / grid))
-    k = max(0, int(t_box / grid) - 1)
+    k = max(0, int(max(t_box, _origin_bound(alpha, R, t_origin)) / grid) - 1)
     last_t = last_excess = math.nan  # the last line probed and its excess
     while k <= n:
         t_f = k * grid
         excess, hit = _probe(l, alpha, x1, x2, t_f)
-        t_clear = _clear_until(m, alpha, t_f, excess - _gap_slack(alpha, x2, t_f, R, excess))
+        t_clear = _clear_until(b, alpha, t_f, excess - _gap_slack(alpha, x2, t_f, R, excess))
         if t_clear is not None:
             k = max(k + 1, math.ceil(t_clear / grid))
         elif hit is None:
@@ -407,7 +421,7 @@ def _gap_slack(alpha: float, x2: float, t_f: float, R: float, excess: float) -> 
     return 2.0 ** -53 * (11.0 * r + R + 2.0 * abs(x2) * t_f + 16.0 * alpha * t_f * (t_f + 1.0) + 4.0 * alpha)
 
 
-def _clear_until(m: Manifold, alpha: float, t_f: float, g: float) -> float | None:
+def _clear_until(b: float, alpha: float, t_f: float, g: float) -> float | None:
     """A time t_clear such that every t_final in [t_f, t_clear) is infeasible, or
     None when the gap g proves nothing at t_f.
 
@@ -423,14 +437,13 @@ def _clear_until(m: Manifold, alpha: float, t_f: float, g: float) -> float | Non
     vector (R*d, alpha*d) + (alpha*d^2/2, 0) bounds them, so the Euclidean
     reach is at most hypot(R, alpha)*d + alpha*d^2/2 and the max-norm reach
     at most max(R, alpha)*d + alpha*d^2/2.  So every t_final closer than the
-    root d of that reach against g, b*d + alpha*d^2/2 = g with
-    b = hypot(R, alpha) or max(R, alpha), is infeasible.  The returned time
-    is that root, shrunk far beyond the rounding of this computation and of
-    the grid lines.
+    root d of that reach against g, b*d + alpha*d^2/2 = g with the reach
+    speed b = hypot(R, alpha) or max(R, alpha), which the search forms once,
+    is infeasible.  The returned time is that root, shrunk far beyond the
+    rounding of this computation and of the grid lines.
     """
     if not 0.0 < g:  # also NaN; an infinite excess makes the slack, and so g, NaN
         return None
-    b = math.hypot(m.l, alpha) if isinstance(m, Circle) else max(1.0, alpha)
     d = 2.0 * g / (b + math.sqrt(b * b + 2.0 * alpha * g))
     return t_f + d * (1.0 - 1e-12) - 1e-15 * (t_f + d)
 
@@ -440,6 +453,30 @@ def _origin_time(alpha: float, s0: State) -> float:
     sigma = 1.0 if s0.x1 > -s0.x2 * abs(s0.x2) / (2.0 * alpha) else -1.0
     rest = max(0.0, sigma * alpha * s0.x1 + 0.5 * s0.x2 * s0.x2)
     return (sigma * s0.x2 + 2.0 * math.sqrt(rest)) / alpha
+
+
+def _origin_bound(alpha: float, R: float, t_origin: float) -> float:
+    """A lower bound on the time to reach the target from a state whose
+    `_origin_time` computes as t_origin.
+
+    Every point of the box |x1|, |x2| <= R, which holds the target, reaches
+    the origin within t_far = (R + 2*sqrt(alpha*R + R^2/2))/alpha: the
+    states that reach the origin within a time form a convex set (the
+    system is linear and the control set convex), so the largest time over
+    the box is at a corner, and of the corners it is at (R, R) and
+    (-R, -R).  A control that reaches the target at t can then reach the
+    origin by t + t_far, so t >= T0 - t_far, with T0 the exact origin time.
+    _origin_time's formula of either sigma is at most T0 (T0 is the larger
+    of the two), so a sigma chosen wrong by rounding next to the curve only
+    lowers it.  Its rounding is a few ulps of each term, but the root of
+    rest = sigma*alpha*x1 + x2^2/2, off by up to 2u*E with u = 2^-53 and
+    E = alpha*|x1| + x2^2/2, can move by sqrt(2u*E), and the time by twice
+    that over alpha; as alpha*T0 >= (2 - sqrt(2))*sqrt(E), that is at most
+    5.2e-8*T0.  The slack 2^-22*(t_origin + t_far) covers it, t_far's
+    rounding and the subtraction's, four times over.
+    """
+    t_far = (R + 2.0 * math.sqrt(alpha * R + 0.5 * R * R)) / alpha
+    return t_origin - t_far - 2.0 ** -22 * (t_origin + t_far)
 
 
 def oracle_min_time(m: Manifold, params: Params, s0: State) -> float:
@@ -492,7 +529,7 @@ def oracle_grid_report(m: Manifold, params: Params, states: list[State]) -> Grid
         if contains(m, s):
             n_target += 1
             continue
-        if locus_distance(m, params, s) < _LOCUS_BAND:
+        if not _clear_of_loci(m, params, s, _LOCUS_BAND) and locus_distance(m, params, s) < _LOCUS_BAND:
             n_band += 1
             continue
         t_oracle = oracle_min_time(m, params, s)

@@ -601,6 +601,41 @@ def locus_distance(m: Manifold, params: Params, s: State) -> float:
                    _parabola_distance(-s.x1 / a, -s.x2 / a, c, w_edge))
 
 
+def _clear_of_loci(m: Manifold, params: Params, s: State, band: float) -> bool:
+    """True only where locus_distance(m, params, s) computes above band, so a
+    test `locus_distance(...) < band` (or `<= band`) reads False; False where
+    that is not certified here, and the caller computes the distance.
+
+    At y = s/alpha a half-parabola lies on F = 0, F(y) = y1 - c + y2^2/2 (its
+    mirror on F(-y) = 0), and grad F = (1, y2).  So a point of the parabola
+    within D of y moves F by at most D*sqrt(1 + (|y2| + D)^2), and a
+    residual |F| above that, at D = delta = band/alpha, puts no point of the
+    parabola, nor of the half-parabola on it, within delta.  locus_distance
+    computes the distance to a point (c - w^2/2, w) with w >= w_edge, whose
+    computed distance is below delta (up to 2 ulps of it, the quotient and
+    the product with alpha) only where |w| <= |y2| + delta; with u = 2^-53
+    the point's rounding then costs u*(|c| + (|y2| + delta)^2) and the
+    distance's own 4*u*delta, so the true distance is below
+    delta + eps, eps = u*(1.01*|c| + 1.01*(|y2| + delta)^2 + 7*delta).  The
+    bound D*sqrt(1 + (|y2| + D)^2) grows at rate at most
+    h + D, h = sqrt(1 + (|y2| + delta)^2), so eps costs eps*(h + delta).
+    The residual's rounding is u*(|c| + y2^2) and the threshold's own a
+    few ulps of delta*h.  The slack
+    16*u*(|c| + (|y2| + delta)^2 + delta)*(h + delta) covers all of them
+    with the coefficients rounded up, as h >= 1.  A residual or threshold
+    that is NaN or infinite certifies nothing.
+    """
+    a = params.alpha
+    c = _locus_half(m, _unit_size(m, params))[0]
+    y1, y2 = s.x1 / a, s.x2 / a  # the quotients locus_distance takes
+    d = band / a
+    w = abs(y2) + d
+    h = math.sqrt(1.0 + w * w)
+    t = d * h + 2.0 ** -49 * (abs(c) + w * w + d) * (h + d)
+    f = 0.5 * y2 * y2 - c
+    return abs(f + y1) > t and abs(f - y1) > t
+
+
 def discontinuity_loci(
     m: Manifold,
     params: Params,
@@ -679,8 +714,9 @@ def _closed_form_feedback(m: Manifold, params: Params, s: State) -> SynthesisRes
         terminal = _point("theta" if isinstance(m, Circle) else "corner_A", math.atan2(n2, n1))
     if best.mirrored:
         terminal = antipode(m, terminal)
-    return SynthesisResult(u, best.tau, terminal, None if switch is None else State(*switch),
-                           locus_distance(m, params, s) <= _LOCUS_FLAG_TOL)
+    tol = _LOCUS_FLAG_TOL
+    on_locus = not _clear_of_loci(m, params, s, tol) and locus_distance(m, params, s) <= tol
+    return SynthesisResult(u, best.tau, terminal, None if switch is None else State(*switch), on_locus)
 
 
 def _invert(m: Manifold, size: float, a: float, x1: float,

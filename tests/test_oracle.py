@@ -645,24 +645,73 @@ def _answer(search, m, p, s):
         return HorizonExceeded
 
 
-def test_skipping_ascent_matches_a_plain_ascent():
-    """Same policy, bit for bit, as the line-by-line ascent, raises included."""
+_PLAIN_LINES = 20000  # the most grid lines from the box bound to the horizon that _plain_policy is asked to climb
+
+_LARGE_STATES = [(Circle(l), l, State(0.0, x2)) for l in (0.05, 1.0, 3.0) for x2 in (1e6, -1e6)]
+_LARGE_STATES += [(SQ, 1.0, s) for s in (State(1e12, 0.0), State(-1e12, 0.0), State(0.0, 1e6))]
+
+
+def test_skipping_ascent_matches_a_plain_ascent(monkeypatch):
+    """Same policy, bit for bit, as the line-by-line ascent from the box bound,
+    raises included, at alpha from 0.05 to 20 and spans up to 1e3.  Where that
+    ascent would climb more than _PLAIN_LINES lines, and at the large states
+    of test_oracle_answers_large_states, the reference is the same skipping
+    ascent started at the box bound: the origin-time start changes no answer,
+    also on the square's corner arcs, where that start is the minimum time."""
     rng = random.Random(17)
     targets = [(Circle(l), l) for l in (0.003, 0.05, 0.5, 1.0, 2.0, 3.0)] + [(SQ, 1.0)]
-    compared = raised = 0
-    for i in range(280):
+    alphas, spans = (0.05, 0.5, 1.0, 2.0, 10.0, 20.0), (5.0, 20.0, 1e3)
+    cases = []
+    for i in range(len(targets) * len(alphas) * len(spans) * 3):
         m, l = targets[i % len(targets)]
-        alpha = (0.5, 1.0, 2.0, 10.0)[i // len(targets) % 4]
-        span = (5.0, 20.0)[i // (4 * len(targets)) % 2]
+        alpha = alphas[i // len(targets) % len(alphas)]
+        span = spans[i // (len(alphas) * len(targets)) % len(spans)]
+        cases.append((m, Params(alpha=alpha, l=l), State(rng.uniform(-span, span), rng.uniform(-span, span))))
+    cases += [(m, Params(alpha=alpha, l=l), s) for m, l, s in _LARGE_STATES for alpha in (0.5, 1.0, 2.0)]
+    # On the u = -1 arc into the square's corner (1, 1), tau ahead of it, the
+    # origin-time bound is the minimum time tau itself.
+    corner_arcs = [(alpha, State(1.0 - tau - 0.5 * alpha * tau * tau, 1.0 + alpha * tau))
+                   for alpha in (0.5, 1.0, 2.0) for tau in (2.5, 1e3, 1e6)]
+    cases += [(SQ, Params(alpha=alpha), s) for alpha, on in corner_arcs for s in (on, -on)]
+    compared = plain = raised = 0
+    for m, p, s in cases:
+        if contains(m, s):
+            continue
+        got = _answer(oracle_policy, m, p, s)
+        lines = (_origin_time(p.alpha, s) - _box_entry_time(m, p.alpha, s)) / DEFAULT_GRID
+        if lines <= _PLAIN_LINES:
+            assert got == _answer(_plain_policy, m, p, s)
+            plain += 1
+        else:
+            with monkeypatch.context() as mp:
+                mp.setattr(oracle, "_origin_bound", lambda alpha, R, t_origin: -math.inf)
+                assert got == _answer(oracle_policy, m, p, s)
+        compared += 1
+        raised += got is HorizonExceeded
+    assert compared > 350 and plain > 250 and raised > 0
+
+
+def test_origin_time_exceeds_the_value_by_at_most_the_box_time():
+    """0 <= _origin_time(s) - V(s) <= (R + 2*sqrt(alpha*R + R^2/2))/alpha, with
+    V the closed form's time-to-go, on seeded exterior states of both targets
+    with l from 1e-4 to 1e2, alpha from 0.1 to 10 and |x| up to 1e3: the
+    origin lies in the target, and every point of the box |x1|, |x2| <= R
+    reaches the origin within that time."""
+    rng = random.Random(50)
+    checked = 0
+    for i in range(3000):
+        l = None if i % 4 == 0 else 10.0 ** rng.uniform(-4.0, 2.0)
+        alpha = 10.0 ** rng.uniform(-1.0, 1.0)
+        m, p = _scenario(l, alpha)
+        R = _radius(m)
+        span = R * 10.0 ** rng.uniform(0.0, 3.0)
         s = State(rng.uniform(-span, span), rng.uniform(-span, span))
         if contains(m, s):
             continue
-        p = Params(alpha=alpha, l=l)
-        got = _answer(oracle_policy, m, p, s)
-        assert got == _answer(_plain_policy, m, p, s)
-        compared += 1
-        raised += got is HorizonExceeded
-    assert compared > 250 and raised > 0
+        v = _invert(m, _unit_size(m, p), alpha, s.x1, s.x2)[0].tau
+        assert 0.0 <= _origin_time(alpha, s) - v <= (R + 2.0 * math.sqrt(alpha * R + 0.5 * R * R)) / alpha, (l, alpha, s)
+        checked += 1
+    assert checked > 2500
 
 
 @pytest.mark.parametrize("x1, x2", [
@@ -711,25 +760,28 @@ def _counting(monkeypatch, name="_probe", limit=math.inf):
 
 def test_probes_per_search_on_the_acceptance_grid(monkeypatch):
     """The per-axis reach clears more of the ascent than a reach that adds
-    the two axes' speeds.  Over the 41 x 41 grid's exterior states outside
-    the locus band, on circles l = 1 and 2 and the square at alpha = 1 and
-    on Circle(0.5) at alpha = 2, a search takes 9.71 probes on the mean,
-    against 11.77 with the added speeds.  A circle probe solves 1.21 arcs on
-    the mean, not both: the chord between the full-bang endpoints rules the
-    other out."""
+    the two axes' speeds, and the origin-time start skips most of the climb
+    from the box bound.  Over the 41 x 41 grid reports on circles l = 1 and
+    2 and the square at alpha = 1 and on Circle(0.5) at alpha = 2, a search
+    takes 9.37 probes on the mean, against 9.71 from the box bound and 11.77
+    with the added speeds.  A circle probe solves 1.21 arcs on the mean, not
+    both: the chord between the full-bang endpoints rules the other out.
+    The reports compute locus_distance at 214 of their 6,384 exterior
+    states (3.4%); _clear_of_loci certifies the others clear of verify's
+    band."""
     probes = _counting(monkeypatch)
     arcs = _counting(monkeypatch, "_arc_nearest")
-    searches = 0
+    distances = _counting(monkeypatch, "locus_distance")
+    searches = exterior = 0
     for m, p in ((C1, P1), (Circle(2.0), Params(alpha=1.0, l=2.0)), (SQ, P1),
                  (Circle(0.5), Params(alpha=2.0, l=0.5))):
-        for s in acceptance_grid(5.0, 41):
-            if contains(m, s) or locus_distance(m, p, s) < oracle._LOCUS_BAND:
-                continue
-            oracle_policy(m, p, s)
-            searches += 1
+        report = oracle_grid_report(m, p, acceptance_grid(5.0, 41))
+        searches += len(report.rows)
+        exterior += 41 * 41 - report.n_excluded_target
     assert searches > 6000
-    assert len(probes) / searches < 10.0
+    assert len(probes) / searches < 9.5
     assert len(arcs) / sum(args[0] is not None for args in probes) <= 1.3
+    assert len(distances) <= 0.05 * exterior
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
@@ -835,6 +887,11 @@ def _scenario(l, alpha):
     return (SQ, Params(alpha=alpha)) if l is None else (Circle(l), Params(alpha=alpha, l=l))
 
 
+def _reach(m, alpha):
+    """The search's reach speed b: hypot(l, alpha) for the circle, max(1, alpha) for the square."""
+    return math.hypot(m.l, alpha) if isinstance(m, Circle) else max(1.0, alpha)
+
+
 def _gap(m, alpha, s, t_f):
     """The ascent's gap at t_f: the nearest endpoint's distance to the target, less the slack."""
     excess = _probe(_l(m), alpha, s.x1, s.x2, t_f)[0]
@@ -853,7 +910,7 @@ def test_lines_the_ascent_skips_are_infeasible(l, alpha, x1, x2):
     n = int(round((_origin_time(alpha, s) + grid) / grid))
     k = max(0, int(_box_entry_time(m, alpha, s) / grid) - 1)
     while k <= n:
-        t_clear = _clear_until(m, alpha, k * grid, _gap(m, alpha, s, k * grid))
+        t_clear = _clear_until(_reach(m, alpha), alpha, k * grid, _gap(m, alpha, s, k * grid))
         if t_clear is None:
             if _feasible(m, p, s, k * grid) is not None:
                 return
@@ -1003,5 +1060,5 @@ def test_clear_stretch_ends_before_a_feasible_final_time(l, alpha, u0, t_final, 
     assume(not contains(m, s0))
     assume(contains(m, policy_endpoint(s0, PolicyCandidate(u0, t_sw, t_final), alpha)))
     t_f = f_from * t_final
-    t_clear = _clear_until(m, alpha, t_f, _gap(m, alpha, s0, t_f))
+    t_clear = _clear_until(_reach(m, alpha), alpha, t_f, _gap(m, alpha, s0, t_f))
     assert t_clear is None or t_clear <= t_final

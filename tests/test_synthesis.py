@@ -26,6 +26,7 @@ from mintime import (
     discontinuity_loci,
     feedback,
     locus_distance,
+    oracle_grid_report,
     oracle_min_time,
     signed_distance,
     simulate,
@@ -34,13 +35,14 @@ from mintime import (
     touch_and_go_curves,
     value,
 )
-from mintime import synthesis
+from mintime import oracle, synthesis
 from mintime.characteristics import _switch_point
 from mintime.manifold import _unit_size, antipode
 from mintime.oracle import _origin_time
 from mintime.synthesis import (
     _TAU_TOL,
     _circle_half,
+    _clear_of_loci,
     _closed_form_feedback,
     _curve_point,
     _far_anchor,
@@ -893,38 +895,66 @@ def test_feedback_discontinuity_flag():
 
 
 def _locus_offsets(m, p):
-    """States on both jump loci and offset along the normal by a fraction of the flag band."""
+    """States on both jump loci and offset along the normal by a fraction of
+    the flag band 1e-9 or of verify's band 0.05, out to |x| ~ 1e6 and past."""
     a = p.alpha
     c, w_edge = _locus_half(m, _unit_size(m, p))
-    for w in (w_edge + dw for dw in (0.0, 1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0)):
+    offsets = [k * 1e-9 for k in (0.0, 0.5, -0.5, 0.99, -0.99, 1.01, -1.01, 2.0, -2.0)]
+    offsets += [k * 0.05 for k in (0.99, -0.99, 1.0, -1.0, 1.01, -1.01)]
+    for w in (w_edge + dw for dw in (0.0, 1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 1e3, 1e6)):
         norm = math.hypot(1.0, w)
-        for k in (0.0, 0.5, -0.5, 0.99, -0.99, 1.01, -1.01, 2.0, -2.0):
-            d = k * 1e-9
+        for d in offsets:
             on = State(a * (c - 0.5 * w * w) + d / norm, a * w + d * w / norm)
             for s in (on, -on):
                 if not contains(m, s):
                     yield s
 
 
-_FLAG_CASES = [(Circle(l), l) for l in (0.05, 0.5, 1.0, 2.0, 3.0)] + [(SQ, 1.0)]
+_FLAG_CASES = [(Circle(l), l) for l in (0.05, 0.5, 1.0, 2.0, 3.0)] + [(SQ, 1.0)] + [(Circle(l), l) for l in (1e-6, 1e6)]
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("m,l", _FLAG_CASES)
-def test_discontinuity_flag_is_the_locus_distance_test(m, l, alpha):
-    """The flag's vertical-offset prefilter decides exactly as the full distance would,
-    at and around the flag band on both loci, and at random exterior states."""
+def test_discontinuity_flag_is_the_locus_distance_test(monkeypatch, m, l, alpha):
+    """The flag, and verify's exclusion band, decide exactly as the full
+    distance would: at and around both bands on both loci, at random
+    exterior states and at random states with |x| up to 1e6.  Each calls
+    locus_distance only where _clear_of_loci does not certify the state
+    clear, and both outcomes of that test occur at both bands.  At l = 1e6
+    no float state lies within 1e-9 of a locus (locus_distance's own
+    rounding there is ~1e-4), so the count of flagged states is asked only
+    of the other targets.  The law raises at up to 8 states exactly on a
+    locus of Circle(1e-6), and at two of Circle(0.05) at alpha = 2 next to
+    (-1e6, 2e3), where the flag cannot be read."""
     p = Params(alpha=alpha, l=l)
     rng = random.Random(1234)
-    randoms = (State(rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0)) for _ in range(2000))
-    n_flagged = 0
+    randoms = [State(rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0)) for _ in range(2000)]
+    randoms += [State(rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6)) for _ in range(200)]
+    # The band test does not depend on the oracle's answer, so no search is run.
+    monkeypatch.setattr(oracle, "oracle_min_time", lambda m, p, s: 0.0)
+    taken = {1e-9: set(), 0.05: set()}
+    n_flagged = n_raised = 0
     for s in (*_locus_offsets(m, p), *randoms):
         if contains(m, s):
             continue
-        flag = _closed_form_feedback(m, p, s).discontinuity_flag
-        assert flag == (locus_distance(m, p, s) <= 1e-9), s
+        distance = locus_distance(m, p, s)
+        try:
+            flag = _closed_form_feedback(m, p, s).discontinuity_flag
+        except DomainError:  # on a locus of Circle(1e-6), and of Circle(0.05) at |x| ~ 1e6, no family admits s
+            assert l in (1e-6, 0.05) and distance <= 1e-9, s
+            n_raised += 1
+            flag = False
+        else:
+            assert flag == (distance <= 1e-9), s
+        assert oracle_grid_report(m, p, [s]).n_excluded_band == (distance < 0.05), s
+        for band in taken:
+            clear = _clear_of_loci(m, p, s, band)
+            assert not clear or distance > band, (s, band)
+            taken[band].add(clear)
         n_flagged += flag
-    assert n_flagged >= 40
+    assert taken == {1e-9: {False, True}, 0.05: {False, True}}
+    assert n_flagged >= 40 or l == 1e6
+    assert n_raised <= 8
 
 
 @pytest.mark.parametrize("m", [Circle(0.5), C1, SQ], ids=["l0.5", "l1", "square"])
