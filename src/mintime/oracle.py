@@ -40,8 +40,8 @@ lower bound g on the distance from every endpoint to the target.  A policy
 that ends in the target d later passes one of those endpoints at t_f and
 after it moves x1 by at most R*d + alpha*d^2/2 and x2 by at most alpha*d,
 so it covers at most b*d + alpha*d^2/2, with the reach speed
-b = hypot(R, alpha) for the circle and max(R, alpha) for the square, formed
-once per search.  Every line closer than the d where that reaches g is
+b = hypot(R, alpha) for the circle and max(R, alpha) for the square
+(`_reach_speed`), formed once per search.  Every line closer than the d where that reaches g is
 infeasible and the ascent jumps past them.  Where g is not positive the
 same endpoint tests the line exactly, so a square line costs
 no cubic solve and a circle line ~1.2, not two: the chord between the
@@ -56,10 +56,11 @@ The oracle shares no code with the synthesis: it has its own cubic solver, and
 only the grid report imports the synthesis, to compare against its closed
 form's time-to-go (synthesis._invert), which forms no switch state, at
 every alpha, and to exclude the band around its value-jump loci
-(synthesis._clear_of_loci, and locus_distance where that certifies
-nothing).  Like every entry point, it checks the target against params
-with the shared model code (manifold._unit_size), which rejects a Circle
-whose radius differs from params.l.
+(synthesis._locus_distance_within, a float filter that computes the
+distance only where it cannot prove the state clear of the band).  Like
+every entry point, it checks the target against params with the shared
+model code (manifold._unit_size), which rejects a Circle whose radius
+differs from params.l.
 
 The single-switch family is an assumption the oracle does not check itself.
 The test suite searches a coarse three-arc family and compares it against the
@@ -73,7 +74,7 @@ from dataclasses import dataclass
 
 from .manifold import Circle, Manifold, _radius, _reject_interior, _unit_size, contains
 from .model import DomainError, HorizonExceeded, Params, State
-from .synthesis import _clear_of_loci, _invert, locus_distance  # for the grid report's comparison only
+from .synthesis import _invert, _locus_distance_within  # for the grid report's comparison only
 
 DEFAULT_GRID = 1e-2
 
@@ -299,10 +300,7 @@ def oracle_policy(m: Manifold, params: Params, s0: State) -> PolicyCandidate:
     if contains(m, s0):
         return PolicyCandidate(1.0, 0.0, 0.0)
     alpha, R, grid = params.alpha, _radius(m), DEFAULT_GRID
-    if isinstance(m, Circle):
-        l, b = m.l, math.hypot(m.l, alpha)
-    else:
-        l, b = None, max(1.0, alpha)
+    l, b = m.l if isinstance(m, Circle) else None, _reach_speed(m, alpha)
     x1, x2 = s0.x1, s0.x2
     t_origin = _origin_time(alpha, s0)
     horizon = t_origin + grid
@@ -421,6 +419,12 @@ def _gap_slack(alpha: float, x2: float, t_f: float, R: float, excess: float) -> 
     return 2.0 ** -53 * (11.0 * r + R + 2.0 * abs(x2) * t_f + 16.0 * alpha * t_f * (t_f + 1.0) + 4.0 * alpha)
 
 
+def _reach_speed(m: Manifold, alpha: float) -> float:
+    """The reach speed b that `_clear_until` takes: hypot(l, alpha) for the
+    circle (Euclidean reach), max(1, alpha) for the square (max-norm reach)."""
+    return math.hypot(m.l, alpha) if isinstance(m, Circle) else max(1.0, alpha)
+
+
 def _clear_until(b: float, alpha: float, t_f: float, g: float) -> float | None:
     """A time t_clear such that every t_final in [t_f, t_clear) is infeasible, or
     None when the gap g proves nothing at t_f.
@@ -438,8 +442,8 @@ def _clear_until(b: float, alpha: float, t_f: float, g: float) -> float | None:
     reach is at most hypot(R, alpha)*d + alpha*d^2/2 and the max-norm reach
     at most max(R, alpha)*d + alpha*d^2/2.  So every t_final closer than the
     root d of that reach against g, b*d + alpha*d^2/2 = g with the reach
-    speed b = hypot(R, alpha) or max(R, alpha), which the search forms once,
-    is infeasible.  The returned time is that root, shrunk far beyond the
+    speed b = hypot(R, alpha) or max(R, alpha), which the search forms once
+    with `_reach_speed`, is infeasible.  The returned time is that root, shrunk far beyond the
     rounding of this computation and of the grid lines.
     """
     if not 0.0 < g:  # also NaN; an infinite excess makes the slack, and so g, NaN
@@ -529,7 +533,7 @@ def oracle_grid_report(m: Manifold, params: Params, states: list[State]) -> Grid
         if contains(m, s):
             n_target += 1
             continue
-        if not _clear_of_loci(m, params, s, _LOCUS_BAND) and locus_distance(m, params, s) < _LOCUS_BAND:
+        if _locus_distance_within(m, params, s, _LOCUS_BAND) < _LOCUS_BAND:
             n_band += 1
             continue
         t_oracle = oracle_min_time(m, params, s)

@@ -601,10 +601,11 @@ def locus_distance(m: Manifold, params: Params, s: State) -> float:
                    _parabola_distance(-s.x1 / a, -s.x2 / a, c, w_edge))
 
 
-def _clear_of_loci(m: Manifold, params: Params, s: State, band: float) -> bool:
-    """True only where locus_distance(m, params, s) computes above band, so a
-    test `locus_distance(...) < band` (or `<= band`) reads False; False where
-    that is not certified here, and the caller computes the distance.
+def _locus_distance_within(m: Manifold, params: Params, s: State, band: float) -> float:
+    """locus_distance(m, params, s) wherever it could compute at or below
+    band, and math.inf where a float filter proves it above band, so a test
+    `_locus_distance_within(...) < band` (or `<= band`) decides as the same
+    test on locus_distance does, and costs no cubic solve away from the loci.
 
     At y = s/alpha a half-parabola lies on F = 0, F(y) = y1 - c + y2^2/2 (its
     mirror on F(-y) = 0), and grad F = (1, y2).  So a point of the parabola
@@ -623,7 +624,7 @@ def _clear_of_loci(m: Manifold, params: Params, s: State, band: float) -> bool:
     few ulps of delta*h.  The slack
     16*u*(|c| + (|y2| + delta)^2 + delta)*(h + delta) covers all of them
     with the coefficients rounded up, as h >= 1.  A residual or threshold
-    that is NaN or infinite certifies nothing.
+    that is NaN or infinite proves nothing, and the distance is computed.
     """
     a = params.alpha
     c = _locus_half(m, _unit_size(m, params))[0]
@@ -633,7 +634,9 @@ def _clear_of_loci(m: Manifold, params: Params, s: State, band: float) -> bool:
     h = math.sqrt(1.0 + w * w)
     t = d * h + 2.0 ** -49 * (abs(c) + w * w + d) * (h + d)
     f = 0.5 * y2 * y2 - c
-    return abs(f + y1) > t and abs(f - y1) > t
+    if abs(f + y1) > t and abs(f - y1) > t:
+        return math.inf
+    return locus_distance(m, params, s)
 
 
 def discontinuity_loci(
@@ -714,8 +717,7 @@ def _closed_form_feedback(m: Manifold, params: Params, s: State) -> SynthesisRes
         terminal = _point("theta" if isinstance(m, Circle) else "corner_A", math.atan2(n2, n1))
     if best.mirrored:
         terminal = antipode(m, terminal)
-    tol = _LOCUS_FLAG_TOL
-    on_locus = not _clear_of_loci(m, params, s, tol) and locus_distance(m, params, s) <= tol
+    on_locus = _locus_distance_within(m, params, s, _LOCUS_FLAG_TOL) <= _LOCUS_FLAG_TOL
     return SynthesisResult(u, best.tau, terminal, None if switch is None else State(*switch), on_locus)
 
 

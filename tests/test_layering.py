@@ -63,7 +63,7 @@ def test_the_problem_layers_import_no_solution_layer(name):
 
 def test_the_oracle_takes_from_the_synthesis_only_the_grid_report_comparison():
     taken = [names for mod, names in _module_imports("oracle") if mod == "mintime.synthesis"]
-    assert all(names and set(names) <= {"_clear_of_loci", "_invert", "locus_distance"} for names in taken)
+    assert all(names and set(names) <= {"_invert", "_locus_distance_within"} for names in taken)
 
 
 def _package_reads_at_import(source: str) -> list[int]:

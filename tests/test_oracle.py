@@ -27,7 +27,7 @@ from mintime import (
     oracle_policy,
     value,
 )
-from mintime import oracle
+from mintime import oracle, synthesis
 from mintime.oracle import (
     DEFAULT_GRID,
     _arc_nearest,
@@ -37,6 +37,7 @@ from mintime.oracle import (
     _nearest_endpoint,
     _origin_time,
     _probe,
+    _reach_speed,
     _refine,
     _square_endpoint,
     policy_endpoint,
@@ -743,10 +744,10 @@ def test_square_ascent_decides_its_first_feasible_line_with_one_exact_test(monke
     assert got == _plain_policy(SQ, p, s)
 
 
-def _counting(monkeypatch, name="_probe", limit=math.inf):
-    """The argument tuples oracle.<name> is called with; past limit calls, raise."""
+def _counting(monkeypatch, name="_probe", limit=math.inf, module=oracle):
+    """The argument tuples module.<name> is called with; past limit calls, raise."""
     calls = []
-    wrapped = getattr(oracle, name)
+    wrapped = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
@@ -754,7 +755,7 @@ def _counting(monkeypatch, name="_probe", limit=math.inf):
             raise RuntimeError(f"the search made more than {limit} calls of {name}")
         return wrapped(*args)
 
-    monkeypatch.setattr(oracle, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -767,11 +768,11 @@ def test_probes_per_search_on_the_acceptance_grid(monkeypatch):
     with the added speeds.  A circle probe solves 1.21 arcs on the mean, not
     both: the chord between the full-bang endpoints rules the other out.
     The reports compute locus_distance at 214 of their 6,384 exterior
-    states (3.4%); _clear_of_loci certifies the others clear of verify's
-    band."""
+    states (3.4%); _locus_distance_within's float filter proves the others
+    clear of verify's band."""
     probes = _counting(monkeypatch)
     arcs = _counting(monkeypatch, "_arc_nearest")
-    distances = _counting(monkeypatch, "locus_distance")
+    distances = _counting(monkeypatch, "locus_distance", module=synthesis)
     searches = exterior = 0
     for m, p in ((C1, P1), (Circle(2.0), Params(alpha=1.0, l=2.0)), (SQ, P1),
                  (Circle(0.5), Params(alpha=2.0, l=0.5))):
@@ -887,11 +888,6 @@ def _scenario(l, alpha):
     return (SQ, Params(alpha=alpha)) if l is None else (Circle(l), Params(alpha=alpha, l=l))
 
 
-def _reach(m, alpha):
-    """The search's reach speed b: hypot(l, alpha) for the circle, max(1, alpha) for the square."""
-    return math.hypot(m.l, alpha) if isinstance(m, Circle) else max(1.0, alpha)
-
-
 def _gap(m, alpha, s, t_f):
     """The ascent's gap at t_f: the nearest endpoint's distance to the target, less the slack."""
     excess = _probe(_l(m), alpha, s.x1, s.x2, t_f)[0]
@@ -910,7 +906,7 @@ def test_lines_the_ascent_skips_are_infeasible(l, alpha, x1, x2):
     n = int(round((_origin_time(alpha, s) + grid) / grid))
     k = max(0, int(_box_entry_time(m, alpha, s) / grid) - 1)
     while k <= n:
-        t_clear = _clear_until(_reach(m, alpha), alpha, k * grid, _gap(m, alpha, s, k * grid))
+        t_clear = _clear_until(_reach_speed(m, alpha), alpha, k * grid, _gap(m, alpha, s, k * grid))
         if t_clear is None:
             if _feasible(m, p, s, k * grid) is not None:
                 return
@@ -1060,5 +1056,5 @@ def test_clear_stretch_ends_before_a_feasible_final_time(l, alpha, u0, t_final, 
     assume(not contains(m, s0))
     assume(contains(m, policy_endpoint(s0, PolicyCandidate(u0, t_sw, t_final), alpha)))
     t_f = f_from * t_final
-    t_clear = _clear_until(_reach(m, alpha), alpha, t_f, _gap(m, alpha, s0, t_f))
+    t_clear = _clear_until(_reach_speed(m, alpha), alpha, t_f, _gap(m, alpha, s0, t_f))
     assert t_clear is None or t_clear <= t_final
