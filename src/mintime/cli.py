@@ -16,6 +16,8 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Sequence
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .manifold import Circle, Manifold, Square, _nup_empty, boundary_rows
@@ -35,20 +37,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_USAGE_EXIT)
 
 
-def _fmt(v) -> str:
-    # repr round-trips floats exactly and is deterministic
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _emit_table(args, name: str, header: list[str], rows: list[tuple]) -> None:
+def _emit_table(args, name: str, header: list[str], rows: Sequence[tuple]) -> None:
     if args.format == "json":
         payload = [dict(zip(header, row)) for row in rows]
         text = json.dumps(payload, sort_keys=True)
     else:
         lines = [",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        lines.extend(",".join(map(str, row)) for row in rows)  # str(float) round-trips
         text = "\n".join(lines) + "\n"
     if args.out:
         path = Path(args.out) / f"{name}.{args.format}"
@@ -67,21 +62,16 @@ def _check_rows(count: float, flags: str) -> None:
 
 
 def _scenario(args) -> tuple[Params, Manifold]:
-    alpha, l, target = 1.0, 1.0, "circle"
+    params, target = Params(), "circle"
     if args.scenario:
         try:
             text = Path(args.scenario).read_text()
         except (OSError, UnicodeDecodeError) as exc:
             raise DomainError(f"cannot read scenario file: {exc}") from exc
         params, target = parse_scenario(text)
-        alpha, l = params.alpha, params.l
-    if args.target is not None:
-        target = args.target
-    if args.alpha is not None:
-        alpha = args.alpha
-    if args.l is not None:
-        l = args.l
-    params = Params(alpha=alpha, l=l)
+    flags = {"alpha": args.alpha, "l": args.l}
+    params = replace(params, **{k: v for k, v in flags.items() if v is not None})
+    target = args.target or target
     manifold = Circle(params.l) if target == "circle" else Square()
     return params, manifold
 
@@ -181,20 +171,14 @@ def _cmd_isochrone(args, params: Params, m: Manifold) -> int:
     return 0
 
 
-def _terminal_json(bp) -> dict:
-    return {"kind": bp.kind, "param": bp.param}
-
-
 def _cmd_feedback(args, params: Params, m: Manifold) -> int:
     from .synthesis import feedback
     res = feedback(m, params, State(args.x1, args.x2))
     payload = {
         "u": res.u,
         "value": res.time_to_go,
-        "terminal": _terminal_json(res.terminal_point),
-        "switch": None
-        if res.switch_state is None
-        else {"x1": res.switch_state.x1, "x2": res.switch_state.x2},
+        "terminal": asdict(res.terminal_point),
+        "switch": None if res.switch_state is None else asdict(res.switch_state),
         "discontinuity_flag": res.discontinuity_flag,
     }
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
@@ -203,7 +187,7 @@ def _cmd_feedback(args, params: Params, m: Manifold) -> int:
 
 def _cmd_value(args, params: Params, m: Manifold) -> int:
     from .synthesis import value
-    sys.stdout.write(_fmt(value(m, params, State(args.x1, args.x2))) + "\n")
+    sys.stdout.write(str(value(m, params, State(args.x1, args.x2))) + "\n")
     return 0
 
 
@@ -212,12 +196,11 @@ def _cmd_simulate(args, params: Params, m: Manifold) -> int:
     if args.dt > 0.0 and math.isfinite(args.tmax):  # bad values keep simulate's own message
         _check_rows(args.tmax / args.dt, "--tmax and --dt")
     traj = simulate(m, params, State(args.x1, args.x2), args.dt, args.tmax)
-    rows = [(s.t, s.x1, s.x2, s.u) for s in traj.samples]
-    _emit_table(args, "simulate", ["t", "x1", "x2", "u"], rows)
+    _emit_table(args, "simulate", ["t", "x1", "x2", "u"], traj.samples)
     term = traj.termination
     summary = {"status": term.status, "t_f": term.t_f}
     if term.boundary is not None:
-        summary["terminal"] = _terminal_json(term.boundary)
+        summary["terminal"] = asdict(term.boundary)
     sys.stderr.write(json.dumps(summary, sort_keys=True) + "\n")
     return 0
 

@@ -131,8 +131,8 @@ _SCENARIO_KEYS = {"alpha", "l", "target"}
 def parse_scenario(text: str) -> tuple[Params, str]:
     """Parse a JSON scenario {"alpha": num, "l": num, "target": "circle"|"square"}.
 
-    Unknown keys are rejected.  l defaults to 1.0; the square target ignores
-    it.  Returns (Params, target_kind).
+    Unknown keys are rejected.  A missing alpha or l takes Params' default;
+    the square target ignores l.  Returns (Params, target_kind).
     """
     try:
         raw = json.loads(text)
@@ -146,14 +146,12 @@ def parse_scenario(text: str) -> tuple[Params, str]:
     target = raw.get("target")
     if target not in ("circle", "square"):
         raise DomainError(f'scenario "target" must be "circle" or "square", got {target!r}')
-    alpha = raw.get("alpha", 1.0)
-    l = raw.get("l", 1.0)
-    if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
-        raise DomainError(f'scenario "alpha" must be a number, got {alpha!r}')
-    if not isinstance(l, (int, float)) or isinstance(l, bool):
-        raise DomainError(f'scenario "l" must be a number, got {l!r}')
+    numbers = {key: raw[key] for key in ("alpha", "l") if key in raw}
+    for key, v in numbers.items():
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise DomainError(f'scenario "{key}" must be a number, got {v!r}')
     try:
-        alpha, l = float(alpha), float(l)
+        numbers = {key: float(v) for key, v in numbers.items()}
     except OverflowError as exc:
         raise DomainError(f"scenario number too large for a float: {exc}") from exc
-    return Params(alpha=alpha, l=l), target
+    return Params(**numbers), target

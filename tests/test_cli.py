@@ -38,7 +38,8 @@ def test_cli_import_loads_no_numpy_decimal_or_fractions():
     """A fresh `import mintime.cli`, the CLI's cold start, loads none of
     numpy, decimal and fractions, and of mintime only the package, the CLI
     and the two modules it parses with; `mintime value` adds the two it
-    runs, and no oracle, isochrone or simulator."""
+    runs, and no oracle, isochrone or simulator; at alpha != 1 it adds the
+    oracle, which answers it, and still no isochrone or simulator."""
     code = ("import sys, mintime.cli; print(sorted({'numpy', 'decimal', 'fractions'} & set(sys.modules)));"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mintime'))")
     out = _python("-c", code)
@@ -48,16 +49,20 @@ def test_cli_import_loads_no_numpy_decimal_or_fractions():
     # the modules that the package's loader imports through importlib
     code = """if 1:
         import runpy, sys
-        sys.argv = ["mintime", "value", "--x1", "-1.5", "--x2", "2"]
+        sys.argv = ["mintime", *sys.argv[1:]]
         try:
             runpy.run_module("mintime.cli", run_name="__main__", alter_sys=True)
         finally:
             print(sorted(m for m in sys.modules if m.split(".")[0] == "mintime"), file=sys.stderr)
     """
-    out = _python("-c", code)
+    out = _python("-c", code, "value", "--x1", "-1.5", "--x2", "2")
     assert (out.returncode, out.stdout) == (0, b"1.0\n")
     assert out.stderr.strip() == (b"['mintime', 'mintime.characteristics', 'mintime.manifold', 'mintime.model', "
                                   b"'mintime.synthesis']")
+    out = _python("-c", code, "value", "--alpha", "2", "--x1", "-1.5", "--x2", "2")
+    assert (out.returncode, out.stdout) == (0, b"0.6182260995502827\n")
+    assert out.stderr.strip() == (b"['mintime', 'mintime.characteristics', 'mintime.manifold', 'mintime.model', "
+                                  b"'mintime.oracle', 'mintime.synthesis']")
 
 
 def test_module_entry_point_exits_with_the_code_of_main(capsys):
@@ -453,12 +458,24 @@ def test_circle_value_next_to_theta_pi(capsys, l, x1, x2, want):
 
 
 def test_scenario_merge_flags_win(tmp_path, capsys):
+    """A flag wins over the file's key, and a key the file lacks takes its
+    default: with the file, value and feedback answer what the same flags
+    answer with no file."""
     scenario = tmp_path / "scn.json"
     scenario.write_text('{"alpha": 1.0, "l": 2.0, "target": "circle"}')
     code, out, _ = run(capsys, "value", "--scenario", str(scenario),
                        "--x1", "-1.5", "--x2", "2", "--l", "1")
     assert code == 0
     assert float(out.strip()) == pytest.approx(1.0, abs=1e-12)  # flag l=1 wins
+    for text, flags in (('{"alpha": 1.0, "target": "square"}', ["--target", "circle"]),
+                        ('{"alpha": 1.0, "target": "circle"}', ["--alpha", "2"]),
+                        ('{"target": "circle"}', []),
+                        ('{"target": "circle"}', ["--alpha", "0.5", "--l", "2"])):
+        scenario.write_text(text)
+        for cmd in ("value", "feedback"):
+            argv = [cmd, *flags, "--x1", "-3", "--x2", "2"]
+            answer = run(capsys, *argv, "--scenario", str(scenario))
+            assert answer[0] == 0 and answer == run(capsys, *argv), (text, argv)
     code, out, err = run(capsys, "up", "--scenario", str(tmp_path / "missing.json"))
     assert code == 2
     assert out == ""
@@ -506,11 +523,28 @@ def test_out_dir_writes_file(tmp_path, capsys):
 
 
 def test_json_format(capsys):
+    """--format json prints the CSV table's rows: each CSV cell is the repr
+    of its JSON float, or its JSON string, so the CSV is exact too.  What
+    follows the table (verify's summary) is the same in both formats."""
     code, out, _ = run(capsys, "up", "--target", "square", "--samples", "8",
                        "--format", "json")
     assert code == 0
     rows = json.loads(out)
     assert all(set(r) == {"kind", "param", "x1", "x2", "n1", "n2", "class"} for r in rows)
+    for argv in (["up", "--target", "square", "--samples", "8"],
+                 ["flow", "--samples", "4", "--tau-max", "1", "--tau-step", "0.5"],
+                 ["verify", "--grid", "5"],
+                 ["simulate", "--x1", "-1.5", "--x2", "2", "--dt", "0.01"]):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        rows, end = json.JSONDecoder().raw_decode(out)
+        _, csv, _ = run(capsys, *argv)
+        assert rows and csv.endswith(out[end:])
+        header, *lines = csv[:len(csv) - len(out) + end].splitlines()
+        keys = header.split(",")
+        assert [line.split(",") for line in lines] == [
+            [repr(r[k]) if isinstance(r[k], float) else r[k] for k in keys] for r in rows
+        ], argv
 
 
 def test_out_naming_a_file_exits_2(tmp_path, capsys):
